@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
 
 #include "cluster/agglomerative.h"
@@ -141,6 +145,211 @@ TEST_P(LinkagePropertyTest, CutsAreNested) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLinkages, LinkagePropertyTest,
+                         ::testing::Values(Linkage::kSingle, Linkage::kComplete,
+                                           Linkage::kAverage, Linkage::kWard));
+
+// --- NN-chain golden reference ----------------------------------------------
+//
+// A frozen copy of the NN-chain as first written: a by-value n x n working
+// matrix updated through at()/set() (both triangles), a vector<bool> of
+// active slots, a nearest-neighbour scan over every slot, and the
+// Lance-Williams update applied column by column. AgglomerativeCluster must
+// reproduce it merge for merge, distance bits included, so any faster
+// implementation is held to exactly these answers.
+
+float ReferenceLanceWilliams(Linkage linkage, float d_ac, float d_bc,
+                             float d_ab, size_t size_a, size_t size_b,
+                             size_t size_c) {
+  float na = static_cast<float>(size_a);
+  float nb = static_cast<float>(size_b);
+  float nc = static_cast<float>(size_c);
+  switch (linkage) {
+    case Linkage::kSingle:
+      return std::min(d_ac, d_bc);
+    case Linkage::kComplete:
+      return std::max(d_ac, d_bc);
+    case Linkage::kAverage:
+      return (na * d_ac + nb * d_bc) / (na + nb);
+    case Linkage::kWard: {
+      float total = na + nb + nc;
+      return ((na + nc) * d_ac + (nb + nc) * d_bc - nc * d_ab) / total;
+    }
+  }
+  return 0.0f;
+}
+
+class ReferenceUnionFind {
+ public:
+  explicit ReferenceUnionFind(size_t n) : parent_(n) {
+    std::iota(parent_.begin(), parent_.end(), 0);
+  }
+  size_t Find(size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+  void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
+
+ private:
+  std::vector<size_t> parent_;
+};
+
+Dendrogram ReferenceNnChain(DistanceMatrix distances, Linkage linkage) {
+  const size_t n = distances.size();
+  Dendrogram dendrogram;
+  dendrogram.num_leaves = n;
+  if (n <= 1) return dendrogram;
+
+  std::vector<bool> active(n, true);
+  std::vector<size_t> size(n, 1);
+  std::vector<size_t> chain;
+  struct RawMerge {
+    size_t slot_a, slot_b;
+    float distance;
+  };
+  std::vector<RawMerge> raw;
+  size_t remaining = n;
+
+  auto nearest_active = [&](size_t x) {
+    float best = std::numeric_limits<float>::infinity();
+    size_t arg = x;
+    for (size_t y = 0; y < n; ++y) {
+      if (!active[y] || y == x) continue;
+      float d = distances.at(x, y);
+      if (d < best || (d == best && y < arg)) {
+        best = d;
+        arg = y;
+      }
+    }
+    return std::make_pair(arg, best);
+  };
+
+  while (remaining > 1) {
+    if (chain.empty()) {
+      for (size_t x = 0; x < n; ++x) {
+        if (active[x]) {
+          chain.push_back(x);
+          break;
+        }
+      }
+    }
+    while (true) {
+      size_t top = chain.back();
+      auto [nn, d] = nearest_active(top);
+      if (chain.size() >= 2) {
+        size_t prev = chain[chain.size() - 2];
+        if (distances.at(top, prev) == d) nn = prev;
+      }
+      if (chain.size() >= 2 && nn == chain[chain.size() - 2]) {
+        size_t a = top;
+        size_t b = nn;
+        chain.pop_back();
+        chain.pop_back();
+        float d_ab = distances.at(a, b);
+        size_t new_size = size[a] + size[b];
+        raw.push_back({a, b, d_ab});
+        for (size_t c = 0; c < n; ++c) {
+          if (!active[c] || c == a || c == b) continue;
+          distances.set(a, c,
+                        ReferenceLanceWilliams(linkage, distances.at(a, c),
+                                               distances.at(b, c), d_ab,
+                                               size[a], size[b], size[c]));
+        }
+        active[b] = false;
+        size[a] = new_size;
+        --remaining;
+        break;
+      }
+      chain.push_back(nn);
+    }
+  }
+
+  std::vector<size_t> order(raw.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return raw[x].distance < raw[y].distance;
+  });
+  ReferenceUnionFind uf(n);
+  std::vector<size_t> root_dendro_id(n);
+  std::iota(root_dendro_id.begin(), root_dendro_id.end(), 0);
+  std::vector<size_t> root_size(n, 1);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const RawMerge& m = raw[order[i]];
+    size_t ra = uf.Find(m.slot_a);
+    size_t rb = uf.Find(m.slot_b);
+    Merge merge;
+    merge.a = root_dendro_id[ra];
+    merge.b = root_dendro_id[rb];
+    if (merge.a > merge.b) std::swap(merge.a, merge.b);
+    merge.distance = m.distance;
+    merge.size = root_size[ra] + root_size[rb];
+    uf.Union(ra, rb);
+    size_t root = uf.Find(ra);
+    root_dendro_id[root] = n + i;
+    root_size[root] = merge.size;
+    dendrogram.merges.push_back(merge);
+  }
+  return dendrogram;
+}
+
+uint32_t FloatBits(float f) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+// Seeded points with forced ties: coordinates on a small integer grid (so
+// many pairwise distances, and the Lance-Williams values built from them,
+// compare equal) or Gaussian, and every third point a duplicate of an
+// earlier one (distance exactly 0).
+std::vector<Vec> TiedPoints(size_t n, size_t dim, bool grid, uint64_t seed) {
+  dust::Rng rng(seed);
+  std::vector<Vec> points;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 3 == 2) {
+      points.push_back(points[rng.NextBelow(i)]);
+      continue;
+    }
+    Vec v(dim);
+    for (float& x : v) {
+      x = grid ? static_cast<float>(rng.NextBelow(4)) - 1.0f
+               : static_cast<float>(rng.NextGaussian());
+    }
+    points.push_back(v);
+  }
+  return points;
+}
+
+class NnChainGoldenTest : public ::testing::TestWithParam<Linkage> {};
+
+TEST_P(NnChainGoldenTest, MatchesReferenceMergeForMerge) {
+  const Linkage linkage = GetParam();
+  for (size_t n : {2u, 3u, 64u, 65u, 300u, 1000u}) {
+    for (bool grid : {true, false}) {
+      const std::vector<Vec> points = TiedPoints(n, 3, grid, 1000 + n);
+      const Metric metric = grid ? Metric::kEuclidean : Metric::kCosine;
+      const DistanceMatrix distances(points, metric);
+      const Dendrogram want = ReferenceNnChain(distances, linkage);
+      const Dendrogram got = AgglomerativeCluster(distances, linkage);
+      ASSERT_EQ(got.num_leaves, want.num_leaves);
+      ASSERT_EQ(got.merges.size(), want.merges.size());
+      for (size_t i = 0; i < want.merges.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << LinkageName(linkage) << " n=" << n << " grid=" << grid
+                     << " merge " << i);
+        ASSERT_EQ(got.merges[i].a, want.merges[i].a);
+        ASSERT_EQ(got.merges[i].b, want.merges[i].b);
+        ASSERT_EQ(got.merges[i].size, want.merges[i].size);
+        ASSERT_EQ(FloatBits(got.merges[i].distance),
+                  FloatBits(want.merges[i].distance));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLinkages, NnChainGoldenTest,
                          ::testing::Values(Linkage::kSingle, Linkage::kComplete,
                                            Linkage::kAverage, Linkage::kWard));
 

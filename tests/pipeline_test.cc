@@ -2,6 +2,9 @@
 // benchmarks, including the diversity-vs-similarity headline behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <set>
 #include <unordered_set>
 
@@ -9,6 +12,7 @@
 #include "datagen/tus_generator.h"
 #include "diversify/metrics.h"
 #include "embed/tuple_encoder.h"
+#include "la/simd/kernels.h"
 #include "search/tuple_search.h"
 #include "table/union.h"
 
@@ -521,6 +525,74 @@ TEST_F(PipelineFixture, D3lEngineSnapshotUnimplemented) {
   Status saved = pipeline.SaveSnapshot(SnapshotPath("d3l_snapshot.bin"));
   ASSERT_FALSE(saved.ok());
   EXPECT_EQ(saved.code(), StatusCode::kUnimplemented);
+}
+
+// --- golden Algorithm 1 output ---------------------------------------------
+
+uint64_t FnvMix(uint64_t h, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (value >> (8 * byte)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST_F(PipelineFixture, GoldenOutputWithPruningAndClustering) {
+  // Pins Run's answers bit for bit, so performance work on search, align,
+  // embed or diversify can show it changed nothing. prune_s sits below the
+  // unioned tuple count of every query, so pruning, the distance matrix,
+  // NN-chain clustering, medoids and re-ranking all run. The hash covers
+  // the retrieved tables with their score bits, the provenance of every
+  // selected tuple, and the bits of the output's diversity from the query.
+  PipelineConfig config;
+  config.num_tables = 5;
+  config.diversifier.prune_s = 120;
+  DustPipeline pipeline(config, TestEncoder());
+  pipeline.IndexLake(*lake_);
+  auto encoder = TestEncoder();
+
+  uint64_t h = 14695981039346656037ull;
+  for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
+    const Table& query = benchmark_->queries[q].data;
+    auto result = pipeline.Run(query, 10);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const PipelineResult& r = result.value();
+    size_t unioned = 0;
+    for (const search::TableHit& hit : r.tables) {
+      unioned += (*lake_)[hit.table_index]->num_rows();
+      h = FnvMix(h, hit.table_index);
+      h = FnvMix(h, DoubleBits(hit.score));
+    }
+    ASSERT_GT(unioned, config.diversifier.prune_s) << "query " << q;
+    h = FnvMix(h, r.provenance.size());
+    for (const table::TupleRef& ref : r.provenance) {
+      h = FnvMix(h, ref.table_index);
+      h = FnvMix(h, ref.row_index);
+    }
+    const diversify::DiversityScores scores = diversify::ScoreDiversity(
+        encoder->EncodeTableRows(query), encoder->EncodeTableRows(r.output),
+        la::Metric::kCosine);
+    h = FnvMix(h, DoubleBits(scores.average));
+    h = FnvMix(h, DoubleBits(scores.min));
+  }
+
+  // The scalar backend's dot rounds differently from AVX2's, so the
+  // selected tuples legitimately differ between backends: one expected
+  // value each.
+  const std::map<std::string, uint64_t> expected = {
+      {"avx2", 0x38e3d646558fdf16ull},
+      {"scalar", 0x1fc053d847b7b5dcull},
+  };
+  const std::string backend = la::simd::ActiveName();
+  ASSERT_EQ(expected.count(backend), 1u) << backend;
+  EXPECT_EQ(h, expected.at(backend))
+      << backend << " hash 0x" << std::hex << h;
 }
 
 }  // namespace
