@@ -28,9 +28,8 @@ std::vector<size_t> DustWithRandomRepresentative(
     const diversify::DiversifyInput& input, size_t k, size_t p,
     uint64_t seed) {
   const std::vector<la::Vec>& lake = *input.lake;
-  la::DistanceMatrix distances(lake, input.metric);
   cluster::Dendrogram dendrogram = cluster::AgglomerativeCluster(
-      distances, cluster::Linkage::kAverage);
+      lake, input.metric, cluster::Linkage::kAverage);
   std::vector<size_t> labels =
       cluster::CutDendrogram(dendrogram, std::min(lake.size(), k * p));
   Rng rng(seed);

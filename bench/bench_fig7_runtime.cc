@@ -4,7 +4,10 @@
 //  (c) retrieval-phase shortlist scaling: flat scan vs HNSW, single and
 //      batched queries (the index that feeds the diversifier its input).
 // GMC is Θ(k·s²) (quadratic curve, grows with k); DUST and CLT are
-// dominated by the distance matrix (shallow curve, flat in k).
+// dominated by their O(s²) clustering step (shallow curve, flat in k):
+// building the pairwise distance matrix and the NN-chain over it, which
+// costs at least as much as the matrix (see BM_DistanceMatrix and
+// BM_NnChainClustering in bench_micro_kernels).
 #include <memory>
 
 #include "bench/bench_util.h"

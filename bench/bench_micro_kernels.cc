@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: distance
 // computations, NN-chain clustering, the vector indexes (build, save, load,
 // query), and tuple encoding. The CI bench-smoke job runs the BM_Index*
-// benchmarks with --benchmark_out=BENCH_index.json and uploads the JSON as
-// a per-PR artifact, so the offline-build and online-serve timings are
-// tracked across revisions.
+// benchmarks with --benchmark_out=BENCH_index.json (likewise BM_Kernel* to
+// BENCH_kernels.json, and BM_DistanceMatrix|BM_NnChainClustering to
+// BENCH_diversify.json) and uploads the JSON as a per-PR artifact, so the
+// offline-build and online-serve timings are tracked across revisions.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -115,6 +116,11 @@ void BM_CosineDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_CosineDistance)->Arg(64)->Arg(256)->Arg(768);
 
+// --- Diversification benchmarks (exported as BENCH_diversify.json) --------
+//
+// The two O(s^2) phases of DUST's clustering step at dim 64, cosine; 2500
+// is the paper's pruning cap s.
+
 void BM_DistanceMatrix(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto points = bench::SyntheticTupleCloud(n, 64, 8, 2);
@@ -123,20 +129,23 @@ void BM_DistanceMatrix(benchmark::State& state) {
     benchmark::DoNotOptimize(m.at(0, n - 1));
   }
 }
-BENCHMARK(BM_DistanceMatrix)->Arg(200)->Arg(500)->Arg(1000);
+BENCHMARK(BM_DistanceMatrix)->Arg(200)->Arg(500)->Arg(1000)->Arg(2500);
 
 void BM_NnChainClustering(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto points = bench::SyntheticTupleCloud(n, 64, 10, 3);
   la::DistanceMatrix matrix(points, la::Metric::kCosine);
   for (auto _ : state) {
+    // Clustering consumes its matrix; the fresh copy is setup, not timed.
+    state.PauseTiming();
     la::DistanceMatrix copy = matrix;
+    state.ResumeTiming();
     cluster::Dendrogram d = cluster::AgglomerativeCluster(
         std::move(copy), cluster::Linkage::kAverage);
     benchmark::DoNotOptimize(d.merges.size());
   }
 }
-BENCHMARK(BM_NnChainClustering)->Arg(200)->Arg(500)->Arg(1000);
+BENCHMARK(BM_NnChainClustering)->Arg(200)->Arg(500)->Arg(1000)->Arg(2500);
 
 constexpr const char* kIndexTypes[] = {"flat", "ivf", "lsh", "hnsw"};
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "la/simd/kernels.h"
 #include "util/status.h"
 
 namespace dust::cluster {
@@ -29,6 +30,43 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
+// The working matrix is compacted once this share of its rows is dead
+// (1/kCompactDivisor): row scans stay within 4/3 of the live count, and
+// the copies sum to a small constant times the first n^2.
+constexpr size_t kCompactDivisor = 4;
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// row_a[c] = Lance-Williams(row_a[c], row_b[c]) for every column c, dead
+/// ones included: one branch-free pass the compiler vectorizes.
+template <Linkage kLinkage>
+void UpdateRowOf(float* __restrict row_a, const float* __restrict row_b,
+                 const float* __restrict sizes, size_t m, float d_ab, float na,
+                 float nb) {
+  for (size_t c = 0; c < m; ++c) {
+    row_a[c] = LanceWilliamsOf<kLinkage>(row_a[c], row_b[c], d_ab, na, nb,
+                                         sizes[c]);
+  }
+}
+
+void UpdateRow(Linkage linkage, float* row_a, const float* row_b,
+               const float* sizes, size_t m, float d_ab, float na, float nb) {
+  switch (linkage) {
+    case Linkage::kSingle:
+      return UpdateRowOf<Linkage::kSingle>(row_a, row_b, sizes, m, d_ab, na,
+                                           nb);
+    case Linkage::kComplete:
+      return UpdateRowOf<Linkage::kComplete>(row_a, row_b, sizes, m, d_ab, na,
+                                             nb);
+    case Linkage::kAverage:
+      return UpdateRowOf<Linkage::kAverage>(row_a, row_b, sizes, m, d_ab, na,
+                                            nb);
+    case Linkage::kWard:
+      return UpdateRowOf<Linkage::kWard>(row_a, row_b, sizes, m, d_ab, na, nb);
+  }
+  DUST_CHECK(false && "invalid Linkage enum value");
+}
+
 }  // namespace
 
 Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
@@ -36,81 +74,142 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
   Dendrogram dendrogram;
   dendrogram.num_leaves = n;
   if (n <= 1) return dendrogram;
+  const la::simd::Kernels& ops = la::simd::Active();
 
-  // Active-cluster bookkeeping. Cluster slots reuse the row of one member
-  // (so a slot index is always a leaf index belonging to that cluster).
-  std::vector<bool> active(n, true);
-  std::vector<size_t> size(n, 1);
+  // The matrix is reworked in place as a width x width working matrix over
+  // slots 0..width-1, width shrinking at each compaction. A slot is a live
+  // cluster or one dead since the last compaction; leaf[x] is a leaf of
+  // slot x's cluster, the name merges are recorded under. The diagonal
+  // holds +inf, and so does a dead slot's column in every row read since it
+  // died, so the nearest neighbour is simply the row's first minimum.
+  float* d = distances.data();
+  size_t width = n;
+  auto row = [&d, &width](size_t x) { return d + x * width; };
+  std::vector<size_t> leaf(n);
+  std::iota(leaf.begin(), leaf.end(), 0);
+  // Cluster sizes in the type Lance-Williams reads (exact below 2^24).
+  std::vector<float> size(n, 1.0f);
+  std::vector<unsigned char> alive(n, 1);
+  // Slots dead since the last compaction, in order of death; synced[x] is
+  // how many of them row x already holds as +inf.
+  std::vector<size_t> dead;
+  std::vector<size_t> synced(n, 0);
+  auto sync = [&](size_t x) {
+    float* r = row(x);
+    for (size_t k = synced[x]; k < dead.size(); ++k) r[dead[k]] = kInf;
+    synced[x] = dead.size();
+  };
+  for (size_t x = 0; x < n; ++x) row(x)[x] = kInf;
 
   // NN-chain stack.
   std::vector<size_t> chain;
   chain.reserve(n);
 
   struct RawMerge {
-    size_t slot_a, slot_b;  // slot == a leaf index belonging to each cluster
+    size_t leaf_a, leaf_b;  // a leaf belonging to each merged cluster
     float distance;
   };
   std::vector<RawMerge> raw;
   raw.reserve(n - 1);
 
-  size_t remaining = n;
-
-  auto nearest_active = [&](size_t x) {
-    float best = std::numeric_limits<float>::infinity();
-    size_t arg = x;
-    for (size_t y = 0; y < n; ++y) {
-      if (!active[y] || y == x) continue;
-      float d = distances.at(x, y);
-      if (d < best || (d == best && y < arg)) {
-        best = d;
-        arg = y;
+  // Drops the dead slots: live rows and columns move down in order, so
+  // slot order (and with it every first-minimum tie-break) is unchanged.
+  // Each destination precedes its source, so the copy runs front to back
+  // within the one buffer.
+  std::vector<size_t> live;
+  std::vector<size_t> slot_of(n);
+  auto compact = [&]() {
+    live.clear();
+    for (size_t x = 0; x < width; ++x) {
+      if (alive[x]) {
+        slot_of[x] = live.size();
+        live.push_back(x);
       }
     }
-    return std::make_pair(arg, best);
+    const size_t next_width = live.size();
+    for (size_t i = 0; i < next_width; ++i) {
+      const float* from = d + live[i] * width;
+      float* to = d + i * next_width;
+      for (size_t j = 0; j < next_width; ++j) to[j] = from[live[j]];
+      leaf[i] = leaf[live[i]];
+      size[i] = size[live[i]];
+    }
+    for (size_t& x : chain) x = slot_of[x];
+    width = next_width;
+    std::fill(alive.begin(), alive.begin() + width, 1);
+    std::fill(synced.begin(), synced.begin() + width, 0);
+    dead.clear();
   };
 
+  size_t remaining = n;
   while (remaining > 1) {
     if (chain.empty()) {
-      // Start a new chain from the lowest-index active cluster.
-      for (size_t x = 0; x < n; ++x) {
-        if (active[x]) {
-          chain.push_back(x);
-          break;
-        }
-      }
+      // Start a new chain from the lowest-index live cluster.
+      size_t x = 0;
+      while (!alive[x]) ++x;
+      chain.push_back(x);
     }
     while (true) {
-      size_t top = chain.back();
-      auto [nn, d] = nearest_active(top);
+      const size_t top = chain.back();
+      sync(top);
+      const float* r = row(top);
+      size_t nn = ops.argmin(r, width);
+      float dist = r[nn];
+      if (!(dist < kInf)) {
+        // No finite distance to a live cluster: the first live +inf entry
+        // before `top`, else `top` itself, as a full scan would pick.
+        dist = kInf;
+        nn = top;
+        for (size_t y = 0; y < top; ++y) {
+          if (alive[y] && r[y] == kInf) {
+            nn = y;
+            break;
+          }
+        }
+      }
       // Prefer the chain predecessor on ties so reciprocity is detected.
       if (chain.size() >= 2) {
         size_t prev = chain[chain.size() - 2];
-        if (distances.at(top, prev) == d) nn = prev;
+        if (r[prev] == dist) nn = prev;
       }
       if (chain.size() >= 2 && nn == chain[chain.size() - 2]) {
         // Reciprocal nearest neighbors: merge top and nn.
-        size_t a = top;
-        size_t b = nn;
+        const size_t a = top;
+        const size_t b = nn;
         chain.pop_back();
         chain.pop_back();
 
-        float d_ab = distances.at(a, b);
-        size_t new_size = size[a] + size[b];
-        raw.push_back({a, b, d_ab});
+        float* row_a = row(a);
+        const float d_ab = row_a[b];
+        raw.push_back({leaf[a], leaf[b], d_ab});
 
-        // Merge b's slot into a's slot; Lance-Williams updates row a.
-        for (size_t c = 0; c < n; ++c) {
-          if (!active[c] || c == a || c == b) continue;
-          float updated = LanceWilliams(linkage, distances.at(a, c),
-                                        distances.at(b, c), d_ab, size[a],
-                                        size[b], size[c]);
-          distances.set(a, c, updated);
+        // Slot a becomes a ∪ b. Both rows hold +inf in every dead column,
+        // which Lance-Williams keeps non-finite; the diagonal is restored
+        // and b's column turns +inf at row a's next sync.
+        sync(b);
+        UpdateRow(linkage, row_a, row(b), size.data(), width, d_ab, size[a],
+                  size[b]);
+        row_a[a] = kInf;
+        alive[b] = 0;
+        dead.push_back(b);
+        size[a] += size[b];
+        for (size_t c = 0; c < width; ++c) {
+          if (alive[c] && c != a) row(c)[a] = row_a[c];
         }
-        active[b] = false;
-        size[a] = new_size;
         --remaining;
+        // A chain still holding a dead slot (possible only when rounding
+        // breaks reducibility) has no place in the compacted matrix, so it
+        // postpones compaction.
+        if (dead.size() * kCompactDivisor >= width &&
+            std::all_of(chain.begin(), chain.end(),
+                        [&alive](size_t x) { return alive[x] != 0; })) {
+          compact();
+        }
         break;
       }
+      // Only a row with no finite live distance and no +inf one before
+      // `top` (NaN input) ends here: the cluster would merge with itself.
+      DUST_CHECK(nn != top);
       chain.push_back(nn);
     }
   }
@@ -133,8 +232,8 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
   dendrogram.merges.reserve(raw.size());
   for (size_t i = 0; i < order.size(); ++i) {
     const RawMerge& m = raw[order[i]];
-    size_t ra = uf.Find(m.slot_a);
-    size_t rb = uf.Find(m.slot_b);
+    size_t ra = uf.Find(m.leaf_a);
+    size_t rb = uf.Find(m.leaf_b);
     DUST_CHECK(ra != rb);
     Merge merge;
     merge.a = root_dendro_id[ra];

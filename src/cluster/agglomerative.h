@@ -28,11 +28,14 @@ struct Dendrogram {
   std::vector<Merge> merges;
 };
 
-/// Builds the dendrogram of `points` under `linkage`. The input distance
-/// matrix is consumed (mutated in place).
+/// Builds the dendrogram of the points behind `distances` under `linkage`.
+/// The matrix is consumed: clustering reworks its n^2 buffer in place as
+/// clusters merge, so std::move it in. A caller that still needs the
+/// matrix afterwards passes a copy (an lvalue argument is copied).
 Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage);
 
-/// Convenience overload: computes the distance matrix first.
+/// Convenience overload: computes the distance matrix first and hands it
+/// over, so only one n^2 buffer is ever alive.
 Dendrogram AgglomerativeCluster(const std::vector<la::Vec>& points,
                                 la::Metric metric, Linkage linkage);
 

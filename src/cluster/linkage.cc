@@ -1,7 +1,5 @@
 #include "cluster/linkage.h"
 
-#include <algorithm>
-
 #include "util/string_util.h"
 
 namespace dust::cluster {
@@ -17,35 +15,21 @@ const char* LinkageName(Linkage linkage) {
     case Linkage::kWard:
       return "ward";
   }
-  return "?";
+  // A value outside the enum is a corrupted tag; naming it "?" would let it
+  // keep flowing. Abort.
+  DUST_CHECK(false && "invalid Linkage enum value");
+  return "";
 }
 
-Linkage LinkageFromName(const std::string& name) {
+Result<Linkage> LinkageFromName(const std::string& name) {
   std::string lower = ToLower(name);
   if (lower == "single") return Linkage::kSingle;
   if (lower == "complete") return Linkage::kComplete;
+  if (lower == "average") return Linkage::kAverage;
   if (lower == "ward") return Linkage::kWard;
-  return Linkage::kAverage;
-}
-
-float LanceWilliams(Linkage linkage, float d_ac, float d_bc, float d_ab,
-                    size_t size_a, size_t size_b, size_t size_c) {
-  float na = static_cast<float>(size_a);
-  float nb = static_cast<float>(size_b);
-  float nc = static_cast<float>(size_c);
-  switch (linkage) {
-    case Linkage::kSingle:
-      return std::min(d_ac, d_bc);
-    case Linkage::kComplete:
-      return std::max(d_ac, d_bc);
-    case Linkage::kAverage:
-      return (na * d_ac + nb * d_bc) / (na + nb);
-    case Linkage::kWard: {
-      float total = na + nb + nc;
-      return ((na + nc) * d_ac + (nb + nc) * d_bc - nc * d_ab) / total;
-    }
-  }
-  return 0.0f;
+  return Status::InvalidArgument(
+      "unknown linkage \"" + name +
+      "\" (expected single, complete, average, or ward)");
 }
 
 }  // namespace dust::cluster

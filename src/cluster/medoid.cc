@@ -1,7 +1,7 @@
 #include "cluster/medoid.h"
 
-#include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "cluster/agglomerative.h"
 #include "util/status.h"
@@ -24,33 +24,20 @@ size_t MedoidOf(const std::vector<size_t>& members,
   return arg;
 }
 
-size_t MedoidOfPoints(const std::vector<la::Vec>& points,
-                      const std::vector<size_t>& members, la::Metric metric) {
-  DUST_CHECK(!members.empty());
-  double best = std::numeric_limits<double>::infinity();
-  size_t arg = members[0];
-  for (size_t i : members) {
-    double sum = 0.0;
-    for (size_t j : members) {
-      if (i != j) sum += la::Distance(metric, points[i], points[j]);
-    }
-    if (sum < best) {
-      best = sum;
-      arg = i;
-    }
-  }
-  return arg;
-}
-
 std::vector<size_t> ClusterMedoids(const std::vector<la::Vec>& points,
                                    const std::vector<size_t>& labels,
                                    la::Metric metric) {
-  std::vector<std::vector<size_t>> groups = GroupByLabel(labels);
   std::vector<size_t> medoids;
-  medoids.reserve(groups.size());
-  for (const auto& members : groups) {
+  std::vector<la::Vec> cluster_points;
+  std::vector<size_t> local;
+  for (const auto& members : GroupByLabel(labels)) {
     if (members.empty()) continue;
-    medoids.push_back(MedoidOfPoints(points, members, metric));
+    cluster_points.clear();
+    for (size_t i : members) cluster_points.push_back(points[i]);
+    local.resize(members.size());
+    std::iota(local.begin(), local.end(), 0);
+    medoids.push_back(
+        members[MedoidOf(local, la::DistanceMatrix(cluster_points, metric))]);
   }
   return medoids;
 }

@@ -16,12 +16,11 @@ namespace dust::cluster {
 size_t MedoidOf(const std::vector<size_t>& members,
                 const la::DistanceMatrix& distances);
 
-/// Medoid computed directly from points (no precomputed matrix); O(m^2 d).
-size_t MedoidOfPoints(const std::vector<la::Vec>& points,
-                      const std::vector<size_t>& members, la::Metric metric);
-
 /// Medoids of every cluster in a labeling: result[c] is the point index of
-/// cluster c's medoid. Empty clusters are skipped (not represented).
+/// cluster c's medoid. Empty clusters are skipped (not represented). Each
+/// cluster gets its own small DistanceMatrix, whose entries are bit for bit
+/// those of the full matrix over `points`, so the result equals MedoidOf
+/// over the full matrix without keeping that matrix alive.
 std::vector<size_t> ClusterMedoids(const std::vector<la::Vec>& points,
                                    const std::vector<size_t>& labels,
                                    la::Metric metric);

@@ -13,20 +13,12 @@ std::vector<size_t> CltDiversifier::SelectDiverse(const DiversifyInput& input,
   if (lake.empty() || k == 0) return {};
   k = std::min(k, lake.size());
 
-  la::DistanceMatrix distances(lake, input.metric);
-  cluster::Dendrogram dendrogram =
-      cluster::AgglomerativeCluster(distances, config_.linkage);
+  // Clustering consumes the one n x n matrix; medoids come from small
+  // per-cluster matrices with bit-identical entries.
+  cluster::Dendrogram dendrogram = cluster::AgglomerativeCluster(
+      la::DistanceMatrix(lake, input.metric), config_.linkage);
   std::vector<size_t> labels = cluster::CutDendrogram(dendrogram, k);
-
-  // Medoid per cluster (reusing the distance matrix).
-  std::vector<std::vector<size_t>> groups = cluster::GroupByLabel(labels);
-  std::vector<size_t> result;
-  result.reserve(k);
-  for (const auto& members : groups) {
-    if (members.empty()) continue;
-    result.push_back(cluster::MedoidOf(members, distances));
-  }
-  return result;
+  return cluster::ClusterMedoids(lake, labels, input.metric);
 }
 
 }  // namespace dust::diversify

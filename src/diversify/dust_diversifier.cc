@@ -158,14 +158,15 @@ std::vector<size_t> DustDiversifier::SelectDiverse(const DiversifyInput& input,
     std::vector<la::Vec> pruned_points;
     pruned_points.reserve(kept.size());
     for (size_t i : kept) pruned_points.push_back(lake[i]);
-    la::DistanceMatrix distances(pruned_points, input.metric);
-    cluster::Dendrogram dendrogram =
-        cluster::AgglomerativeCluster(distances, config_.linkage);
+    // Clustering consumes the one s x s matrix; medoids come from small
+    // per-cluster matrices with bit-identical entries.
+    cluster::Dendrogram dendrogram = cluster::AgglomerativeCluster(
+        la::DistanceMatrix(pruned_points, input.metric), config_.linkage);
     std::vector<size_t> labels =
         cluster::CutDendrogram(dendrogram, num_clusters);
-    for (const auto& members : cluster::GroupByLabel(labels)) {
-      if (members.empty()) continue;
-      candidates.push_back(kept[cluster::MedoidOf(members, distances)]);
+    for (size_t medoid :
+         cluster::ClusterMedoids(pruned_points, labels, input.metric)) {
+      candidates.push_back(kept[medoid]);
     }
   }
 

@@ -88,7 +88,7 @@ Result<std::unique_ptr<VectorIndex>> VectorIndex::Compact(
   // a fresh build over the survivors would produce.
   compacted->AddAll(live);
   compacted->SetExecutor(executor_);
-  return std::move(compacted);
+  return {std::move(compacted)};
 }
 
 void FinalizeHits(std::vector<SearchHit>* hits, size_t k) {

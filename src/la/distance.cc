@@ -1,5 +1,6 @@
 #include "la/distance.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "la/simd/kernels.h"
@@ -187,18 +188,49 @@ void DistanceToMany(Metric metric, const Vec& query,
 
 DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric)
     : n_(points.size()), data_(points.size() * points.size(), 0.0f) {
-  // Row-at-a-time batch kernel over the strict upper triangle; the norm
-  // cache (only read by cosine) makes each cosine entry a single dot
-  // product.
-  std::vector<float> norms;
-  if (metric == Metric::kCosine) norms = NormsOf(points);
-  const float* norms_data = norms.empty() ? nullptr : norms.data();
-  std::vector<float> row;
-  for (size_t i = 0; i + 1 < n_; ++i) {
-    row.resize(n_ - i - 1);
-    DistanceToManyImpl(metric, points[i], points, norms_data, n_ - i - 1,
-                       row.data(), [i](size_t j) { return i + 1 + j; });
-    for (size_t j = i + 1; j < n_; ++j) set(i, j, row[j - i - 1]);
+  if (n_ == 0) return;
+  // The strict upper triangle, written row by row.
+  if (metric == Metric::kCosine) {
+    // One contiguous copy of the points makes row i a single batched dot
+    // over the points after i; the norm cache then turns each dot into a
+    // distance.
+    const size_t dim = points[0].size();
+    std::vector<float> flat(n_ * dim);
+    for (size_t i = 0; i < n_; ++i) {
+      DUST_CHECK(points[i].size() == dim);
+      std::copy(points[i].begin(), points[i].end(), flat.begin() + i * dim);
+    }
+    const std::vector<float> norms = NormsOf(points);
+    const simd::Kernels& ops = simd::Active();
+    for (size_t i = 0; i + 1 < n_; ++i) {
+      const float* q = flat.data() + i * dim;
+      const size_t count = n_ - i - 1;
+      float* out = data_.data() + i * n_ + i + 1;
+      ops.dot_batch(q, q + dim, dim, count, dim, out);
+      for (size_t j = 0; j < count; ++j) {
+        out[j] = CosineDistanceFromDot(out[j], norms[i], norms[i + 1 + j]);
+      }
+    }
+  } else {
+    for (size_t i = 0; i + 1 < n_; ++i) {
+      DistanceToManyImpl(metric, points[i], points, nullptr, n_ - i - 1,
+                         data_.data() + i * n_ + i + 1,
+                         [i](size_t j) { return i + 1 + j; });
+    }
+  }
+  // Every kernel is symmetric in its two operands, so the lower triangle is
+  // the transposed upper one; copy it tile by tile to keep both sides of
+  // each tile in cache.
+  constexpr size_t kTile = 64;
+  for (size_t ib = 0; ib < n_; ib += kTile) {
+    const size_t i_end = std::min(ib + kTile, n_);
+    for (size_t jb = 0; jb <= ib; jb += kTile) {
+      for (size_t i = ib; i < i_end; ++i) {
+        float* row = data_.data() + i * n_;
+        const size_t j_end = std::min(jb + kTile, i);
+        for (size_t j = jb; j < j_end; ++j) row[j] = data_[j * n_ + i];
+      }
+    }
   }
 }
 

@@ -87,6 +87,8 @@ class DistanceMatrix {
   DistanceMatrix() : n_(0) {}
 
   /// Precomputes all pairwise distances between `points` under `metric`.
+  /// Off the diagonal, row i equals DistanceToMany(metric, points[i],
+  /// points, NormsOf(points), &row) bit for bit.
   DistanceMatrix(const std::vector<Vec>& points, Metric metric);
 
   size_t size() const { return n_; }
@@ -96,6 +98,10 @@ class DistanceMatrix {
     data_[i * n_ + j] = d;
     data_[j * n_ + i] = d;
   }
+
+  /// The n*n row-major entries, for consumers that rework the matrix in
+  /// place (the NN-chain compacts it as clusters merge).
+  float* data() { return data_.data(); }
 
  private:
   size_t n_;

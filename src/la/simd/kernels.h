@@ -28,6 +28,15 @@ struct Kernels {
   /// reductions cosine distance needs.
   void (*cosine_terms)(const float* a, const float* b, size_t n, float* dot,
                        float* a_squared, float* b_squared);
+  /// Batched dot: out[r] = dot(q, base + r * stride, n) for r in
+  /// [0, count). Each output is bit-identical to `dot` on the same pair, so
+  /// streaming the rows of a contiguous buffer through one call changes no
+  /// result.
+  void (*dot_batch)(const float* q, const float* base, size_t stride,
+                    size_t count, size_t n, float* out);
+  /// Index of the first minimum of a[0, n), n >= 1. NaN entries never win,
+  /// and a span with no entry below +inf returns 0.
+  size_t (*argmin)(const float* a, size_t n);
   /// Backend name for logs/benchmarks: "scalar" or "avx2".
   const char* name;
 };

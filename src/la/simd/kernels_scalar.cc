@@ -6,6 +6,7 @@
 // "scalar" honest as the benchmark baseline).
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "la/simd/kernels.h"
 
@@ -70,6 +71,25 @@ void CosineTermsScalar(const float* a, const float* b, size_t n, float* dot,
   *b_squared = bb;
 }
 
+void DotBatchScalar(const float* q, const float* base, size_t stride,
+                    size_t count, size_t n, float* out) {
+  for (size_t r = 0; r < count; ++r) {
+    out[r] = DotScalar(q, base + r * stride, n);
+  }
+}
+
+size_t ArgminScalar(const float* a, size_t n) {
+  float best = std::numeric_limits<float>::infinity();
+  size_t arg = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] < best) {
+      best = a[i];
+      arg = i;
+    }
+  }
+  return arg;
+}
+
 }  // namespace
 
 const Kernels& ScalarKernels() {
@@ -80,6 +100,8 @@ const Kernels& ScalarKernels() {
     k.squared_l2 = SquaredL2Scalar;
     k.l1 = L1Scalar;
     k.cosine_terms = CosineTermsScalar;
+    k.dot_batch = DotBatchScalar;
+    k.argmin = ArgminScalar;
     k.name = "scalar";
     return k;
   }();

@@ -162,7 +162,7 @@ Result<Connection> Connection::Dial(const std::string& host, uint16_t port,
                                  std::strerror(err != 0 ? err : errno));
     }
   }
-  return std::move(conn);
+  return {std::move(conn)};
 }
 
 Status Connection::WriteFrame(const Frame& frame,

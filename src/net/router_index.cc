@@ -55,7 +55,7 @@ Result<std::unique_ptr<RouterIndex>> RouterIndex::Connect(
     router->shards_[s]->size = static_cast<size_t>(info.size);
     router->total_ += static_cast<size_t>(info.size);
   }
-  return std::move(router);
+  return {std::move(router)};
 }
 
 Status RouterIndex::CallShard(size_t s, MessageType type,

@@ -39,9 +39,34 @@ std::vector<Vec> TwoBlobs(size_t per_blob, uint64_t seed = 99) {
 }
 
 TEST(LinkageTest, NamesRoundTrip) {
-  EXPECT_EQ(LinkageFromName("average"), Linkage::kAverage);
-  EXPECT_EQ(LinkageFromName("Single"), Linkage::kSingle);
+  EXPECT_EQ(LinkageFromName("average").ValueOrDie(), Linkage::kAverage);
+  EXPECT_EQ(LinkageFromName("Single").ValueOrDie(), Linkage::kSingle);
   EXPECT_STREQ(LinkageName(Linkage::kComplete), "complete");
+  for (Linkage linkage : {Linkage::kSingle, Linkage::kComplete,
+                          Linkage::kAverage, Linkage::kWard}) {
+    EXPECT_EQ(LinkageFromName(LinkageName(linkage)).ValueOrDie(), linkage);
+  }
+}
+
+TEST(LinkageTest, LinkageFromNameRejectsUnknownSpellings) {
+  // The old behavior mapped any unknown name to average, so "wards" quietly
+  // clustered with the wrong criterion.
+  for (const char* bad : {"wards", "avg", "", "singel", "centroid"}) {
+    Result<Linkage> parsed = LinkageFromName(bad);
+    EXPECT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
+TEST(LinkageTest, InvalidLinkageValueAborts) {
+  // A corrupt enum value used to name itself "?" and make every
+  // Lance-Williams update 0, merging everything at distance 0.
+  const Linkage corrupt = static_cast<Linkage>(42);
+  EXPECT_DEATH(LinkageName(corrupt), "invalid Linkage");
+  EXPECT_DEATH(LanceWilliams(corrupt, 2, 5, 1, 1, 1, 1), "invalid Linkage");
+  const std::vector<Vec> points = {{0.0f}, {1.0f}, {3.0f}};
+  EXPECT_DEATH(AgglomerativeCluster(points, Metric::kEuclidean, corrupt),
+               "invalid Linkage");
 }
 
 TEST(LinkageTest, LanceWilliamsSingleComplete) {
@@ -453,8 +478,36 @@ TEST(MedoidTest, MedoidIsAMember) {
                       static_cast<float>(rng.NextGaussian())});
   }
   std::vector<size_t> members = {3, 7, 11, 20, 25};
-  size_t medoid = MedoidOfPoints(points, members, Metric::kEuclidean);
+  size_t medoid = MedoidOf(members, DistanceMatrix(points, Metric::kEuclidean));
   EXPECT_NE(std::find(members.begin(), members.end(), medoid), members.end());
+}
+
+TEST(MedoidTest, ClusterMedoidsMatchMedoidOfFullMatrix) {
+  // Per-cluster matrices must reproduce the full matrix's entries bit for
+  // bit, so every medoid (ties included: duplicate points) is the one
+  // MedoidOf picks over the full cosine matrix.
+  dust::Rng rng(202);
+  std::vector<Vec> points;
+  for (size_t i = 0; i < 240; ++i) {
+    if (i % 5 == 4) {
+      points.push_back(points[rng.NextBelow(i)]);
+      continue;
+    }
+    Vec v(24);
+    for (float& x : v) x = static_cast<float>(rng.NextGaussian());
+    points.push_back(v);
+  }
+  for (size_t k : {1u, 7u, 40u, 240u}) {
+    std::vector<size_t> labels = CutDendrogram(
+        AgglomerativeCluster(points, Metric::kCosine, Linkage::kAverage), k);
+    const DistanceMatrix full(points, Metric::kCosine);
+    std::vector<size_t> want;
+    for (const auto& members : GroupByLabel(labels)) {
+      want.push_back(MedoidOf(members, full));
+    }
+    EXPECT_EQ(ClusterMedoids(points, labels, Metric::kCosine), want)
+        << "k=" << k;
+  }
 }
 
 TEST(MedoidTest, ClusterMedoidsOnePerCluster) {

@@ -393,7 +393,9 @@ TEST_P(IndexPropertyTest, TombstonedVectorsNeverReturned) {
       EXPECT_EQ(dead.count(hits[i].id), 0u)
           << "tombstoned id " << hits[i].id << " returned";
       EXPECT_TRUE(seen.insert(hits[i].id).second) << "duplicate id";
-      if (i > 0) EXPECT_GE(hits[i].distance, hits[i - 1].distance);
+      if (i > 0) {
+        EXPECT_GE(hits[i].distance, hits[i - 1].distance);
+      }
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "la/distance.h"
 #include "la/matrix.h"
@@ -304,6 +306,138 @@ TEST(DistanceMatrixTest, SetKeepsSymmetry) {
   DistanceMatrix m(std::vector<Vec>{{0.f}, {1.f}}, Metric::kEuclidean);
   m.set(0, 1, 9.0f);
   EXPECT_FLOAT_EQ(m.at(1, 0), 9.0f);
+}
+
+// --- bit-exact parity of the batched paths --------------------------------
+//
+// The batched kernels and the matrix built on them must change no result,
+// so these compare float bits, not values within a tolerance.
+
+uint32_t FloatBits(float f) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+/// The scalar table always, and the AVX2 table whenever the CPU has it,
+/// whatever DUST_FORCE_SCALAR pinned as the active backend.
+std::vector<const simd::Kernels*> AllBackends() {
+  std::vector<const simd::Kernels*> backends = {&simd::ScalarKernels()};
+  if (simd::Avx2Available()) backends.push_back(&simd::Avx2Kernels());
+  return backends;
+}
+
+TEST(DotBatchTest, BitIdenticalToDotOnEveryBackend) {
+  // Dims straddle the 8-lane step, the 16-wide unrolled loop and the scalar
+  // tail (the AVX2 unit is built with -mfma, so the tail's a*b+c may be
+  // contracted into an FMA); counts straddle the 4-row groups; stride > dim
+  // so rows are not back to back.
+  dust::Rng rng(4321);
+  for (const simd::Kernels* ops : AllBackends()) {
+    for (size_t dim : {0u, 1u, 7u, 8u, 15u, 16u, 17u, 31u, 33u, 64u, 1024u}) {
+      const size_t stride = dim + 3;
+      for (size_t count : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 37u}) {
+        const Vec q = RandomVec(dim, &rng);
+        const Vec base = RandomVec(stride * count, &rng);
+        std::vector<float> out(count + 1, -1.0f);
+        ops->dot_batch(q.data(), base.data(), stride, count, dim, out.data());
+        for (size_t r = 0; r < count; ++r) {
+          EXPECT_EQ(FloatBits(out[r]),
+                    FloatBits(ops->dot(q.data(), base.data() + r * stride,
+                                       dim)))
+              << ops->name << " dim " << dim << " count " << count << " row "
+              << r;
+        }
+        EXPECT_EQ(out[count], -1.0f) << "wrote past count";
+      }
+    }
+  }
+}
+
+/// The semantics every argmin backend must reproduce.
+size_t ReferenceArgmin(const std::vector<float>& a) {
+  float best = std::numeric_limits<float>::infinity();
+  size_t arg = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i] < best) {
+      best = a[i];
+      arg = i;
+    }
+  }
+  return arg;
+}
+
+TEST(ArgminTest, FirstMinimumOnEveryBackend) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  struct Case {
+    std::vector<float> values;
+    size_t want;
+  };
+  const std::vector<Case> cases = {
+      {{5.0f}, 0},                                   // n = 1
+      {{inf}, 0},                                    // n = 1, +inf
+      {{3, 1, 2, 1}, 1},                             // tie: first wins
+      {{2, 2, 2}, 0},                                // all tied
+      {{inf, inf, inf}, 0},                          // nothing finite
+      {{inf, 4, inf, 4}, 1},                         // +inf never wins
+      {{nan, 3, nan, 1, 1}, 3},                      // NaN never wins
+      {{nan, nan}, 0},                               // nothing comparable
+      {{9, 9, 9, 9, 9, 9, 9, 9, 9, 0.5f, 0.5f}, 9},  // past one 8-lane block
+      {{-0.0f, 0.0f, 1}, 0},                         // signed zeros tie
+  };
+  for (const simd::Kernels* ops : AllBackends()) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      EXPECT_EQ(ops->argmin(cases[c].values.data(), cases[c].values.size()),
+                cases[c].want)
+          << ops->name << " case " << c;
+    }
+    // Random spans drawn from a few values (many ties), +inf and NaN, at
+    // lengths covering whole blocks and every tail length.
+    dust::Rng rng(55);
+    const float pool[] = {0.0f, 1.0f, 2.0f, 3.0f, inf, nan};
+    for (int trial = 0; trial < 500; ++trial) {
+      std::vector<float> values(1 + rng.NextBelow(40));
+      for (float& v : values) v = pool[rng.NextBelow(6)];
+      EXPECT_EQ(ops->argmin(values.data(), values.size()),
+                ReferenceArgmin(values))
+          << ops->name << " trial " << trial;
+    }
+  }
+}
+
+TEST(DistanceMatrixTest, EntriesBitIdenticalToDistanceToManyRows) {
+  // Off the diagonal, row i of the matrix is DistanceToMany's norm-cached
+  // row for points[i], under each backend, for every metric. 25 points give
+  // row lengths on both sides of the batched kernel's 4-row groups; a
+  // duplicate and a zero vector exercise the cosine conventions.
+  dust::Rng rng(99);
+  for (bool force_scalar : {true, false}) {
+    simd::ForceScalar(force_scalar);
+    for (size_t dim : {1u, 7u, 33u, 64u}) {
+      std::vector<Vec> points;
+      for (int i = 0; i < 23; ++i) points.push_back(RandomVec(dim, &rng));
+      points.push_back(points[3]);
+      points.push_back(Vec(dim, 0.0f));
+      const std::vector<float> norms = NormsOf(points);
+      for (Metric metric :
+           {Metric::kCosine, Metric::kEuclidean, Metric::kManhattan}) {
+        const DistanceMatrix m(points, metric);
+        ASSERT_EQ(m.size(), points.size());
+        std::vector<float> row;
+        for (size_t i = 0; i < points.size(); ++i) {
+          DistanceToMany(metric, points[i], points, norms, &row);
+          for (size_t j = 0; j < points.size(); ++j) {
+            const float want = i == j ? 0.0f : row[j];
+            EXPECT_EQ(FloatBits(m.at(i, j)), FloatBits(want))
+                << simd::ActiveName() << " " << MetricName(metric) << " dim "
+                << dim << " (" << i << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+  simd::ForceScalar(false);
 }
 
 TEST(MatrixTest, MatVec) {
