@@ -147,7 +147,7 @@ void BM_NnChainClustering(benchmark::State& state) {
 }
 BENCHMARK(BM_NnChainClustering)->Arg(200)->Arg(500)->Arg(1000)->Arg(2500);
 
-constexpr const char* kIndexTypes[] = {"flat", "ivf", "lsh", "hnsw"};
+constexpr const char* kIndexTypes[] = {"flat", "ivf", "hnsw"};
 
 /// Fraction of the exact top-10 the index reproduces, over 20 held-out
 /// queries (the acceptance gate for approximate shortlists is >= 0.95).
@@ -206,7 +206,7 @@ void BM_IndexBuild(benchmark::State& state) {
                           static_cast<int64_t>(n));
   state.SetLabel(type);
 }
-BENCHMARK(BM_IndexBuild)->ArgsProduct({{0, 1, 2, 3}, {2000, 10000}});
+BENCHMARK(BM_IndexBuild)->ArgsProduct({{0, 1, 2}, {2000, 10000}});
 
 void BM_IndexSave(benchmark::State& state) {
   const char* type = kIndexTypes[state.range(0)];
@@ -226,7 +226,7 @@ void BM_IndexSave(benchmark::State& state) {
   std::filesystem::remove(path, ec);
   state.SetLabel(type);
 }
-BENCHMARK(BM_IndexSave)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_IndexSave)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_IndexLoad(benchmark::State& state) {
   const char* type = kIndexTypes[state.range(0)];
@@ -246,7 +246,7 @@ void BM_IndexLoad(benchmark::State& state) {
   std::filesystem::remove(path, ec);
   state.SetLabel(type);
 }
-BENCHMARK(BM_IndexLoad)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_IndexLoad)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_IndexSearch(benchmark::State& state) {
   const char* type = kIndexTypes[state.range(0)];
@@ -264,7 +264,7 @@ void BM_IndexSearch(benchmark::State& state) {
   state.SetLabel(type);
 }
 BENCHMARK(BM_IndexSearch)
-    ->ArgsProduct({{0, 1, 2, 3}, {2000, 10000}});  // flat, ivf, lsh, hnsw
+    ->ArgsProduct({{0, 1, 2}, {2000, 10000}});  // flat, ivf, hnsw
 
 void BM_IndexSearchBatch(benchmark::State& state) {
   const char* type = kIndexTypes[state.range(0)];
@@ -280,7 +280,7 @@ void BM_IndexSearchBatch(benchmark::State& state) {
                           static_cast<int64_t>(queries.size()));
   state.SetLabel(type);
 }
-BENCHMARK(BM_IndexSearchBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_IndexSearchBatch)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_TupleEncoding(benchmark::State& state) {
   auto encoder = bench::MakeBenchEncoder(64);

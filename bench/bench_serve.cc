@@ -7,7 +7,8 @@
 // exactly one request in flight):
 //   - BM_ServeThreadPerRequest: the pre-executor baseline — each request is
 //     answered by a freshly spawned std::thread running the sequential
-//     SearchTuples path (thread creation on every query, no batching);
+//     SearchTuplesChecked path (thread creation on every query, no
+//     batching);
 //   - BM_ServeQueryServer: the QueryServer — bounded admission queue,
 //     micro-batching window, one SearchTuplesBatch per batch on a shared
 //     fixed-size executor (zero per-query thread creation).
@@ -167,7 +168,9 @@ void BM_ServeThreadPerRequest(benchmark::State& state) {
     RunClosedLoop(clients, kRequestsPerIteration, [&](size_t i) {
       const table::Table& query = w.queries[i % w.queries.size()];
       std::vector<search::TupleHit> hits;
-      std::thread worker([&] { hits = w.search->SearchTuples(query, kK); });
+      std::thread worker([&] {
+        hits = w.search->SearchTuplesChecked(query, kK).ValueOrDie();
+      });
       worker.join();
       benchmark::DoNotOptimize(hits.size());
     });

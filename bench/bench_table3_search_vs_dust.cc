@@ -56,7 +56,8 @@ void RunBenchmark(const std::string& name, const datagen::Benchmark& benchmark,
     // --- Starmie: k most similar tuples. ---
     {
       std::vector<la::Vec> points;
-      for (const search::TupleHit& hit : starmie.SearchTuples(query, k)) {
+      for (const search::TupleHit& hit :
+           starmie.SearchTuplesChecked(query, k).ValueOrDie()) {
         const table::Table& src = *lake[hit.ref.table_index];
         points.push_back(encoder->EncodeSerialized(
             table::SerializeTableRow(src, hit.ref.row_index)));

@@ -71,7 +71,9 @@ int main() {
   similarity.IndexLake(lake);
   std::vector<std::vector<std::string>> starmie_rows;
   size_t starmie_known = 0;
-  for (const search::TupleHit& hit : similarity.SearchTuples(query, k)) {
+  auto starmie_hits = similarity.SearchTuplesChecked(query, k);
+  DUST_CHECK(starmie_hits.ok());
+  for (const search::TupleHit& hit : starmie_hits.value()) {
     const table::Table& src = *lake[hit.ref.table_index];
     std::vector<std::string> row;
     for (size_t j = 0; j < src.num_columns(); ++j) {

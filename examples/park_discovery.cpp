@@ -69,13 +69,14 @@ int main() {
   // --- Existing work: the k most similar ("most unionable") tuples. ---
   search::TupleSearch similarity(encoder);
   similarity.IndexLake(lake);
-  auto hits = similarity.SearchTuples(query, k);
+  auto hits = similarity.SearchTuplesChecked(query, k);
+  DUST_CHECK(hits.ok());
   table::Table most_similar("most_unionable");
   for (size_t j = 0; j < query.num_columns(); ++j) {
     most_similar.AddColumn(query.column(j).name);
   }
   // Assemble rows positionally (the generator keeps the schema order).
-  for (const search::TupleHit& hit : hits) {
+  for (const search::TupleHit& hit : hits.value()) {
     const table::Table& src = *lake[hit.ref.table_index];
     std::vector<table::Value> row;
     for (size_t j = 0; j < query.num_columns(); ++j) {

@@ -50,8 +50,8 @@ struct PipelineConfig {
   double min_table_score = 0.25;
   /// Union search engine: "starmie" (embedding) or "d3l" (overlap).
   std::string engine = "starmie";
-  /// Shortlist index for the starmie engine: "flat", "ivf", "lsh", "hnsw",
-  /// or a full sharded spec such as "sharded:hnsw:4:hash".
+  /// Shortlist index for the starmie engine: "flat", "ivf", "hnsw", or a
+  /// full sharded spec such as "sharded:hnsw:4:hash".
   std::string search_index = "flat";
   /// Candidates short-listed by that index before exact bipartite scoring.
   /// 0 = score every lake table exactly when the effective search index is

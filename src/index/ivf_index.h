@@ -2,6 +2,13 @@
 // vectors into nlist inverted lists; a query scans only the nprobe nearest
 // lists. Build after adding all vectors via Train(), or lazily on first
 // search.
+//
+// Treat IVF as a full-probe exactness anchor, not a fast shortlist. With
+// nprobe = nlist every list is scanned and results equal FlatIndex's (the
+// tombstone and compaction parity tests rely on this). Partial probes are
+// not tuned: BM_IndexSearch (64-d clustered vectors, nlist 32, nprobe 4)
+// measures recall@10 of 0.635 at 2k vectors and 0.70 at 10k, where HNSW
+// reaches 1.0 and 0.965. Use HNSW when an approximate shortlist is wanted.
 #ifndef DUST_INDEX_IVF_INDEX_H_
 #define DUST_INDEX_IVF_INDEX_H_
 

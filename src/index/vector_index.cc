@@ -1,13 +1,10 @@
 #include "index/vector_index.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
-#include "index/lsh_index.h"
 #include "io/index_io.h"
 #include "serve/executor.h"
 #include "shard/sharded_index.h"
@@ -104,46 +101,14 @@ std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
     const std::vector<la::Vec>& queries, size_t k,
     serve::Executor* executor) const {
   std::vector<std::vector<SearchHit>> results(queries.size());
-  if (queries.empty()) return results;
   // Concurrent Search calls are safe for every index (IVF's lazy train is
-  // internally locked), so workers fan out over all queries directly.
-  if (executor != nullptr) {
-    // Serving path: pooled threads, zero thread creation per batch. Each
-    // iteration writes only its own slot, and results are per-query, so
-    // scheduling order cannot change the output.
-    executor->ParallelFor(queries.size(), [&](size_t i) {
-      results[i] = Search(queries[i], k);
-    });
-    return results;
-  }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results[i] = Search(queries[i], k);
-  }
-#else
-  size_t hardware = std::thread::hardware_concurrency();
-  size_t workers =
-      std::min<size_t>(hardware == 0 ? 1 : hardware, queries.size());
-  if (workers <= 1) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      results[i] = Search(queries[i], k);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < queries.size();
-             i = next.fetch_add(1)) {
-          results[i] = Search(queries[i], k);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-#endif
+  // internally locked), so the pool fans out over all queries directly.
+  // Each iteration writes only its own slot, and results are per-query, so
+  // scheduling order cannot change the output.
+  serve::Executor& pool =
+      executor != nullptr ? *executor : serve::Executor::Default();
+  pool.ParallelFor(queries.size(),
+                   [&](size_t i) { results[i] = Search(queries[i], k); });
   return results;
 }
 
@@ -174,8 +139,6 @@ std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
   // fallback) means a type added to IsKnownIndexType but not here aborts
   // loudly rather than silently serving a linear scan.
   DUST_CHECK(IsKnownIndexType(type) && "unknown vector index type");
-  DUST_CHECK(ValidateIndexMetric(type, metric).ok() &&
-             "index type does not support this metric");
   DUST_CHECK(ValidateIndexOptions(options).ok() && "invalid index options");
   if (shard::IsShardedSpec(type)) {
     shard::ShardedIndexConfig config;
@@ -197,7 +160,6 @@ std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
     if (options.ivf_nprobe > 0) config.nprobe = options.ivf_nprobe;
     return std::make_unique<IvfFlatIndex>(dim, metric, config);
   }
-  if (type == "lsh") return std::make_unique<LshIndex>(dim, metric);
   DUST_CHECK(false && "IsKnownIndexType and MakeVectorIndex drifted apart");
   return nullptr;
 }
@@ -207,26 +169,7 @@ bool IsKnownIndexType(const std::string& type) {
     shard::ShardedIndexConfig config;
     return shard::ParseShardedSpec(type, &config);
   }
-  return type == "flat" || type == "hnsw" || type == "ivf" || type == "lsh";
-}
-
-Status ValidateIndexMetric(const std::string& type, la::Metric metric) {
-  if (shard::IsShardedSpec(type)) {
-    shard::ShardedIndexConfig config;
-    if (!shard::ParseShardedSpec(type, &config)) {
-      return Status::InvalidArgument("malformed sharded index spec: " + type);
-    }
-    // Every shard is a child-type index, so the pairing rules are the
-    // child's.
-    return ValidateIndexMetric(config.child_type, metric);
-  }
-  if (type == "lsh" && metric != la::Metric::kCosine) {
-    return Status::InvalidArgument(
-        std::string("the lsh index supports only the cosine metric; its "
-                    "random-hyperplane buckets are meaningless under ") +
-        la::MetricName(metric));
-  }
-  return Status::Ok();
+  return type == "flat" || type == "hnsw" || type == "ivf";
 }
 
 }  // namespace dust::index

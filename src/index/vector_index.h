@@ -68,19 +68,18 @@ class VectorIndex {
 
   /// Top-k nearest neighbors for every query, result i matching query i.
   /// Routes through the executor installed with SetExecutor (none by
-  /// default). Exactly equivalent to calling Search per query regardless of
-  /// how the work is scheduled.
+  /// default, meaning serve::Executor::Default()). Exactly equivalent to
+  /// calling Search per query regardless of how the work is scheduled.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k) const {
     return SearchBatch(queries, k, executor_);
   }
 
-  /// As above with an explicit executor. When `executor` is non-null the
-  /// queries fan out across its pooled threads — zero thread creation per
-  /// call, the steady-state serving path. When null, the legacy one-shot
-  /// behavior: OpenMP when compiled with it, freshly spawned std::threads
-  /// otherwise. Subclasses may override with fused kernels; results must
-  /// stay bit-identical across all scheduling modes.
+  /// As above with an explicit executor: the queries fan out across its
+  /// pooled threads (inline for Executor(0)), or across the process-wide
+  /// serve::Executor::Default() pool when `executor` is null; no call
+  /// spawns threads of its own. Subclasses may override with fused kernels;
+  /// results must stay bit-identical across all scheduling modes.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k,
       serve::Executor* executor) const;
@@ -135,15 +134,15 @@ class VectorIndex {
   /// in ascending id order to a fresh index with the same config.
   /// `*remap` gets one entry per old id — the new id for live vectors,
   /// kInvalidId for tombstoned ones — so callers can rewrite their own
-  /// id-keyed state. Exact index types (flat; lsh, whose hyperplanes are
-  /// copied; ivf at full probe) return bit-identical search results to the
-  /// tombstoned original; approximate types may re-rank as a rebuild
-  /// would. Unimplemented for indexes that cannot reproduce their vectors.
+  /// id-keyed state. Exact index types (flat; ivf at full probe) return
+  /// bit-identical search results to the tombstoned original; approximate
+  /// types may re-rank as a rebuild would. Unimplemented for indexes that
+  /// cannot reproduce their vectors.
   virtual Result<std::unique_ptr<VectorIndex>> Compact(
       std::vector<size_t>* remap) const;
 
   /// Stable on-disk type name — the same string MakeVectorIndex accepts
-  /// ("flat", "hnsw", "ivf", "lsh").
+  /// ("flat", "hnsw", "ivf"), or "sharded".
   virtual std::string type_tag() const = 0;
 
   /// Writes the type-specific payload (config + contents) after the common
@@ -163,18 +162,17 @@ class VectorIndex {
 
   /// Installs a shared executor for internal fan-out: the parameterless
   /// SearchBatch and any scatter the index does per query (ShardedIndex
-  /// propagates to its shards and routes its per-query scatter here, so
-  /// serving never spawns a thread per query). nullptr restores the legacy
-  /// spawn-per-call behavior. Not synchronized against in-flight searches —
-  /// install during serving setup, before traffic. The executor must
-  /// outlive the index or be unset before destruction.
+  /// propagates to its shards and routes its per-query scatter here).
+  /// nullptr (the default) means serve::Executor::Default(). Not
+  /// synchronized against in-flight searches — install during serving
+  /// setup, before traffic. The executor must outlive the index or be unset
+  /// before destruction.
   virtual void SetExecutor(serve::Executor* executor) { executor_ = executor; }
   serve::Executor* executor() const { return executor_; }
 
  protected:
   /// A fresh, empty index with this index's config (dim, metric, tuning
-  /// knobs, and any derived state that must match exactly, like LSH
-  /// hyperplanes). The construction hook Compact is built on; nullptr
+  /// knobs). The construction hook Compact is built on; nullptr
   /// (the default) makes Compact return Unimplemented.
   virtual std::unique_ptr<VectorIndex> CloneEmpty() const { return nullptr; }
 
@@ -210,7 +208,7 @@ struct IndexOptions {
 /// programming error and aborts.
 Status ValidateIndexOptions(const IndexOptions& options);
 
-/// Builds an index by type name: "flat", "ivf", "lsh", "hnsw", or a sharded
+/// Builds an index by type name: "flat", "ivf", "hnsw", or a sharded
 /// spec "sharded:<type>:<n>[:<placement>]" (see shard/sharded_index.h).
 /// Unknown names abort (DUST_CHECK) — a typo must not silently change
 /// algorithms.
@@ -227,16 +225,6 @@ std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
 /// specs). The single source of truth for user-facing validation (CLI
 /// flags, config files).
 bool IsKnownIndexType(const std::string& type);
-
-/// InvalidArgument when index type `type` cannot serve `metric` — LSH's
-/// random-hyperplane hashing approximates angular similarity only, so it
-/// rejects kEuclidean/kManhattan (buckets would be meaningless and recall
-/// would silently collapse). A sharded spec is validated against its child
-/// type (e.g. "sharded:lsh:4" is cosine-only). Ok for every other known
-/// combination. The boundary check for user input (io::ReadIndex, CLI
-/// flags); MakeVectorIndex treats a failure as a programming error and
-/// aborts.
-Status ValidateIndexMetric(const std::string& type, la::Metric metric);
 
 }  // namespace dust::index
 

@@ -162,8 +162,6 @@ bool IndexTypeTag(const std::string& type, uint8_t* tag) {
     *tag = 1;
   } else if (type == "ivf") {
     *tag = 2;
-  } else if (type == "lsh") {
-    *tag = 3;
   } else if (type == "sharded") {
     *tag = 4;
   } else {
@@ -184,8 +182,9 @@ Status IndexTypeFromTag(uint8_t tag, std::string* type) {
       *type = "ivf";
       return Status::Ok();
     case 3:
-      *type = "lsh";
-      return Status::Ok();
+      return Status::IoError(
+          "index type tag 3 (lsh) was removed; rebuild the index as flat, "
+          "hnsw, or ivf");
     case 4:
       *type = "sharded";
       return Status::Ok();
@@ -266,10 +265,6 @@ Result<std::unique_ptr<index::VectorIndex>> ReadIndex(IndexReader* reader) {
   DUST_RETURN_IF_ERROR(IndexTypeFromTag(type_tag, &type));
   la::Metric metric = la::Metric::kCosine;
   DUST_RETURN_IF_ERROR(MetricFromTag(metric_tag, &metric));
-  // A file carrying an unsupported type/metric pairing (e.g. lsh +
-  // euclidean) must surface as a Status, not trip MakeVectorIndex's
-  // internal DUST_CHECK.
-  DUST_RETURN_IF_ERROR(index::ValidateIndexMetric(type, metric));
   // Format v2 tombstone section. ReadIds bounds-checks the count against
   // the remaining bytes before allocating, so an oversized or truncated
   // tombstone list is rejected without a huge allocation; v1 files simply

@@ -137,12 +137,13 @@ class IndexReader {
   Status status_;
 };
 
-/// Stable on-disk tag for an index type name ("flat", "hnsw", "ivf",
-/// "lsh", "sharded"); never reorder existing values. Returns false for
-/// unknown names.
+/// Stable on-disk tag for an index type name ("flat" 0, "hnsw" 1, "ivf" 2,
+/// "sharded" 4); never reorder existing values. Tag 3 belonged to a removed
+/// index type and is never reused. Returns false for unknown names.
 bool IndexTypeTag(const std::string& type, uint8_t* tag);
 /// Inverse of IndexTypeTag; IoError for unknown tags (corrupt files must
-/// surface as errors, not aborts).
+/// surface as errors, not aborts) and for the retired tag 3, whose message
+/// says the index must be rebuilt.
 Status IndexTypeFromTag(uint8_t tag, std::string* type);
 
 /// Metric <-> on-disk tag; same stability rules as the type tag.

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD backends for the distance kernels.
 //
-// Every distance computation in the library — all four VectorIndex types,
+// Every distance computation in the library — every VectorIndex type,
 // the diversifier's pairwise scans, PCA, and the NN trainer — reduces to
 // the handful of dense float reductions declared here. The backend is
 // selected once at first use: AVX2+FMA when the binary carries it and the

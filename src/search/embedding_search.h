@@ -27,7 +27,7 @@ struct EmbeddingSearchConfig {
   /// Candidates short-listed by the table-profile index before exact
   /// bipartite scoring (0 = score every table exactly).
   size_t shortlist = 0;
-  /// Index type for the shortlist: "flat", "ivf", "lsh", "hnsw", or a
+  /// Index type for the shortlist: "flat", "ivf", "hnsw", or a
   /// sharded spec such as "sharded:hnsw:4".
   std::string index_type = "flat";
   /// Tuning knobs forwarded to the shortlist index (HNSW M/ef_search, IVF

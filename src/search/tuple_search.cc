@@ -343,15 +343,6 @@ uint64_t TupleSearch::ConfigHash() const {
   return h;
 }
 
-std::vector<TupleHit> TupleSearch::SearchTuples(const table::Table& query,
-                                                size_t k) const {
-  DUST_CHECK(index_ != nullptr);
-  if (query.num_rows() == 0) return {};  // historical contract: no hits
-  Result<std::vector<TupleHit>> result = SearchTuplesChecked(query, k);
-  DUST_CHECK(result.ok());
-  return std::move(result).value();
-}
-
 Result<std::vector<TupleHit>> TupleSearch::SearchTuplesChecked(
     const table::Table& query, size_t k) const {
   std::vector<Result<std::vector<TupleHit>>> results =

@@ -27,7 +27,7 @@ struct TupleHit {
 };
 
 struct TupleSearchConfig {
-  /// "flat", "ivf", "lsh", "hnsw", or a sharded spec such as
+  /// "flat", "ivf", "hnsw", or a sharded spec such as
   /// "sharded:hnsw:4" (every lake tuple partitioned across shards, queries
   /// scatter-gathered).
   std::string index_type = "flat";
@@ -125,16 +125,9 @@ class TupleSearch {
   }
 
   /// Top-k lake tuples by maximum cosine similarity to any query tuple.
-  /// Legacy one-shot spelling: calling before IndexLake aborts (programming
-  /// error in a batch run), and a row-less query returns no hits. Serving
-  /// code must use SearchTuplesChecked, which rejects instead of dying.
-  std::vector<TupleHit> SearchTuples(const table::Table& query,
-                                     size_t k) const;
-
-  /// Status-returning spelling for long-running servers, where a bad
-  /// request must be rejected rather than abort the process:
-  /// FailedPrecondition before IndexLake has run, InvalidArgument for a
-  /// query table with no rows. Results are bit-identical to SearchTuples.
+  /// A bad request is rejected, never fatal: FailedPrecondition before
+  /// IndexLake/UseIndex has run, InvalidArgument for a query table with no
+  /// rows.
   Result<std::vector<TupleHit>> SearchTuplesChecked(const table::Table& query,
                                                     size_t k) const;
 

@@ -25,6 +25,12 @@ Executor::Executor(size_t num_threads) {
   }
 }
 
+Executor& Executor::Default() {
+  static Executor* pool = new Executor(
+      std::max<size_t>(1, std::thread::hardware_concurrency()));
+  return *pool;
+}
+
 Executor::~Executor() {
   {
     std::lock_guard<std::mutex> lock(mu_);

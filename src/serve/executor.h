@@ -1,12 +1,9 @@
-// Shared fixed-size thread-pool executor — the serving-path replacement for
-// ad-hoc `std::thread` spawning.
-//
-// Before this existed, every ShardedIndex::Search scattered across freshly
-// created threads and every non-OpenMP SearchBatch spun up a worker pool per
-// call; under concurrent query traffic that is thousands of thread
-// creations per second on the hot path. An Executor is created once (per
-// QueryServer, bench, or CLI invocation) and reused: steady-state serving
-// does zero thread creation.
+// Shared fixed-size thread-pool executor — the library's one scheduling
+// path. An Executor is created once (per QueryServer, bench, or CLI
+// invocation) and reused, so steady-state serving does zero thread
+// creation. Index fan-out that is handed no executor (a SearchBatch or
+// sharded scatter outside a server) runs on the process-wide
+// Executor::Default() pool rather than spawning threads of its own.
 //
 // The header is dependency-free (standard library only) so the low-level
 // index layer can take an optional `serve::Executor*` without a layering
@@ -43,6 +40,12 @@ class Executor {
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
+
+  /// The process-wide pool for parallel work that was handed no executor:
+  /// max(1, hardware_concurrency()) workers, created on first use and never
+  /// destroyed (leaked, like obs::SpanCollector::Global(), so a call during
+  /// static destruction never meets a joined pool).
+  static Executor& Default();
 
   size_t num_threads() const { return threads_.size(); }
 

@@ -5,9 +5,9 @@
 // full queue blocks Submit, it never drops), micro-batches them within a
 // configurable window, and answers each batch through one
 // TupleSearch::SearchTuplesBatch call on a shared executor. Results are
-// bit-identical to sequential TupleSearch::SearchTuples; the batching only
-// changes scheduling, never scoring. Malformed requests (zero-row query
-// tables) are rejected per-request with InvalidArgument instead of
+// bit-identical to sequential TupleSearch::SearchTuplesChecked; the batching
+// only changes scheduling, never scoring. Malformed requests (zero-row
+// query tables) are rejected per-request with InvalidArgument instead of
 // aborting the process.
 //
 // Serving hardening on top of the batching core:

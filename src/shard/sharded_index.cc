@@ -1,7 +1,6 @@
 #include "shard/sharded_index.h"
 
 #include <cctype>
-#include <thread>
 #include <utility>
 
 #include "io/index_io.h"
@@ -111,8 +110,6 @@ ShardedIndex::ShardedIndex(size_t dim, la::Metric metric,
   DUST_CHECK(!IsShardedSpec(config_.child_type) &&
              index::IsKnownIndexType(config_.child_type) &&
              "shard child must be a concrete index type");
-  DUST_CHECK(index::ValidateIndexMetric(config_.child_type, metric_).ok() &&
-             "shard child type does not support this metric");
   shards_.reserve(config_.num_shards);
   for (size_t s = 0; s < config_.num_shards; ++s) {
     shards_.push_back(index::MakeVectorIndex(config_.child_type, dim_,
@@ -169,28 +166,14 @@ std::vector<index::SearchHit> ShardedIndex::Search(const la::Vec& query,
   // own top-k can never enter the merged top-k, so per-shard k is enough).
   std::vector<std::vector<index::SearchHit>> per_shard(shards_.size());
   const obs::TraceContext trace_ctx = obs::CurrentContext();
-  if (shards_.size() > 1 && executor_ != nullptr) {
-    // Serving path: the scatter reuses the shared pool instead of creating
-    // shards_-1 threads on every query.
-    executor_->ParallelFor(shards_.size(), [&](size_t s) {
-      obs::ScopedTraceContext trace_scope(trace_ctx);
-      obs::Span span("scatter");
-      span.AddTag("shard", static_cast<uint64_t>(s));
-      per_shard[s] = shards_[s]->Search(query, k);
-    });
-  } else if (shards_.size() > 1) {
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size() - 1);
-    for (size_t s = 1; s < shards_.size(); ++s) {
-      workers.emplace_back([this, &per_shard, &query, k, s] {
-        per_shard[s] = shards_[s]->Search(query, k);
-      });
-    }
-    per_shard[0] = shards_[0]->Search(query, k);
-    for (std::thread& w : workers) w.join();
-  } else {
-    per_shard[0] = shards_[0]->Search(query, k);
-  }
+  serve::Executor& pool =
+      executor_ != nullptr ? *executor_ : serve::Executor::Default();
+  pool.ParallelFor(shards_.size(), [&](size_t s) {
+    obs::ScopedTraceContext trace_scope(trace_ctx);
+    obs::Span span("scatter");
+    span.AddTag("shard", static_cast<uint64_t>(s));
+    per_shard[s] = shards_[s]->Search(query, k);
+  });
   // Gather: remap local ids to global and k-way merge. Merging in shard
   // order then FinalizeHits keeps the result deterministic (ascending
   // distance, ties by ascending global id) regardless of thread timing.
@@ -213,7 +196,7 @@ std::vector<std::vector<index::SearchHit>> ShardedIndex::SearchBatch(
   // Shards run sequentially, each answering the whole batch with its own
   // internally-parallel SearchBatch; a second parallel layer across shards
   // would only oversubscribe the cores the children already use. (The base
-  // default of Search-per-query would instead spawn a shard fan-out per
+  // default of Search-per-query would instead run a shard fan-out per
   // query.)
   std::vector<std::vector<std::vector<index::SearchHit>>> per_shard;
   per_shard.reserve(shards_.size());

@@ -51,7 +51,7 @@ bool PlacementPolicyFromName(const std::string& name, PlacementPolicy* policy);
 Status PlacementPolicyFromTag(uint8_t tag, PlacementPolicy* policy);
 
 struct ShardedIndexConfig {
-  /// Concrete type of every shard: "flat", "ivf", "lsh", or "hnsw".
+  /// Concrete type of every shard: "flat", "ivf", or "hnsw".
   /// Nesting sharded-in-sharded is rejected.
   std::string child_type = "flat";
   size_t num_shards = 4;
@@ -84,9 +84,9 @@ class ShardedIndex : public index::VectorIndex {
   void AddAll(const std::vector<la::Vec>& vectors) override;
 
   /// Scatter-gather: every shard answers top-k, hits merge deterministically
-  /// in shard order. With an executor installed (SetExecutor) the scatter
-  /// runs on pooled threads — zero thread creation per query, the serving
-  /// path; without one it spawns a thread per shard (legacy one-shot).
+  /// in shard order. The scatter is one ParallelFor on the installed
+  /// executor (SetExecutor), or on serve::Executor::Default() without one;
+  /// a single shard runs inline.
   std::vector<index::SearchHit> Search(const la::Vec& query,
                                        size_t k) const override;
   using index::VectorIndex::SearchBatch;

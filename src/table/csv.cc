@@ -22,11 +22,11 @@ std::vector<std::vector<std::string>> ParseRecords(const std::string& text) {
     field_started = false;
   };
   auto end_record = [&] {
+    // A blank line (e.g., the trailing newline) is no record, but a lone
+    // quoted "" is: the one-column row whose only cell is empty.
+    const bool blank = current.empty() && !field_started;
     end_field();
-    // Skip completely empty records (e.g., trailing newline).
-    if (current.size() != 1 || !current[0].empty()) {
-      records.push_back(current);
-    }
+    if (!blank) records.push_back(current);
     current.clear();
   };
 
@@ -135,11 +135,15 @@ std::string ToCsv(const Table& table) {
   }
   out += '\n';
   for (size_t i = 0; i < table.num_rows(); ++i) {
+    const size_t line_start = out.size();
     for (size_t j = 0; j < table.num_columns(); ++j) {
       if (j > 0) out += ',';
       const Value& v = table.at(i, j);
       if (!v.is_null()) out += QuoteField(v.text());
     }
+    // A one-column row with an empty cell would be a blank line, which
+    // readers skip; an explicit "" keeps the row.
+    if (out.size() == line_start) out += "\"\"";
     out += '\n';
   }
   return out;

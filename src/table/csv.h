@@ -16,7 +16,9 @@ Result<Table> ParseCsv(const std::string& text, const std::string& table_name);
 /// Reads a CSV file; the table is named after the file's basename.
 Result<Table> ReadCsvFile(const std::string& path);
 
-/// Serializes a table to CSV text (header + rows; nulls as empty fields).
+/// Serializes a table to CSV text (header + rows; nulls as empty fields,
+/// except that a row rendering as an empty line is written as "" so the
+/// reader, which skips blank lines, keeps it).
 std::string ToCsv(const Table& table);
 
 /// Writes CSV to `path`.

@@ -285,8 +285,8 @@ TEST(TupleSearchCascadeTest, DisabledStagesAreBitIdenticalToFlat) {
   Table query("q");
   ASSERT_TRUE(query.AddColumn("name", {Value("ada")}).ok());
   ASSERT_TRUE(query.AddColumn("city", {Value("london")}).ok());
-  const auto expected = flat.SearchTuples(query, 4);
-  const auto actual = degenerate.SearchTuples(query, 4);
+  const auto expected = flat.SearchTuplesChecked(query, 4).ValueOrDie();
+  const auto actual = degenerate.SearchTuplesChecked(query, 4).ValueOrDie();
   ASSERT_EQ(expected.size(), actual.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i].ref, actual[i].ref);
@@ -308,7 +308,7 @@ TEST(TupleSearchCascadeTest, PrefilterRestrictsHitsToCompatibleTables) {
   Table query("q");
   ASSERT_TRUE(query.AddColumn("name", {Value("ada")}).ok());
   ASSERT_TRUE(query.AddColumn("city", {Value("london")}).ok());
-  const auto hits = search.SearchTuples(query, 6);
+  const auto hits = search.SearchTuplesChecked(query, 6).ValueOrDie();
   ASSERT_FALSE(hits.empty());
   for (const TupleHit& hit : hits) {
     EXPECT_NE(hit.ref.table_index, 2u)

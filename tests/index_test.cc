@@ -1,5 +1,5 @@
-// Unit + property tests for src/index: Flat, IVF-Flat, LSH, and HNSW
-// indexes, plus the batched query path shared by all of them.
+// Unit + property tests for src/index: Flat, IVF-Flat, and HNSW indexes,
+// plus the batched query path shared by all of them.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -9,7 +9,6 @@
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
-#include "index/lsh_index.h"
 #include "la/simd/kernels.h"
 #include "shard/sharded_index.h"
 #include "util/rng.h"
@@ -155,59 +154,6 @@ TEST(IvfIndexTest, LazyTrainOnSearch) {
   auto hits = ivf.Search({1, 0, 0, 0}, 1);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].id, 0u);
-}
-
-TEST(LshIndexTest, SignatureDeterministic) {
-  LshIndex lsh(8, la::Metric::kCosine);
-  la::Vec v = RandomUnitVectors(1, 8, 5)[0];
-  EXPECT_EQ(lsh.Signature(v), lsh.Signature(v));
-}
-
-TEST(LshIndexTest, NearbyVectorsShareMostBits) {
-  LshConfig config;
-  config.nbits = 16;
-  LshIndex lsh(8, la::Metric::kCosine, config);
-  la::Vec v = RandomUnitVectors(1, 8, 6)[0];
-  la::Vec w = v;
-  w[0] += 0.01f;
-  la::NormalizeInPlace(&w);
-  uint64_t diff = lsh.Signature(v) ^ lsh.Signature(w);
-  EXPECT_LE(__builtin_popcountll(diff), 3);
-}
-
-TEST(LshIndexTest, FindsIdenticalVector) {
-  LshIndex lsh(8, la::Metric::kCosine);
-  auto vectors = RandomUnitVectors(100, 8, 7);
-  for (const auto& v : vectors) lsh.Add(v);
-  auto hits = lsh.Search(vectors[42], 1);
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].id, 42u);
-}
-
-TEST(LshIndexTest, RecallReasonableWithProbing) {
-  LshConfig config;
-  config.nbits = 10;
-  config.probe_radius = 2;
-  LshIndex lsh(16, la::Metric::kCosine, config);
-  FlatIndex flat(16, la::Metric::kCosine);
-  auto vectors = RandomUnitVectors(400, 16, 8);
-  for (const auto& v : vectors) {
-    lsh.Add(v);
-    flat.Add(v);
-  }
-  size_t found = 0;
-  for (uint64_t q = 0; q < 20; ++q) {
-    la::Vec query = RandomUnitVectors(1, 16, 2000 + q)[0];
-    auto exact = flat.Search(query, 1);
-    auto approx = lsh.Search(query, 5);
-    for (const auto& h : approx) {
-      if (h.id == exact[0].id) {
-        ++found;
-        break;
-      }
-    }
-  }
-  EXPECT_GE(found, 8u);  // at least 40% top-1 recall on random data
 }
 
 TEST(HnswIndexTest, FindsIdenticalVector) {
@@ -416,8 +362,7 @@ TEST_P(IndexPropertyTest, RemoveReturnSemantics) {
 /// Asserts that `factory`'s index, after deleting `num_dead` random ids,
 /// answers queries bit-identically to a freshly built index over the
 /// survivors (ids mapped through the survivor order). Only meaningful for
-/// exact configurations — flat, full-probe IVF, and LSH (whose buckets are
-/// pure functions of seeded hyperplanes, so survivor buckets match).
+/// exact configurations — flat and full-probe IVF.
 void ExpectDeleteParityVsRebuild(
     const std::function<std::unique_ptr<VectorIndex>()>& factory,
     uint64_t seed) {
@@ -479,17 +424,6 @@ TEST(TombstoneParityTest, FullProbeIvfMatchesRebuildOverSurvivors) {
             new IvfFlatIndex(12, la::Metric::kCosine, config));
       },
       83);
-}
-
-TEST(TombstoneParityTest, LshMatchesRebuildOverSurvivors) {
-  ExpectDeleteParityVsRebuild(
-      [] {
-        LshConfig config;
-        config.probe_radius = 2;
-        return std::unique_ptr<VectorIndex>(
-            new LshIndex(12, la::Metric::kCosine, config));
-      },
-      85);
 }
 
 TEST(TombstoneParityTest, ShardedFlatMatchesRebuildOverSurvivors) {
@@ -642,25 +576,6 @@ TEST(IndexOptionsTest, ValidationRejectsNonsense) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ValidateIndexMetricTest, LshRejectsNonCosine) {
-  // LSH's random-hyperplane buckets approximate angular similarity only;
-  // accepting kEuclidean/kManhattan would silently collapse recall.
-  EXPECT_TRUE(ValidateIndexMetric("lsh", la::Metric::kCosine).ok());
-  for (la::Metric metric :
-       {la::Metric::kEuclidean, la::Metric::kManhattan}) {
-    Status status = ValidateIndexMetric("lsh", metric);
-    EXPECT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  }
-  // Every other index serves all three metrics.
-  for (const char* type : {"flat", "ivf", "hnsw"}) {
-    for (la::Metric metric : {la::Metric::kCosine, la::Metric::kEuclidean,
-                              la::Metric::kManhattan}) {
-      EXPECT_TRUE(ValidateIndexMetric(type, metric).ok()) << type;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllIndexes, IndexPropertyTest,
     ::testing::Values(
@@ -673,12 +588,6 @@ INSTANTIATE_TEST_SUITE_P(
                        IndexFactory([] {
                          return std::unique_ptr<VectorIndex>(
                              new IvfFlatIndex(12, la::Metric::kCosine));
-                       })),
-        std::make_pair("lsh", IndexFactory([] {
-                         LshConfig config;
-                         config.probe_radius = 2;
-                         return std::unique_ptr<VectorIndex>(
-                             new LshIndex(12, la::Metric::kCosine, config));
                        })),
         std::make_pair("hnsw", IndexFactory([] {
                          return std::unique_ptr<VectorIndex>(

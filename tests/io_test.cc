@@ -1,5 +1,5 @@
-// Persistence tests for src/io: save/load round-trip parity for all four
-// index types (both metrics), corrupt/truncated/version-mismatch rejection,
+// Persistence tests for src/io: save/load round-trip parity for every
+// index type and metric, corrupt/truncated/version-mismatch rejection,
 // empty-index round-trips, the IVF train-before-save guarantee, and the
 // writer/reader primitives themselves.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
-#include "index/lsh_index.h"
 #include "io/index_io.h"
 #include "shard/sharded_index.h"
 #include "util/rng.h"
@@ -24,7 +23,6 @@ namespace {
 using index::FlatIndex;
 using index::HnswIndex;
 using index::IvfFlatIndex;
-using index::LshIndex;
 using index::VectorIndex;
 
 std::vector<la::Vec> RandomUnitVectors(size_t n, size_t dim, uint64_t seed) {
@@ -116,8 +114,6 @@ TEST_P(RoundTripTest, EmptyIndexRoundTrips) {
   EXPECT_TRUE(loaded.value()->Search(la::Vec(8, 0.5f), 3).empty());
 }
 
-// No lsh + euclidean case: LSH is cosine-only (random-hyperplane hashing),
-// and that combination is now rejected — see LshNonCosineFileRejected.
 INSTANTIATE_TEST_SUITE_P(
     AllIndexes, RoundTripTest,
     ::testing::Values(RoundTripCase{"flat", la::Metric::kCosine},
@@ -126,8 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RoundTripCase{"hnsw", la::Metric::kCosine},
                       RoundTripCase{"hnsw", la::Metric::kEuclidean},
                       RoundTripCase{"ivf", la::Metric::kCosine},
-                      RoundTripCase{"ivf", la::Metric::kEuclidean},
-                      RoundTripCase{"lsh", la::Metric::kCosine}),
+                      RoundTripCase{"ivf", la::Metric::kEuclidean}),
     [](const ::testing::TestParamInfo<RoundTripCase>& info) {
       return std::string(info.param.type) + "_" +
              la::MetricName(info.param.metric);
@@ -156,29 +151,6 @@ TEST(IndexIoTest, HnswCustomConfigAndGraphShapeSurviveRoundTrip) {
   EXPECT_EQ(restored->config().seed, config.seed);
   EXPECT_EQ(restored->max_level(), hnsw.max_level());
   ExpectSearchParity(hnsw, *restored, 16, 5, 9100);
-}
-
-TEST(IndexIoTest, LshHashesQueriesIntoSavedBuckets) {
-  index::LshConfig config;
-  config.nbits = 20;
-  config.probe_radius = 2;
-  config.seed = 99;
-  LshIndex lsh(10, la::Metric::kCosine, config);
-  lsh.AddAll(RandomUnitVectors(300, 10, 17));
-
-  const std::string path = TempPath("lsh_buckets");
-  ASSERT_TRUE(lsh.Save(path).ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto* restored = dynamic_cast<LshIndex*>(loaded.value().get());
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->config().nbits, config.nbits);
-  EXPECT_EQ(restored->config().probe_radius, config.probe_radius);
-  // Same hyperplanes => same signatures => queries land in the same buckets.
-  for (const la::Vec& v : RandomUnitVectors(20, 10, 18)) {
-    EXPECT_EQ(lsh.Signature(v), restored->Signature(v));
-  }
-  ExpectSearchParity(lsh, *restored, 16, 5, 9200);
 }
 
 // --- sharded round trips and the shard manifest ----------------------------
@@ -580,7 +552,7 @@ TEST(IndexIoTest, CompactedIndexRoundTripsWithoutTombstones) {
 TEST(IndexIoTest, AddAfterLoadKeepsServing) {
   // Incremental ingest: a loaded index accepts new vectors and returns
   // them from searches (norm caches and graphs stay consistent).
-  for (const char* type : {"flat", "hnsw", "ivf", "lsh"}) {
+  for (const char* type : {"flat", "hnsw", "ivf"}) {
     auto index = index::MakeVectorIndex(type, 8, la::Metric::kCosine);
     auto vectors = RandomUnitVectors(120, 8, 53);
     index->AddAll(vectors);
@@ -592,7 +564,7 @@ TEST(IndexIoTest, AddAfterLoadKeepsServing) {
     loaded.value()->Add(probe);
     EXPECT_EQ(loaded.value()->size(), 121u) << type;
     // The probe itself must come back as the top hit (distance ~0); IVF
-    // assigns it to the nearest existing centroid, LSH re-hashes it.
+    // assigns it to the nearest existing centroid.
     auto hits = loaded.value()->Search(probe, 1);
     ASSERT_EQ(hits.size(), 1u) << type;
     EXPECT_EQ(hits[0].id, 120u) << type;
@@ -681,6 +653,19 @@ TEST_F(SavedFlatFileTest, UnknownTypeTagRejectedNotAborted) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
+TEST_F(SavedFlatFileTest, RetiredLshTagRejectedWithRebuildHint) {
+  // Tag 3 belonged to the removed lsh index. An old file carrying it must
+  // fail with an IoError that names the type and says to rebuild.
+  std::string patched = bytes_;
+  patched[12] = 3;  // index type tag
+  WriteFileBytes(path_, patched);
+  auto loaded = LoadIndex(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find("lsh"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos);
+}
+
 TEST_F(SavedFlatFileTest, UnknownMetricTagRejected) {
   std::string patched = bytes_;
   patched[13] = static_cast<char>(0x7F);  // metric tag
@@ -763,25 +748,6 @@ TEST(IndexIoTest, HnswUnderReportedLayersRejectedNotSearched) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
-TEST(IndexIoTest, LshNonCosineFileRejected) {
-  // An lsh file tagged with a non-cosine metric (hand-edited or produced by
-  // a buggy writer) must fail loudly with InvalidArgument: the buckets only
-  // mean anything under cosine, so loading it would silently serve
-  // collapsed recall.
-  index::LshConfig config;
-  config.nbits = 8;
-  LshIndex lsh(6, la::Metric::kCosine, config);
-  lsh.AddAll(RandomUnitVectors(40, 6, 29));
-  const std::string path = TempPath("lsh_metric.idx");
-  ASSERT_TRUE(lsh.Save(path).ok());
-  std::string patched = ReadFileBytes(path);
-  patched[13] = 1;  // metric tag: cosine -> euclidean
-  WriteFileBytes(path, patched);
-  auto loaded = LoadIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(IndexIoTest, SaveToUnwritablePathIsIoError) {
   FlatIndex flat(4, la::Metric::kCosine);
   flat.Add({1, 0, 0, 0});
@@ -855,11 +821,11 @@ TEST(IndexIoTest, TypeTagsAreStable) {
   EXPECT_EQ(tag, 1);
   ASSERT_TRUE(IndexTypeTag("ivf", &tag));
   EXPECT_EQ(tag, 2);
-  ASSERT_TRUE(IndexTypeTag("lsh", &tag));
-  EXPECT_EQ(tag, 3);
   ASSERT_TRUE(IndexTypeTag("sharded", &tag));
   EXPECT_EQ(tag, 4);
   EXPECT_FALSE(IndexTypeTag("faiss", &tag));
+  // The lsh type was removed; its tag 3 is retired, never reused.
+  EXPECT_FALSE(IndexTypeTag("lsh", &tag));
   std::string type;
   EXPECT_TRUE(IndexTypeFromTag(2, &type).ok());
   EXPECT_EQ(type, "ivf");

@@ -132,7 +132,7 @@ TEST_F(PipelineFixture, DiverseOutputBeatsSimilaritySearchOnDiversity) {
 
   search::TupleSearch similarity(encoder);
   similarity.IndexLake(*lake_);
-  auto similar = similarity.SearchTuples(query, 15);
+  auto similar = similarity.SearchTuplesChecked(query, 15).ValueOrDie();
 
   auto embed_rows = [&](const Table& t) {
     return encoder->EncodeTableRows(t);
@@ -401,7 +401,15 @@ TEST_F(PipelineFixture, CascadeWithPrefiltersOffIsBitIdenticalToFlat) {
   // The flat path IS the degenerate cascade: with both prefilter layers
   // disabled, every index type must return exactly the same tables (exact
   // float equality on scores) and tuples as the cascade-free config.
-  for (const char* index : {"flat", "ivf", "lsh", "hnsw"}) {
+  // Parity covers failures too. No index returns an empty shortlist on this
+  // lake, so a query with no columns, which nothing can align with, keeps
+  // the failure branch exercised.
+  std::vector<const Table*> queries;
+  for (const auto& q : benchmark_->queries) queries.push_back(&q.data);
+  const Table unalignable("no_columns");
+  queries.push_back(&unalignable);
+  for (const char* index : {"flat", "ivf", "hnsw"}) {
+    size_t failures = 0;
     PipelineConfig flat_config;
     flat_config.num_tables = 5;
     flat_config.search_index = index;
@@ -416,16 +424,14 @@ TEST_F(PipelineFixture, CascadeWithPrefiltersOffIsBitIdenticalToFlat) {
     DustPipeline cascaded(cascade_config, TestEncoder());
     cascaded.IndexLake(*lake_);
 
-    for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
-      const Table& query = benchmark_->queries[q].data;
-      auto expected = flat.Run(query, 8);
-      auto actual = cascaded.Run(query, 8);
-      // Parity covers failures too: when an approximate shortlist (LSH on
-      // this small lake) finds nothing for a query, both paths must agree.
+    for (const Table* query : queries) {
+      auto expected = flat.Run(*query, 8);
+      auto actual = cascaded.Run(*query, 8);
       ASSERT_EQ(expected.ok(), actual.ok())
           << index << ": " << actual.status().ToString();
       if (!expected.ok()) {
         EXPECT_EQ(expected.status().code(), actual.status().code()) << index;
+        ++failures;
         continue;
       }
       ASSERT_EQ(expected.value().tables.size(), actual.value().tables.size())
@@ -450,6 +456,7 @@ TEST_F(PipelineFixture, CascadeWithPrefiltersOffIsBitIdenticalToFlat) {
             << index;
       }
     }
+    EXPECT_EQ(failures, 1u) << index;
   }
 }
 

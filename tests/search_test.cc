@@ -198,7 +198,7 @@ TEST(TupleSearchTest, IdenticalTupleRanksFirst) {
           embed::DefaultConfigFor(embed::ModelFamily::kRoberta, 32))));
   TupleSearch search(encoder);
   search.IndexLake({&lake1});
-  auto hits = search.SearchTuples(query, 2);
+  auto hits = search.SearchTuplesChecked(query, 2).ValueOrDie();
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].ref, (table::TupleRef{0, 0}));  // the exact copy
   EXPECT_GT(hits[0].similarity, hits[1].similarity);
@@ -217,7 +217,7 @@ TEST(TupleSearchTest, HonorsK) {
   EXPECT_EQ(search.num_indexed(), 4u);
   Table query("q");
   ASSERT_TRUE(query.AddColumn("X", {Value("a")}).ok());
-  EXPECT_EQ(search.SearchTuples(query, 2).size(), 2u);
+  EXPECT_EQ(search.SearchTuplesChecked(query, 2).ValueOrDie().size(), 2u);
 }
 
 // --- lake mutations ---------------------------------------------------------
@@ -243,7 +243,7 @@ struct MutableLake {
   std::vector<TupleHit> Query(const std::string& cell, size_t k) {
     Table q("q");
     EXPECT_TRUE(q.AddColumn("X", {Value(cell)}).ok());
-    return search.SearchTuples(q, k);
+    return search.SearchTuplesChecked(q, k).ValueOrDie();
   }
 };
 

@@ -1,14 +1,15 @@
 // Tests for src/serve and the executor-routed search paths: Executor task
-// and ParallelFor semantics (including nesting), BoundedQueue backpressure
-// (blocks, never drops) and close-drains semantics, QueryServer parity with
-// sequential SearchTuples under concurrent clients, per-request rejection
-// of malformed queries, shutdown completing in-flight requests,
-// bit-identical results when ShardedIndex / SearchBatch fan-out moves from
-// spawned threads onto a shared executor, the Metrics instruments
-// (histogram quantiles stay O(buckets) regardless of sample count, text
-// exposition format), the ResultCache (LRU order, byte budget, staleness
-// invalidation), and QueryServer cache semantics (hits bit-identical to
-// uncached serving, zero stale hits after re-indexing, counters reconcile).
+// and ParallelFor semantics (including nesting and the Default() pool),
+// BoundedQueue backpressure (blocks, never drops) and close-drains
+// semantics, QueryServer parity with sequential SearchTuplesChecked under
+// concurrent clients, per-request rejection of malformed queries, shutdown
+// completing in-flight requests, bit-identical ShardedIndex / SearchBatch
+// results on the default pool, a dedicated pool, and inline, the Metrics
+// instruments (histogram quantiles stay O(buckets) regardless of sample
+// count, text exposition format), the ResultCache (LRU order, byte budget,
+// staleness invalidation), and QueryServer cache semantics (hits
+// bit-identical to uncached serving, zero stale hits after re-indexing,
+// counters reconcile).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,6 +88,20 @@ TEST(ExecutorTest, ZeroThreadsRunsInline) {
   bool ran = false;
   executor.Submit([&] { ran = true; }).get();
   EXPECT_TRUE(ran);
+}
+
+TEST(ExecutorTest, DefaultIsOneLivePoolThatNestsParallelFor) {
+  Executor& pool = Executor::Default();
+  EXPECT_EQ(&pool, &Executor::Default());
+  EXPECT_GE(pool.num_threads(), 1u);
+  // A task on the default pool fans out on that same pool, as a SearchBatch
+  // over a sharded index does; the caller-participates design completes it.
+  std::atomic<size_t> total{0};
+  pool.Submit([&] {
+        pool.ParallelFor(32, [&](size_t) { total.fetch_add(1); });
+      })
+      .get();
+  EXPECT_EQ(total.load(), 32u);
 }
 
 TEST(ExecutorTest, DestructorCompletesQueuedTasks) {
@@ -543,16 +558,6 @@ TEST_F(ServeFixture, CheckedRejectsZeroRowQuery) {
   auto result = search_->SearchTuplesChecked(empty, 5);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  // The legacy spelling keeps its historical silent-empty contract.
-  EXPECT_TRUE(search_->SearchTuples(empty, 5).empty());
-}
-
-TEST_F(ServeFixture, CheckedMatchesLegacySearchTuples) {
-  for (const Table& q : *queries_) {
-    auto checked = search_->SearchTuplesChecked(q, 8);
-    ASSERT_TRUE(checked.ok());
-    ExpectSameHits(search_->SearchTuples(q, 8), checked.value());
-  }
 }
 
 TEST_F(ServeFixture, BatchMixedValidityAnswersPerRequest) {
@@ -565,8 +570,10 @@ TEST_F(ServeFixture, BatchMixedValidityAnswersPerRequest) {
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(results[2].ok());
-  ExpectSameHits(search_->SearchTuples((*queries_)[0], 5), results[0].value());
-  ExpectSameHits(search_->SearchTuples((*queries_)[1], 5), results[2].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[0], 5).ValueOrDie(),
+                 results[0].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[1], 5).ValueOrDie(),
+                 results[2].value());
 }
 
 TEST_F(ServeFixture, BatchGroupsMixedKsWithoutPerturbingResults) {
@@ -578,10 +585,13 @@ TEST_F(ServeFixture, BatchGroupsMixedKsWithoutPerturbingResults) {
                                                 {&(*queries_)[2], 3}};
   auto results = search_->SearchTuplesBatch(batch);
   ASSERT_EQ(results.size(), 3u);
-  ExpectSameHits(search_->SearchTuples((*queries_)[0], 3), results[0].value());
-  ExpectSameHits(search_->SearchTuples((*queries_)[1], big_k),
-                 results[1].value());
-  ExpectSameHits(search_->SearchTuples((*queries_)[2], 3), results[2].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[0], 3).ValueOrDie(),
+                 results[0].value());
+  ExpectSameHits(
+      search_->SearchTuplesChecked((*queries_)[1], big_k).ValueOrDie(),
+      results[1].value());
+  ExpectSameHits(search_->SearchTuplesChecked((*queries_)[2], 3).ValueOrDie(),
+                 results[2].value());
 }
 
 // --- QueryServer ------------------------------------------------------------
@@ -591,7 +601,7 @@ TEST_F(ServeFixture, ConcurrentClientsGetSequentialResults) {
   // with the same queries; every response must be bit-identical.
   std::vector<std::vector<TupleHit>> expected;
   for (const Table& q : *queries_) {
-    expected.push_back(search_->SearchTuples(q, 7));
+    expected.push_back(search_->SearchTuplesChecked(q, 7).ValueOrDie());
   }
   QueryServerOptions options;
   options.threads = 4;
@@ -724,7 +734,8 @@ TEST_F(ServeFixture, CacheHitBitIdenticalToUncachedServing) {
   options.cache_entries = 128;
   QueryServer server(search_, options);
   for (const Table& q : *queries_) {
-    const std::vector<TupleHit> oracle = search_->SearchTuples(q, 7);
+    const std::vector<TupleHit> oracle =
+        search_->SearchTuplesChecked(q, 7).ValueOrDie();
     auto cold = server.Submit(q, 7).get();
     ASSERT_TRUE(cold.ok());
     ExpectSameHits(oracle, cold.value());
@@ -784,7 +795,8 @@ TEST(QueryServerCacheTest, ReindexedLakeServesZeroStaleHits) {
   lake.clear();
   for (const Table& t : lake_storage) lake.push_back(&t);
   search.IndexLake(lake);
-  const std::vector<TupleHit> fresh_oracle = search.SearchTuples(query, 6);
+  const std::vector<TupleHit> fresh_oracle =
+      search.SearchTuplesChecked(query, 6).ValueOrDie();
   auto after = server.Submit(query, 6).get();
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after.value().size(), fresh_oracle.size());
@@ -856,7 +868,7 @@ TEST_F(ServeFixture, ConcurrentHitMissStormStaysConsistent) {
   // the cache or the batch path, and the counters must reconcile exactly.
   std::vector<std::vector<TupleHit>> expected;
   for (const Table& q : *queries_) {
-    expected.push_back(search_->SearchTuples(q, 6));
+    expected.push_back(search_->SearchTuplesChecked(q, 6).ValueOrDie());
   }
   QueryServerOptions options;
   options.threads = 4;
@@ -1005,7 +1017,23 @@ std::vector<la::Vec> RandomUnitVectors(size_t n, size_t dim, uint64_t seed) {
   return out;
 }
 
-TEST(ExecutorRoutingTest, ShardedSearchBitIdenticalToThreadPerShard) {
+using HitLists = std::vector<std::vector<index::SearchHit>>;
+
+void ExpectSameHitLists(const HitLists& expected, const HitLists& actual,
+                        const char* mode) {
+  ASSERT_EQ(expected.size(), actual.size()) << mode;
+  for (size_t q = 0; q < expected.size(); ++q) {
+    ASSERT_EQ(expected[q].size(), actual[q].size()) << mode << " query " << q;
+    for (size_t i = 0; i < expected[q].size(); ++i) {
+      EXPECT_EQ(expected[q][i].id, actual[q][i].id) << mode << " query " << q;
+      // Exact float equality: scheduling must never perturb scoring.
+      EXPECT_EQ(expected[q][i].distance, actual[q][i].distance)
+          << mode << " query " << q;
+    }
+  }
+}
+
+TEST(ExecutorRoutingTest, ShardedSearchBitIdenticalAcrossPools) {
   const size_t kDim = 16;
   auto vectors = RandomUnitVectors(400, kDim, 31);
   auto queries = RandomUnitVectors(24, kDim, 32);
@@ -1014,33 +1042,25 @@ TEST(ExecutorRoutingTest, ShardedSearchBitIdenticalToThreadPerShard) {
   config.num_shards = 4;
   shard::ShardedIndex index(kDim, la::Metric::kCosine, config);
   index.AddAll(vectors);
+  const auto run = [&] {
+    HitLists per_query;
+    for (const la::Vec& q : queries) per_query.push_back(index.Search(q, 9));
+    return std::make_pair(per_query, index.SearchBatch(queries, 9));
+  };
 
-  // Thread-per-shard baseline (no executor installed)...
-  std::vector<std::vector<index::SearchHit>> baseline;
-  for (const la::Vec& q : queries) baseline.push_back(index.Search(q, 9));
-  auto baseline_batch = index.SearchBatch(queries, 9);
-
-  // ...must match the pooled scatter bit for bit.
-  Executor executor(3);
-  index.SetExecutor(&executor);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto routed = index.Search(queries[q], 9);
-    ASSERT_EQ(routed.size(), baseline[q].size());
-    for (size_t i = 0; i < routed.size(); ++i) {
-      EXPECT_EQ(routed[i].id, baseline[q][i].id);
-      EXPECT_EQ(routed[i].distance, baseline[q][i].distance);
-    }
+  // Default-pool baseline (no executor installed)...
+  const auto baseline = run();
+  // ...must match a dedicated pool and an inline executor bit for bit.
+  Executor pooled(4);
+  Executor inline_executor(0);
+  for (Executor* executor : {&pooled, &inline_executor}) {
+    const char* mode = executor == &pooled ? "Executor(4)" : "Executor(0)";
+    index.SetExecutor(executor);
+    const auto routed = run();
+    ExpectSameHitLists(baseline.first, routed.first, mode);
+    ExpectSameHitLists(baseline.second, routed.second, mode);
   }
-  auto routed_batch = index.SearchBatch(queries, 9);
-  ASSERT_EQ(routed_batch.size(), baseline_batch.size());
-  for (size_t q = 0; q < routed_batch.size(); ++q) {
-    ASSERT_EQ(routed_batch[q].size(), baseline_batch[q].size());
-    for (size_t i = 0; i < routed_batch[q].size(); ++i) {
-      EXPECT_EQ(routed_batch[q][i].id, baseline_batch[q][i].id);
-      EXPECT_EQ(routed_batch[q][i].distance, baseline_batch[q][i].distance);
-    }
-  }
-  index.SetExecutor(nullptr);  // executor dies before the index
+  index.SetExecutor(nullptr);  // executors die before the index
 }
 
 TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
@@ -1049,17 +1069,14 @@ TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
   auto queries = RandomUnitVectors(16, kDim, 42);
   auto index = index::MakeVectorIndex("flat", kDim, la::Metric::kEuclidean);
   index->AddAll(vectors);
-  auto legacy = index->SearchBatch(queries, 5);
-  Executor executor(4);
-  auto pooled = index->SearchBatch(queries, 5, &executor);
-  ASSERT_EQ(legacy.size(), pooled.size());
-  for (size_t q = 0; q < legacy.size(); ++q) {
-    ASSERT_EQ(legacy[q].size(), pooled[q].size());
-    for (size_t i = 0; i < legacy[q].size(); ++i) {
-      EXPECT_EQ(legacy[q][i].id, pooled[q][i].id);
-      EXPECT_EQ(legacy[q][i].distance, pooled[q][i].distance);
-    }
-  }
+  const HitLists on_default = index->SearchBatch(queries, 5);
+  Executor pooled(4);
+  ExpectSameHitLists(on_default, index->SearchBatch(queries, 5, &pooled),
+                     "Executor(4)");
+  Executor inline_executor(0);
+  ExpectSameHitLists(on_default,
+                     index->SearchBatch(queries, 5, &inline_executor),
+                     "Executor(0)");
 }
 
 TEST_F(ServeFixture, EmbeddingSearchExecutorParity) {

@@ -398,22 +398,18 @@ TEST(ShardedSpecTest, FactoryAcceptsShardedSpecs) {
   EXPECT_EQ(sharded->config().child_type, "hnsw");
 }
 
-TEST(ShardedSpecTest, MetricValidationDelegatesToChild) {
-  // The shard layer itself is metric-agnostic; the child's pairing rules
-  // apply (lsh is cosine-only).
-  EXPECT_TRUE(
-      index::ValidateIndexMetric("sharded:lsh:4", la::Metric::kCosine).ok());
-  Status status =
-      index::ValidateIndexMetric("sharded:lsh:4", la::Metric::kEuclidean);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  Status malformed =
-      index::ValidateIndexMetric("sharded:flat:0", la::Metric::kCosine);
-  ASSERT_FALSE(malformed.ok());
-  EXPECT_EQ(malformed.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(
-      index::ValidateIndexMetric("sharded:flat:4", la::Metric::kManhattan)
-          .ok());
+TEST(ShardedSpecTest, RemovedAndMalformedSpecsAreUnknown) {
+  // IsKnownIndexType is the one check a spec passes on its way in (CLI
+  // flags, config files, shard manifests): the removed lsh type and a zero
+  // shard count are refused there, before MakeVectorIndex could abort.
+  EXPECT_FALSE(index::IsKnownIndexType("lsh"));
+  EXPECT_FALSE(index::IsKnownIndexType("sharded:lsh:4"));
+  EXPECT_FALSE(index::IsKnownIndexType("sharded:flat:0"));
+  // The shard layer is metric-agnostic and every child type serves every
+  // metric, so any known spec builds under any metric.
+  auto built = index::MakeVectorIndex("sharded:flat:4", 6,
+                                      la::Metric::kManhattan);
+  EXPECT_EQ(built->metric(), la::Metric::kManhattan);
 }
 
 TEST(ShardedSpecTest, ChildOptionsReachTheShards) {

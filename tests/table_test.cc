@@ -158,6 +158,27 @@ TEST(CsvTest, RoundTrip) {
   }
 }
 
+TEST(CsvTest, OneColumnNullCellSurvivesRoundTrip) {
+  // A null cell of a one-column table must not be written as a blank line,
+  // which the reader skips: the row would silently disappear.
+  Table t("one");
+  ASSERT_TRUE(
+      t.AddColumn("c", {Value("x"), Value::Null(), Value("z")}).ok());
+  auto r = ParseCsv(ToCsv(t), "one");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().num_rows(), 3u);
+  EXPECT_EQ(r.value().at(0, 0).text(), "x");
+  EXPECT_TRUE(r.value().at(1, 0).is_null());
+  EXPECT_EQ(r.value().at(2, 0).text(), "z");
+}
+
+TEST(CsvTest, BlankLinesAreSkippedNotArityErrors) {
+  auto r = ParseCsv("a,b\n1,2\n\n3,4\n\n", "t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().num_rows(), 2u);
+  EXPECT_EQ(r.value().at(1, 0).text(), "3");
+}
+
 TEST(CsvTest, RoundTripWithSpecialChars) {
   Table t("x");
   ASSERT_TRUE(t.AddColumn("c", {Value("a,b"), Value("q\"q"), Value("n\nn")}).ok());

@@ -1,7 +1,7 @@
 // dust_cli — run diverse unionable tuple search over a directory of CSVs.
 //
 //   dust_cli --lake <dir> --query <file.csv> [--k 30] [--tables 10]
-//            [--engine starmie|d3l] [--index flat|ivf|lsh|hnsw|sharded:...]
+//            [--engine starmie|d3l] [--index flat|ivf|hnsw|sharded:...]
 //            [--shards N] [--hnsw-m N] [--hnsw-ef N]
 //            [--shortlist N] [--out result.csv] [--p 2] [--s 2500]
 //            [--save-index snap.bin | --load-index snap.bin]
@@ -30,7 +30,7 @@
 //            --batch-window-us 2000 --clients 16 --requests 2000 --k 30
 //
 // Every served result is checked bit-identical to the sequential
-// TupleSearch::SearchTuples baseline; a mismatch fails the run.
+// TupleSearch::SearchTuplesChecked baseline; a mismatch fails the run.
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -124,7 +124,7 @@ void Usage() {
       stderr,
       "usage: dust_cli --lake <dir> --query <file.csv> [--k N] [--tables N]\n"
       "                [--engine starmie|d3l]\n"
-      "                [--index flat|ivf|lsh|hnsw|sharded:<type>:<n>]\n"
+      "                [--index flat|ivf|hnsw|sharded:<type>:<n>]\n"
       "                [--shards N] [--hnsw-m N] [--hnsw-ef N]\n"
       "                [--metric cosine|euclidean|manhattan]\n"
       "                [--shortlist N] [--out result.csv] [--p N] [--s N]\n"
@@ -736,7 +736,7 @@ int RunSaveTupleIndex(const CliOptions& options,
 /// and drives it with a synthetic closed-loop client (each of --clients
 /// threads keeps exactly one request in flight until --requests queries
 /// have been served). Every response is verified bit-identical to the
-/// sequential SearchTuples baseline. Returns the process exit code.
+/// sequential SearchTuplesChecked baseline. Returns the process exit code.
 int RunServeMode(const CliOptions& options,
                  const std::vector<const table::Table*>& lake,
                  const table::Table& query) {
@@ -807,8 +807,14 @@ int RunServeMode(const CliOptions& options,
   }
 
   // Sequential baseline: the parity oracle every served result must match.
-  const std::vector<search::TupleHit> baseline =
-      search.SearchTuples(query, options.k);
+  Result<std::vector<search::TupleHit>> sequential =
+      search.SearchTuplesChecked(query, options.k);
+  if (!sequential.ok()) {
+    std::fprintf(stderr, "sequential tuple search failed: %s\n",
+                 sequential.status().ToString().c_str());
+    return 1;
+  }
+  const std::vector<search::TupleHit> baseline = std::move(sequential).value();
   if (!options.dump_hits_path.empty()) {
     if (!DumpHitsFile(options.dump_hits_path, search, baseline)) {
       std::fprintf(stderr, "cannot write %s\n",
