@@ -1,6 +1,7 @@
 #include "search/cascade/stages.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "la/distance.h"
@@ -133,22 +134,59 @@ Status VectorShortlistStage::Run(CandidateSet& set) const {
 }
 
 Status ExactRerankStage::Run(CandidateSet& set) const {
-  std::vector<TableHit> hits(set.tables.size());
-  const auto score_one = [&](size_t i) {
-    hits[i] = {set.tables[i], scorer_(set.tables[i])};
-  };
-  // Scorers are pure per-table functions, so pooled scoring is
-  // deterministic: every slot is written exactly once, then sorted.
-  if (set.executor != nullptr && set.tables.size() > 1) {
-    set.executor->ParallelFor(set.tables.size(), score_one);
-  } else {
-    for (size_t i = 0; i < set.tables.size(); ++i) score_one(i);
+  const std::vector<size_t>& tables = set.tables;
+  std::vector<TableHit> hits;
+  if (set.n > 0) {
+    std::vector<double> bounds(tables.size());
+    const auto bound_one = [&](size_t i) { bounds[i] = bound_(tables[i]); };
+    // Bounds are pure per-table functions, so pooled evaluation is
+    // deterministic: every slot is written exactly once.
+    if (set.executor != nullptr) {
+      set.executor->ParallelFor(tables.size(), bound_one);
+    } else {
+      for (size_t i = 0; i < tables.size(); ++i) bound_one(i);
+    }
+
+    // Candidate positions as a heap popping the highest bound first, ties
+    // toward the lower id.
+    std::vector<size_t> pending(tables.size());
+    std::iota(pending.begin(), pending.end(), size_t{0});
+    const auto pops_later = [&](size_t a, size_t b) {
+      if (bounds[a] != bounds[b]) return bounds[a] < bounds[b];
+      return tables[a] > tables[b];
+    };
+    std::make_heap(pending.begin(), pending.end(), pops_later);
+
+    // The n best exact hits so far as a heap whose front is the worst
+    // of them; ranks by score descending, then id ascending.
+    const auto ranks_before = [](const TableHit& a, const TableHit& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.table_index < b.table_index;
+    };
+    hits.reserve(std::min(set.n, tables.size()));
+    while (!pending.empty()) {
+      std::pop_heap(pending.begin(), pending.end(), pops_later);
+      const size_t i = pending.back();
+      pending.pop_back();
+      // The bound and the exact matching sum the same weights in different
+      // orders, so a bound can read a few ulps under its own score; the
+      // margin keeps such a candidate verified. A bound tied with the n-th
+      // score is verified too, so lower ids still win ties at the cut.
+      if (hits.size() == set.n && bounds[i] < hits.front().score - 1e-9) {
+        break;
+      }
+      const TableHit hit{tables[i], scorer_(tables[i])};
+      if (hits.size() < set.n) {
+        hits.push_back(hit);
+        std::push_heap(hits.begin(), hits.end(), ranks_before);
+      } else if (ranks_before(hit, hits.front())) {
+        std::pop_heap(hits.begin(), hits.end(), ranks_before);
+        hits.back() = hit;
+        std::push_heap(hits.begin(), hits.end(), ranks_before);
+      }
+    }
+    std::sort_heap(hits.begin(), hits.end(), ranks_before);
   }
-  std::sort(hits.begin(), hits.end(), [](const TableHit& a, const TableHit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.table_index < b.table_index;
-  });
-  if (hits.size() > set.n) hits.resize(set.n);
   set.tables.clear();
   set.tables.reserve(hits.size());
   for (const TableHit& hit : hits) set.tables.push_back(hit.table_index);

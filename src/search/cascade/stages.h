@@ -88,21 +88,30 @@ class VectorShortlistStage : public CandidateStage {
   size_t shortlist_;
 };
 
-/// Layer 4 — exact rerank. Scores every surviving candidate with the
-/// engine-supplied scorer (pure per-table, so scoring in parallel on the
-/// installed executor is deterministic), sorts descending by (score, id),
-/// truncates to `set.n`, and fills `set.hits`.
+/// Layer 4 — exact rerank, bound-and-verify. Computes `bound` for every
+/// surviving candidate (on the installed executor when there is one), then
+/// runs the exact `scorer` in descending bound order (ties toward lower
+/// ids) and stops once no remaining bound can reach the n-th best exact
+/// score. Hits are ranked descending by (score, id), truncated to `set.n`,
+/// and equal a full exact sort of every candidate, bit for bit.
+///
+/// Both callables must be pure per-table functions, and the caller
+/// guarantees bound(t) >= scorer(t) for every table (up to summation-order
+/// rounding, which the stage's 1e-9 margin absorbs). `bound` may run
+/// concurrently on pool threads; `scorer` runs on the calling thread.
 class ExactRerankStage : public CandidateStage {
  public:
   using TableScorer = std::function<double(size_t)>;
 
-  explicit ExactRerankStage(TableScorer scorer) : scorer_(std::move(scorer)) {}
+  ExactRerankStage(TableScorer scorer, TableScorer bound)
+      : scorer_(std::move(scorer)), bound_(std::move(bound)) {}
 
   std::string name() const override { return "rerank"; }
   Status Run(CandidateSet& set) const override;
 
  private:
   TableScorer scorer_;
+  TableScorer bound_;
 };
 
 }  // namespace dust::search::cascade

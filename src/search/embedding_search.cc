@@ -127,21 +127,62 @@ Status EmbeddingUnionSearch::AddTable(const table::Table& table) {
   return Status::Ok();
 }
 
-double EmbeddingUnionSearch::TableScore(
-    const std::vector<la::Vec>& query_cols,
-    const std::vector<la::Vec>& lake_cols) const {
-  if (query_cols.empty() || lake_cols.empty()) return 0.0;
-  std::vector<double> weights(query_cols.size() * lake_cols.size(), 0.0);
+namespace {
+
+/// Fills `weights` (row-major, query x lake columns) with the weights the
+/// table score matches on: per-pair cosine similarity, widened to double
+/// and floored at 0.
+void MatchingWeights(const std::vector<la::Vec>& query_cols,
+                     const std::vector<la::Vec>& lake_cols,
+                     std::vector<double>* weights) {
+  weights->resize(query_cols.size() * lake_cols.size());
   for (size_t i = 0; i < query_cols.size(); ++i) {
     for (size_t j = 0; j < lake_cols.size(); ++j) {
-      weights[i * lake_cols.size() + j] = std::max(
+      (*weights)[i * lake_cols.size() + j] = std::max(
           0.0, static_cast<double>(
                    la::CosineSimilarity(query_cols[i], lake_cols[j])));
     }
   }
+}
+
+}  // namespace
+
+double EmbeddingUnionSearch::TableScore(
+    const std::vector<la::Vec>& query_cols,
+    const std::vector<la::Vec>& lake_cols) const {
+  if (query_cols.empty() || lake_cols.empty()) return 0.0;
+  std::vector<double> weights;
+  MatchingWeights(query_cols, lake_cols, &weights);
   align::MatchingResult matching = align::MaxWeightBipartiteMatching(
       weights, query_cols.size(), lake_cols.size());
   return matching.total_weight / static_cast<double>(query_cols.size());
+}
+
+double EmbeddingUnionSearch::TableBound(
+    const std::vector<la::Vec>& query_cols,
+    const std::vector<la::Vec>& lake_cols) const {
+  if (query_cols.empty() || lake_cols.empty()) return 0.0;
+  // Runs once per candidate table, often on pool threads: keep one set of
+  // buffers per thread instead of allocating per table.
+  thread_local std::vector<double> weights;
+  thread_local std::vector<double> column_max;
+  MatchingWeights(query_cols, lake_cols, &weights);
+  const size_t cols = lake_cols.size();
+  column_max.assign(cols, 0.0);
+  double row_sum = 0.0;
+  for (size_t i = 0; i < query_cols.size(); ++i) {
+    double row_max = 0.0;
+    for (size_t j = 0; j < cols; ++j) {
+      const double w = weights[i * cols + j];
+      row_max = std::max(row_max, w);
+      column_max[j] = std::max(column_max[j], w);
+    }
+    row_sum += row_max;
+  }
+  double column_sum = 0.0;
+  for (double m : column_max) column_sum += m;
+  return std::min(row_sum, column_sum) /
+         static_cast<double>(query_cols.size());
 }
 
 std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
@@ -188,6 +229,9 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
   cascade::ExactRerankStage rerank(
       [this, &query_cols](size_t t) {
         return TableScore(query_cols, lake_columns_[t]);
+      },
+      [this, &query_cols](size_t t) {
+        return TableBound(query_cols, lake_columns_[t]);
       });
   stages.push_back(&rerank);
 

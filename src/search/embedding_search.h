@@ -5,9 +5,11 @@
 // Every query runs through the retrieval cascade (src/search/cascade/):
 // optional type prefilter and MinHash prescreen, then the vector shortlist
 // over table-level profiles (mean column embedding, faiss-style), then the
-// exact bipartite rerank. The flat path is the degenerate two-stage
-// cascade (shortlist + rerank) — not a separate code path — so cascade
-// results with the prefilters off are bit-identical to it.
+// exact bipartite rerank, which runs the matching only for tables whose
+// cheap upper bound can still reach the top n. The flat path is the
+// degenerate two-stage cascade (shortlist + rerank) — not a separate code
+// path — so cascade results with the prefilters off are bit-identical to
+// it.
 #ifndef DUST_SEARCH_EMBEDDING_SEARCH_H_
 #define DUST_SEARCH_EMBEDDING_SEARCH_H_
 
@@ -61,8 +63,8 @@ class EmbeddingUnionSearch : public UnionSearch {
   Status LoadState(io::IndexReader* reader) override;
 
   /// Installs a shared executor on the shortlist profile index (kept across
-  /// IndexLake/LoadState rebuilds) and on the rerank stage's scoring
-  /// fan-out, routing both through pooled threads on the serving path.
+  /// IndexLake/LoadState rebuilds) and on the rerank stage's bound pass,
+  /// routing both through pooled threads on the serving path.
   void SetExecutor(serve::Executor* executor) override;
 
   /// Removes the live table named `name`: its slot is kept (table_index
@@ -109,7 +111,14 @@ class EmbeddingUnionSearch : public UnionSearch {
   const embed::StarmieEncoder& encoder() const { return encoder_; }
 
  private:
+  /// Starmie's table score: max-weight bipartite matching over the
+  /// column-pair cosine weights, divided by the query's column count.
   double TableScore(const std::vector<la::Vec>& query_cols,
+                    const std::vector<la::Vec>& lake_cols) const;
+  /// Upper bound on TableScore over the same weights: a matching uses each
+  /// row and each column at most once, so its weight is at most
+  /// min(sum_i max_j w_ij, sum_j max_i w_ij).
+  double TableBound(const std::vector<la::Vec>& query_cols,
                     const std::vector<la::Vec>& lake_cols) const;
   /// Rebuilds the cascade's lake-side signals (type signatures, value
   /// sketches) from raw tables; cleared when the cascade is disabled.

@@ -3,13 +3,19 @@
 // CompactIndex) with their staleness-hash contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "align/hungarian.h"
 #include "datagen/tus_generator.h"
+#include "la/distance.h"
 #include "io/index_io.h"
 #include "embed/embedder.h"
 #include "search/embedding_search.h"
 #include "search/minhash.h"
 #include "search/overlap_search.h"
 #include "search/tuple_search.h"
+#include "serve/executor.h"
 
 namespace dust::search {
 namespace {
@@ -402,6 +408,105 @@ TEST_F(SearchFixture, EmbeddingMutationsRejectedAfterSnapshotRestore) {
   EXPECT_TRUE(extra.AddColumn("X", {Value("z")}).ok());
   EXPECT_EQ(restored.AddTable(extra).code(),
             StatusCode::kFailedPrecondition);
+}
+
+// Starmie's table score, computed the long way for every live table and
+// fully sorted: the reference the bound-and-verify rerank must equal.
+std::vector<TableHit> ExhaustiveTopN(const EmbeddingUnionSearch& search,
+                                     const Table& query, size_t lake_size,
+                                     const std::vector<size_t>& removed,
+                                     size_t n) {
+  const std::vector<la::Vec> query_cols = search.encoder().EncodeTable(query);
+  std::vector<TableHit> hits;
+  for (size_t t = 0; t < lake_size; ++t) {
+    if (std::find(removed.begin(), removed.end(), t) != removed.end()) {
+      continue;
+    }
+    const std::vector<la::Vec>& lake_cols = search.ColumnEmbeddings(t);
+    double score = 0.0;
+    if (!query_cols.empty() && !lake_cols.empty()) {
+      std::vector<double> weights;
+      for (const la::Vec& q : query_cols) {
+        for (const la::Vec& c : lake_cols) {
+          const double cosine = la::CosineSimilarity(q, c);
+          weights.push_back(std::max(0.0, cosine));
+        }
+      }
+      align::MatchingResult matching = align::MaxWeightBipartiteMatching(
+          weights, query_cols.size(), lake_cols.size());
+      score = matching.total_weight / static_cast<double>(query_cols.size());
+    }
+    hits.push_back({t, score});
+  }
+  std::sort(hits.begin(), hits.end(), [](const TableHit& a, const TableHit& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.table_index < b.table_index;
+  });
+  if (hits.size() > n) hits.resize(n);
+  return hits;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// A lake with many near-copies of each query's base table, where the
+// rerank's upper bound prunes almost every table: every query and n must
+// still return exactly the exhaustive top n, with or without a pool, and
+// after a removal.
+TEST(EmbeddingSearchWideLakeTest, RerankEqualsExhaustiveMatching) {
+  datagen::TusConfig config;
+  config.num_queries = 10;
+  config.unionable_per_query = 100;
+  config.base_rows = 20;
+  config.distractors_per_base = 5;
+  const datagen::Benchmark benchmark = datagen::GenerateTus(config);
+  std::vector<const Table*> lake;
+  for (const auto& t : benchmark.lake) lake.push_back(&t.data);
+  ASSERT_EQ(lake.size(), 1010u);
+
+  EmbeddingUnionSearch search;
+  search.IndexLake(lake);
+  serve::Executor executor(2);
+  std::vector<size_t> removed;
+  // The exhaustive top 50 of each query; its prefixes are the top 1 and 10.
+  std::vector<std::vector<TableHit>> expected;
+  const auto score_exhaustively = [&] {
+    expected.clear();
+    for (const auto& query : benchmark.queries) {
+      expected.push_back(
+          ExhaustiveTopN(search, query.data, lake.size(), removed, 50));
+    }
+  };
+  const auto expect_exhaustive = [&](const std::string& label) {
+    for (size_t q = 0; q < benchmark.queries.size(); ++q) {
+      for (size_t n : {size_t{1}, size_t{10}, size_t{50}}) {
+        const std::vector<TableHit> hits =
+            search.SearchTables(benchmark.queries[q].data, n);
+        ASSERT_EQ(hits.size(), n) << label;
+        for (size_t r = 0; r < n; ++r) {
+          EXPECT_EQ(hits[r].table_index, expected[q][r].table_index)
+              << label << " query " << q << " n " << n << " rank " << r;
+          EXPECT_EQ(Bits(hits[r].score), Bits(expected[q][r].score))
+              << label << " query " << q << " n " << n << " rank " << r;
+        }
+      }
+    }
+  };
+  score_exhaustively();
+  expect_exhaustive("inline");
+  search.SetExecutor(&executor);
+  expect_exhaustive("pooled");
+  const size_t top =
+      search.SearchTables(benchmark.queries[0].data, 1).front().table_index;
+  ASSERT_TRUE(search.RemoveTable(lake[top]->name()).ok());
+  removed.push_back(top);
+  score_exhaustively();
+  expect_exhaustive("pooled, top hit removed");
+  search.SetExecutor(nullptr);
+  expect_exhaustive("inline, top hit removed");
 }
 
 }  // namespace

@@ -1042,6 +1042,13 @@ int main(int argc, char** argv) {
     }
     query = std::move(query_loaded).value();
     query.DropAllNullColumns();
+    // Same rule as lake and --add-tables inputs: a header-only or all-null
+    // query has nothing to search with.
+    if (query.num_rows() == 0 || query.num_columns() == 0) {
+      std::fprintf(stderr, "cannot load query: %s has no data rows\n",
+                   options.query_path.c_str());
+      return 1;
+    }
     std::printf("lake: %zu tables; query: %zu rows x %zu columns\n",
                 lake_storage.size(), query.num_rows(), query.num_columns());
   } else {
