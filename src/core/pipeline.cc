@@ -1,7 +1,5 @@
 #include "core/pipeline.h"
 
-#include <cstring>
-
 #include "embed/column_embedder.h"
 #include "index/vector_index.h"
 #include "io/index_io.h"
@@ -19,21 +17,6 @@ namespace {
 /// v2: engine state carries cascade signals (per-table type signatures and
 /// MinHash value sketches) behind a flag byte.
 constexpr uint32_t kSnapshotFormatVersion = 2;
-
-// Staleness hashing chains every field through the library's FNV-1a
-// (text::HashString), running hash as the next call's seed. The resulting
-// value is baked into saved snapshot files, so changing this scheme (or
-// HashString itself) invalidates existing snapshots — acceptable: the check
-// then fails closed, forcing a rebuild.
-uint64_t ChainHash(uint64_t h, uint64_t v) {
-  char bytes[sizeof(v)];
-  std::memcpy(bytes, &v, sizeof(v));
-  return text::HashString(std::string_view(bytes, sizeof(v)), h);
-}
-
-uint64_t ChainHash(uint64_t h, const std::string& s) {
-  return text::HashString(s, h);
-}
 
 }  // namespace
 
@@ -92,25 +75,29 @@ void DustPipeline::IndexLake(const std::vector<const table::Table*>& lake) {
 
 uint64_t DustPipeline::SnapshotHash(
     const std::vector<const table::Table*>& lake) const {
-  uint64_t h = ChainHash(0, std::string("dust-snapshot-v1"));
-  h = ChainHash(h, config_.engine);
+  uint64_t h = text::ChainHash(0, "dust-snapshot-v1");
+  h = text::ChainHash(h, config_.engine);
   // The effective spec folds search_shards in, so "flat" + 4 shards and a
   // literal "sharded:flat:4" hash identically (they build the same index).
-  h = ChainHash(h, config_.EffectiveSearchIndex());
-  h = ChainHash(h, config_.search_shortlist);
-  h = ChainHash(h, config_.hnsw_m);
-  h = ChainHash(h, config_.hnsw_ef_search);
-  h = ChainHash(h, config_.embedding_dim);
-  h = ChainHash(h, config_.seed);
-  h = ChainHash(h, static_cast<uint64_t>(config_.column_model));
-  h = ChainHash(h, static_cast<uint64_t>(config_.column_serialization));
-  h = ChainHash(h, static_cast<uint64_t>(config_.metric));
+  h = text::ChainHash(h, config_.EffectiveSearchIndex());
+  h = text::ChainHash(h, config_.search_shortlist);
+  h = text::ChainHash(h, config_.hnsw_m);
+  h = text::ChainHash(h, config_.hnsw_ef_search);
+  h = text::ChainHash(h, config_.embedding_dim);
+  h = text::ChainHash(h, config_.seed);
+  h = text::ChainHash(h, static_cast<uint64_t>(config_.column_model));
+  h = text::ChainHash(h,
+                      static_cast<uint64_t>(config_.column_serialization));
+  h = text::ChainHash(h, static_cast<uint64_t>(config_.metric));
   h = search::cascade::ChainCascadeConfig(h, config_.cascade);
-  h = ChainHash(h, lake.size());
+  // The lake shape is chained here rather than through the engine's
+  // LakeCatalog: LoadSnapshot checks a lake no engine holds yet, and a
+  // snapshot records no mutation counter.
+  h = text::ChainHash(h, lake.size());
   for (const table::Table* t : lake) {
-    h = ChainHash(h, t->name());
-    h = ChainHash(h, t->num_columns());
-    h = ChainHash(h, t->num_rows());
+    h = text::ChainHash(h, t->name());
+    h = text::ChainHash(h, t->num_columns());
+    h = text::ChainHash(h, t->num_rows());
   }
   return h;
 }
@@ -267,17 +254,6 @@ Result<PipelineResult> DustPipeline::Run(const table::Table& query,
     result.provenance.push_back(ref);
   }
   return result;
-}
-
-Status SavePipelineSnapshot(const DustPipeline& pipeline,
-                            const std::string& path) {
-  return pipeline.SaveSnapshot(path);
-}
-
-Status LoadPipelineSnapshot(DustPipeline* pipeline, const std::string& path,
-                            const std::vector<const table::Table*>& lake) {
-  DUST_CHECK(pipeline != nullptr);
-  return pipeline->LoadSnapshot(path, lake);
 }
 
 }  // namespace dust::core

@@ -171,13 +171,6 @@ class DustPipeline {
   std::vector<const table::Table*> lake_;
 };
 
-/// Free-function spellings of the snapshot API (the offline indexer calls
-/// Save, every serving process calls Load).
-Status SavePipelineSnapshot(const DustPipeline& pipeline,
-                            const std::string& path);
-Status LoadPipelineSnapshot(DustPipeline* pipeline, const std::string& path,
-                            const std::vector<const table::Table*>& lake);
-
 }  // namespace dust::core
 
 #endif  // DUST_CORE_PIPELINE_H_

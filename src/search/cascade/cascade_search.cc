@@ -1,6 +1,5 @@
 #include "search/cascade/cascade_search.h"
 
-#include <cstring>
 #include <iomanip>
 #include <sstream>
 #include <utility>
@@ -13,19 +12,6 @@ namespace dust::search::cascade {
 
 namespace {
 
-uint64_t ChainHash(uint64_t h, uint64_t v) {
-  char bytes[sizeof(v)];
-  std::memcpy(bytes, &v, sizeof(v));
-  return text::HashString(std::string_view(bytes, sizeof(v)), h);
-}
-
-uint64_t ChainHash(uint64_t h, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(v));
-  return ChainHash(h, bits);
-}
-
 /// Stage latencies span nanosecond prefilters to millisecond reranks.
 std::vector<double> StageMicrosBounds() {
   return {1,    2,    5,     10,    25,    50,     100,    250,
@@ -37,14 +23,14 @@ std::vector<double> StageMicrosBounds() {
 
 uint64_t ChainCascadeConfig(uint64_t h, const CascadeConfig& config) {
   h = text::HashString("dust-cascade-v1", h);
-  h = ChainHash(h, static_cast<uint64_t>(config.enabled));
-  h = ChainHash(h, static_cast<uint64_t>(config.prefilter));
-  h = ChainHash(h, static_cast<uint64_t>(config.prescreen));
-  h = ChainHash(h, config.prefilter_min_type_overlap);
-  h = ChainHash(h, config.prefilter_max_column_ratio);
-  h = ChainHash(h, static_cast<uint64_t>(config.prescreen_keep));
-  h = ChainHash(h, static_cast<uint64_t>(config.minhash_hashes));
-  h = ChainHash(h, config.minhash_seed);
+  h = text::ChainHash(h, static_cast<uint64_t>(config.enabled));
+  h = text::ChainHash(h, static_cast<uint64_t>(config.prefilter));
+  h = text::ChainHash(h, static_cast<uint64_t>(config.prescreen));
+  h = text::ChainHash(h, config.prefilter_min_type_overlap);
+  h = text::ChainHash(h, config.prefilter_max_column_ratio);
+  h = text::ChainHash(h, static_cast<uint64_t>(config.prescreen_keep));
+  h = text::ChainHash(h, static_cast<uint64_t>(config.minhash_hashes));
+  h = text::ChainHash(h, config.minhash_seed);
   return h;
 }
 

@@ -1,7 +1,8 @@
 // Concrete cascade stages: type prefilter, MinHash prescreen, vector
-// shortlist, exact rerank. Stage objects borrow the engine's lake-side
-// signal tables (signatures, sketches, profiles, index slot) by pointer, so
-// they survive IndexLake/LoadState rebuilds without reconstruction.
+// shortlist, exact rerank. The prefilter and prescreen borrow the
+// search::LakeCatalog's signatures and sketches, and the shortlist borrows
+// the engine's profiles and index slot, by pointer, so they survive
+// IndexLake/LoadState rebuilds without reconstruction.
 #ifndef DUST_SEARCH_CASCADE_STAGES_H_
 #define DUST_SEARCH_CASCADE_STAGES_H_
 

@@ -11,42 +11,16 @@ namespace dust::search {
 EmbeddingUnionSearch::EmbeddingUnionSearch(EmbeddingSearchConfig config)
     : config_(config),
       encoder_(config.encoder),
+      catalog_(config.cascade),
       cascade_({"prefilter", "prescreen", "shortlist", "rerank"}),
-      prefilter_stage_(&lake_signatures_, &config_.cascade),
-      prescreen_stage_(&lake_sketches_, &config_.cascade),
       shortlist_stage_(&profile_index_, &lake_profiles_, config_.shortlist) {}
-
-void EmbeddingUnionSearch::RebuildCascadeSignals(
-    const std::vector<const table::Table*>& lake) {
-  lake_signatures_.clear();
-  lake_sketches_.clear();
-  if (!config_.cascade.enabled) return;
-  lake_signatures_.reserve(lake.size());
-  for (const table::Table* t : lake) {
-    lake_signatures_.push_back(cascade::SignatureOf(*t));
-  }
-  if (config_.cascade.prescreen) {
-    lake_sketches_.reserve(lake.size());
-    for (const table::Table* t : lake) {
-      lake_sketches_.emplace_back(cascade::TableValueSample(*t),
-                                  config_.cascade.minhash_hashes,
-                                  config_.cascade.minhash_seed);
-    }
-  }
-}
 
 void EmbeddingUnionSearch::IndexLake(
     const std::vector<const table::Table*>& lake) {
   lake_columns_.clear();
   lake_profiles_.clear();
-  lake_names_.clear();
   lake_columns_.reserve(lake.size());
   lake_profiles_.reserve(lake.size());
-  lake_names_.reserve(lake.size());
-  lake_removed_.assign(lake.size(), 0);
-  for (const table::Table* t : lake) {
-    lake_names_.push_back(t->name());
-  }
   for (const table::Table* t : lake) {
     std::vector<la::Vec> cols = encoder_.EncodeTable(*t);
     la::Vec profile(encoder_.dim(), 0.0f);
@@ -67,7 +41,7 @@ void EmbeddingUnionSearch::IndexLake(
   } else {
     profile_index_.reset();
   }
-  RebuildCascadeSignals(lake);
+  catalog_.Reset(lake);
 }
 
 void EmbeddingUnionSearch::SetExecutor(serve::Executor* executor) {
@@ -76,35 +50,16 @@ void EmbeddingUnionSearch::SetExecutor(serve::Executor* executor) {
 }
 
 Status EmbeddingUnionSearch::RemoveTable(const std::string& name) {
-  if (lake_names_.size() != lake_columns_.size()) {
-    return Status::FailedPrecondition(
-        "engine state was restored from a snapshot, which does not carry "
-        "table names; re-run IndexLake before mutating");
-  }
-  for (size_t t = 0; t < lake_names_.size(); ++t) {
-    if (lake_removed_[t] != 0 || lake_names_[t] != name) continue;
-    lake_removed_[t] = 1;
-    // Tombstone the profile too so an untouched candidate set delegating
-    // straight to the index can never shortlist the removed table.
-    if (profile_index_ != nullptr) profile_index_->Remove(t);
-    return Status::Ok();
-  }
-  return Status::NotFound("no live table named " + name + " in the lake");
+  Result<size_t> removed = catalog_.Remove(name);
+  DUST_RETURN_IF_ERROR(removed.status());
+  // Tombstone the profile too so an untouched candidate set delegating
+  // straight to the index can never shortlist the removed table.
+  if (profile_index_ != nullptr) profile_index_->Remove(removed.value());
+  return Status::Ok();
 }
 
 Status EmbeddingUnionSearch::AddTable(const table::Table& table) {
-  if (lake_names_.size() != lake_columns_.size()) {
-    return Status::FailedPrecondition(
-        "engine state was restored from a snapshot, which does not carry "
-        "table names; re-run IndexLake before mutating");
-  }
-  for (size_t t = 0; t < lake_names_.size(); ++t) {
-    if (lake_removed_[t] == 0 && lake_names_[t] == table.name()) {
-      return Status::InvalidArgument(
-          "a live table named " + table.name() +
-          " is already indexed; RemoveTable it first to replace it");
-    }
-  }
+  DUST_RETURN_IF_ERROR(catalog_.Add(table));
   std::vector<la::Vec> cols = encoder_.EncodeTable(table);
   la::Vec profile(encoder_.dim(), 0.0f);
   if (!cols.empty()) {
@@ -114,16 +69,6 @@ Status EmbeddingUnionSearch::AddTable(const table::Table& table) {
   if (profile_index_ != nullptr) profile_index_->Add(profile);
   lake_columns_.push_back(std::move(cols));
   lake_profiles_.push_back(std::move(profile));
-  lake_names_.push_back(table.name());
-  lake_removed_.push_back(0);
-  if (config_.cascade.enabled) {
-    lake_signatures_.push_back(cascade::SignatureOf(table));
-    if (config_.cascade.prescreen) {
-      lake_sketches_.emplace_back(cascade::TableValueSample(table),
-                                  config_.cascade.minhash_hashes,
-                                  config_.cascade.minhash_seed);
-    }
-  }
   return Status::Ok();
 }
 
@@ -192,30 +137,10 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
   cascade::CandidateSet set;
   set.n = n;
   set.executor = executor_;
-  set.tables.reserve(lake_columns_.size());
-  // Removed tables never enter the candidate set. With none removed this
-  // is the full identity set and every stage behaves exactly as before.
-  for (size_t t = 0; t < lake_columns_.size(); ++t) {
-    if (t < lake_removed_.size() && lake_removed_[t] != 0) continue;
-    set.tables.push_back(t);
-  }
-
-  // Stage list for this query: optional prefilters, then the (possibly
-  // degenerate) shortlist, then the exact rerank. Query-side signals are
-  // computed only for the stages that will consume them.
-  std::vector<const cascade::CandidateStage*> stages;
-  if (config_.cascade.enabled && config_.cascade.prefilter) {
-    set.query_signature = cascade::SignatureOf(query);
-    stages.push_back(&prefilter_stage_);
-  }
-  MinHashSketch query_sketch;
-  if (config_.cascade.enabled && config_.cascade.prescreen) {
-    query_sketch = MinHashSketch(cascade::TableValueSample(query),
-                                 config_.cascade.minhash_hashes,
-                                 config_.cascade.minhash_seed);
-    set.query_sketch = &query_sketch;
-    stages.push_back(&prescreen_stage_);
-  }
+  // The catalog's optional prefilters narrow the live tables, then the
+  // (possibly degenerate) shortlist and the exact rerank run.
+  std::vector<cascade::StageStats> stats;
+  Status status = catalog_.Prefilter(query, cascade_, &set, &stats);
   la::Vec profile;
   if (profile_index_ != nullptr && config_.shortlist > 0) {
     profile.assign(encoder_.dim(), 0.0f);
@@ -225,7 +150,6 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
     }
     set.query_profile = &profile;
   }
-  stages.push_back(&shortlist_stage_);
   cascade::ExactRerankStage rerank(
       [this, &query_cols](size_t t) {
         return TableScore(query_cols, lake_columns_[t]);
@@ -233,10 +157,9 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
       [this, &query_cols](size_t t) {
         return TableBound(query_cols, lake_columns_[t]);
       });
-  stages.push_back(&rerank);
-
-  std::vector<cascade::StageStats> stats;
-  Status status = cascade_.Run(stages, set, &stats);
+  if (status.ok()) {
+    status = cascade_.Run({&shortlist_stage_, &rerank}, set, &stats);
+  }
   // Stage errors mean an engine wiring bug (missing signal, id out of
   // range), never a bad query — fail loud.
   DUST_CHECK(status.ok());
@@ -248,6 +171,11 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
 }
 
 Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
+  if (catalog_.num_live() != catalog_.size()) {
+    return Status::FailedPrecondition(
+        "snapshots carry no removed flags, so an engine with removed tables "
+        "cannot be saved; re-run IndexLake over the live tables first");
+  }
   writer->WriteU64(lake_columns_.size());
   for (const std::vector<la::Vec>& cols : lake_columns_) {
     writer->WriteVecs(cols);
@@ -258,32 +186,15 @@ Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
   if (profile_index_ != nullptr) {
     DUST_RETURN_IF_ERROR(io::WriteIndex(*profile_index_, writer));
   }
-  // Cascade signals (snapshot format v2). A flag byte keeps disabled
-  // configs round-tripping with no cascade payload at all.
-  writer->WriteU8(config_.cascade.enabled ? 1 : 0);
-  if (config_.cascade.enabled) {
-    writer->WriteU64(lake_signatures_.size());
-    for (const cascade::TableSignature& sig : lake_signatures_) {
-      writer->WriteU64(sig.columns);
-      writer->WriteU64(sig.numeric_columns);
-    }
-    writer->WriteU64(lake_sketches_.size());
-    for (const MinHashSketch& sketch : lake_sketches_) {
-      writer->WriteU8(sketch.empty() ? 1 : 0);
-      writer->WriteU64(sketch.mins().size());
-      for (uint64_t m : sketch.mins()) writer->WriteU64(m);
-    }
-  }
-  return writer->status();
+  return catalog_.SaveSignals(writer);
 }
 
 Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
   uint64_t num_tables = 0;
   DUST_RETURN_IF_ERROR(reader->ReadCount(sizeof(uint64_t), &num_tables));
-  // Snapshots predate mutations and carry no table names: every restored
-  // table is live, and RemoveTable refuses until IndexLake runs again.
-  lake_names_.clear();
-  lake_removed_.assign(num_tables, 0);
+  // Snapshots carry no table names: every restored table is live, and
+  // RemoveTable refuses until IndexLake runs again.
+  catalog_.ResetUnnamed(num_tables);
   lake_columns_.assign(num_tables, {});
   for (uint64_t t = 0; t < num_tables; ++t) {
     DUST_RETURN_IF_ERROR(reader->ReadVecs(&lake_columns_[t], encoder_.dim()));
@@ -310,57 +221,7 @@ Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
     return Status::FailedPrecondition(
         "snapshot shortlist index does not match engine config");
   }
-  uint8_t cascade_enabled = 0;
-  DUST_RETURN_IF_ERROR(reader->ReadU8(&cascade_enabled));
-  if ((cascade_enabled != 0) != config_.cascade.enabled) {
-    return Status::FailedPrecondition(
-        "snapshot cascade signals do not match engine config");
-  }
-  lake_signatures_.clear();
-  lake_sketches_.clear();
-  if (cascade_enabled != 0) {
-    uint64_t num_signatures = 0;
-    DUST_RETURN_IF_ERROR(
-        reader->ReadCount(2 * sizeof(uint64_t), &num_signatures));
-    if (num_signatures != num_tables) {
-      return Status::IoError("snapshot cascade signature count mismatch");
-    }
-    lake_signatures_.reserve(num_signatures);
-    for (uint64_t t = 0; t < num_signatures; ++t) {
-      cascade::TableSignature sig;
-      DUST_RETURN_IF_ERROR(reader->ReadU64(&sig.columns));
-      DUST_RETURN_IF_ERROR(reader->ReadU64(&sig.numeric_columns));
-      lake_signatures_.push_back(sig);
-    }
-    uint64_t num_sketches = 0;
-    DUST_RETURN_IF_ERROR(reader->ReadCount(sizeof(uint8_t), &num_sketches));
-    if (num_sketches != 0 && num_sketches != num_tables) {
-      return Status::IoError("snapshot cascade sketch count mismatch");
-    }
-    lake_sketches_.reserve(num_sketches);
-    for (uint64_t t = 0; t < num_sketches; ++t) {
-      uint8_t sketch_empty = 0;
-      DUST_RETURN_IF_ERROR(reader->ReadU8(&sketch_empty));
-      uint64_t num_mins = 0;
-      DUST_RETURN_IF_ERROR(reader->ReadCount(sizeof(uint64_t), &num_mins));
-      if (num_mins != config_.cascade.minhash_hashes) {
-        return Status::FailedPrecondition(
-            "snapshot prescreen sketch width does not match engine config");
-      }
-      std::vector<uint64_t> mins(num_mins, 0);
-      for (uint64_t m = 0; m < num_mins; ++m) {
-        DUST_RETURN_IF_ERROR(reader->ReadU64(&mins[m]));
-      }
-      lake_sketches_.push_back(
-          MinHashSketch::FromState(std::move(mins), sketch_empty != 0));
-    }
-    if (config_.cascade.prescreen && lake_sketches_.size() != num_tables) {
-      return Status::FailedPrecondition(
-          "snapshot has no prescreen sketches but the engine config enables "
-          "the prescreen stage");
-    }
-  }
-  return Status::Ok();
+  return catalog_.LoadSignals(reader);
 }
 
 }  // namespace dust::search

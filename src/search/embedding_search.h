@@ -20,6 +20,7 @@
 #include "index/vector_index.h"
 #include "search/cascade/cascade_search.h"
 #include "search/cascade/stages.h"
+#include "search/lake_catalog.h"
 #include "search/union_search.h"
 
 namespace dust::search {
@@ -55,6 +56,8 @@ class EmbeddingUnionSearch : public UnionSearch {
   /// shortlist is configured) the built profile index, and (when the
   /// cascade is enabled) the per-table type signatures and MinHash value
   /// sketches — everything IndexLake computes from the raw tables.
+  /// Snapshots carry no removed flags, so an engine with a removed table
+  /// is FailedPrecondition (re-run IndexLake over the live tables first).
   Status SaveState(io::IndexWriter* writer) const override;
   /// Restores SaveState output. The engine must be constructed with the same
   /// config as at save time (the pipeline's snapshot hash enforces this); a
@@ -69,24 +72,21 @@ class EmbeddingUnionSearch : public UnionSearch {
 
   /// Removes the live table named `name`: its slot is kept (table_index
   /// stability) but it leaves the candidate set and, when a shortlist is
-  /// configured, its profile is tombstoned in the index. Requires table
-  /// names, which IndexLake records but snapshots do not carry —
-  /// FailedPrecondition after LoadState (re-run IndexLake to mutate).
-  Status RemoveTable(const std::string& name) override;
+  /// configured, its profile is tombstoned in the index. NotFound when no
+  /// live table carries the name. Requires table names, which IndexLake
+  /// records but snapshots do not carry — FailedPrecondition after
+  /// LoadState (re-run IndexLake to mutate). Mutations are not
+  /// synchronized against in-flight SearchTables calls; quiesce first.
+  Status RemoveTable(const std::string& name);
 
   /// Encodes and appends `table` as a new lake table; its profile joins
   /// the shortlist index and (when the cascade is enabled) its signature
-  /// and sketch extend the prefilter signals.
-  Status AddTable(const table::Table& table) override;
+  /// and sketch extend the prefilter signals. InvalidArgument when a live
+  /// table already carries the name.
+  Status AddTable(const table::Table& table);
 
-  /// Live (non-removed) tables currently searchable.
-  size_t num_live_tables() const {
-    size_t live = 0;
-    for (size_t t = 0; t < lake_columns_.size(); ++t) {
-      if (t >= lake_removed_.size() || lake_removed_[t] == 0) ++live;
-    }
-    return live;
-  }
+  /// Every table ever indexed, with its removed flag.
+  const LakeCatalog& catalog() const { return catalog_; }
 
   /// Cumulative per-stage cascade summary (see CascadeSearch::StatsSummary).
   std::string CascadeStatsSummary() const override {
@@ -120,30 +120,17 @@ class EmbeddingUnionSearch : public UnionSearch {
   /// min(sum_i max_j w_ij, sum_j max_i w_ij).
   double TableBound(const std::vector<la::Vec>& query_cols,
                     const std::vector<la::Vec>& lake_cols) const;
-  /// Rebuilds the cascade's lake-side signals (type signatures, value
-  /// sketches) from raw tables; cleared when the cascade is disabled.
-  void RebuildCascadeSignals(const std::vector<const table::Table*>& lake);
 
   EmbeddingSearchConfig config_;
   embed::StarmieEncoder encoder_;
   std::vector<std::vector<la::Vec>> lake_columns_;
   std::vector<la::Vec> lake_profiles_;  // mean column embedding per table
-  /// Table names (IndexLake order) — the RemoveTable lookup key. Empty
-  /// after LoadState: snapshots do not carry names, so restored engines
-  /// reject mutations instead of guessing.
-  std::vector<std::string> lake_names_;
-  /// lake_removed_[t] != 0 marks a removed table; sized with the lake.
-  std::vector<char> lake_removed_;
   std::unique_ptr<index::VectorIndex> profile_index_;
   serve::Executor* executor_ = nullptr;  // re-applied on index rebuilds
-  // Cascade state. The stage objects borrow the signal vectors and the
-  // index slot by pointer, so IndexLake/LoadState rebuilds never have to
-  // reconstruct them.
-  std::vector<cascade::TableSignature> lake_signatures_;
-  std::vector<MinHashSketch> lake_sketches_;
+  LakeCatalog catalog_;
   cascade::CascadeSearch cascade_;
-  cascade::TypePrefilterStage prefilter_stage_;
-  cascade::MinHashPrescreenStage prescreen_stage_;
+  // Borrows the profiles and the index slot by pointer, so IndexLake and
+  // LoadState rebuilds never have to reconstruct it.
   cascade::VectorShortlistStage shortlist_stage_;
   mutable std::mutex stats_mutex_;
   mutable std::vector<cascade::StageStats> last_stats_;

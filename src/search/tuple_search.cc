@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include <cstring>
-
 #include "obs/trace.h"
 #include "serve/executor.h"
 #include "text/hashing.h"
@@ -52,18 +50,6 @@ std::vector<TupleHit> FuseTupleHits(
   return hits;
 }
 
-/// Chains a value into a running FNV-1a hash (the pipeline SnapshotHash
-/// idiom).
-uint64_t ChainHash(uint64_t h, uint64_t v) {
-  char bytes[sizeof(v)];
-  std::memcpy(bytes, &v, sizeof(v));
-  return text::HashString(std::string_view(bytes, sizeof(v)), h);
-}
-
-uint64_t ChainHash(uint64_t h, const std::string& s) {
-  return text::HashString(s, h);
-}
-
 }  // namespace
 
 TupleSearch::TupleSearch(std::shared_ptr<embed::TupleEncoder> encoder,
@@ -85,8 +71,8 @@ void TupleSearch::IndexLake(const std::vector<const table::Table*>& lake) {
       refs_.push_back({t, r});
     }
   }
-  ResetLakeTables(lake);
-  RebuildCascadeSignals(lake);
+  catalog_.Reset(lake);
+  RecomputeLakeHash();
 }
 
 Status TupleSearch::UseIndex(std::unique_ptr<index::VectorIndex> index,
@@ -110,54 +96,39 @@ Status TupleSearch::UseIndex(std::unique_ptr<index::VectorIndex> index,
     return Status::FailedPrecondition(
         "tuple search ranks by cosine similarity; the index metric differs");
   }
-  refs_.clear();
-  refs_.reserve(total_rows);
+  // A saved index keeps RemoveTable's tombstones until CompactIndex. A
+  // table whose tuples are all dead was removed before the save and stays
+  // removed; RemoveTable never kills part of a table, so a partly dead one
+  // means the index and the lake disagree.
+  std::vector<table::TupleRef> refs;
+  refs.reserve(total_rows);
+  std::vector<size_t> removed;
   for (size_t t = 0; t < lake.size(); ++t) {
-    for (size_t r = 0; r < lake[t]->num_rows(); ++r) {
-      refs_.push_back({t, r});
+    const size_t rows = lake[t]->num_rows();
+    size_t dead = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      if (index->IsDead(refs.size())) ++dead;
+      refs.push_back({t, r});
     }
+    if (dead == 0) continue;
+    if (dead < rows) {
+      return Status::FailedPrecondition(
+          "table " + lake[t]->name() + " has " + std::to_string(dead) +
+          " of its " + std::to_string(rows) +
+          " tuples tombstoned in the index; only whole tables are removed");
+    }
+    removed.push_back(t);
   }
-  // Same lake-state hash IndexLake computes, so result-cache invalidation
-  // behaves identically whichever way the index arrived. Every lake table
-  // is treated as live: a persisted index that carries tombstones should be
-  // compacted before its lake directory is shrunk to match.
-  ResetLakeTables(lake);
-  RebuildCascadeSignals(lake);
+  refs_ = std::move(refs);
+  catalog_.Reset(lake);
+  for (size_t t : removed) catalog_.MarkRemoved(t);
+  RecomputeLakeHash();
   index_ = std::move(index);
   return Status::Ok();
 }
 
-void TupleSearch::ResetLakeTables(const std::vector<const table::Table*>& lake) {
-  tables_.clear();
-  tables_.reserve(lake.size());
-  size_t first = 0;
-  for (const table::Table* t : lake) {
-    tables_.push_back(
-        {t->name(), t->num_columns(), t->num_rows(), first, false});
-    first += t->num_rows();
-  }
-  num_tables_ = tables_.size();
-  mutations_ = 0;
-  RecomputeLakeHash();
-}
-
 void TupleSearch::RecomputeLakeHash() {
-  uint64_t h = ChainHash(0, std::string("dust-tuple-lake-v1"));
-  size_t live = 0;
-  for (const LakeTable& t : tables_) live += t.removed ? 0 : 1;
-  h = ChainHash(h, live);
-  for (const LakeTable& t : tables_) {
-    if (t.removed) continue;
-    h = ChainHash(h, t.name);
-    h = ChainHash(h, t.num_columns);
-    h = ChainHash(h, t.num_rows);
-  }
-  // The mutation counter keeps every intermediate lake state distinct:
-  // remove b + re-add an identical b yields a different hash than never
-  // mutating, so entries cached against the intermediate (b-less) lake can
-  // never be served again.
-  h = ChainHash(h, mutations_);
-  lake_hash_ = h;
+  lake_hash_ = catalog_.ChainState(text::ChainHash(0, "dust-tuple-lake-v1"));
 }
 
 Status TupleSearch::RemoveTable(const std::string& name) {
@@ -165,17 +136,15 @@ Status TupleSearch::RemoveTable(const std::string& name) {
     return Status::FailedPrecondition(
         "no lake index; call IndexLake/UseIndex before mutating");
   }
-  for (LakeTable& t : tables_) {
-    if (t.removed || t.name != name) continue;
-    std::vector<size_t> ids(t.num_rows);
-    for (size_t r = 0; r < t.num_rows; ++r) ids[r] = t.first_tuple_id + r;
-    index_->RemoveAll(ids);
-    t.removed = true;
-    ++mutations_;
-    RecomputeLakeHash();
-    return Status::Ok();
+  Result<size_t> removed = catalog_.Remove(name);
+  DUST_RETURN_IF_ERROR(removed.status());
+  std::vector<size_t> ids;
+  for (size_t id = 0; id < refs_.size(); ++id) {
+    if (refs_[id].table_index == removed.value()) ids.push_back(id);
   }
-  return Status::NotFound("no live table named " + name + " in the lake");
+  index_->RemoveAll(ids);
+  RecomputeLakeHash();
+  return Status::Ok();
 }
 
 Status TupleSearch::AddTable(const table::Table& table) {
@@ -183,32 +152,13 @@ Status TupleSearch::AddTable(const table::Table& table) {
     return Status::FailedPrecondition(
         "no lake index; call IndexLake/UseIndex before mutating");
   }
-  for (const LakeTable& t : tables_) {
-    if (!t.removed && t.name == table.name()) {
-      return Status::InvalidArgument(
-          "a live table named " + table.name() +
-          " is already indexed; RemoveTable it first to replace it");
-    }
-  }
+  DUST_RETURN_IF_ERROR(catalog_.Add(table));
+  const size_t table_index = catalog_.size() - 1;
   std::vector<la::Vec> rows = encoder_->EncodeTableRows(table);
-  const size_t first = index_->size();
-  const size_t table_index = tables_.size();
   index_->AddAll(rows);
   for (size_t r = 0; r < rows.size(); ++r) {
     refs_.push_back({table_index, r});
   }
-  tables_.push_back(
-      {table.name(), table.num_columns(), table.num_rows(), first, false});
-  num_tables_ = tables_.size();
-  if (config_.cascade.enabled) {
-    lake_signatures_.push_back(cascade::SignatureOf(table));
-    if (config_.cascade.prescreen) {
-      lake_sketches_.emplace_back(cascade::TableValueSample(table),
-                                  config_.cascade.minhash_hashes,
-                                  config_.cascade.minhash_seed);
-    }
-  }
-  ++mutations_;
   RecomputeLakeHash();
   return Status::Ok();
 }
@@ -233,15 +183,6 @@ Status TupleSearch::CompactIndex() {
     }
   }
   refs_ = std::move(live_refs);
-  // Renumber the live tables' ranges. Tables were only ever appended, so
-  // live entries stay in ascending tuple-id order and the new first id is a
-  // running prefix sum over live row counts.
-  size_t next = 0;
-  for (LakeTable& t : tables_) {
-    if (t.removed) continue;
-    t.first_tuple_id = next;
-    next += t.num_rows;
-  }
   index_ = std::move(compacted).value();
   // lake_hash_ stays untouched on purpose: the set of live tuples and all
   // similarities are identical, so results cached pre-compaction remain
@@ -249,59 +190,15 @@ Status TupleSearch::CompactIndex() {
   return Status::Ok();
 }
 
-void TupleSearch::RebuildCascadeSignals(
-    const std::vector<const table::Table*>& lake) {
-  lake_signatures_.clear();
-  lake_sketches_.clear();
-  if (!config_.cascade.enabled) return;
-  lake_signatures_.reserve(lake.size());
-  for (const table::Table* t : lake) {
-    lake_signatures_.push_back(cascade::SignatureOf(*t));
-  }
-  if (config_.cascade.prescreen) {
-    lake_sketches_.reserve(lake.size());
-    for (const table::Table* t : lake) {
-      lake_sketches_.emplace_back(cascade::TableValueSample(*t),
-                                  config_.cascade.minhash_hashes,
-                                  config_.cascade.minhash_seed);
-    }
-  }
-}
-
 Status TupleSearch::CascadeAllowedTables(const table::Table& query,
                                          std::vector<char>* allowed) const {
   allowed->clear();
   if (!config_.cascade.enabled) return Status::Ok();
-  const bool prefilter =
-      config_.cascade.prefilter && !lake_signatures_.empty();
-  const bool prescreen = config_.cascade.prescreen && !lake_sketches_.empty();
-  if (!prefilter && !prescreen) return Status::Ok();
   cascade::CandidateSet set;
-  set.n = num_tables_;
-  set.tables.reserve(num_tables_);
-  // Removed tables never enter the candidate set — their tuples are
-  // tombstoned anyway, but excluding them here keeps the stages from
-  // scoring signatures of tables that cannot contribute hits.
-  for (size_t t = 0; t < num_tables_; ++t) {
-    if (t < tables_.size() && tables_[t].removed) continue;
-    set.tables.push_back(t);
-  }
-  std::vector<const cascade::CandidateStage*> stages;
-  if (prefilter) {
-    set.query_signature = cascade::SignatureOf(query);
-    stages.push_back(&prefilter_stage_);
-  }
-  MinHashSketch query_sketch;
-  if (prescreen) {
-    query_sketch = MinHashSketch(cascade::TableValueSample(query),
-                                 config_.cascade.minhash_hashes,
-                                 config_.cascade.minhash_seed);
-    set.query_sketch = &query_sketch;
-    stages.push_back(&prescreen_stage_);
-  }
-  DUST_RETURN_IF_ERROR(cascade_.Run(stages, set, nullptr));
-  if (set.tables.size() >= num_tables_) return Status::Ok();  // no pruning
-  allowed->assign(num_tables_, 0);
+  DUST_RETURN_IF_ERROR(catalog_.Prefilter(query, cascade_, &set, nullptr));
+  const size_t num_tables = catalog_.size();
+  if (set.tables.size() >= num_tables) return Status::Ok();  // no pruning
+  allowed->assign(num_tables, 0);
   for (size_t t : set.tables) (*allowed)[t] = 1;
   return Status::Ok();
 }
@@ -317,8 +214,8 @@ std::string TupleSearch::CascadeStatsSummary() const {
 }
 
 uint64_t TupleSearch::QueryFingerprint(const table::Table& query) const {
-  uint64_t h = ChainHash(0, std::string("dust-query-fp-v1"));
-  h = ChainHash(h, query.num_rows());
+  uint64_t h = text::ChainHash(0, "dust-query-fp-v1");
+  h = text::ChainHash(h, query.num_rows());
   for (const la::Vec& row : encoder_->EncodeTableRows(query)) {
     const auto* bytes = reinterpret_cast<const char*>(row.data());
     h = text::HashString(
@@ -328,15 +225,15 @@ uint64_t TupleSearch::QueryFingerprint(const table::Table& query) const {
 }
 
 uint64_t TupleSearch::ConfigHash() const {
-  uint64_t h = ChainHash(0, std::string("dust-tuple-config-v1"));
-  h = ChainHash(h, config_.index_type);
-  h = ChainHash(h, config_.per_query_candidates);
-  h = ChainHash(h, config_.index_options.hnsw_m);
-  h = ChainHash(h, config_.index_options.hnsw_ef_search);
-  h = ChainHash(h, config_.index_options.ivf_nlist);
-  h = ChainHash(h, config_.index_options.ivf_nprobe);
-  h = ChainHash(h, encoder_->name());
-  h = ChainHash(h, encoder_->dim());
+  uint64_t h = text::ChainHash(0, "dust-tuple-config-v1");
+  h = text::ChainHash(h, config_.index_type);
+  h = text::ChainHash(h, config_.per_query_candidates);
+  h = text::ChainHash(h, config_.index_options.hnsw_m);
+  h = text::ChainHash(h, config_.index_options.hnsw_ef_search);
+  h = text::ChainHash(h, config_.index_options.ivf_nlist);
+  h = text::ChainHash(h, config_.index_options.ivf_nprobe);
+  h = text::ChainHash(h, encoder_->name());
+  h = text::ChainHash(h, encoder_->dim());
   // Cascade knobs shape which tables may contribute hits, so cache entries
   // must not cross cascade configs.
   h = cascade::ChainCascadeConfig(h, config_.cascade);

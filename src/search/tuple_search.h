@@ -11,7 +11,7 @@
 #include "embed/tuple_encoder.h"
 #include "index/vector_index.h"
 #include "search/cascade/cascade_search.h"
-#include "search/cascade/stages.h"
+#include "search/lake_catalog.h"
 #include "table/table.h"
 #include "util/status.h"
 
@@ -66,7 +66,10 @@ class TupleSearch {
   /// size must equal the lake's total row count and its dim/metric must
   /// match the encoder (cosine). Builds refs_ and the lake-state hash
   /// exactly as IndexLake would, so caching and query semantics are
-  /// unchanged.
+  /// unchanged. A table whose tuples are all tombstoned in `index` (saved
+  /// after RemoveTable, before CompactIndex) stays removed; a table with
+  /// only some tuples tombstoned is FailedPrecondition. A failed call
+  /// changes nothing.
   Status UseIndex(std::unique_ptr<index::VectorIndex> index,
                   const std::vector<const table::Table*>& lake);
 
@@ -111,18 +114,10 @@ class TupleSearch {
   size_t lake_tombstoned_vectors() const {
     return index_ ? index_->num_tombstones() : 0;
   }
-  /// Count of RemoveTable/AddTable calls since the lake was (re)indexed.
-  uint64_t lake_mutations() const { return mutations_; }
-
-  /// Tables ever indexed (removed ones keep their slot so TupleRef
-  /// table_index values stay stable across mutations).
-  size_t num_tables() const { return tables_.size(); }
-  const std::string& table_name(size_t table_index) const {
-    return tables_[table_index].name;
-  }
-  bool table_removed(size_t table_index) const {
-    return tables_[table_index].removed;
-  }
+  /// Every table ever indexed (a removed one keeps its slot, so TupleRef
+  /// table_index values stay stable) and the count of RemoveTable/AddTable
+  /// calls since the lake was (re)indexed.
+  const LakeCatalog& catalog() const { return catalog_; }
 
   /// Top-k lake tuples by maximum cosine similarity to any query tuple.
   /// A bad request is rejected, never fatal: FailedPrecondition before
@@ -185,44 +180,18 @@ class TupleSearch {
   /// test entirely); otherwise allowed[t] != 0 marks survivors.
   Status CascadeAllowedTables(const table::Table& query,
                               std::vector<char>* allowed) const;
-  /// Rebuilds the cascade's lake-side signals (type signatures, value
-  /// sketches) from raw tables; cleared when the cascade is disabled.
-  void RebuildCascadeSignals(const std::vector<const table::Table*>& lake);
-
-  /// Shape of one indexed lake table, retained across mutations. Removed
-  /// tables keep their slot (table_index stability) but leave the hash and
-  /// the cascade candidate set.
-  struct LakeTable {
-    std::string name;
-    size_t num_columns = 0;
-    size_t num_rows = 0;
-    /// Tuple id of the table's first row at index time (pre-compaction ids
-    /// until CompactIndex renumbers).
-    size_t first_tuple_id = 0;
-    bool removed = false;
-  };
-
-  /// Rebuilds tables_ from a freshly (re)indexed lake and resets the
-  /// mutation counter.
-  void ResetLakeTables(const std::vector<const table::Table*>& lake);
-  /// Recomputes lake_hash_ from the live tables_ entries + mutations_.
+  /// Recomputes lake_hash_ from the catalog's live tables and mutations.
   void RecomputeLakeHash();
 
   std::shared_ptr<embed::TupleEncoder> encoder_;
   TupleSearchConfig config_;
   std::unique_ptr<index::VectorIndex> index_;
+  /// Tuple id -> (table slot, row); the only tuple-to-table map, kept in
+  /// step with the index through mutations and compaction.
   std::vector<table::TupleRef> refs_;
   uint64_t lake_hash_ = 0;
-  size_t num_tables_ = 0;
-  std::vector<LakeTable> tables_;
-  uint64_t mutations_ = 0;
-  std::vector<cascade::TableSignature> lake_signatures_;
-  std::vector<MinHashSketch> lake_sketches_;
+  LakeCatalog catalog_{config_.cascade};
   cascade::CascadeSearch cascade_{{"prefilter", "prescreen"}};
-  cascade::TypePrefilterStage prefilter_stage_{&lake_signatures_,
-                                               &config_.cascade};
-  cascade::MinHashPrescreenStage prescreen_stage_{&lake_sketches_,
-                                                  &config_.cascade};
 };
 
 }  // namespace dust::search

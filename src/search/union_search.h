@@ -60,24 +60,6 @@ class UnionSearch {
   /// ignore it. Install during setup, before concurrent traffic.
   virtual void SetExecutor(serve::Executor* executor) { (void)executor; }
 
-  /// Removes the live lake table named `name` from the engine's view:
-  /// after it succeeds, SearchTables never returns the table again.
-  /// NotFound when no live table carries the name. Mutations are not
-  /// synchronized against in-flight SearchTables calls — quiesce first.
-  /// Engines without mutation support keep the Unimplemented default.
-  virtual Status RemoveTable(const std::string& name) {
-    return Status::Unimplemented(this->name() + " does not support removing " +
-                                 name);
-  }
-
-  /// Appends `table` to the engine's view without re-indexing the lake;
-  /// its index becomes the next table_index. InvalidArgument when a live
-  /// table already carries the name.
-  virtual Status AddTable(const table::Table& table) {
-    return Status::Unimplemented(name() + " does not support adding " +
-                                 table.name());
-  }
-
   /// Cumulative per-stage statistics of the engine's retrieval cascade,
   /// human-readable; engines without a staged retrieval path return empty.
   virtual std::string CascadeStatsSummary() const { return std::string(); }

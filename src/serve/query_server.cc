@@ -92,7 +92,7 @@ void QueryServer::RegisterMetrics() {
     return static_cast<double>(search_->lake_tombstoned_vectors());
   });
   metrics_.RegisterCallback("dust_lake_mutations_total", [this] {
-    return static_cast<double>(search_->lake_mutations());
+    return static_cast<double>(search_->catalog().mutations());
   });
   if (cache_ != nullptr) cache_->RegisterWith(&metrics_);
   // Cascade stage instruments (dust_cascade_stage_*) live in the search

@@ -1,6 +1,7 @@
 #include "text/hashing.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 
 #include "util/rng.h"
@@ -17,6 +18,21 @@ uint64_t HashString(std::string_view s, uint64_t seed) {
   // Final avalanche so low bits are well mixed for modulo indexing.
   return SplitMix64(h);
 }
+
+uint64_t ChainHash(uint64_t h, uint64_t v) {
+  char bytes[sizeof(v)];
+  std::memcpy(bytes, &v, sizeof(v));
+  return HashString(std::string_view(bytes, sizeof(v)), h);
+}
+
+uint64_t ChainHash(uint64_t h, double v) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(v));
+  return ChainHash(h, bits);
+}
+
+uint64_t ChainHash(uint64_t h, std::string_view s) { return HashString(s, h); }
 
 namespace {
 inline void HashOne(std::string_view token, size_t dim, uint64_t seed,

@@ -19,6 +19,14 @@ namespace dust::text {
 /// FNV-1a 64-bit hash, optionally mixed with a seed.
 uint64_t HashString(std::string_view s, uint64_t seed = 0);
 
+/// Chains one value into a running hash: HashString over the value's bytes
+/// (a double's bit pattern) with `h` as the seed. The staleness, config and
+/// lake-state hashes are all built this way and are persisted in snapshot
+/// headers and cache keys, so changing the scheme invalidates them.
+uint64_t ChainHash(uint64_t h, uint64_t v);
+uint64_t ChainHash(uint64_t h, double v);
+uint64_t ChainHash(uint64_t h, std::string_view s);
+
 /// Feature-hashes `tokens` into a `dim`-dimensional vector: token t adds
 /// weight * sign(t) at index h(t) % dim. Deterministic in (token, seed).
 std::vector<float> HashTokensToVector(const std::vector<std::string>& tokens,

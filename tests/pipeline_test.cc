@@ -12,6 +12,7 @@
 #include "datagen/tus_generator.h"
 #include "diversify/metrics.h"
 #include "embed/tuple_encoder.h"
+#include "io/index_io.h"
 #include "la/simd/kernels.h"
 #include "search/tuple_search.h"
 #include "table/union.h"
@@ -234,10 +235,10 @@ TEST_F(PipelineFixture, ShardedSnapshotRoundTripServesIdenticalResults) {
   DustPipeline offline(config, TestEncoder());
   offline.IndexLake(*lake_);
   const std::string path = SnapshotPath("pipeline_snapshot_sharded.bin");
-  ASSERT_TRUE(SavePipelineSnapshot(offline, path).ok());
+  ASSERT_TRUE(offline.SaveSnapshot(path).ok());
 
   DustPipeline online(config, TestEncoder());
-  Status loaded = LoadPipelineSnapshot(&online, path, *lake_);
+  Status loaded = online.LoadSnapshot(path, *lake_);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
     const Table& query = benchmark_->queries[q].data;
@@ -260,14 +261,14 @@ TEST_F(PipelineFixture, ShardedSnapshotRoundTripServesIdenticalResults) {
   PipelineConfig drifted = config;
   drifted.search_shards = 4;
   DustPipeline wrong_shards(drifted, TestEncoder());
-  Status stale = LoadPipelineSnapshot(&wrong_shards, path, *lake_);
+  Status stale = wrong_shards.LoadSnapshot(path, *lake_);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
 
   PipelineConfig detuned = config;
   detuned.hnsw_ef_search = 0;
   DustPipeline wrong_knob(detuned, TestEncoder());
-  stale = LoadPipelineSnapshot(&wrong_knob, path, *lake_);
+  stale = wrong_knob.LoadSnapshot(path, *lake_);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
 }
@@ -283,12 +284,12 @@ TEST_F(PipelineFixture, SnapshotRoundTripServesIdenticalResults) {
   DustPipeline offline(config, TestEncoder());
   offline.IndexLake(*lake_);
   const std::string path = SnapshotPath("pipeline_snapshot.bin");
-  ASSERT_TRUE(SavePipelineSnapshot(offline, path).ok());
+  ASSERT_TRUE(offline.SaveSnapshot(path).ok());
 
   // The serving process: same config, no IndexLake — it restores the
   // snapshot instead of re-embedding the lake.
   DustPipeline online(config, TestEncoder());
-  Status loaded = LoadPipelineSnapshot(&online, path, *lake_);
+  Status loaded = online.LoadSnapshot(path, *lake_);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
 
   for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
@@ -395,6 +396,30 @@ TEST_F(PipelineFixture, SaveSnapshotBeforeIndexLakeFails) {
   EXPECT_EQ(saved.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST_F(PipelineFixture, SnapshotHeaderHashIsPinned) {
+  // The staleness hash SaveSnapshot writes must survive refactors of the
+  // hashing code, or every snapshot already on disk turns stale. It
+  // depends only on config and table shapes, so one constant serves both
+  // SIMD backends.
+  for (const bool cascade : {false, true}) {
+    PipelineConfig config;
+    config.num_tables = 5;
+    config.cascade.enabled = cascade;
+    DustPipeline pipeline(config, TestEncoder());
+    pipeline.IndexLake(*lake_);
+    const std::string path = SnapshotPath("pipeline_snapshot_header.bin");
+    ASSERT_TRUE(pipeline.SaveSnapshot(path).ok());
+    io::IndexReader reader(path);
+    ASSERT_TRUE(reader.ExpectMagic(io::kSnapshotMagic, "DUST snapshot").ok());
+    uint32_t version = 0;
+    ASSERT_TRUE(reader.ReadU32(&version).ok());
+    uint64_t hash = 0;
+    ASSERT_TRUE(reader.ReadU64(&hash).ok());
+    EXPECT_EQ(hash, cascade ? 0x56172adc7ffa513full : 0x1b6ecb763db5cdffull)
+        << "cascade " << cascade;
+  }
+}
+
 // --- retrieval cascade ------------------------------------------------------
 
 TEST_F(PipelineFixture, CascadeWithPrefiltersOffIsBitIdenticalToFlat) {
@@ -469,12 +494,12 @@ TEST_F(PipelineFixture, CascadeSnapshotRoundTripServesIdenticalResults) {
   DustPipeline offline(config, TestEncoder());
   offline.IndexLake(*lake_);
   const std::string path = SnapshotPath("pipeline_snapshot_cascade.bin");
-  ASSERT_TRUE(SavePipelineSnapshot(offline, path).ok());
+  ASSERT_TRUE(offline.SaveSnapshot(path).ok());
 
   // The serving process restores the persisted signals (type signatures,
   // MinHash sketches) instead of re-deriving them from the lake.
   DustPipeline online(config, TestEncoder());
-  Status loaded = LoadPipelineSnapshot(&online, path, *lake_);
+  Status loaded = online.LoadSnapshot(path, *lake_);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
     const Table& query = benchmark_->queries[q].data;
@@ -503,14 +528,14 @@ TEST_F(PipelineFixture, CascadeKnobDriftRejectsSnapshot) {
   DustPipeline offline(config, TestEncoder());
   offline.IndexLake(*lake_);
   const std::string path = SnapshotPath("pipeline_snapshot_cascade_knob.bin");
-  ASSERT_TRUE(SavePipelineSnapshot(offline, path).ok());
+  ASSERT_TRUE(offline.SaveSnapshot(path).ok());
 
   // Every cascade knob shapes results, so each is in the staleness hash: a
   // server tuned differently must rebuild, not silently serve stale state.
   PipelineConfig retuned = config;
   retuned.cascade.prescreen_keep = 16;
   DustPipeline wrong_keep(retuned, TestEncoder());
-  Status stale = LoadPipelineSnapshot(&wrong_keep, path, *lake_);
+  Status stale = wrong_keep.LoadSnapshot(path, *lake_);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
 
@@ -518,7 +543,7 @@ TEST_F(PipelineFixture, CascadeKnobDriftRejectsSnapshot) {
   PipelineConfig disabled = config;
   disabled.cascade.enabled = false;
   DustPipeline no_cascade(disabled, TestEncoder());
-  stale = LoadPipelineSnapshot(&no_cascade, path, *lake_);
+  stale = no_cascade.LoadSnapshot(path, *lake_);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
 }

@@ -1,6 +1,6 @@
 // Unit tests for src/search: MinHash, D3L-style and Starmie-style union
 // search, tuple-level search, and lake mutations (RemoveTable/AddTable/
-// CompactIndex) with their staleness-hash contract.
+// CompactIndex/UseIndex) with their staleness-hash contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -228,6 +228,14 @@ TEST(TupleSearchTest, HonorsK) {
 
 // --- lake mutations ---------------------------------------------------------
 
+// The 16-dimensional tuple encoder of the mutation tests below.
+std::shared_ptr<embed::TupleEncoder> SmallEncoder() {
+  return std::make_shared<embed::PretrainedTupleEncoder>(
+      std::shared_ptr<embed::TextEmbedder>(embed::MakeEmbedder(
+          embed::ModelFamily::kBert,
+          embed::DefaultConfigFor(embed::ModelFamily::kBert, 16))));
+}
+
 // Two small disjoint tables plus a TupleSearch over them, shared by the
 // mutation tests below.
 struct MutableLake {
@@ -235,11 +243,7 @@ struct MutableLake {
   Table b{"b"};
   TupleSearch search;
 
-  MutableLake()
-      : search(std::make_shared<embed::PretrainedTupleEncoder>(
-            std::shared_ptr<embed::TextEmbedder>(embed::MakeEmbedder(
-                embed::ModelFamily::kBert,
-                embed::DefaultConfigFor(embed::ModelFamily::kBert, 16))))) {
+  MutableLake() : search(SmallEncoder()) {
     EXPECT_TRUE(a.AddColumn("X", {Value("apple"), Value("avocado")}).ok());
     EXPECT_TRUE(b.AddColumn("X", {Value("banana"), Value("blueberry"),
                                   Value("bilberry")}).ok());
@@ -263,7 +267,7 @@ TEST(TupleMutationTest, RemoveTableDropsItsTuplesAndBumpsHash) {
       << "a mutated lake must not reuse the pre-mutation hash";
   EXPECT_EQ(lake.search.lake_live_vectors(), 2u);
   EXPECT_EQ(lake.search.lake_tombstoned_vectors(), 3u);
-  EXPECT_EQ(lake.search.lake_mutations(), 1u);
+  EXPECT_EQ(lake.search.catalog().mutations(), 1u);
 
   // Even a query aimed squarely at the removed table only sees survivors.
   auto hits = lake.Query("banana", 5);
@@ -298,7 +302,7 @@ TEST(TupleMutationTest, ReAddUnderSameNameGetsAFreshHash) {
                                  Value("bilberry")}).ok());
   ASSERT_TRUE(lake.search.AddTable(b2).ok());
   EXPECT_NE(lake.search.LakeStateHash(), fresh_hash);
-  EXPECT_EQ(lake.search.lake_mutations(), 2u);
+  EXPECT_EQ(lake.search.catalog().mutations(), 2u);
 
   // The re-added copy serves from its new slot, not the tombstoned one.
   auto hits = lake.Query("banana", 6);
@@ -317,10 +321,7 @@ TEST(TupleMutationTest, MutationErrorPaths) {
   EXPECT_EQ(lake.search.AddTable(dup).code(), StatusCode::kInvalidArgument)
       << "a live table already owns the name";
 
-  TupleSearch unindexed(std::make_shared<embed::PretrainedTupleEncoder>(
-      std::shared_ptr<embed::TextEmbedder>(embed::MakeEmbedder(
-          embed::ModelFamily::kBert,
-          embed::DefaultConfigFor(embed::ModelFamily::kBert, 16)))));
+  TupleSearch unindexed(SmallEncoder());
   EXPECT_EQ(unindexed.RemoveTable("a").code(),
             StatusCode::kFailedPrecondition);
 }
@@ -348,13 +349,111 @@ TEST(TupleMutationTest, CompactPreservesResultsAndHash) {
   }
 }
 
+TEST(TupleMutationTest, LakeStateAndConfigHashesArePinned) {
+  // Cache keys carry these hashes, so a refactor of the lake bookkeeping
+  // must keep every value. They depend only on config and table shapes,
+  // so one constant serves both SIMD backends.
+  MutableLake lake;
+  EXPECT_EQ(lake.search.LakeStateHash(), 0xab03f134f362f025ull);
+  ASSERT_TRUE(lake.search.RemoveTable("b").ok());
+  EXPECT_EQ(lake.search.LakeStateHash(), 0x43868f0d8dd1f702ull);
+  Table c("c");
+  ASSERT_TRUE(c.AddColumn("X", {Value("cherry")}).ok());
+  ASSERT_TRUE(lake.search.AddTable(c).ok());
+  EXPECT_EQ(lake.search.LakeStateHash(), 0xadb91c9be6566148ull);
+
+  EXPECT_EQ(lake.search.ConfigHash(), 0xfbd21ae3cb6321ebull);
+  TupleSearchConfig cascade_on;
+  cascade_on.cascade.enabled = true;
+  TupleSearch with_cascade(SmallEncoder(), cascade_on);
+  EXPECT_EQ(with_cascade.ConfigHash(), 0x40e09553a6e97d14ull);
+}
+
+// Saves `search`'s lake index to a file and loads it back: the path a
+// serving process takes with --save-tuple-index / --load-tuple-index.
+std::unique_ptr<index::VectorIndex> SaveAndReload(const TupleSearch& search,
+                                                  const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  EXPECT_TRUE(io::SaveIndex(*search.lake_index(), path).ok());
+  return io::LoadIndex(path).ValueOrDie();
+}
+
+TEST(TupleMutationTest, UseIndexKeepsTablesRemovedBeforeTheSave) {
+  // a(2) b(3) c(2) d(2); b is removed, and the index is saved before any
+  // compaction, so it still carries b's tombstones.
+  MutableLake lake;
+  Table c("c");
+  Table d("d");
+  ASSERT_TRUE(c.AddColumn("X", {Value("cherry"), Value("coconut")}).ok());
+  ASSERT_TRUE(d.AddColumn("X", {Value("date"), Value("durian")}).ok());
+  const std::vector<const Table*> tables = {&lake.a, &lake.b, &c, &d};
+  lake.search.IndexLake(tables);
+  ASSERT_TRUE(lake.search.RemoveTable("b").ok());
+
+  TupleSearch reloaded(SmallEncoder());
+  Status used = reloaded.UseIndex(SaveAndReload(lake.search, "b_dead.tidx"),
+                                  tables);
+  ASSERT_TRUE(used.ok()) << used.ToString();
+  EXPECT_EQ(reloaded.RemoveTable("b").code(), StatusCode::kNotFound)
+      << "b was removed before the save";
+
+  // Compaction renumbers the tuples; removing c must then tombstone
+  // exactly c's two tuples, not d's.
+  ASSERT_TRUE(reloaded.CompactIndex().ok());
+  ASSERT_EQ(reloaded.lake_live_vectors(), 6u);
+  ASSERT_TRUE(reloaded.RemoveTable("c").ok());
+  EXPECT_EQ(reloaded.lake_live_vectors(), 4u);
+  Table query("q");
+  ASSERT_TRUE(query.AddColumn("X", {Value("durian")}).ok());
+  std::vector<TupleHit> hits =
+      reloaded.SearchTuplesChecked(query, 10).ValueOrDie();
+  ASSERT_EQ(hits.size(), 4u);
+  EXPECT_EQ(hits[0].ref, (table::TupleRef{3, 1})) << "the exact match";
+  for (const TupleHit& hit : hits) {
+    EXPECT_TRUE(hit.ref.table_index == 0 || hit.ref.table_index == 3)
+        << "hit from removed table " << hit.ref.table_index;
+  }
+
+  // b's name is free again, so it can be re-added.
+  ASSERT_TRUE(reloaded.AddTable(lake.b).ok());
+  EXPECT_EQ(reloaded.lake_live_vectors(), 7u);
+}
+
+TEST(TupleMutationTest, UseIndexRejectsAPartlyTombstonedTable) {
+  MutableLake lake;
+  std::unique_ptr<index::VectorIndex> partly_dead =
+      SaveAndReload(lake.search, "b_partly_dead.tidx");
+  ASSERT_TRUE(partly_dead->Remove(3));  // b's second tuple only
+
+  ASSERT_TRUE(lake.search.RemoveTable("a").ok());
+  const uint64_t hash = lake.search.LakeStateHash();
+  const index::VectorIndex* installed = lake.search.lake_index();
+  const std::vector<TupleHit> before = lake.Query("banana", 5);
+
+  Status used =
+      lake.search.UseIndex(std::move(partly_dead), {&lake.a, &lake.b});
+  EXPECT_EQ(used.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(used.message().find("table b"), std::string::npos)
+      << used.ToString();
+  // A failed call changes nothing.
+  EXPECT_EQ(lake.search.LakeStateHash(), hash);
+  EXPECT_EQ(lake.search.lake_index(), installed);
+  EXPECT_EQ(lake.search.num_indexed(), 5u);
+  EXPECT_EQ(lake.search.RemoveTable("a").code(), StatusCode::kNotFound);
+  const std::vector<TupleHit> after = lake.Query("banana", 5);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].ref, before[i].ref) << "rank " << i;
+  }
+}
+
 TEST_F(SearchFixture, EmbeddingRemoveTableExcludesItFromResults) {
   EmbeddingUnionSearch search;
   search.IndexLake(*lake_);
   const size_t victim = benchmark_->unionable[0].front();
   const std::string victim_name = (*lake_)[victim]->name();
   ASSERT_TRUE(search.RemoveTable(victim_name).ok());
-  EXPECT_EQ(search.num_live_tables(), lake_->size() - 1);
+  EXPECT_EQ(search.catalog().num_live(), lake_->size() - 1);
   auto hits = search.SearchTables(benchmark_->queries[0].data,
                                   lake_->size());
   EXPECT_EQ(hits.size(), lake_->size() - 1);
@@ -371,7 +470,7 @@ TEST_F(SearchFixture, EmbeddingAddTableBecomesSearchable) {
   const size_t victim = benchmark_->unionable[1].front();
   ASSERT_TRUE(search.RemoveTable((*lake_)[victim]->name()).ok());
   ASSERT_TRUE(search.AddTable(*(*lake_)[victim]).ok());
-  EXPECT_EQ(search.num_live_tables(), lake_->size());
+  EXPECT_EQ(search.catalog().num_live(), lake_->size());
   auto hits = search.SearchTables(benchmark_->queries[1].data, 4);
   bool found_readded = false;
   for (const TableHit& h : hits) {
@@ -407,6 +506,17 @@ TEST_F(SearchFixture, EmbeddingMutationsRejectedAfterSnapshotRestore) {
   Table extra("extra");
   EXPECT_TRUE(extra.AddColumn("X", {Value("z")}).ok());
   EXPECT_EQ(restored.AddTable(extra).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(SearchFixture, EmbeddingSaveStateRefusesRemovedTables) {
+  // Snapshots carry no removed flags: a saved engine with a removed table
+  // would bring the table back on LoadState.
+  EmbeddingUnionSearch search;
+  search.IndexLake(*lake_);
+  ASSERT_TRUE(search.RemoveTable((*lake_)[0]->name()).ok());
+  io::IndexWriter writer(::testing::TempDir() + "embed_removed_state.bin");
+  EXPECT_EQ(search.SaveState(&writer).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -507,6 +617,104 @@ TEST(EmbeddingSearchWideLakeTest, RerankEqualsExhaustiveMatching) {
   expect_exhaustive("pooled, top hit removed");
   search.SetExecutor(nullptr);
   expect_exhaustive("inline, top hit removed");
+}
+
+// --- cascade signals appended by AddTable -----------------------------------
+
+TEST(TupleMutationTest, CascadeAfterAddTableMatchesAFreshIndex) {
+  // Six two-row tables; the prescreen keeps two, so a query returns the
+  // tuples of two tables at most, and the added table's sketch decides
+  // whether it is one of them.
+  const std::vector<std::vector<std::string>> cells = {
+      {"apple", "apricot"}, {"banana", "blueberry"}, {"cherry", "cranberry"},
+      {"date", "durian"},   {"elderberry", "fig"},   {"grape", "guava"}};
+  std::vector<Table> tables;
+  for (size_t t = 0; t < cells.size(); ++t) {
+    tables.emplace_back(std::string(1, static_cast<char>('a' + t)));
+    ASSERT_TRUE(tables.back()
+                    .AddColumn("X", {Value(cells[t][0]), Value(cells[t][1])})
+                    .ok());
+  }
+  std::vector<const Table*> lake;
+  for (const Table& t : tables) lake.push_back(&t);
+  const std::shared_ptr<embed::TupleEncoder> encoder = SmallEncoder();
+  TupleSearchConfig config;
+  config.cascade.enabled = true;
+  config.cascade.prescreen_keep = 2;
+  TupleSearch fresh(encoder, config);
+  fresh.IndexLake(lake);
+  TupleSearch mutated(encoder, config);
+  mutated.IndexLake({lake.begin(), lake.end() - 1});
+  ASSERT_TRUE(mutated.AddTable(*lake.back()).ok());
+
+  for (const char* cell : {"guava", "grape", "apple", "durian", "fig"}) {
+    Table query("q");
+    ASSERT_TRUE(query.AddColumn("X", {Value(cell)}).ok());
+    Result<std::vector<TupleHit>> expected =
+        fresh.SearchTuplesChecked(query, 12);
+    Result<std::vector<TupleHit>> actual =
+        mutated.SearchTuplesChecked(query, 12);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ASSERT_FALSE(expected.value().empty()) << cell;
+    ASSERT_LE(expected.value().size(), 4u) << cell << ": nothing was pruned";
+    ASSERT_EQ(actual.value().size(), expected.value().size()) << cell;
+    for (size_t i = 0; i < expected.value().size(); ++i) {
+      EXPECT_EQ(actual.value()[i].ref, expected.value()[i].ref)
+          << cell << " rank " << i;
+      EXPECT_EQ(Bits(actual.value()[i].similarity),
+                Bits(expected.value()[i].similarity))
+          << cell << " rank " << i;
+    }
+  }
+}
+
+TEST_F(SearchFixture, EmbeddingCascadeAfterAddTableMatchesAFreshIndex) {
+  // The added table is unionable with query 0, so it survives the
+  // prefilter; the prescreen keeps fewer tables than are live.
+  EmbeddingSearchConfig config;
+  config.cascade.enabled = true;
+  config.cascade.prescreen_keep = 4;
+  const size_t added = benchmark_->unionable[0].front();
+  std::vector<const Table*> base;
+  for (size_t t = 0; t < lake_->size(); ++t) {
+    if (t != added) base.push_back((*lake_)[t]);
+  }
+  std::vector<const Table*> full = base;
+  full.push_back((*lake_)[added]);
+  EmbeddingUnionSearch fresh(config);
+  fresh.IndexLake(full);
+  EmbeddingUnionSearch mutated(config);
+  mutated.IndexLake(base);
+  ASSERT_TRUE(mutated.AddTable(*(*lake_)[added]).ok());
+
+  for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
+    const Table& query = benchmark_->queries[q].data;
+    const std::vector<TableHit> expected = fresh.SearchTables(query, 4);
+    const std::vector<TableHit> actual = mutated.SearchTables(query, 4);
+    ASSERT_EQ(actual.size(), expected.size()) << "query " << q;
+    for (size_t r = 0; r < expected.size(); ++r) {
+      EXPECT_EQ(actual[r].table_index, expected[r].table_index)
+          << "query " << q << " rank " << r;
+      EXPECT_EQ(Bits(actual[r].score), Bits(expected[r].score))
+          << "query " << q << " rank " << r;
+    }
+    const std::vector<cascade::StageStats> expected_stats =
+        fresh.last_stage_stats();
+    const std::vector<cascade::StageStats> actual_stats =
+        mutated.last_stage_stats();
+    ASSERT_EQ(actual_stats.size(), 4u);
+    ASSERT_EQ(expected_stats.size(), 4u);
+    EXPECT_LT(expected_stats[1].out, expected_stats[1].in)
+        << "query " << q << ": the prescreen pruned nothing";
+    for (size_t s = 0; s < expected_stats.size(); ++s) {
+      EXPECT_EQ(actual_stats[s].stage, expected_stats[s].stage);
+      EXPECT_EQ(actual_stats[s].in, expected_stats[s].in)
+          << "query " << q << " stage " << expected_stats[s].stage;
+      EXPECT_EQ(actual_stats[s].out, expected_stats[s].out)
+          << "query " << q << " stage " << expected_stats[s].stage;
+    }
+  }
 }
 
 }  // namespace

@@ -840,7 +840,7 @@ TEST(QueryServerCacheTest, RemovedTableNeverServedFromCache) {
   // Delete the table the cached top hit came from. Mutations are not
   // synchronized against in-flight requests; none are in flight here.
   const size_t victim = first.value()[0].ref.table_index;
-  ASSERT_TRUE(search.RemoveTable(search.table_name(victim)).ok());
+  ASSERT_TRUE(search.RemoveTable(search.catalog().slot(victim).name).ok());
 
   auto after = server.Submit(query, 10).get();
   ASSERT_TRUE(after.ok());

@@ -636,7 +636,7 @@ bool DumpHitsFile(const std::string& path, const search::TupleSearch& search,
     static_assert(sizeof(bits) == sizeof(hit.similarity));
     std::memcpy(&bits, &hit.similarity, sizeof(bits));
     std::fprintf(f, "%s,%zu,%016llx\n",
-                 search.table_name(hit.ref.table_index).c_str(),
+                 search.catalog().slot(hit.ref.table_index).name.c_str(),
                  hit.ref.row_index, static_cast<unsigned long long>(bits));
   }
   return std::fclose(f) == 0;
@@ -702,7 +702,7 @@ bool ApplyLakeMutations(const CliOptions& options,
         "lake after mutations: %zu live / %zu tombstoned tuples, "
         "%llu mutations (lake-state hash %016llx)\n",
         search->lake_live_vectors(), search->lake_tombstoned_vectors(),
-        static_cast<unsigned long long>(search->lake_mutations()),
+        static_cast<unsigned long long>(search->catalog().mutations()),
         static_cast<unsigned long long>(search->LakeStateHash()));
   }
   return true;
@@ -980,10 +980,10 @@ int RunServeMode(const CliOptions& options,
     // baseline bit for bit (above), so it suffices that the baseline
     // itself never touched a tombstoned table.
     for (const search::TupleHit& hit : baseline) {
-      if (search.table_removed(hit.ref.table_index)) {
+      if (search.catalog().slot(hit.ref.table_index).removed) {
         std::fprintf(stderr,
                      "mutation check FAILED: hit from deleted table %s\n",
-                     search.table_name(hit.ref.table_index).c_str());
+                     search.catalog().slot(hit.ref.table_index).name.c_str());
         return 1;
       }
     }
@@ -1133,8 +1133,7 @@ int main(int argc, char** argv) {
     // Online serving: restore the offline-built embeddings + index instead
     // of re-embedding the lake. The CSVs above are still needed for
     // alignment and tuple materialization.
-    Status loaded =
-        core::LoadPipelineSnapshot(&pipeline, options.load_index_path, lake);
+    Status loaded = pipeline.LoadSnapshot(options.load_index_path, lake);
     if (!loaded.ok()) {
       std::fprintf(stderr, "cannot load index snapshot: %s\n",
                    loaded.ToString().c_str());
@@ -1147,8 +1146,7 @@ int main(int argc, char** argv) {
     std::printf("indexed lake in %.3fs\n", index_watch.Seconds());
   }
   if (!options.save_index_path.empty()) {
-    Status saved =
-        core::SavePipelineSnapshot(pipeline, options.save_index_path);
+    Status saved = pipeline.SaveSnapshot(options.save_index_path);
     if (!saved.ok()) {
       std::fprintf(stderr, "cannot save index snapshot: %s\n",
                    saved.ToString().c_str());
