@@ -6,7 +6,6 @@
 #include "search/cascade/cascade_search.h"
 #include "search/embedding_search.h"
 #include "search/overlap_search.h"
-#include "shard/sharded_index.h"
 #include "text/hashing.h"
 #include "util/stopwatch.h"
 
@@ -19,16 +18,6 @@ namespace {
 constexpr uint32_t kSnapshotFormatVersion = 2;
 
 }  // namespace
-
-std::string PipelineConfig::EffectiveSearchIndex() const {
-  if (search_shards == 0) return search_index;
-  // search_shards composes a sharded spec around the base type; a spec
-  // that is already sharded must not be wrapped again (nested sharding is
-  // rejected by the spec parser anyway).
-  DUST_CHECK(!shard::IsShardedSpec(search_index) &&
-             "search_shards set on an already-sharded search_index");
-  return "sharded:" + search_index + ":" + std::to_string(search_shards);
-}
 
 DustPipeline::DustPipeline(PipelineConfig config,
                            std::shared_ptr<embed::TupleEncoder> tuple_encoder)
@@ -46,7 +35,7 @@ DustPipeline::DustPipeline(PipelineConfig config,
   } else {
     // Fail fast on a typo'd index name or nonsense tuning knob here, where
     // the config enters the pipeline, rather than deep inside IndexLake.
-    const std::string index_spec = config_.EffectiveSearchIndex();
+    const std::string& index_spec = config_.search_index;
     DUST_CHECK(index::IsKnownIndexType(index_spec));
     search::EmbeddingSearchConfig embedding;
     embedding.encoder.dim = config_.embedding_dim;
@@ -58,8 +47,7 @@ DustPipeline::DustPipeline(PipelineConfig config,
     embedding.shortlist = config_.search_shortlist;
     if (index_spec != "flat" && config_.search_shortlist == 0) {
       // shortlist == 0 means "score everything exactly", which would make
-      // the requested approximate (or sharded) index a silent no-op; give
-      // it work.
+      // the requested approximate index a silent no-op; give it work.
       embedding.shortlist =
           PipelineConfig::DefaultShortlist(config_.num_tables);
     }
@@ -77,9 +65,7 @@ uint64_t DustPipeline::SnapshotHash(
     const std::vector<const table::Table*>& lake) const {
   uint64_t h = text::ChainHash(0, "dust-snapshot-v1");
   h = text::ChainHash(h, config_.engine);
-  // The effective spec folds search_shards in, so "flat" + 4 shards and a
-  // literal "sharded:flat:4" hash identically (they build the same index).
-  h = text::ChainHash(h, config_.EffectiveSearchIndex());
+  h = text::ChainHash(h, config_.search_index);
   h = text::ChainHash(h, config_.search_shortlist);
   h = text::ChainHash(h, config_.hnsw_m);
   h = text::ChainHash(h, config_.hnsw_ef_search);
@@ -112,8 +98,8 @@ Status DustPipeline::SaveSnapshot(const std::string& path) const {
   writer.WriteU32(kSnapshotFormatVersion);
   writer.WriteU64(SnapshotHash(lake_));
   // Id-to-lake-table mapping. Identity for the table-profile index today;
-  // kept explicit so tuple-level or sharded indexes (ROADMAP) can persist a
-  // non-trivial mapping without a format bump.
+  // kept explicit so a tuple-level index can persist a non-trivial mapping
+  // without a format bump.
   writer.WriteU64(lake_.size());
   for (size_t t = 0; t < lake_.size(); ++t) writer.WriteU64(t);
   DUST_RETURN_IF_ERROR(writer.status());

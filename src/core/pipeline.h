@@ -50,20 +50,13 @@ struct PipelineConfig {
   double min_table_score = 0.25;
   /// Union search engine: "starmie" (embedding) or "d3l" (overlap).
   std::string engine = "starmie";
-  /// Shortlist index for the starmie engine: "flat", "ivf", "hnsw", or a
-  /// full sharded spec such as "sharded:hnsw:4:hash".
+  /// Shortlist index for the starmie engine: "flat", "ivf", or "hnsw".
   std::string search_index = "flat";
   /// Candidates short-listed by that index before exact bipartite scoring.
-  /// 0 = score every lake table exactly when the effective search index is
-  /// "flat"; with any other index (approximate or sharded), 0 resolves to
-  /// DefaultShortlist(num_tables) so the index is never a silent no-op.
-  /// Ignored by the d3l engine.
+  /// 0 = score every lake table exactly when search_index is "flat"; with
+  /// an approximate index, 0 resolves to DefaultShortlist(num_tables) so
+  /// the index is never a silent no-op. Ignored by the d3l engine.
   size_t search_shortlist = 0;
-  /// Shards for the shortlist index. 0 = search_index as given; N >= 1
-  /// wraps it into "sharded:<search_index>:<N>" (round-robin placement —
-  /// spell out a full sharded spec in search_index for hash placement).
-  /// search_index must not already be a sharded spec when this is set.
-  size_t search_shards = 0;
   /// HNSW tuning knobs for the shortlist index (HnswConfig::M /
   /// ::ef_search; 0 keeps the defaults). Invalid values (M == 1) abort at
   /// pipeline construction — CLI and config loaders should pre-validate
@@ -83,9 +76,9 @@ struct PipelineConfig {
   static size_t DefaultShortlist(size_t num_tables) {
     return num_tables * 5 > 50 ? num_tables * 5 : 50;
   }
-  /// The index spec IndexLake actually builds: search_index, wrapped into
-  /// "sharded:<search_index>:<search_shards>" when search_shards > 0.
-  std::string EffectiveSearchIndex() const;
+  /// search_index. Kept only for perfbench's replay of the pipeline
+  /// constructor; new code reads search_index.
+  std::string EffectiveSearchIndex() const { return search_index; }
   /// Column embedding used for alignment (Column-level RoBERTa wins
   /// Table 1 and is DUST's choice, Sec. 6.2.4).
   embed::ModelFamily column_model = embed::ModelFamily::kRoberta;
@@ -143,10 +136,10 @@ class DustPipeline {
   /// Runs Algorithm 1 for one query, returning `k` diverse tuples.
   Result<PipelineResult> Run(const table::Table& query, size_t k) const;
 
-  /// Routes the search engine's index fan-out (e.g. a sharded shortlist's
-  /// per-query scatter) through a shared thread pool, so a serving process
-  /// creates zero threads per Run. Install once before concurrent traffic;
-  /// the executor must outlive the pipeline or be unset first.
+  /// Routes the search engine's rerank bound pass (and its shortlist
+  /// index's batch fan-out) through a shared thread pool, so a serving
+  /// process creates zero threads per Run. Install once before concurrent
+  /// traffic; the executor must outlive the pipeline or be unset first.
   void SetExecutor(serve::Executor* executor) {
     search_->SetExecutor(executor);
   }

@@ -7,7 +7,6 @@
 #include "index/ivf_index.h"
 #include "io/index_io.h"
 #include "serve/executor.h"
-#include "shard/sharded_index.h"
 #include "util/status.h"
 
 namespace dust::index {
@@ -56,17 +55,9 @@ Status VectorIndex::ApplyTombstones(const std::vector<size_t>& ids) {
   return Status::Ok();
 }
 
-bool VectorIndex::GetVector(size_t /*id*/, la::Vec* /*out*/) const {
-  return false;
-}
-
 Result<std::unique_ptr<VectorIndex>> VectorIndex::Compact(
     std::vector<size_t>* remap) const {
   std::unique_ptr<VectorIndex> compacted = CloneEmpty();
-  if (compacted == nullptr) {
-    return Status::Unimplemented("index type " + type_tag() +
-                                 " does not support compaction");
-  }
   remap->assign(size(), kInvalidId);
   std::vector<la::Vec> live;
   live.reserve(live_size());
@@ -140,13 +131,6 @@ std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
   // loudly rather than silently serving a linear scan.
   DUST_CHECK(IsKnownIndexType(type) && "unknown vector index type");
   DUST_CHECK(ValidateIndexOptions(options).ok() && "invalid index options");
-  if (shard::IsShardedSpec(type)) {
-    shard::ShardedIndexConfig config;
-    DUST_CHECK(shard::ParseShardedSpec(type, &config));
-    config.child_options = options;
-    return std::make_unique<shard::ShardedIndex>(dim, metric,
-                                                 std::move(config));
-  }
   if (type == "flat") return std::make_unique<FlatIndex>(dim, metric);
   if (type == "hnsw") {
     HnswConfig config;
@@ -165,10 +149,6 @@ std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
 }
 
 bool IsKnownIndexType(const std::string& type) {
-  if (shard::IsShardedSpec(type)) {
-    shard::ShardedIndexConfig config;
-    return shard::ParseShardedSpec(type, &config);
-  }
   return type == "flat" || type == "hnsw" || type == "ivf";
 }
 

@@ -51,9 +51,7 @@ class VectorIndex {
 
   /// Batch append, equivalent to calling Add per vector (ids assigned in
   /// order). Virtual so indexes with a cheaper bulk path can override it:
-  /// FlatIndex reserves storage and fills its norm cache in one pass, and
-  /// the sharded index partitions the batch so each shard ingests its
-  /// vectors in one bulk call.
+  /// FlatIndex reserves storage and fills its norm cache in one pass.
   virtual void AddAll(const std::vector<la::Vec>& vectors);
 
   /// Top-k nearest neighbors by ascending distance (ties by ascending id).
@@ -88,11 +86,11 @@ class VectorIndex {
   /// nothing) when the id is out of range or already dead. The id stays
   /// valid — size() is unchanged, and graph indexes may keep the dead
   /// vector as a routing waypoint — but Search never returns it again.
-  virtual bool Remove(size_t id);
+  bool Remove(size_t id);
 
   /// Tombstones every id in `ids`; returns how many were newly removed
   /// (out-of-range and already-dead ids are skipped, matching Remove).
-  virtual size_t RemoveAll(const std::vector<size_t>& ids);
+  size_t RemoveAll(const std::vector<size_t>& ids);
 
   virtual size_t size() const = 0;
   virtual size_t dim() const = 0;
@@ -100,7 +98,7 @@ class VectorIndex {
   virtual la::Metric metric() const = 0;
 
   /// Number of vectors Search can still return: size() minus tombstones.
-  virtual size_t live_size() const { return size() - num_dead_; }
+  size_t live_size() const { return size() - num_dead_; }
 
   /// Number of tombstoned ids.
   size_t num_tombstones() const { return num_dead_; }
@@ -115,20 +113,13 @@ class VectorIndex {
 
   /// Marks every id in `ids` dead, rejecting out-of-range and duplicate
   /// ids with IoError (the loader path: a corrupt tombstone list must not
-  /// half-apply). Routes through Remove so subclasses with routed removal
-  /// keep their bookkeeping.
+  /// half-apply).
   Status ApplyTombstones(const std::vector<size_t>& ids);
 
-  /// True when the type's payload already embeds its tombstones (the
-  /// sharded index persists them inside each child), telling io::WriteIndex
-  /// to emit an empty top-level tombstone list instead of duplicating them.
-  virtual bool TombstonesInPayload() const { return false; }
-
   /// Copies the stored vector for `id` (dead or alive) into `*out`.
-  /// Returns false when the id is out of range or the index cannot
-  /// reproduce stored vectors (e.g. a remote view). The raw-data hook
-  /// Compact is built on.
-  virtual bool GetVector(size_t id, la::Vec* out) const;
+  /// Returns false when the id is out of range. The raw-data hook Compact
+  /// is built on.
+  virtual bool GetVector(size_t id, la::Vec* out) const = 0;
 
   /// Rebuilds this index without its tombstones: live vectors are re-added
   /// in ascending id order to a fresh index with the same config.
@@ -136,13 +127,12 @@ class VectorIndex {
   /// kInvalidId for tombstoned ones — so callers can rewrite their own
   /// id-keyed state. Exact index types (flat; ivf at full probe) return
   /// bit-identical search results to the tombstoned original; approximate
-  /// types may re-rank as a rebuild would. Unimplemented for indexes that
-  /// cannot reproduce their vectors.
+  /// types may re-rank as a rebuild would.
   virtual Result<std::unique_ptr<VectorIndex>> Compact(
       std::vector<size_t>* remap) const;
 
   /// Stable on-disk type name — the same string MakeVectorIndex accepts
-  /// ("flat", "hnsw", "ivf"), or "sharded".
+  /// ("flat", "hnsw", "ivf").
   virtual std::string type_tag() const = 0;
 
   /// Writes the type-specific payload (config + contents) after the common
@@ -160,21 +150,18 @@ class VectorIndex {
   /// Search/SearchBatch results are bit-identical.
   Status Save(const std::string& path) const;
 
-  /// Installs a shared executor for internal fan-out: the parameterless
-  /// SearchBatch and any scatter the index does per query (ShardedIndex
-  /// propagates to its shards and routes its per-query scatter here).
-  /// nullptr (the default) means serve::Executor::Default(). Not
+  /// Installs a shared executor for the parameterless SearchBatch's
+  /// fan-out. nullptr (the default) means serve::Executor::Default(). Not
   /// synchronized against in-flight searches — install during serving
   /// setup, before traffic. The executor must outlive the index or be unset
   /// before destruction.
-  virtual void SetExecutor(serve::Executor* executor) { executor_ = executor; }
+  void SetExecutor(serve::Executor* executor) { executor_ = executor; }
   serve::Executor* executor() const { return executor_; }
 
  protected:
   /// A fresh, empty index with this index's config (dim, metric, tuning
-  /// knobs). The construction hook Compact is built on; nullptr
-  /// (the default) makes Compact return Unimplemented.
-  virtual std::unique_ptr<VectorIndex> CloneEmpty() const { return nullptr; }
+  /// knobs). The construction hook Compact is built on.
+  virtual std::unique_ptr<VectorIndex> CloneEmpty() const = 0;
 
   serve::Executor* executor_ = nullptr;
   /// Tombstone bitmap, sized lazily on first Remove (append-heavy indexes
@@ -208,22 +195,18 @@ struct IndexOptions {
 /// programming error and aborts.
 Status ValidateIndexOptions(const IndexOptions& options);
 
-/// Builds an index by type name: "flat", "ivf", "hnsw", or a sharded
-/// spec "sharded:<type>:<n>[:<placement>]" (see shard/sharded_index.h).
-/// Unknown names abort (DUST_CHECK) — a typo must not silently change
-/// algorithms.
+/// Builds an index by type name: "flat", "ivf", or "hnsw". Unknown names
+/// abort (DUST_CHECK) — a typo must not silently change algorithms.
 std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
                                              size_t dim, la::Metric metric);
 
-/// As above with tuning knobs applied (forwarded to every shard of a
-/// sharded spec).
+/// As above with tuning knobs applied.
 std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
                                              size_t dim, la::Metric metric,
                                              const IndexOptions& options);
 
-/// True when MakeVectorIndex accepts `type` (including well-formed sharded
-/// specs). The single source of truth for user-facing validation (CLI
-/// flags, config files).
+/// True when MakeVectorIndex accepts `type`. The single source of truth for
+/// user-facing validation (CLI flags, config files).
 bool IsKnownIndexType(const std::string& type);
 
 }  // namespace dust::index

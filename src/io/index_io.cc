@@ -162,8 +162,6 @@ bool IndexTypeTag(const std::string& type, uint8_t* tag) {
     *tag = 1;
   } else if (type == "ivf") {
     *tag = 2;
-  } else if (type == "sharded") {
-    *tag = 4;
   } else {
     return false;
   }
@@ -186,8 +184,9 @@ Status IndexTypeFromTag(uint8_t tag, std::string* type) {
           "index type tag 3 (lsh) was removed; rebuild the index as flat, "
           "hnsw, or ivf");
     case 4:
-      *type = "sharded";
-      return Status::Ok();
+      return Status::IoError(
+          "index type tag 4 (sharded) was removed; rebuild the index as "
+          "flat, hnsw, or ivf");
     default:
       return Status::IoError("unknown index type tag " +
                              std::to_string(static_cast<int>(tag)));
@@ -227,14 +226,8 @@ Status WriteIndex(const index::VectorIndex& index, IndexWriter* writer) {
   writer->WriteU8(MetricTag(index.metric()));
   writer->WriteU64(index.dim());
   // Format v2: the tombstone id list sits between the header and the type
-  // payload. Types whose payload already embeds tombstones (the sharded
-  // manifest persists each child's own list) write an empty section here so
-  // the ids are never applied twice on load.
-  if (index.TombstonesInPayload()) {
-    writer->WriteIds({});
-  } else {
-    writer->WriteIds(index.Tombstones());
-  }
+  // payload.
+  writer->WriteIds(index.Tombstones());
   DUST_RETURN_IF_ERROR(writer->status());
   return index.SavePayload(writer);
 }

@@ -52,12 +52,6 @@ inline constexpr char kIndexMagic[8] = {'D', 'U', 'S', 'T',
 inline constexpr char kSnapshotMagic[8] = {'D', 'U', 'S', 'T',
                                            'S', 'N', 'A', 'P'};
 
-/// 8-byte magic opening the sharded-index manifest payload (shard count,
-/// placement policy, id mapping, then per-shard embedded index files) —
-/// see shard::ShardedIndex::SavePayload.
-inline constexpr char kShardManifestMagic[8] = {'D', 'U', 'S', 'T',
-                                                'S', 'H', 'R', 'D'};
-
 /// Buffered binary writer. Write calls never throw; the first stream
 /// failure latches into status() so payload code can write unconditionally
 /// and check once at the end (RocksDB-style).
@@ -137,13 +131,13 @@ class IndexReader {
   Status status_;
 };
 
-/// Stable on-disk tag for an index type name ("flat" 0, "hnsw" 1, "ivf" 2,
-/// "sharded" 4); never reorder existing values. Tag 3 belonged to a removed
-/// index type and is never reused. Returns false for unknown names.
+/// Stable on-disk tag for an index type name ("flat" 0, "hnsw" 1, "ivf" 2);
+/// never reorder existing values. Tags 3 and 4 belonged to removed index
+/// types and are never reused. Returns false for unknown names.
 bool IndexTypeTag(const std::string& type, uint8_t* tag);
 /// Inverse of IndexTypeTag; IoError for unknown tags (corrupt files must
-/// surface as errors, not aborts) and for the retired tag 3, whose message
-/// says the index must be rebuilt.
+/// surface as errors, not aborts) and for the retired tags 3 and 4, whose
+/// messages say the index must be rebuilt.
 Status IndexTypeFromTag(uint8_t tag, std::string* type);
 
 /// Metric <-> on-disk tag; same stability rules as the type tag.

@@ -22,7 +22,8 @@ uint64_t HashedThreadId() {
 
 uint64_t NewId() {
   // Distinct processes seed distinct SplitMix64 streams (pid + clock at
-  // first use), so router- and shard-side ids never collide in practice.
+  // first use), so trace files from several processes never share ids in
+  // practice.
   static const uint64_t seed =
       (static_cast<uint64_t>(::getpid()) << 32) ^
       static_cast<uint64_t>(

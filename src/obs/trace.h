@@ -101,7 +101,7 @@ struct SpanRecord {
 };
 
 /// Steady-clock microseconds. CLOCK_MONOTONIC shares one base across
-/// processes on a machine, so router and shard timelines line up.
+/// processes on a machine, so timelines from several processes line up.
 int64_t SteadyNowMicros();
 
 class SpanCollector {

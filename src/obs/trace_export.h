@@ -28,8 +28,8 @@ Status WriteChromeTrace(const std::string& path,
 /// Renders the spans of one trace as an indented tree, children ordered
 /// by start time, each line showing the span name, duration, and offset
 /// from the trace's first span. Spans whose parent is absent from
-/// `records` (e.g. the remote half of a cross-process trace) are printed
-/// as roots.
+/// `records` (e.g. evicted from the collector's ring) are printed as
+/// roots.
 std::string RenderSpanTree(uint64_t trace_id,
                            const std::vector<SpanRecord>& records);
 

@@ -30,8 +30,7 @@ struct EmbeddingSearchConfig {
   /// Candidates short-listed by the table-profile index before exact
   /// bipartite scoring (0 = score every table exactly).
   size_t shortlist = 0;
-  /// Index type for the shortlist: "flat", "ivf", "hnsw", or a
-  /// sharded spec such as "sharded:hnsw:4".
+  /// Index type for the shortlist: "flat", "ivf", or "hnsw".
   std::string index_type = "flat";
   /// Tuning knobs forwarded to the shortlist index (HNSW M/ef_search, IVF
   /// nlist/nprobe; 0 keeps defaults).

@@ -65,7 +65,7 @@ void TupleSearch::IndexLake(const std::vector<const table::Table*>& lake) {
   for (size_t t = 0; t < lake.size(); ++t) {
     std::vector<la::Vec> rows = encoder_->EncodeTableRows(*lake[t]);
     // One bulk call per table keeps the index's batch ingest path hot
-    // (flat reserves + norms once; sharded partitions the table once).
+    // (flat reserves + norms once).
     index_->AddAll(rows);
     for (size_t r = 0; r < rows.size(); ++r) {
       refs_.push_back({t, r});
@@ -79,6 +79,10 @@ Status TupleSearch::UseIndex(std::unique_ptr<index::VectorIndex> index,
                              const std::vector<const table::Table*>& lake) {
   if (index == nullptr) {
     return Status::InvalidArgument("UseIndex requires a non-null index");
+  }
+  if (index->type_tag() != config_.index_type) {
+    return Status::FailedPrecondition("index type " + index->type_tag() +
+                                      " != configured " + config_.index_type);
   }
   size_t total_rows = 0;
   for (const table::Table* t : lake) total_rows += t->num_rows();

@@ -27,9 +27,7 @@ struct TupleHit {
 };
 
 struct TupleSearchConfig {
-  /// "flat", "ivf", "hnsw", or a sharded spec such as
-  /// "sharded:hnsw:4" (every lake tuple partitioned across shards, queries
-  /// scatter-gathered).
+  /// "flat", "ivf", or "hnsw".
   std::string index_type = "flat";
   /// Per-query-tuple candidates fetched from the index before fusion.
   size_t per_query_candidates = 200;
@@ -60,11 +58,11 @@ class TupleSearch {
   void IndexLake(const std::vector<const table::Table*>& lake);
 
   /// Installs an already-built tuple index over `lake` instead of encoding
-  /// and building one — the distributed serving path, where `index` is a
-  /// net::RouterIndex viewing remote shards (or an index loaded from disk).
-  /// The index must cover exactly the lake's tuples in append order: its
-  /// size must equal the lake's total row count and its dim/metric must
-  /// match the encoder (cosine). Builds refs_ and the lake-state hash
+  /// and building one — typically an index loaded from disk. The index
+  /// must cover exactly the lake's tuples in append order: its size must
+  /// equal the lake's total row count, its type must be config().index_type
+  /// (ConfigHash, the cache namespace, names that type), and its dim/metric
+  /// must match the encoder (cosine). Builds refs_ and the lake-state hash
   /// exactly as IndexLake would, so caching and query semantics are
   /// unchanged. A table whose tuples are all tombstoned in `index` (saved
   /// after RemoveTable, before CompactIndex) stays removed; a table with
@@ -74,8 +72,8 @@ class TupleSearch {
                   const std::vector<const table::Table*>& lake);
 
   /// The installed lake index; nullptr before IndexLake/UseIndex. Exposed
-  /// so a CLI can persist the built index (io::SaveIndex) for shard servers
-  /// to load.
+  /// so a CLI can persist the built index (io::SaveIndex) for a later
+  /// UseIndex.
   const index::VectorIndex* lake_index() const { return index_.get(); }
 
   // --- lake mutations ------------------------------------------------------

@@ -54,10 +54,10 @@ class UnionSearch {
     return Status::Unimplemented(name() + " does not support snapshots");
   }
 
-  /// Routes the engine's internal index fan-out (e.g. a sharded shortlist
-  /// index's per-query scatter) through a shared thread pool, so serving
-  /// processes create zero threads per query. Engines without an index
-  /// ignore it. Install during setup, before concurrent traffic.
+  /// Routes the engine's internal fan-out (the rerank stage's bound pass)
+  /// through a shared thread pool, so serving processes create zero threads
+  /// per query. Engines without such a pass ignore it. Install during
+  /// setup, before concurrent traffic.
   virtual void SetExecutor(serve::Executor* executor) { (void)executor; }
 
   /// Cumulative per-stage statistics of the engine's retrieval cascade,

@@ -1,9 +1,9 @@
 // Shared fixed-size thread-pool executor — the library's one scheduling
 // path. An Executor is created once (per QueryServer, bench, or CLI
 // invocation) and reused, so steady-state serving does zero thread
-// creation. Index fan-out that is handed no executor (a SearchBatch or
-// sharded scatter outside a server) runs on the process-wide
-// Executor::Default() pool rather than spawning threads of its own.
+// creation. Index fan-out that is handed no executor (a SearchBatch
+// outside a server) runs on the process-wide Executor::Default() pool
+// rather than spawning threads of its own.
 //
 // The header is dependency-free (standard library only) so the low-level
 // index layer can take an optional `serve::Executor*` without a layering

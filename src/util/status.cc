@@ -20,10 +20,6 @@ const char* StatusCodeName(StatusCode code) {
       return "IoError";
     case StatusCode::kUnimplemented:
       return "Unimplemented";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
   }
   return "Unknown";
 }

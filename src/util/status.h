@@ -24,13 +24,6 @@ enum class StatusCode {
   kInternal,
   kIoError,
   kUnimplemented,
-  /// A dependency (remote shard, socket peer) is temporarily unreachable;
-  /// the operation may succeed if retried. The only code the network
-  /// router's bounded retry loop retries.
-  kUnavailable,
-  /// The caller's deadline expired before the operation completed. Never
-  /// retried — the time budget is already spent.
-  kDeadlineExceeded,
 };
 
 /// Human-readable name of a StatusCode ("Ok", "InvalidArgument", ...).
@@ -65,12 +58,6 @@ class Status {
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

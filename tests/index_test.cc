@@ -10,7 +10,6 @@
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
 #include "la/simd/kernels.h"
-#include "shard/sharded_index.h"
 #include "util/rng.h"
 
 namespace dust::index {
@@ -318,7 +317,7 @@ TEST_P(IndexPropertyTest, SearchBatchParityAcrossKernelBackends) {
 TEST_P(IndexPropertyTest, TombstonedVectorsNeverReturned) {
   // Shared mutable-lake invariant: after random deletes, searches return
   // only live ids, stay sorted and duplicate-free, and the live/size
-  // accounting is exact. Holds for every index family, sharded included.
+  // accounting is exact. Holds for every index family.
   auto index = GetParam().second();
   auto vectors = RandomUnitVectors(140, index->dim(), 77);
   index->AddAll(vectors);
@@ -424,17 +423,6 @@ TEST(TombstoneParityTest, FullProbeIvfMatchesRebuildOverSurvivors) {
             new IvfFlatIndex(12, la::Metric::kCosine, config));
       },
       83);
-}
-
-TEST(TombstoneParityTest, ShardedFlatMatchesRebuildOverSurvivors) {
-  // Round-robin placement keeps survivor ids monotone within each shard,
-  // but the rebuilt index places survivors differently; parity holds
-  // because flat children are exact and the merge is deterministic.
-  ExpectDeleteParityVsRebuild(
-      [] {
-        return MakeVectorIndex("sharded:flat:3", 12, la::Metric::kCosine);
-      },
-      87);
 }
 
 TEST(FlatIndexTest, DeleteThenSearchReturnsKLiveHits) {
@@ -563,6 +551,19 @@ TEST(IndexOptionsTest, KnobsReachTheConcreteConfigs) {
   EXPECT_EQ(plain_hnsw->config().M, HnswConfig{}.M);
 }
 
+TEST(IndexTypeTest, OnlyTheThreeIndexTypesAreKnown) {
+  // IsKnownIndexType is the one check a spec passes on its way in (CLI
+  // flags, config files); anything it accepts MakeVectorIndex must build.
+  for (const char* name : {"flat", "hnsw", "ivf"}) {
+    EXPECT_TRUE(IsKnownIndexType(name)) << name;
+    EXPECT_NE(MakeVectorIndex(name, 4, la::Metric::kCosine), nullptr);
+  }
+  // Removed types, their old spec syntax, and typos are all unknown.
+  for (const char* name : {"lsh", "sharded", "sharded:flat:4", "faiss", ""}) {
+    EXPECT_FALSE(IsKnownIndexType(name)) << '"' << name << '"';
+  }
+}
+
 TEST(IndexOptionsTest, ValidationRejectsNonsense) {
   EXPECT_TRUE(ValidateIndexOptions(IndexOptions{}).ok());
   IndexOptions tuned;
@@ -592,16 +593,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_pair("hnsw", IndexFactory([] {
                          return std::unique_ptr<VectorIndex>(
                              new HnswIndex(12, la::Metric::kCosine));
-                       })),
-        // Sharded wrappers obey the same structural invariants as their
-        // children, including with empty shards and hash placement.
-        std::make_pair("sharded_flat", IndexFactory([] {
-                         return MakeVectorIndex("sharded:flat:3:hash", 12,
-                                                la::Metric::kCosine);
-                       })),
-        std::make_pair("sharded_hnsw", IndexFactory([] {
-                         return MakeVectorIndex("sharded:hnsw:2", 12,
-                                                la::Metric::kCosine);
                        }))),
     [](const ::testing::TestParamInfo<std::pair<const char*, IndexFactory>>&
            info) { return info.param.first; });

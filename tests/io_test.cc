@@ -14,7 +14,6 @@
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
 #include "io/index_io.h"
-#include "shard/sharded_index.h"
 #include "util/rng.h"
 
 namespace dust::io {
@@ -153,249 +152,6 @@ TEST(IndexIoTest, HnswCustomConfigAndGraphShapeSurviveRoundTrip) {
   ExpectSearchParity(hnsw, *restored, 16, 5, 9100);
 }
 
-// --- sharded round trips and the shard manifest ----------------------------
-
-TEST(IndexIoTest, ShardedRoundTripIsBitIdentical) {
-  shard::ShardedIndexConfig config;
-  config.child_type = "hnsw";
-  config.num_shards = 4;
-  config.placement = shard::PlacementPolicy::kHash;
-  config.child_options.hnsw_m = 8;
-  shard::ShardedIndex sharded(16, la::Metric::kCosine, config);
-  sharded.AddAll(RandomUnitVectors(600, 16, 31));
-
-  const std::string path = TempPath("sharded_roundtrip.idx");
-  ASSERT_TRUE(sharded.Save(path).ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto* restored = dynamic_cast<shard::ShardedIndex*>(loaded.value().get());
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->type_tag(), "sharded");
-  EXPECT_EQ(restored->num_shards(), 4u);
-  EXPECT_EQ(restored->size(), sharded.size());
-  EXPECT_EQ(restored->config().child_type, "hnsw");
-  EXPECT_EQ(restored->config().placement, shard::PlacementPolicy::kHash);
-  for (size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(restored->shard_size(s), sharded.shard_size(s)) << "shard " << s;
-  }
-  // Each shard's own config survives (it round-trips through the standard
-  // per-index format).
-  auto* child = dynamic_cast<const HnswIndex*>(&restored->shard(0));
-  ASSERT_NE(child, nullptr);
-  EXPECT_EQ(child->config().M, 8u);
-  ExpectSearchParity(sharded, *restored, 32, 10, 9400);
-}
-
-TEST(IndexIoTest, ShardedEmptyAndEuclideanRoundTrips) {
-  shard::ShardedIndex empty(8, la::Metric::kEuclidean);
-  const std::string path = TempPath("sharded_empty.idx");
-  ASSERT_TRUE(empty.Save(path).ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->size(), 0u);
-  EXPECT_EQ(loaded.value()->metric(), la::Metric::kEuclidean);
-  EXPECT_TRUE(loaded.value()->Search(la::Vec(8, 0.5f), 3).empty());
-}
-
-class SavedShardedFileTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    shard::ShardedIndexConfig config;
-    config.num_shards = 2;
-    shard::ShardedIndex sharded(6, la::Metric::kCosine, config);
-    sharded.AddAll(RandomUnitVectors(40, 6, 37));
-    path_ = TempPath("sharded_patched.idx");
-    ASSERT_TRUE(sharded.Save(path_).ok());
-    bytes_ = ReadFileBytes(path_);
-    // header (22 bytes) + empty tombstone section (8) + manifest magic (8)
-    ASSERT_GT(bytes_.size(), 38u);
-  }
-  std::string path_;
-  std::string bytes_;
-};
-
-TEST_F(SavedShardedFileTest, CorruptManifestMagicRejected) {
-  std::string patched = bytes_;
-  patched[30] = 'X';  // first byte of the DUSTSHRD manifest magic
-  WriteFileBytes(path_, patched);
-  auto loaded = LoadIndex(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  EXPECT_NE(loaded.status().message().find("shard manifest"),
-            std::string::npos);
-}
-
-TEST_F(SavedShardedFileTest, TruncatedManifestRejected) {
-  // Cut inside the embedded shard payloads and inside the manifest itself.
-  for (size_t keep : {bytes_.size() - 9, bytes_.size() / 2, size_t{35}}) {
-    WriteFileBytes(path_, bytes_.substr(0, keep));
-    auto loaded = LoadIndex(path_);
-    ASSERT_FALSE(loaded.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  }
-}
-
-/// Writes the standalone-file header for a sharded index (dim 2, cosine)
-/// followed by the start of a manifest, letting each test finish the
-/// manifest its own (corrupt) way.
-void BeginShardedFile(IndexWriter* writer) {
-  writer->WriteBytes(kIndexMagic, sizeof(kIndexMagic));
-  writer->WriteU32(kIndexFormatVersion);
-  writer->WriteU8(4);  // sharded
-  writer->WriteU8(0);  // cosine
-  writer->WriteU64(2);  // dim
-  writer->WriteIds({});  // v2 tombstone section (sharded: always empty)
-  writer->WriteBytes(kShardManifestMagic, sizeof(kShardManifestMagic));
-}
-
-TEST(IndexIoTest, ShardManifestZeroShardsRejected) {
-  const std::string path = TempPath("sharded_zero.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("flat");
-  writer.WriteU8(0);   // round_robin
-  writer.WriteU64(0);  // zero shards
-  writer.WriteU64(0);  // total
-  ASSERT_TRUE(writer.Close().ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-}
-
-TEST(IndexIoTest, ShardManifestUnknownPlacementRejected) {
-  const std::string path = TempPath("sharded_placement.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("flat");
-  writer.WriteU8(9);   // no such placement policy
-  writer.WriteU64(1);
-  writer.WriteU64(0);
-  writer.WriteIds({});
-  ASSERT_TRUE(writer.Close().ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-}
-
-TEST(IndexIoTest, ShardManifestNestedShardedChildRejected) {
-  const std::string path = TempPath("sharded_nested.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("sharded");  // nesting is not a thing
-  writer.WriteU8(0);
-  writer.WriteU64(1);
-  writer.WriteU64(0);
-  writer.WriteIds({});
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_FALSE(LoadIndex(path).ok());
-}
-
-TEST(IndexIoTest, ShardManifestDuplicateIdRejected) {
-  const std::string path = TempPath("sharded_dup_id.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("flat");
-  writer.WriteU8(0);
-  writer.WriteU64(1);
-  writer.WriteU64(2);      // two vectors claimed...
-  writer.WriteIds({0, 0});  // ...but id 0 mapped twice, id 1 never
-  ASSERT_TRUE(writer.Close().ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("bijection"), std::string::npos);
-}
-
-TEST(IndexIoTest, ShardManifestIdListsNotCoveringTotalRejected) {
-  const std::string path = TempPath("sharded_uncovered.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("flat");
-  writer.WriteU8(0);
-  writer.WriteU64(1);
-  writer.WriteU64(3);   // three vectors claimed
-  writer.WriteIds({0});  // but only one mapped
-  ASSERT_TRUE(writer.Close().ok());
-  EXPECT_FALSE(LoadIndex(path).ok());
-}
-
-TEST(IndexIoTest, ShardPayloadNestedShardedChildRejectedNotCrashed) {
-  // The manifest's child-type string is cross-checked only after the child
-  // loads, so a crafted embedded child tagged "sharded" would recurse
-  // ReadIndex -> LoadPayload per nesting level and overflow the stack; the
-  // re-entrancy guard must turn it into an IoError instead.
-  const std::string path = TempPath("sharded_nested_child.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("flat");
-  writer.WriteU8(0);
-  writer.WriteU64(1);
-  writer.WriteU64(0);
-  writer.WriteIds({});
-  // Embedded "shard" whose own header claims another sharded index.
-  writer.WriteBytes(kIndexMagic, sizeof(kIndexMagic));
-  writer.WriteU32(kIndexFormatVersion);
-  writer.WriteU8(4);   // sharded-in-sharded
-  writer.WriteU8(0);   // cosine
-  writer.WriteU64(2);  // dim
-  writer.WriteIds({});  // v2 tombstone section
-  ASSERT_TRUE(writer.Close().ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  EXPECT_NE(loaded.status().message().find("nests"), std::string::npos);
-}
-
-TEST(IndexIoTest, ShardPayloadTypeMismatchRejected) {
-  // Manifest promises hnsw shards but embeds a flat one: the loaded child
-  // must be rejected, not silently served under the wrong algorithm.
-  const std::string path = TempPath("sharded_child_type.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("hnsw");
-  writer.WriteU8(0);
-  writer.WriteU64(1);
-  writer.WriteU64(1);
-  writer.WriteIds({0});
-  // Embedded child: a valid flat index file with one vector.
-  writer.WriteBytes(kIndexMagic, sizeof(kIndexMagic));
-  writer.WriteU32(kIndexFormatVersion);
-  writer.WriteU8(0);   // flat, contradicting the manifest
-  writer.WriteU8(0);   // cosine
-  writer.WriteU64(2);  // dim
-  writer.WriteIds({});  // v2 tombstone section
-  writer.WriteU64(1);  // one vector
-  writer.WriteVec({1.0f, 0.0f});
-  ASSERT_TRUE(writer.Close().ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("does not match manifest"),
-            std::string::npos);
-}
-
-TEST(IndexIoTest, ShardPayloadSizeMismatchRejected) {
-  const std::string path = TempPath("sharded_child_size.idx");
-  IndexWriter writer(path);
-  BeginShardedFile(&writer);
-  writer.WriteString("flat");
-  writer.WriteU8(0);
-  writer.WriteU64(1);
-  writer.WriteU64(1);
-  writer.WriteIds({0});  // manifest: shard holds one vector
-  writer.WriteBytes(kIndexMagic, sizeof(kIndexMagic));
-  writer.WriteU32(kIndexFormatVersion);
-  writer.WriteU8(0);
-  writer.WriteU8(0);
-  writer.WriteU64(2);
-  writer.WriteIds({});  // v2 tombstone section
-  writer.WriteU64(2);  // payload: two vectors
-  writer.WriteVec({1.0f, 0.0f});
-  writer.WriteVec({0.0f, 1.0f});
-  ASSERT_TRUE(writer.Close().ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("id mapping"), std::string::npos);
-}
-
 // --- tombstones on disk (format v2) ----------------------------------------
 
 TEST_P(RoundTripTest, TombstonesSurviveRoundTrip) {
@@ -416,25 +172,6 @@ TEST_P(RoundTripTest, TombstonesSurviveRoundTrip) {
   EXPECT_EQ(restored.Tombstones(), (std::vector<size_t>{3, 17, 200, 399}));
   // The restored index must filter tombstones exactly like the saved one.
   ExpectSearchParity(*index, restored, 32, 10, 9500);
-}
-
-TEST(IndexIoTest, ShardedTombstonesSurviveRoundTrip) {
-  // Sharded indexes persist tombstones inside each child (the outer v2
-  // section stays empty); the loaded global view must still match.
-  shard::ShardedIndexConfig config;
-  config.num_shards = 3;
-  shard::ShardedIndex sharded(8, la::Metric::kCosine, config);
-  sharded.AddAll(RandomUnitVectors(90, 8, 41));
-  ASSERT_EQ(sharded.RemoveAll({0, 1, 2, 50, 89}), 5u);
-
-  const std::string path = TempPath("sharded_tombstones.idx");
-  ASSERT_TRUE(sharded.Save(path).ok());
-  auto loaded = LoadIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->live_size(), 85u);
-  EXPECT_EQ(loaded.value()->Tombstones(),
-            (std::vector<size_t>{0, 1, 2, 50, 89}));
-  ExpectSearchParity(sharded, *loaded.value(), 16, 10, 9600);
 }
 
 TEST(IndexIoTest, V1FileLoadsWithEmptyTombstoneSet) {
@@ -653,17 +390,26 @@ TEST_F(SavedFlatFileTest, UnknownTypeTagRejectedNotAborted) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
-TEST_F(SavedFlatFileTest, RetiredLshTagRejectedWithRebuildHint) {
-  // Tag 3 belonged to the removed lsh index. An old file carrying it must
-  // fail with an IoError that names the type and says to rebuild.
-  std::string patched = bytes_;
-  patched[12] = 3;  // index type tag
-  WriteFileBytes(path_, patched);
-  auto loaded = LoadIndex(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-  EXPECT_NE(loaded.status().message().find("lsh"), std::string::npos);
-  EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos);
+TEST_F(SavedFlatFileTest, RetiredTagsRejectedWithRebuildHint) {
+  // Tags 3 and 4 belonged to removed index types. An old file carrying
+  // either must fail with an IoError that names the type and says to
+  // rebuild.
+  const struct {
+    uint8_t tag;
+    const char* type;
+  } kRetired[] = {{3, "lsh"}, {4, "sharded"}};
+  for (const auto& retired : kRetired) {
+    std::string patched = bytes_;
+    patched[12] = static_cast<char>(retired.tag);  // index type tag
+    WriteFileBytes(path_, patched);
+    auto loaded = LoadIndex(path_);
+    ASSERT_FALSE(loaded.ok()) << "tag " << int{retired.tag};
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find(retired.type), std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(SavedFlatFileTest, UnknownMetricTagRejected) {
@@ -821,11 +567,11 @@ TEST(IndexIoTest, TypeTagsAreStable) {
   EXPECT_EQ(tag, 1);
   ASSERT_TRUE(IndexTypeTag("ivf", &tag));
   EXPECT_EQ(tag, 2);
-  ASSERT_TRUE(IndexTypeTag("sharded", &tag));
-  EXPECT_EQ(tag, 4);
   EXPECT_FALSE(IndexTypeTag("faiss", &tag));
-  // The lsh type was removed; its tag 3 is retired, never reused.
+  // The lsh and sharded types were removed; their tags 3 and 4 are
+  // retired, never reused.
   EXPECT_FALSE(IndexTypeTag("lsh", &tag));
+  EXPECT_FALSE(IndexTypeTag("sharded", &tag));
   std::string type;
   EXPECT_TRUE(IndexTypeFromTag(2, &type).ok());
   EXPECT_EQ(type, "ivf");

@@ -183,96 +183,6 @@ std::string SnapshotPath(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-// --- sharded shortlist ------------------------------------------------------
-
-TEST_F(PipelineFixture, ShardedFlatShortlistMatchesUnsharded) {
-  // A sharded flat shortlist is exact, so the whole pipeline must return
-  // the same tables and tuples as the unsharded flat shortlist.
-  PipelineConfig unsharded_config;
-  unsharded_config.num_tables = 5;
-  unsharded_config.search_shortlist = 8;
-  DustPipeline unsharded(unsharded_config, TestEncoder());
-  unsharded.IndexLake(*lake_);
-
-  PipelineConfig sharded_config = unsharded_config;
-  sharded_config.search_shards = 4;
-  EXPECT_EQ(sharded_config.EffectiveSearchIndex(), "sharded:flat:4");
-  DustPipeline sharded(sharded_config, TestEncoder());
-  sharded.IndexLake(*lake_);
-
-  for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
-    const Table& query = benchmark_->queries[q].data;
-    auto expected = unsharded.Run(query, 8);
-    auto actual = sharded.Run(query, 8);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    ASSERT_EQ(expected.value().tables.size(), actual.value().tables.size());
-    for (size_t t = 0; t < expected.value().tables.size(); ++t) {
-      EXPECT_EQ(expected.value().tables[t].table_index,
-                actual.value().tables[t].table_index);
-      EXPECT_EQ(expected.value().tables[t].score,
-                actual.value().tables[t].score);
-    }
-    ASSERT_EQ(expected.value().provenance.size(),
-              actual.value().provenance.size());
-    for (size_t i = 0; i < expected.value().provenance.size(); ++i) {
-      EXPECT_EQ(expected.value().provenance[i].table_index,
-                actual.value().provenance[i].table_index);
-      EXPECT_EQ(expected.value().provenance[i].row_index,
-                actual.value().provenance[i].row_index);
-    }
-  }
-}
-
-TEST_F(PipelineFixture, ShardedSnapshotRoundTripServesIdenticalResults) {
-  PipelineConfig config;
-  config.num_tables = 5;
-  config.search_index = "hnsw";
-  config.search_shards = 2;
-  config.search_shortlist = 8;
-  config.hnsw_ef_search = 64;
-
-  DustPipeline offline(config, TestEncoder());
-  offline.IndexLake(*lake_);
-  const std::string path = SnapshotPath("pipeline_snapshot_sharded.bin");
-  ASSERT_TRUE(offline.SaveSnapshot(path).ok());
-
-  DustPipeline online(config, TestEncoder());
-  Status loaded = online.LoadSnapshot(path, *lake_);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
-    const Table& query = benchmark_->queries[q].data;
-    auto expected = offline.Run(query, 8);
-    auto actual = online.Run(query, 8);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    ASSERT_EQ(expected.value().provenance.size(),
-              actual.value().provenance.size());
-    for (size_t i = 0; i < expected.value().provenance.size(); ++i) {
-      EXPECT_EQ(expected.value().provenance[i].table_index,
-                actual.value().provenance[i].table_index);
-      EXPECT_EQ(expected.value().provenance[i].row_index,
-                actual.value().provenance[i].row_index);
-    }
-  }
-
-  // Sharding and tuning knobs are part of the staleness hash: a serving
-  // process configured without them must not consume this snapshot.
-  PipelineConfig drifted = config;
-  drifted.search_shards = 4;
-  DustPipeline wrong_shards(drifted, TestEncoder());
-  Status stale = wrong_shards.LoadSnapshot(path, *lake_);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
-
-  PipelineConfig detuned = config;
-  detuned.hnsw_ef_search = 0;
-  DustPipeline wrong_knob(detuned, TestEncoder());
-  stale = wrong_knob.LoadSnapshot(path, *lake_);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
-}
-
 // --- offline/online snapshot split -----------------------------------------
 
 TEST_F(PipelineFixture, SnapshotRoundTripServesIdenticalResults) {
@@ -280,6 +190,7 @@ TEST_F(PipelineFixture, SnapshotRoundTripServesIdenticalResults) {
   config.num_tables = 5;
   config.search_index = "hnsw";
   config.search_shortlist = 8;
+  config.hnsw_ef_search = 64;
 
   DustPipeline offline(config, TestEncoder());
   offline.IndexLake(*lake_);
@@ -314,6 +225,15 @@ TEST_F(PipelineFixture, SnapshotRoundTripServesIdenticalResults) {
                 actual.value().provenance[i].row_index);
     }
   }
+
+  // Tuning knobs are part of the staleness hash: a serving process
+  // configured without them must not consume this snapshot.
+  PipelineConfig detuned = config;
+  detuned.hnsw_ef_search = 0;
+  DustPipeline wrong_knob(detuned, TestEncoder());
+  Status stale = wrong_knob.LoadSnapshot(path, *lake_);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(PipelineFixture, SnapshotWithFlatNoShortlistAlsoRoundTrips) {

@@ -447,6 +447,40 @@ TEST(TupleMutationTest, UseIndexRejectsAPartlyTombstonedTable) {
   }
 }
 
+TEST(TupleMutationTest, UseIndexRejectsAnIndexOfAnotherType) {
+  // The lake is configured flat; an hnsw index over the same tuples must
+  // not be served under the flat config (ConfigHash, the cache namespace,
+  // would still say flat).
+  MutableLake lake;
+  TupleSearchConfig hnsw_config;
+  hnsw_config.index_type = "hnsw";
+  TupleSearch hnsw_search(SmallEncoder(), hnsw_config);
+  hnsw_search.IndexLake({&lake.a, &lake.b});
+  std::unique_ptr<index::VectorIndex> hnsw =
+      SaveAndReload(hnsw_search, "hnsw_lake.tidx");
+  ASSERT_EQ(hnsw->size(), 5u);
+
+  ASSERT_TRUE(lake.search.RemoveTable("a").ok());
+  const uint64_t hash = lake.search.LakeStateHash();
+  const index::VectorIndex* installed = lake.search.lake_index();
+  const std::vector<TupleHit> before = lake.Query("banana", 5);
+
+  Status used = lake.search.UseIndex(std::move(hnsw), {&lake.a, &lake.b});
+  EXPECT_EQ(used.code(), StatusCode::kFailedPrecondition) << used.ToString();
+  EXPECT_NE(used.message().find("hnsw"), std::string::npos) << used.ToString();
+  EXPECT_NE(used.message().find("flat"), std::string::npos) << used.ToString();
+  // A failed call changes nothing.
+  EXPECT_EQ(lake.search.LakeStateHash(), hash);
+  EXPECT_EQ(lake.search.lake_index(), installed);
+  EXPECT_EQ(lake.search.num_indexed(), 5u);
+  EXPECT_EQ(lake.search.RemoveTable("a").code(), StatusCode::kNotFound);
+  const std::vector<TupleHit> after = lake.Query("banana", 5);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].ref, before[i].ref) << "rank " << i;
+  }
+}
+
 TEST_F(SearchFixture, EmbeddingRemoveTableExcludesItFromResults) {
   EmbeddingUnionSearch search;
   search.IndexLake(*lake_);

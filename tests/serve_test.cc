@@ -3,7 +3,7 @@
 // BoundedQueue backpressure (blocks, never drops) and close-drains
 // semantics, QueryServer parity with sequential SearchTuplesChecked under
 // concurrent clients, per-request rejection of malformed queries, shutdown
-// completing in-flight requests, bit-identical ShardedIndex / SearchBatch
+// completing in-flight requests, bit-identical SearchBatch and table-rerank
 // results on the default pool, a dedicated pool, and inline, the Metrics
 // instruments (histogram quantiles stay O(buckets) regardless of sample
 // count, text exposition format), the ResultCache (LRU order, byte budget,
@@ -30,7 +30,6 @@
 #include "serve/metrics.h"
 #include "serve/query_server.h"
 #include "serve/result_cache.h"
-#include "shard/sharded_index.h"
 #include "table/table.h"
 #include "util/rng.h"
 
@@ -94,8 +93,9 @@ TEST(ExecutorTest, DefaultIsOneLivePoolThatNestsParallelFor) {
   Executor& pool = Executor::Default();
   EXPECT_EQ(&pool, &Executor::Default());
   EXPECT_GE(pool.num_threads(), 1u);
-  // A task on the default pool fans out on that same pool, as a SearchBatch
-  // over a sharded index does; the caller-participates design completes it.
+  // A task on the default pool fans out on that same pool, as an index
+  // SearchBatch issued from a pooled task does; the caller-participates
+  // design completes it.
   std::atomic<size_t> total{0};
   pool.Submit([&] {
         pool.ParallelFor(32, [&](size_t) { total.fetch_add(1); });
@@ -1033,36 +1033,6 @@ void ExpectSameHitLists(const HitLists& expected, const HitLists& actual,
   }
 }
 
-TEST(ExecutorRoutingTest, ShardedSearchBitIdenticalAcrossPools) {
-  const size_t kDim = 16;
-  auto vectors = RandomUnitVectors(400, kDim, 31);
-  auto queries = RandomUnitVectors(24, kDim, 32);
-  shard::ShardedIndexConfig config;
-  config.child_type = "flat";
-  config.num_shards = 4;
-  shard::ShardedIndex index(kDim, la::Metric::kCosine, config);
-  index.AddAll(vectors);
-  const auto run = [&] {
-    HitLists per_query;
-    for (const la::Vec& q : queries) per_query.push_back(index.Search(q, 9));
-    return std::make_pair(per_query, index.SearchBatch(queries, 9));
-  };
-
-  // Default-pool baseline (no executor installed)...
-  const auto baseline = run();
-  // ...must match a dedicated pool and an inline executor bit for bit.
-  Executor pooled(4);
-  Executor inline_executor(0);
-  for (Executor* executor : {&pooled, &inline_executor}) {
-    const char* mode = executor == &pooled ? "Executor(4)" : "Executor(0)";
-    index.SetExecutor(executor);
-    const auto routed = run();
-    ExpectSameHitLists(baseline.first, routed.first, mode);
-    ExpectSameHitLists(baseline.second, routed.second, mode);
-  }
-  index.SetExecutor(nullptr);  // executors die before the index
-}
-
 TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
   const size_t kDim = 12;
   auto vectors = RandomUnitVectors(300, kDim, 41);
@@ -1077,15 +1047,20 @@ TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
   ExpectSameHitLists(on_default,
                      index->SearchBatch(queries, 5, &inline_executor),
                      "Executor(0)");
+  // The parameterless overload routes through the installed executor.
+  index->SetExecutor(&pooled);
+  ExpectSameHitLists(on_default, index->SearchBatch(queries, 5),
+                     "SetExecutor(Executor(4))");
+  index->SetExecutor(nullptr);  // executors die before the index
 }
 
 TEST_F(ServeFixture, EmbeddingSearchExecutorParity) {
-  // The pipeline-side wiring: a sharded shortlist index's scatter routed
-  // through the executor must not change table retrieval.
+  // The pipeline-side wiring: the rerank stage's bound pass routed through
+  // the executor must not change table retrieval.
   search::EmbeddingSearchConfig config;
   config.encoder.dim = 24;
   config.shortlist = 6;
-  config.index_type = "sharded:flat:3";
+  config.index_type = "flat";
   search::EmbeddingUnionSearch engine(config);
   std::vector<const Table*> lake;
   for (const Table& t : *lake_storage_) lake.push_back(&t);

@@ -1,8 +1,8 @@
 // dust_cli — run diverse unionable tuple search over a directory of CSVs.
 //
 //   dust_cli --lake <dir> --query <file.csv> [--k 30] [--tables 10]
-//            [--engine starmie|d3l] [--index flat|ivf|hnsw|sharded:...]
-//            [--shards N] [--hnsw-m N] [--hnsw-ef N]
+//            [--engine starmie|d3l] [--index flat|ivf|hnsw]
+//            [--hnsw-m N] [--hnsw-ef N]
 //            [--shortlist N] [--out result.csv] [--p 2] [--s 2500]
 //            [--save-index snap.bin | --load-index snap.bin]
 //
@@ -16,10 +16,6 @@
 //   dust_cli --lake data/lake --index hnsw --shortlist 50 --save-index s.bin
 //   dust_cli --lake data/lake --index hnsw --shortlist 50
 //            --load-index s.bin --query q.csv
-//
-// Sharded lakes: `--shards N` partitions the shortlist index across N
-// child indexes of the --index type with scatter-gather search (equivalent
-// to --index sharded:<type>:N; spell the full spec for hash placement).
 //
 // Query serving: `--serve` builds a tuple-level index over the lake, starts
 // an async QueryServer (shared thread-pool executor, bounded admission
@@ -50,12 +46,10 @@
 #include "embed/tuple_encoder.h"
 #include "index/vector_index.h"
 #include "io/index_io.h"
-#include "net/router_index.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "search/tuple_search.h"
 #include "serve/query_server.h"
-#include "shard/sharded_index.h"
 #include "table/csv.h"
 #include "util/stopwatch.h"
 
@@ -73,7 +67,6 @@ struct CliOptions {
   std::string index = "flat";
   la::Metric metric = la::Metric::kCosine;
   size_t shortlist = 0;
-  size_t shards = 0;
   size_t hnsw_m = 0;
   size_t hnsw_ef = 0;
   size_t k = 30;
@@ -92,9 +85,6 @@ struct CliOptions {
   size_t cache_entries = core::ServingConfig{}.cache_entries;
   size_t cache_bytes = core::ServingConfig{}.cache_bytes;
   std::string metrics_out_path;
-  // Distributed serving (PR 7): route queries to remote dust_shardd
-  // processes instead of an in-process index.
-  std::string router_endpoints;     // comma-separated host:port list
   std::string save_tuple_index_path;  // build the tuple index, save, exit
   std::string dump_hits_path;       // write baseline hits, bit-exact
   // Mutable lakes (PR 10): tombstoned deletes and incremental ingest
@@ -103,9 +93,6 @@ struct CliOptions {
   std::string add_tables;           // comma-separated CSV paths to ingest
   bool compact = false;             // rewrite the index without tombstones
   std::string load_tuple_index_path;  // serve from a saved tuple index
-  bool allow_partial = false;
-  size_t deadline_ms = 5000;
-  size_t rpc_retries = 1;
   // Retrieval cascade (PR 8): candidate prefilters ahead of the vector
   // shortlist, for both the pipeline and --serve paths.
   bool cascade = false;
@@ -124,8 +111,7 @@ void Usage() {
       stderr,
       "usage: dust_cli --lake <dir> --query <file.csv> [--k N] [--tables N]\n"
       "                [--engine starmie|d3l]\n"
-      "                [--index flat|ivf|hnsw|sharded:<type>:<n>]\n"
-      "                [--shards N] [--hnsw-m N] [--hnsw-ef N]\n"
+      "                [--index flat|ivf|hnsw] [--hnsw-m N] [--hnsw-ef N]\n"
       "                [--metric cosine|euclidean|manhattan]\n"
       "                [--shortlist N] [--out result.csv] [--p N] [--s N]\n"
       "                [--save-index <snapshot> | --load-index <snapshot>]\n"
@@ -136,8 +122,6 @@ void Usage() {
       "                 [--metrics-out metrics.txt]\n"
       "                 [--trace-out trace.json] [--trace-sample R]\n"
       "                 [--slow-query-ms MS]\n"
-      "                 [--router host:port,... [--allow-partial]\n"
-      "                  [--deadline-ms N] [--rpc-retries N]]\n"
       "                 [--dump-hits hits.txt]\n"
       "                 [--load-tuple-index <file>]\n"
       "                 [--delete-tables a,b] [--add-tables x.csv,y.csv]\n"
@@ -158,12 +142,6 @@ void Usage() {
       "       [0,1] (default 1 with --trace-out, else 0); --slow-query-ms\n"
       "       logs queries at or above MS end-to-end at WARN with their\n"
       "       trace id and span tree (0 logs every request)\n"
-      "       --router fans --serve queries out to remote dust_shardd\n"
-      "       processes (endpoints in shard order) instead of building an\n"
-      "       in-process index; --allow-partial tolerates parity mismatches\n"
-      "       only while the router reports degraded (partial) results;\n"
-      "       --deadline-ms bounds each shard RPC, --rpc-retries bounds\n"
-      "       retries of transient failures\n"
       "       --dump-hits writes the baseline hit list (by table name) with\n"
       "       bit-exact similarities for cross-process comparison\n"
       "       --delete-tables tombstones the named lake tables (names or\n"
@@ -174,16 +152,15 @@ void Usage() {
       "       can never be served\n"
       "       --load-tuple-index serves from a saved tuple index instead of\n"
       "       re-embedding the lake (the CSVs are still read for row\n"
-      "       alignment); with --serve, --save-tuple-index persists the\n"
-      "       post-mutation index\n"
+      "       alignment; --index must name the saved index's type); with\n"
+      "       --serve, --save-tuple-index persists the post-mutation index\n"
       "       --save-tuple-index builds the tuple-level index (honoring\n"
-      "       --index/--shards) and saves it for dust_shardd to load\n"
+      "       --index) and saves it for a later --load-tuple-index\n"
       "       --save-index without --query builds the lake index and exits;\n"
       "       --load-index serves queries from a saved snapshot without\n"
       "       re-embedding the lake\n"
-      "       --shards N partitions the shortlist index across N shards of\n"
-      "       the --index type (scatter-gather search); --hnsw-m/--hnsw-ef\n"
-      "       tune the HNSW graph degree and query beam width\n"
+      "       --hnsw-m/--hnsw-ef tune the HNSW graph degree and query beam\n"
+      "       width\n"
       "       --metric selects the tuple distance delta(.) used for\n"
       "       diversification; table search scoring is always cosine\n"
       "       (Starmie-style embedding similarity)\n"
@@ -197,8 +174,8 @@ void Usage() {
 /// Parses a non-negative integer: digits only (strtoul alone would skip
 /// whitespace and wrap signed values like " -5" to a huge size_t), and no
 /// silent saturation — a value past ULONG_MAX makes strtoul clamp and set
-/// ERANGE, which must be rejected as overflow (mirroring ParseShardCount's
-/// bounds discipline), not accepted as a huge-but-valid count.
+/// ERANGE, which must be rejected as overflow, not accepted as a
+/// huge-but-valid count.
 bool ParseSize(const char* flag, const char* value, size_t* out) {
   bool digits_only = *value != '\0';
   for (const char* p = value; *p; ++p) {
@@ -281,14 +258,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->metric = metric.value();
     } else if (arg == "--shortlist" && (value = next())) {
       if (!ParseSize("--shortlist", value, &options->shortlist)) return false;
-    } else if (arg == "--shards" && (value = next())) {
-      if (!ParseSize("--shards", value, &options->shards)) return false;
-      if (options->shards == 0) {
-        // An explicit 0 is a contradiction, not "unsharded" — reject it
-        // instead of silently dropping the flag.
-        std::fprintf(stderr, "--shards must be >= 1 (omit for unsharded)\n");
-        return false;
-      }
     } else if (arg == "--hnsw-m" && (value = next())) {
       if (!ParseSize("--hnsw-m", value, &options->hnsw_m)) return false;
       if (options->hnsw_m < 2) {
@@ -370,8 +339,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         std::fprintf(stderr, "--slow-query-ms must be >= 0, got: %s\n", value);
         return false;
       }
-    } else if (arg == "--router" && (value = next())) {
-      options->router_endpoints = value;
     } else if (arg == "--save-tuple-index" && (value = next())) {
       options->save_tuple_index_path = value;
     } else if (arg == "--load-tuple-index" && (value = next())) {
@@ -384,20 +351,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->compact = true;
     } else if (arg == "--dump-hits" && (value = next())) {
       options->dump_hits_path = value;
-    } else if (arg == "--allow-partial") {
-      options->allow_partial = true;
-    } else if (arg == "--deadline-ms" && (value = next())) {
-      if (!ParseSize("--deadline-ms", value, &options->deadline_ms)) {
-        return false;
-      }
-      if (options->deadline_ms == 0) {
-        std::fprintf(stderr, "--deadline-ms must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--rpc-retries" && (value = next())) {
-      if (!ParseSize("--rpc-retries", value, &options->rpc_retries)) {
-        return false;
-      }
     } else if (arg == "--k" && (value = next())) {
       if (!ParseSize("--k", value, &options->k)) return false;
     } else if (arg == "--tables" && (value = next())) {
@@ -450,20 +403,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     std::fprintf(stderr,
                  "--cascade requires the starmie engine (the d3l engine has "
                  "no staged retrieval path)\n");
-    return false;
-  }
-  if (options->shards > 0 && shard::IsShardedSpec(options->index)) {
-    std::fprintf(stderr,
-                 "--shards cannot wrap the already-sharded --index %s\n",
-                 options->index.c_str());
-    return false;
-  }
-  if (options->shards > 0 &&
-      !index::IsKnownIndexType("sharded:" + options->index + ":" +
-                               std::to_string(options->shards))) {
-    // The composed spec must pass the same validation a literal
-    // "sharded:..." --index would (e.g. the 2^16 shard-count cap).
-    std::fprintf(stderr, "--shards %zu is out of range\n", options->shards);
     return false;
   }
   if (options->serve) {
@@ -519,14 +458,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     // sampler stays off and tracing costs nothing.
     options->trace_sample_rate = options->trace_out_path.empty() ? 0.0 : 1.0;
   }
-  if (!options->router_endpoints.empty() && !options->serve) {
-    std::fprintf(stderr, "--router requires --serve\n");
-    return false;
-  }
-  if (options->allow_partial && options->router_endpoints.empty()) {
-    std::fprintf(stderr, "--allow-partial requires --router\n");
-    return false;
-  }
   if (!options->dump_hits_path.empty() && !options->serve) {
     std::fprintf(stderr, "--dump-hits requires --serve\n");
     return false;
@@ -538,20 +469,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                  "--delete-tables/--add-tables/--compact require --serve\n");
     return false;
   }
-  if (mutations && !options->router_endpoints.empty()) {
-    // The router view is read-only: removals happen shard-side, so a
-    // routed lake cannot be mutated from this process.
-    std::fprintf(stderr,
-                 "--delete-tables/--add-tables/--compact cannot be used "
-                 "with --router (shards own their tombstones)\n");
+  if (!options->load_tuple_index_path.empty() && !options->serve) {
+    std::fprintf(stderr, "--load-tuple-index requires --serve\n");
     return false;
-  }
-  if (!options->load_tuple_index_path.empty()) {
-    if (!options->serve || !options->router_endpoints.empty()) {
-      std::fprintf(stderr,
-                   "--load-tuple-index requires --serve without --router\n");
-      return false;
-    }
   }
   if (!options->save_tuple_index_path.empty()) {
     if (!options->save_index_path.empty() ||
@@ -559,10 +479,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       std::fprintf(stderr,
                    "--save-tuple-index is exclusive with "
                    "--save-index/--load-index\n");
-      return false;
-    }
-    if (options->serve && !options->router_endpoints.empty()) {
-      std::fprintf(stderr, "--save-tuple-index cannot snapshot a --router\n");
       return false;
     }
     if (options->engine != "starmie") {
@@ -588,9 +504,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
          (build_only || !options->query_path.empty()) && options->k > 0;
 }
 
-/// The tuple-index configuration shared by --serve, --save-tuple-index, and
-/// the shard servers that load the saved artifact: every entry point must
-/// agree on these knobs or bit-parity across processes is off the table.
 /// The cascade knobs shared by the pipeline and --serve entry points.
 search::cascade::CascadeConfig MakeCascadeConfig(const CliOptions& options) {
   search::cascade::CascadeConfig config;
@@ -600,13 +513,11 @@ search::cascade::CascadeConfig MakeCascadeConfig(const CliOptions& options) {
   return config;
 }
 
+/// The tuple-index configuration shared by --serve and --save-tuple-index:
+/// a saved index only loads back under the config that built it.
 search::TupleSearchConfig MakeTupleConfig(const CliOptions& options) {
   search::TupleSearchConfig config;
   config.index_type = options.index;
-  if (options.shards > 0) {
-    config.index_type =
-        "sharded:" + options.index + ":" + std::to_string(options.shards);
-  }
   config.index_options.hnsw_m = options.hnsw_m;
   config.index_options.hnsw_ef_search = options.hnsw_ef;
   config.cascade = MakeCascadeConfig(options);
@@ -709,8 +620,9 @@ bool ApplyLakeMutations(const CliOptions& options,
 }
 
 /// --save-tuple-index: builds the tuple-level index over the lake (the same
-/// one --serve would build) and persists it with io::SaveIndex so shard
-/// servers (dust_shardd) can load it. Returns the process exit code.
+/// one --serve would build) and persists it with io::SaveIndex so a later
+/// --serve --load-tuple-index can skip the build. Returns the process exit
+/// code.
 int RunSaveTupleIndex(const CliOptions& options,
                       const std::vector<const table::Table*>& lake) {
   search::TupleSearch search(MakeTupleEncoder(), MakeTupleConfig(options));
@@ -731,42 +643,18 @@ int RunSaveTupleIndex(const CliOptions& options,
   return 0;
 }
 
-/// --serve: builds a tuple-level index over the lake (or, with --router,
-/// connects to remote dust_shardd shards), starts the async QueryServer,
-/// and drives it with a synthetic closed-loop client (each of --clients
-/// threads keeps exactly one request in flight until --requests queries
-/// have been served). Every response is verified bit-identical to the
-/// sequential SearchTuplesChecked baseline. Returns the process exit code.
+/// --serve: builds a tuple-level index over the lake (or loads a saved
+/// one), starts the async QueryServer, and drives it with a synthetic
+/// closed-loop client (each of --clients threads keeps exactly one request
+/// in flight until --requests queries have been served). Every response is
+/// verified bit-identical to the sequential SearchTuplesChecked baseline.
+/// Returns the process exit code.
 int RunServeMode(const CliOptions& options,
                  const std::vector<const table::Table*>& lake,
                  const table::Table& query) {
   search::TupleSearch search(MakeTupleEncoder(), MakeTupleConfig(options));
-  net::RouterIndex* router = nullptr;  // owned by `search` once installed
   Stopwatch index_watch;
-  if (!options.router_endpoints.empty()) {
-    net::RouterOptions router_options;
-    router_options.deadline_ms = static_cast<int>(options.deadline_ms);
-    router_options.max_attempts = 1 + static_cast<int>(options.rpc_retries);
-    Result<std::unique_ptr<net::RouterIndex>> connected =
-        net::RouterIndex::Connect(SplitCommas(options.router_endpoints),
-                                  router_options);
-    if (!connected.ok()) {
-      std::fprintf(stderr, "cannot connect router: %s\n",
-                   connected.status().ToString().c_str());
-      return 1;
-    }
-    std::unique_ptr<net::RouterIndex> owned = std::move(connected).value();
-    router = owned.get();
-    Status used = search.UseIndex(std::move(owned), lake);
-    if (!used.ok()) {
-      std::fprintf(stderr, "router does not match the lake: %s\n",
-                   used.ToString().c_str());
-      return 1;
-    }
-    std::printf("router over %zu shards (%zu tuples) ready in %.3fs\n",
-                router->num_shards(), search.num_indexed(),
-                index_watch.Seconds());
-  } else if (!options.load_tuple_index_path.empty()) {
+  if (!options.load_tuple_index_path.empty()) {
     Result<std::unique_ptr<index::VectorIndex>> loaded =
         io::LoadIndex(options.load_tuple_index_path);
     if (!loaded.ok()) {
@@ -792,7 +680,7 @@ int RunServeMode(const CliOptions& options,
   // Lake mutations happen before any query is in flight (mutations are not
   // synchronized against concurrent searches); the baseline below — and
   // everything the server serves — sees only the post-mutation lake.
-  if (router == nullptr && !ApplyLakeMutations(options, &search)) return 1;
+  if (!ApplyLakeMutations(options, &search)) return 1;
   if (!options.save_tuple_index_path.empty()) {
     Status saved =
         io::SaveIndex(*search.lake_index(), options.save_tuple_index_path);
@@ -905,31 +793,15 @@ int RunServeMode(const CliOptions& options,
     std::printf("cascade stages:\n%s", search.CascadeStatsSummary().c_str());
   }
   std::printf("\nmetrics:\n%s", server.metrics().RenderTable().c_str());
-  bool partial = false;
-  if (router != nullptr) {
-    const net::RouterStats rstats = router->stats();
-    partial = rstats.partial_results > 0;
-    std::printf(
-        "router: rpcs=%llu failures=%llu retries=%llu "
-        "partial_results=%llu partial=%s\n",
-        static_cast<unsigned long long>(rstats.rpcs),
-        static_cast<unsigned long long>(rstats.rpc_failures),
-        static_cast<unsigned long long>(rstats.retries),
-        static_cast<unsigned long long>(rstats.partial_results),
-        partial ? "true" : "false");
-  }
   if (!options.metrics_out_path.empty()) {
     // Machine-readable exposition for scrapers/CI: name{label} value lines.
-    // With --router, every reachable shard's metrics follow, each series
-    // labeled shard="host:port".
     std::FILE* f = std::fopen(options.metrics_out_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n",
                    options.metrics_out_path.c_str());
       return 1;
     }
-    std::string text = server.metrics().RenderText();
-    if (router != nullptr) text += router->FederatedMetricsText();
+    const std::string text = server.metrics().RenderText();
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
     std::printf("wrote metrics to %s\n", options.metrics_out_path.c_str());
@@ -959,17 +831,6 @@ int RunServeMode(const CliOptions& options,
     }
   }
   if (failures.load() > 0 || mismatches.load() > 0) {
-    // With --allow-partial, a degraded run (a shard died mid-run, the
-    // router kept answering from the survivors) is an expected outcome, not
-    // a failure — but only when the router actually reports degradation;
-    // mismatches with every shard healthy are real bugs either way.
-    if (options.allow_partial && partial) {
-      std::printf(
-          "serve degraded: %zu errors, %zu parity mismatches tolerated "
-          "(--allow-partial, router reported partial results)\n",
-          failures.load(), mismatches.load());
-      return 0;
-    }
     std::fprintf(stderr, "serve FAILED: %zu errors, %zu parity mismatches\n",
                  failures.load(), mismatches.load());
     return 1;
@@ -1074,41 +935,31 @@ int main(int argc, char** argv) {
   config.engine = options.engine;
   config.search_index = options.index;
   config.search_shortlist = options.shortlist;
-  config.search_shards = options.shards;
   config.hnsw_m = options.hnsw_m;
   config.hnsw_ef_search = options.hnsw_ef;
   if (options.engine == "d3l") {
     // Only the starmie engine builds a shortlist index.
     if (options.index != "flat" || options.shortlist > 0 ||
-        options.shards > 0 || options.hnsw_m > 0 || options.hnsw_ef > 0) {
+        options.hnsw_m > 0 || options.hnsw_ef > 0) {
       std::fprintf(stderr,
-                   "--index/--shortlist/--shards/--hnsw-* are ignored by the "
+                   "--index/--shortlist/--hnsw-* are ignored by the "
                    "%s engine\n",
                    options.engine.c_str());
     }
   } else {
-    const std::string index_spec = config.EffectiveSearchIndex();
-    if (index_spec != "flat" && options.shortlist == 0) {
+    if (options.index != "flat" && options.shortlist == 0) {
       // The pipeline resolves this contradictory combination itself (a
       // shortlist of 0 would disable the index); surface the default here.
       std::fprintf(stderr,
                    "--index %s without --shortlist: the pipeline defaults "
                    "the shortlist to %zu\n",
-                   index_spec.c_str(),
+                   options.index.c_str(),
                    core::PipelineConfig::DefaultShortlist(options.tables));
     }
-    if (options.hnsw_m > 0 || options.hnsw_ef > 0) {
-      // Resolve the spec down to the concrete type the knobs apply to, so
-      // "--index sharded:hnsw:4 --hnsw-ef 64" does not warn.
-      shard::ShardedIndexConfig sharded;
-      std::string concrete = index_spec;
-      if (shard::ParseShardedSpec(index_spec, &sharded)) {
-        concrete = sharded.child_type;
-      }
-      if (concrete != "hnsw") {
-        std::fprintf(stderr, "--hnsw-m/--hnsw-ef are ignored by --index %s\n",
-                     concrete.c_str());
-      }
+    if ((options.hnsw_m > 0 || options.hnsw_ef > 0) &&
+        options.index != "hnsw") {
+      std::fprintf(stderr, "--hnsw-m/--hnsw-ef are ignored by --index %s\n",
+                   options.index.c_str());
     }
   }
   config.cascade = MakeCascadeConfig(options);
