@@ -266,21 +266,33 @@ void BM_IndexSearch(benchmark::State& state) {
 BENCHMARK(BM_IndexSearch)
     ->ArgsProduct({{0, 1, 2}, {2000, 10000}});  // flat, ivf, hnsw
 
-void BM_IndexSearchBatch(benchmark::State& state) {
-  const char* type = kIndexTypes[state.range(0)];
-  auto points = bench::SyntheticTupleCloud(10000, 64, 16, 4);
+/// One SearchBatch of `rows` queries for the top `k` each over `n` stored
+/// vectors of 64 dims, on the default executor.
+void BM_IndexSearchBatch(benchmark::State& state, const char* type, size_t n,
+                         size_t rows, size_t k) {
+  auto points = bench::SyntheticTupleCloud(n, 64, 16, 4);
   auto idx = MakeBenchIndex(type);
   idx->AddAll(points);
-  std::vector<la::Vec> queries = bench::SyntheticTupleCloud(64, 64, 8, 5);
-  benchmark::DoNotOptimize(idx->SearchBatch(queries, 10).size());
+  std::vector<la::Vec> queries = bench::SyntheticTupleCloud(rows, 64, 8, 5);
+  benchmark::DoNotOptimize(idx->SearchBatch(queries, k).size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx->SearchBatch(queries, 10).size());
+    benchmark::DoNotOptimize(idx->SearchBatch(queries, k).size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));
   state.SetLabel(type);
 }
+
+void BM_IndexSearchBatch(benchmark::State& state) {
+  BM_IndexSearchBatch(state, kIndexTypes[state.range(0)], 10000, 64, 10);
+}
 BENCHMARK(BM_IndexSearchBatch)->Arg(0)->Arg(1)->Arg(2);
+
+// A served tuple-query miss: the flat index over the alg1_tus lake's
+// 37,439 tuples, about two requests' 25 query rows, and
+// per_query_candidates = 200 hits per row.
+BENCHMARK_CAPTURE(BM_IndexSearchBatch, serve_miss, "flat", 37439, 25, 200)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TupleEncoding(benchmark::State& state) {
   auto encoder = bench::MakeBenchEncoder(64);

@@ -11,6 +11,17 @@
 
 namespace dust::index {
 
+namespace {
+
+/// The one ranking order of every index: ascending distance, ties toward
+/// the lower id.
+bool HitBefore(const SearchHit& a, const SearchHit& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.id < b.id;
+}
+
+}  // namespace
+
 void VectorIndex::AddAll(const std::vector<la::Vec>& vectors) {
   for (const la::Vec& v : vectors) Add(v);
 }
@@ -80,12 +91,41 @@ Result<std::unique_ptr<VectorIndex>> VectorIndex::Compact(
 }
 
 void FinalizeHits(std::vector<SearchHit>* hits, size_t k) {
-  std::sort(hits->begin(), hits->end(),
-            [](const SearchHit& a, const SearchHit& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
-  if (hits->size() > k) hits->resize(k);
+  const size_t keep = std::min(k, hits->size());
+  if (keep < hits->size()) {
+    std::partial_sort(hits->begin(), hits->begin() + keep, hits->end(),
+                      HitBefore);
+  } else {
+    std::sort(hits->begin(), hits->end(), HitBefore);
+  }
+  if (hits->capacity() > keep) {
+    std::vector<SearchHit>(hits->begin(), hits->begin() + keep).swap(*hits);
+  }
+}
+
+void VectorIndex::OfferLiveHits(const float* distances, size_t first_id,
+                                size_t count, size_t k,
+                                std::vector<SearchHit>* heap) const {
+  size_t i = 0;
+  for (; i < count && heap->size() < k; ++i) {
+    if (IsDead(first_id + i)) continue;
+    heap->push_back({first_id + i, distances[i]});
+    std::push_heap(heap->begin(), heap->end(), HitBefore);
+  }
+  if (heap->empty()) return;
+  // Full heap: a candidate must beat the worst kept hit, which needs a
+  // distance no larger than the worst's (a NaN never qualifies), so that
+  // one compare rejects almost every candidate of a long scan.
+  SearchHit worst = heap->front();
+  for (; i < count; ++i) {
+    if (!(distances[i] <= worst.distance)) continue;
+    const SearchHit hit{first_id + i, distances[i]};
+    if (!HitBefore(hit, worst) || IsDead(hit.id)) continue;
+    std::pop_heap(heap->begin(), heap->end(), HitBefore);
+    heap->back() = hit;
+    std::push_heap(heap->begin(), heap->end(), HitBefore);
+    worst = heap->front();
+  }
 }
 
 std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(

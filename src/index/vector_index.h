@@ -34,9 +34,10 @@ struct SearchHit {
 
 /// Mutable vector index with top-k nearest-neighbor search. Vectors are
 /// appended (ids assigned in insertion order) and deleted by tombstone:
-/// Remove marks an id dead without touching the stored data, Search skips
-/// dead ids before scoring (so k live hits come back whenever k live
-/// vectors exist), and Compact rewrites the index without its tombstones.
+/// Remove marks an id dead without touching the stored data, Search never
+/// lets a dead id take one of its k slots (so k live hits come back
+/// whenever k live vectors exist), and Compact rewrites the index without
+/// its tombstones.
 /// Mutations are not synchronized against in-flight searches — quiesce
 /// traffic before mutating, exactly as with SetExecutor.
 class VectorIndex {
@@ -49,10 +50,8 @@ class VectorIndex {
   /// Appends a vector; its id is the number of vectors added before it.
   virtual void Add(const la::Vec& v) = 0;
 
-  /// Batch append, equivalent to calling Add per vector (ids assigned in
-  /// order). Virtual so indexes with a cheaper bulk path can override it:
-  /// FlatIndex reserves storage and fills its norm cache in one pass.
-  virtual void AddAll(const std::vector<la::Vec>& vectors);
+  /// Batch append: calls Add per vector, so ids are assigned in order.
+  void AddAll(const std::vector<la::Vec>& vectors);
 
   /// Top-k nearest neighbors by ascending distance (ties by ascending id).
   /// Approximate indexes may miss true neighbors.
@@ -73,11 +72,13 @@ class VectorIndex {
     return SearchBatch(queries, k, executor_);
   }
 
-  /// As above with an explicit executor: the queries fan out across its
+  /// As above with an explicit executor: the work fans out across its
   /// pooled threads (inline for Executor(0)), or across the process-wide
   /// serve::Executor::Default() pool when `executor` is null; no call
-  /// spawns threads of its own. Subclasses may override with fused kernels;
-  /// results must stay bit-identical across all scheduling modes.
+  /// spawns threads of its own. By default each query is one Search task;
+  /// FlatIndex overrides it with a blocked scan in which each task scores
+  /// a group of queries against its store one cache-sized block at a time.
+  /// Results must stay bit-identical across all scheduling modes.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k,
       serve::Executor* executor) const;
@@ -163,6 +164,15 @@ class VectorIndex {
   /// knobs). The construction hook Compact is built on.
   virtual std::unique_ptr<VectorIndex> CloneEmpty() const = 0;
 
+  /// Offers the live ids among first_id + i, i < count, scored
+  /// distances[i], to `heap`: a max-heap of at most k hits under
+  /// FinalizeHits's order, its worst hit at the front. A candidate enters
+  /// only while the heap is short or when it beats the front, so the heap
+  /// holds the k best live hits offered so far; FinalizeHits then sorts it.
+  /// Tombstoned ids are skipped here, after scoring.
+  void OfferLiveHits(const float* distances, size_t first_id, size_t count,
+                     size_t k, std::vector<SearchHit>* heap) const;
+
   serve::Executor* executor_ = nullptr;
   /// Tombstone bitmap, sized lazily on first Remove (append-heavy indexes
   /// pay nothing until a delete happens). dead_[id] != 0 => tombstoned.
@@ -170,7 +180,10 @@ class VectorIndex {
   size_t num_dead_ = 0;
 };
 
-/// Sorts hits ascending by (distance, id) and truncates to k.
+/// Keeps the k best hits in ascending (distance, id) order. Distinct ids
+/// make that a strict total order, so the kept list is exactly the first k
+/// of a full sort; it is selected (partial_sort) rather than sorted, and
+/// the vector comes back with capacity for the kept hits only.
 void FinalizeHits(std::vector<SearchHit>* hits, size_t k);
 
 /// Optional per-type tuning knobs consumed by MakeVectorIndex. A field set

@@ -1,5 +1,6 @@
 #include "io/index_io.h"
 
+#include <cmath>
 #include <cstring>
 
 namespace dust::io {
@@ -41,6 +42,14 @@ void IndexWriter::WriteVec(const la::Vec& v) {
 void IndexWriter::WriteVecs(const std::vector<la::Vec>& vectors) {
   WriteU64(vectors.size());
   for (const la::Vec& v : vectors) WriteVec(v);
+}
+
+void IndexWriter::WriteVecs(const float* rows, size_t count, size_t dim) {
+  WriteU64(count);
+  for (size_t i = 0; i < count; ++i) {
+    WriteU64(dim);
+    WriteRaw(rows + i * dim, dim * sizeof(float));
+  }
 }
 
 void IndexWriter::WriteIds(const std::vector<size_t>& ids) {
@@ -115,15 +124,33 @@ Status IndexReader::ReadString(std::string* s) {
   return len > 0 ? ReadRaw(s->data(), len) : Status::Ok();
 }
 
-Status IndexReader::ReadVec(la::Vec* v, size_t dim) {
-  uint64_t len = 0;
-  DUST_RETURN_IF_ERROR(ReadCount(sizeof(float), &len));
-  if (dim != 0 && len != dim) {
+Status IndexReader::ReadVecLength(size_t dim, uint64_t* len) {
+  DUST_RETURN_IF_ERROR(ReadCount(sizeof(float), len));
+  if (dim != 0 && *len != dim) {
     status_ = Status::IoError("vector dimension mismatch in " + path_);
     return status_;
   }
+  return Status::Ok();
+}
+
+Status IndexReader::ReadFiniteFloats(float* data, size_t n) {
+  if (n == 0) return Status::Ok();
+  DUST_RETURN_IF_ERROR(ReadRaw(data, n * sizeof(float)));
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(data[i])) {
+      status_ = Status::IoError("non-finite value in a stored vector: " +
+                                path_);
+      return status_;
+    }
+  }
+  return Status::Ok();
+}
+
+Status IndexReader::ReadVec(la::Vec* v, size_t dim) {
+  uint64_t len = 0;
+  DUST_RETURN_IF_ERROR(ReadVecLength(dim, &len));
   v->resize(len);
-  return len > 0 ? ReadRaw(v->data(), len * sizeof(float)) : Status::Ok();
+  return ReadFiniteFloats(v->data(), len);
 }
 
 Status IndexReader::ReadVecs(std::vector<la::Vec>* vectors, size_t dim) {
@@ -136,6 +163,28 @@ Status IndexReader::ReadVecs(std::vector<la::Vec>* vectors, size_t dim) {
     la::Vec v;
     DUST_RETURN_IF_ERROR(ReadVec(&v, dim));
     vectors->push_back(std::move(v));
+  }
+  return Status::Ok();
+}
+
+Status IndexReader::ReadRows(std::vector<float>* rows, size_t dim) {
+  DUST_CHECK(dim > 0);
+  uint64_t count = 0;
+  DUST_RETURN_IF_ERROR(ReadCount(sizeof(uint64_t), &count));
+  // Each vector is its u64 length prefix plus dim floats, and all of them
+  // must fit in the rest of the file before the buffer is sized; the dim
+  // test comes first so a corrupt header dim cannot overflow the product.
+  if (count > 0 &&
+      (dim > remaining_ / sizeof(float) ||
+       count > remaining_ / (sizeof(uint64_t) + dim * sizeof(float)))) {
+    status_ = Status::IoError("corrupt element count in " + path_);
+    return status_;
+  }
+  rows->resize(count * dim);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t len = 0;
+    DUST_RETURN_IF_ERROR(ReadVecLength(dim, &len));
+    DUST_RETURN_IF_ERROR(ReadFiniteFloats(rows->data() + i * dim, dim));
   }
   return Status::Ok();
 }

@@ -75,6 +75,9 @@ class IndexWriter {
   void WriteVec(const la::Vec& v);
   /// Count-prefixed (u64) list of vectors, each length-prefixed.
   void WriteVecs(const std::vector<la::Vec>& vectors);
+  /// The same bytes for `count` vectors of `dim` floats stored row-major
+  /// at `rows`.
+  void WriteVecs(const float* rows, size_t count, size_t dim);
   /// Count-prefixed (u64) list of u64 ids.
   void WriteIds(const std::vector<size_t>& ids);
 
@@ -117,13 +120,24 @@ class IndexReader {
 
   Status ReadString(std::string* s);
   /// Reads a length-prefixed vector and checks it has exactly `dim`
-  /// elements (pass 0 to accept any length).
+  /// elements (pass 0 to accept any length). A NaN or infinite element is
+  /// an IoError: it would make every distance to the vector NaN, and
+  /// ranking relies on (distance, id) being a strict order.
   Status ReadVec(la::Vec* v, size_t dim);
   Status ReadVecs(std::vector<la::Vec>* vectors, size_t dim);
+  /// Reads a WriteVecs list whose vectors must each have `dim` > 0
+  /// elements straight into one row-major buffer of count * dim floats,
+  /// with ReadVec's checks.
+  Status ReadRows(std::vector<float>* rows, size_t dim);
   Status ReadIds(std::vector<size_t>* ids);
 
  private:
   Status ReadRaw(void* data, size_t n);
+  /// Reads a vector's length prefix; IoError unless it is `dim` (any
+  /// length when `dim` is 0).
+  Status ReadVecLength(size_t dim, uint64_t* len);
+  /// Reads n floats, rejecting NaN and infinities.
+  Status ReadFiniteFloats(float* data, size_t n);
 
   std::string path_;
   std::ifstream in_;

@@ -186,37 +186,48 @@ void DistanceToMany(Metric metric, const Vec& query,
                      [ids](size_t i) { return ids[i]; });
 }
 
+void DistanceToRows(Metric metric, const float* query, float query_norm,
+                    const float* rows, const float* row_norms, size_t count,
+                    size_t dim, float* out) {
+  const simd::Kernels& ops = simd::Active();
+  switch (metric) {
+    case Metric::kCosine:
+      ops.dot_batch(query, rows, dim, count, dim, out);
+      for (size_t r = 0; r < count; ++r) {
+        out[r] = CosineDistanceFromDot(out[r], query_norm, row_norms[r]);
+      }
+      return;
+    case Metric::kEuclidean:
+      for (size_t r = 0; r < count; ++r) {
+        out[r] = std::sqrt(ops.squared_l2(query, rows + r * dim, dim));
+      }
+      return;
+    case Metric::kManhattan:
+      for (size_t r = 0; r < count; ++r) {
+        out[r] = ops.l1(query, rows + r * dim, dim);
+      }
+      return;
+  }
+  DUST_CHECK(false && "invalid Metric enum value");
+}
+
 DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric)
     : n_(points.size()), data_(points.size() * points.size(), 0.0f) {
   if (n_ == 0) return;
-  // The strict upper triangle, written row by row.
-  if (metric == Metric::kCosine) {
-    // One contiguous copy of the points makes row i a single batched dot
-    // over the points after i; the norm cache then turns each dot into a
-    // distance.
-    const size_t dim = points[0].size();
-    std::vector<float> flat(n_ * dim);
-    for (size_t i = 0; i < n_; ++i) {
-      DUST_CHECK(points[i].size() == dim);
-      std::copy(points[i].begin(), points[i].end(), flat.begin() + i * dim);
-    }
-    const std::vector<float> norms = NormsOf(points);
-    const simd::Kernels& ops = simd::Active();
-    for (size_t i = 0; i + 1 < n_; ++i) {
-      const float* q = flat.data() + i * dim;
-      const size_t count = n_ - i - 1;
-      float* out = data_.data() + i * n_ + i + 1;
-      ops.dot_batch(q, q + dim, dim, count, dim, out);
-      for (size_t j = 0; j < count; ++j) {
-        out[j] = CosineDistanceFromDot(out[j], norms[i], norms[i + 1 + j]);
-      }
-    }
-  } else {
-    for (size_t i = 0; i + 1 < n_; ++i) {
-      DistanceToManyImpl(metric, points[i], points, nullptr, n_ - i - 1,
-                         data_.data() + i * n_ + i + 1,
-                         [i](size_t j) { return i + 1 + j; });
-    }
+  // The strict upper triangle, written row by row. One contiguous copy of
+  // the points makes row i a single contiguous scan over the points after
+  // i (a batched dot for cosine).
+  const size_t dim = points[0].size();
+  std::vector<float> flat(n_ * dim);
+  for (size_t i = 0; i < n_; ++i) {
+    DUST_CHECK(points[i].size() == dim);
+    std::copy(points[i].begin(), points[i].end(), flat.begin() + i * dim);
+  }
+  const std::vector<float> norms = NormsOf(points);
+  for (size_t i = 0; i + 1 < n_; ++i) {
+    const float* q = flat.data() + i * dim;
+    DistanceToRows(metric, q, norms[i], q + dim, norms.data() + i + 1,
+                   n_ - i - 1, dim, data_.data() + i * n_ + i + 1);
   }
   // Every kernel is symmetric in its two operands, so the lower triangle is
   // the transposed upper one; copy it tile by tile to keep both sides of

@@ -81,6 +81,15 @@ void DistanceToMany(Metric metric, const Vec& query,
                     const std::vector<Vec>& base, const float* base_norms,
                     const size_t* ids, size_t count, float* out);
 
+/// Contiguous variant: out[r] = Distance(metric, query, row r) for the
+/// `count` rows of `dim` floats stored row-major at `rows`. `query_norm`
+/// must be Norm(query) and `row_norms` the rows' norms (both read only for
+/// cosine, which runs as one dot_batch). Every entry equals the
+/// norm-cached DistanceToMany's bit for bit.
+void DistanceToRows(Metric metric, const float* query, float query_norm,
+                    const float* rows, const float* row_norms, size_t count,
+                    size_t dim, float* out);
+
 /// Row-major symmetric pairwise distance matrix (n x n, zero diagonal).
 class DistanceMatrix {
  public:

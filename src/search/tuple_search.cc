@@ -19,6 +19,8 @@ namespace {
 /// rank first). Deterministic — ties break by (table, row) provenance.
 /// A non-empty `allowed` bitmap (the cascade's surviving tables) drops hits
 /// from pruned tables before fusion; empty means every table is allowed.
+/// The k best are selected, not sorted out of every candidate, and come
+/// back in a vector sized for them alone.
 std::vector<TupleHit> FuseTupleHits(
     const std::vector<std::vector<index::SearchHit>>& per_tuple_hits,
     size_t begin, size_t count, const std::vector<table::TupleRef>& refs,
@@ -39,15 +41,20 @@ std::vector<TupleHit> FuseTupleHits(
   for (const auto& [id, similarity] : best_similarity) {
     hits.push_back({refs[id], similarity});
   }
-  std::sort(hits.begin(), hits.end(), [](const TupleHit& a, const TupleHit& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    if (a.ref.table_index != b.ref.table_index) {
-      return a.ref.table_index < b.ref.table_index;
-    }
-    return a.ref.row_index < b.ref.row_index;
-  });
-  if (hits.size() > k) hits.resize(k);
-  return hits;
+  // Refs are distinct, so this is a strict total order and the selected
+  // prefix equals a full sort's.
+  const size_t keep = std::min(k, hits.size());
+  std::partial_sort(hits.begin(), hits.begin() + keep, hits.end(),
+                    [](const TupleHit& a, const TupleHit& b) {
+                      if (a.similarity != b.similarity) {
+                        return a.similarity > b.similarity;
+                      }
+                      if (a.ref.table_index != b.ref.table_index) {
+                        return a.ref.table_index < b.ref.table_index;
+                      }
+                      return a.ref.row_index < b.ref.row_index;
+                    });
+  return std::vector<TupleHit>(hits.begin(), hits.begin() + keep);
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ class TupleSearch {
   //
   // A lake is no longer frozen at IndexLake time: tables can be deleted and
   // added while the process keeps serving. Deletes tombstone the table's
-  // tuple-id range in the index (skipped before scoring, so top-k still
+  // tuple-id range in the index (never given a top-k slot, so top-k still
   // returns k live tuples whenever k exist); adds encode and append. Every
   // mutation bumps LakeStateHash, so the serving result cache and snapshot
   // staleness checks invalidate automatically — a mutated lake never serves

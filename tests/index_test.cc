@@ -2,6 +2,8 @@
 // plus the batched query path shared by all of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
@@ -10,6 +12,7 @@
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
 #include "la/simd/kernels.h"
+#include "serve/executor.h"
 #include "util/rng.h"
 
 namespace dust::index {
@@ -25,6 +28,23 @@ std::vector<la::Vec> RandomUnitVectors(size_t n, size_t dim, uint64_t seed) {
     out.push_back(v);
   }
   return out;
+}
+
+uint32_t FloatBits(float f) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+/// Asserts equal ids and bit-identical distances, rank by rank.
+void ExpectSameHits(const std::vector<SearchHit>& expected,
+                    const std::vector<SearchHit>& actual) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].id, expected[i].id) << "rank " << i;
+    EXPECT_EQ(FloatBits(actual[i].distance), FloatBits(expected[i].distance))
+        << "rank " << i;
+  }
 }
 
 TEST(FlatIndexTest, ExactNearestNeighbor) {
@@ -94,6 +114,32 @@ TEST(FinalizeHitsTest, SortsByDistanceThenId) {
   EXPECT_EQ(hits[2].id, 3u);
   FinalizeHits(&hits, 1);
   EXPECT_EQ(hits.size(), 1u);
+}
+
+TEST(FinalizeHitsTest, EqualDistancesAtTheCutKeepTheLowerId) {
+  std::vector<SearchHit> hits = {{5, 0.3f}, {9, 0.2f}, {4, 0.3f},
+                                 {7, 0.3f}, {1, 0.9f}, {2, 0.2f}};
+  hits.reserve(64);
+  FinalizeHits(&hits, 3);
+  ExpectSameHits({{2, 0.2f}, {9, 0.2f}, {4, 0.3f}}, hits);
+  EXPECT_LE(hits.capacity(), 3u);
+}
+
+TEST(FinalizeHitsTest, KZeroKeepsNothing) {
+  std::vector<SearchHit> hits = {{3, 0.5f}, {1, 0.5f}, {2, 0.1f}};
+  FinalizeHits(&hits, 0);
+  EXPECT_TRUE(hits.empty());
+  EXPECT_EQ(hits.capacity(), 0u);
+}
+
+TEST(FinalizeHitsTest, KAtLeastSizeSortsEveryHit) {
+  for (size_t k : {4, 10}) {
+    std::vector<SearchHit> hits = {{3, 0.5f}, {8, 0.1f}, {1, 0.5f}, {0, 0.7f}};
+    hits.reserve(32);
+    FinalizeHits(&hits, k);
+    ExpectSameHits({{8, 0.1f}, {1, 0.5f}, {3, 0.5f}, {0, 0.7f}}, hits);
+    EXPECT_LE(hits.capacity(), k);
+  }
 }
 
 TEST(IvfIndexTest, FullProbeMatchesExact) {
@@ -271,7 +317,8 @@ TEST_P(IndexPropertyTest, SearchBatchMatchesSequentialSearch) {
     ASSERT_EQ(batched[q].size(), sequential.size()) << "query " << q;
     for (size_t i = 0; i < sequential.size(); ++i) {
       EXPECT_EQ(batched[q][i].id, sequential[i].id) << "query " << q;
-      EXPECT_FLOAT_EQ(batched[q][i].distance, sequential[i].distance)
+      EXPECT_EQ(FloatBits(batched[q][i].distance),
+                FloatBits(sequential[i].distance))
           << "query " << q;
     }
   }
@@ -425,8 +472,92 @@ TEST(TombstoneParityTest, FullProbeIvfMatchesRebuildOverSurvivors) {
       83);
 }
 
+/// What a flat scan's top k must be a prefix of: every live id scored by
+/// the norm-cached DistanceToMany, fully sorted by (distance, id).
+std::vector<SearchHit> FullSortOracle(const std::vector<la::Vec>& vectors,
+                                      const std::vector<float>& norms,
+                                      const std::set<size_t>& dead,
+                                      la::Metric metric,
+                                      const la::Vec& query) {
+  std::vector<float> distances;
+  la::DistanceToMany(metric, query, vectors, norms, &distances);
+  std::vector<SearchHit> hits;
+  for (size_t id = 0; id < vectors.size(); ++id) {
+    if (dead.count(id) == 0) hits.push_back({id, distances[id]});
+  }
+  std::sort(hits.begin(), hits.end(),
+            [](const SearchHit& a, const SearchHit& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.id < b.id;
+            });
+  return hits;
+}
+
+TEST(FlatIndexTest, BlockedScanMatchesFullSortOracle) {
+  // Blocks, row groups, k-bounded heaps and the executor must not change a
+  // bit of the answer. The grid straddles the block and group sizes,
+  // tombstones every 11th id, and duplicates every 7th vector so equal
+  // distances meet at the cut. 20 dims run the kernels' vector body and
+  // their scalar tail.
+  constexpr size_t kDim = 20;
+  constexpr size_t kBlock = FlatIndex::kBlockRows;
+  constexpr size_t kGroup = FlatIndex::kGroupRows;
+  serve::Executor inline_pool(0);
+  serve::Executor pool(4);
+  for (la::Metric metric : {la::Metric::kCosine, la::Metric::kEuclidean,
+                            la::Metric::kManhattan}) {
+    for (size_t n : {size_t{0}, size_t{1}, kBlock - 1, kBlock + 1,
+                     6 * kBlock - 71}) {
+      std::vector<la::Vec> vectors = RandomUnitVectors(n, kDim, 90 + n);
+      for (size_t id = 6; id < n; id += 7) vectors[id] = vectors[id - 3];
+      const std::vector<float> norms = la::NormsOf(vectors);
+      FlatIndex index(kDim, metric);
+      index.AddAll(vectors);
+      std::set<size_t> dead;
+      for (size_t id = 5; id < n; id += 11) {
+        ASSERT_TRUE(index.Remove(id));
+        dead.insert(id);
+      }
+      for (size_t rows : {size_t{1}, kGroup - 1, kGroup + 1, size_t{40}}) {
+        // Half the rows copy a stored (often duplicated) vector, so ties
+        // sit at the top of their lists.
+        std::vector<la::Vec> queries = RandomUnitVectors(rows, kDim, 9000 + n);
+        for (size_t q = 0; q < rows && n > 0; q += 2) {
+          queries[q] = vectors[(q * 37 + 6) % n];
+        }
+        std::vector<std::vector<SearchHit>> sorted;
+        for (const la::Vec& query : queries) {
+          sorted.push_back(FullSortOracle(vectors, norms, dead, metric, query));
+        }
+        for (size_t k : {size_t{0}, size_t{1}, size_t{7}, n, n + 5}) {
+          SCOPED_TRACE(std::string(la::MetricName(metric)) + " n=" +
+                       std::to_string(n) + " rows=" + std::to_string(rows) +
+                       " k=" + std::to_string(k));
+          std::vector<std::vector<SearchHit>> expected;
+          for (const std::vector<SearchHit>& all : sorted) {
+            expected.emplace_back(all.begin(),
+                                  all.begin() + std::min(k, all.size()));
+          }
+          for (size_t q = 0; q < rows; ++q) {
+            ExpectSameHits(expected[q], index.Search(queries[q], k));
+          }
+          for (serve::Executor* executor : {&inline_pool, &pool,
+                                            static_cast<serve::Executor*>(
+                                                nullptr)}) {
+            auto batched = index.SearchBatch(queries, k, executor);
+            ASSERT_EQ(batched.size(), rows);
+            for (size_t q = 0; q < rows; ++q) {
+              ExpectSameHits(expected[q], batched[q]);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FlatIndexTest, DeleteThenSearchReturnsKLiveHits) {
-  // Tombstones are skipped before scoring, not truncated after: k live
+  // Tombstones are skipped at selection, not truncated after: k live
   // vectors in the store means k hits, however many neighbors are dead.
   FlatIndex index(8, la::Metric::kCosine);
   index.AddAll(RandomUnitVectors(100, 8, 88));

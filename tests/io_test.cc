@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "index/hnsw_index.h"
 #include "index/ivf_index.h"
 #include "io/index_io.h"
+#include "text/hashing.h"
 #include "util/rng.h"
 
 namespace dust::io {
@@ -450,6 +453,75 @@ TEST_F(SavedFlatFileTest, OversizedCountRejectedWithoutHugeAllocation) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
+TEST_F(SavedFlatFileTest, HugeHeaderDimensionRejectedWithoutAllocation) {
+  // The flat store is sized count * dim up front, so a corrupt header dim
+  // must be rejected against the file size, not allocated or overflowed.
+  for (uint64_t dim : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    std::string patched = bytes_;
+    std::memcpy(&patched[14], &dim, sizeof(dim));  // header dim
+    WriteFileBytes(path_, patched);
+    auto loaded = LoadIndex(path_);
+    ASSERT_FALSE(loaded.ok()) << dim;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  }
+}
+
+TEST_F(SavedFlatFileTest, NonFiniteStoredFloatsRejected) {
+  // A NaN or infinite stored float makes that vector's distances NaN, and
+  // then (distance, id) is no longer a strict order for ranking. Vector v's
+  // floats start after the 30-byte header and empty tombstone section, the
+  // u64 vector count, v earlier vectors (u64 length + 6 floats each) and
+  // its own length.
+  const auto float_offset = [](size_t v, size_t j) {
+    return 30 + 8 + v * (8 + 6 * sizeof(float)) + 8 + j * sizeof(float);
+  };
+  const struct {
+    size_t vector;
+    size_t element;
+    float value;
+  } kPatches[] = {{0, 2, std::numeric_limits<float>::quiet_NaN()},
+                  {7, 5, std::numeric_limits<float>::infinity()}};
+  for (const auto& patch : kPatches) {
+    std::string patched = bytes_;
+    std::memcpy(&patched[float_offset(patch.vector, patch.element)],
+                &patch.value, sizeof(float));
+    WriteFileBytes(path_, patched);
+    auto loaded = LoadIndex(path_);
+    ASSERT_FALSE(loaded.ok()) << patch.value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+    EXPECT_NE(loaded.status().message().find(path_), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(IndexIoTest, SavedFlatFileBytesArePinned) {
+  // The flat payload layout is a compatibility contract; the hash was
+  // recorded from the per-vector store that preceded the contiguous one.
+  // The values are exact binary fractions, so the bytes are the same on
+  // every SIMD backend. Tombstones and a load-then-save round trip are
+  // covered.
+  FlatIndex flat(5, la::Metric::kCosine);
+  std::vector<la::Vec> vectors;
+  for (int i = 0; i < 9; ++i) {
+    la::Vec v(5);
+    for (int j = 0; j < 5; ++j) v[j] = static_cast<float>(i * 5 + j - 20) / 8;
+    vectors.push_back(v);
+  }
+  flat.Add(vectors[0]);
+  flat.AddAll({vectors.begin() + 1, vectors.end()});
+  ASSERT_EQ(flat.RemoveAll({2, 7}), 2u);
+  const std::string path = TempPath("pinned_flat.idx");
+  ASSERT_TRUE(flat.Save(path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  EXPECT_EQ(bytes.size(), 306u);
+  EXPECT_EQ(text::HashString(bytes), 0x87e5c3bf302b96ecULL);
+  auto loaded = LoadIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::string resaved_path = TempPath("pinned_flat_resaved.idx");
+  ASSERT_TRUE(loaded.value()->Save(resaved_path).ok());
+  EXPECT_EQ(ReadFileBytes(resaved_path), bytes);
+}
+
 TEST(IndexIoTest, ZeroDimensionHeaderRejected) {
   // dim 0 would disable every per-vector dimension check downstream and let
   // ragged vectors reach the distance kernels' DUST_CHECK at query time.
@@ -555,6 +627,24 @@ TEST(IndexIoTest, ReadVecRejectsDimensionMismatch) {
   IndexReader reader(path);
   la::Vec v;
   EXPECT_FALSE(reader.ReadVec(&v, 2).ok());
+}
+
+TEST(IndexIoTest, ReadVecRejectsNonFiniteFloats) {
+  const std::string path = TempPath("non_finite.bin");
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    IndexWriter writer(path);
+    writer.WriteVec({1.0f, bad, 3.0f});
+    ASSERT_TRUE(writer.Close().ok());
+    IndexReader reader(path);
+    la::Vec v;
+    Status status = reader.ReadVec(&v, 3);
+    ASSERT_FALSE(status.ok()) << bad;
+    EXPECT_EQ(status.code(), StatusCode::kIoError);
+    EXPECT_NE(status.message().find(path), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(IndexIoTest, TypeTagsAreStable) {

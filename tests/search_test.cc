@@ -226,6 +226,39 @@ TEST(TupleSearchTest, HonorsK) {
   EXPECT_EQ(search.SearchTuplesChecked(query, 2).ValueOrDie().size(), 2u);
 }
 
+TEST_F(SearchFixture, TupleHitListsHoldOnlyTheirKHits) {
+  // Fusion scores every distinct candidate of every query row; the list it
+  // returns must be sized for the k kept hits, not for those candidates.
+  auto encoder = std::make_shared<embed::PretrainedTupleEncoder>(
+      std::shared_ptr<embed::TextEmbedder>(embed::MakeEmbedder(
+          embed::ModelFamily::kBert,
+          embed::DefaultConfigFor(embed::ModelFamily::kBert, 16))));
+  TupleSearch search(encoder);
+  search.IndexLake(*lake_);
+  const size_t kKs[] = {1, 5, 12};
+  std::vector<TupleSearch::TupleQuery> queries;
+  for (size_t i = 0; i < benchmark_->queries.size(); ++i) {
+    queries.push_back({&benchmark_->queries[i].data, kKs[i % 3]});
+  }
+  serve::Executor executor(2);
+  for (serve::Executor* pool :
+       {static_cast<serve::Executor*>(nullptr), &executor}) {
+    auto results = search.SearchTuplesBatch(queries, pool);
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      EXPECT_EQ(results[i].value().size(), queries[i].k);
+      EXPECT_LE(results[i].value().capacity(), queries[i].k);
+    }
+  }
+  for (const TupleSearch::TupleQuery& query : queries) {
+    auto hits = search.SearchTuplesChecked(*query.table, query.k);
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    EXPECT_EQ(hits.value().size(), query.k);
+    EXPECT_LE(hits.value().capacity(), query.k);
+  }
+}
+
 // --- lake mutations ---------------------------------------------------------
 
 // The 16-dimensional tuple encoder of the mutation tests below.
