@@ -3,7 +3,7 @@
 #include "embed/column_embedder.h"
 #include "index/vector_index.h"
 #include "io/index_io.h"
-#include "search/cascade/cascade_search.h"
+#include "search/cascade/stages.h"
 #include "search/embedding_search.h"
 #include "search/overlap_search.h"
 #include "text/hashing.h"
@@ -13,8 +13,8 @@ namespace dust::core {
 namespace {
 
 /// Snapshot file format version; bump on any layout change.
-/// v2: engine state carries cascade signals (per-table type signatures and
-/// MinHash value sketches) behind a flag byte.
+/// v2: engine state ends with a flag byte for retrieval-cascade signals,
+/// always 0 since the cascade was removed.
 constexpr uint32_t kSnapshotFormatVersion = 2;
 
 }  // namespace
@@ -24,10 +24,6 @@ DustPipeline::DustPipeline(PipelineConfig config,
     : config_(std::move(config)), tuple_encoder_(std::move(tuple_encoder)) {
   DUST_CHECK(tuple_encoder_ != nullptr);
   if (config_.engine == "d3l") {
-    // The cascade's layers live in the starmie engine's retrieval path;
-    // silently ignoring the request would mis-report what is serving.
-    DUST_CHECK(!config_.cascade.enabled &&
-               "the retrieval cascade requires the starmie engine");
     search::OverlapSearchConfig overlap;
     overlap.embedding_dim = config_.embedding_dim;
     overlap.seed = config_.seed;
@@ -51,7 +47,6 @@ DustPipeline::DustPipeline(PipelineConfig config,
       embedding.shortlist =
           PipelineConfig::DefaultShortlist(config_.num_tables);
     }
-    embedding.cascade = config_.cascade;
     search_ = std::make_unique<search::EmbeddingUnionSearch>(embedding);
   }
 }
@@ -75,7 +70,9 @@ uint64_t DustPipeline::SnapshotHash(
   h = text::ChainHash(h,
                       static_cast<uint64_t>(config_.column_serialization));
   h = text::ChainHash(h, static_cast<uint64_t>(config_.metric));
-  h = search::cascade::ChainCascadeConfig(h, config_.cascade);
+  // The retired cascade knobs were chained here; their defaults keep the
+  // hash in every saved snapshot valid.
+  h = search::cascade::ChainRetiredCascadeDefaults(h);
   // The lake shape is chained here rather than through the engine's
   // LakeCatalog: LoadSnapshot checks a lake no engine holds yet, and a
   // snapshot records no mutation counter.

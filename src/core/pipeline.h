@@ -18,28 +18,12 @@
 #include "align/tuple_builder.h"
 #include "diversify/dust_diversifier.h"
 #include "embed/tuple_encoder.h"
-#include "search/cascade/candidate_stage.h"
+#include "search/cascade/stages.h"
 #include "search/union_search.h"
 #include "table/table.h"
 #include "util/status.h"
 
 namespace dust::core {
-
-/// Serving-layer knobs carried alongside the pipeline config — consumed by
-/// serve::QueryServer (via dust_cli --serve or an embedding application),
-/// never by Algorithm 1 itself. They shape scheduling and caching only,
-/// not results, so they are deliberately excluded from the snapshot
-/// staleness hash: changing them must not invalidate saved indexes.
-struct ServingConfig {
-  /// Result-cache capacity in entries; 0 disables the cache.
-  size_t cache_entries = 1024;
-  /// Result-cache capacity in bytes of cached hit lists.
-  size_t cache_bytes = size_t{64} << 20;
-  /// Result-cache lock stripes (1 = globally LRU-ordered).
-  size_t cache_stripes = 16;
-  /// Export the serve::Metrics registry (human table + text exposition).
-  bool metrics = true;
-};
 
 struct PipelineConfig {
   /// Top-N unionable tables retrieved by the search phase.
@@ -63,12 +47,8 @@ struct PipelineConfig {
   /// with index::ValidateIndexOptions.
   size_t hnsw_m = 0;
   size_t hnsw_ef_search = 0;
-  /// Staged retrieval cascade for the starmie engine: type prefilter and
-  /// MinHash prescreen ahead of the vector shortlist (src/search/cascade/).
-  /// Default-off; the d3l engine rejects it at pipeline construction. Every
-  /// knob shapes results, so all of them are baked into the snapshot
-  /// staleness hash, and IndexLake's per-table sketches persist in
-  /// snapshots (format v2).
+  /// Empty. Kept only for perfbench's replay of the pipeline constructor,
+  /// like EffectiveSearchIndex(); both go with that replay.
   search::cascade::CascadeConfig cascade;
 
   /// Shortlist used when an approximate search_index is requested with
@@ -89,9 +69,6 @@ struct PipelineConfig {
   align::AlignerConfig aligner;
   diversify::DustDiversifierConfig diversifier;
   la::Metric metric = la::Metric::kCosine;
-  /// Serving-layer (QueryServer) knobs; see ServingConfig. Not hashed into
-  /// SnapshotHash — they never change results.
-  ServingConfig serving;
 };
 
 struct PipelineResult {
@@ -129,7 +106,9 @@ class DustPipeline {
   /// Restores a SaveSnapshot file against the same lake tables (still
   /// needed online for alignment and tuple materialization). A snapshot
   /// whose config hash does not match this pipeline's config and `lake` is
-  /// rejected with FailedPrecondition rather than silently mis-served.
+  /// rejected with FailedPrecondition rather than silently mis-served. A
+  /// failed load changes nothing: the pipeline keeps serving the lake it
+  /// had.
   Status LoadSnapshot(const std::string& path,
                       const std::vector<const table::Table*>& lake);
 
@@ -142,12 +121,6 @@ class DustPipeline {
   /// traffic; the executor must outlive the pipeline or be unset first.
   void SetExecutor(serve::Executor* executor) {
     search_->SetExecutor(executor);
-  }
-
-  /// Cumulative per-stage cascade statistics of the search engine (see
-  /// CascadeSearch::StatsSummary); empty for engines without a cascade.
-  std::string CascadeStatsSummary() const {
-    return search_->CascadeStatsSummary();
   }
 
   const PipelineConfig& config() const { return config_; }

@@ -1,114 +1,108 @@
-// Concrete cascade stages: type prefilter, MinHash prescreen, vector
-// shortlist, exact rerank. The prefilter and prescreen borrow the
-// search::LakeCatalog's signatures and sketches, and the shortlist borrows
-// the engine's profiles and index slot, by pointer, so they survive
-// IndexLake/LoadState rebuilds without reconstruction.
+// The two steps of table search. EmbeddingUnionSearch::SearchTables runs
+// them in order over the live lake tables: the vector shortlist over table
+// profiles (a no-op unless a shortlist is configured), then the exact
+// rerank, which runs Starmie's bipartite matching only for tables whose
+// cheap upper bound can still reach the top n. Each step narrows one
+// CandidateSet and reports its in/out counts and elapsed time as
+// StageStats.
 #ifndef DUST_SEARCH_CASCADE_STAGES_H_
 #define DUST_SEARCH_CASCADE_STAGES_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/vector_index.h"
-#include "search/cascade/candidate_stage.h"
-#include "table/table.h"
+#include "la/vector_ops.h"
+#include "search/union_search.h"
+#include "util/status.h"
+
+namespace dust::serve {
+class Executor;
+}  // namespace dust::serve
 
 namespace dust::search::cascade {
 
-/// Column-type signature of a table: a column counts as numeric when at
-/// least half of its non-null values parse as numbers.
-TableSignature SignatureOf(const table::Table& table);
+/// Empty: the type prefilter and MinHash prescreen it configured are gone.
+/// Kept only because perfbench's replay of the pipeline constructor copies
+/// PipelineConfig::cascade into EmbeddingSearchConfig::cascade; it goes
+/// with that replay.
+struct CascadeConfig {};
 
-/// Lowercased non-null cell texts of every column — the value set the
-/// prescreen's MinHash sketches are built over.
-std::vector<std::string> TableValueSample(const table::Table& table);
+/// Chains the retired cascade knobs' defaults into `h`, as the snapshot
+/// staleness hash and the tuple-search config hash chained the knobs when
+/// they existed. Hashes already stored in snapshot headers and cache keys
+/// keep their values.
+uint64_t ChainRetiredCascadeDefaults(uint64_t h);
 
-/// Layer-1 admission rule: the candidate must cover at least
-/// `prefilter_min_type_overlap` of the query's columns with type-compatible
-/// columns (text-to-text, numeric-to-numeric) and must not be wider than
-/// `prefilter_max_column_ratio` times the query. A column-less query passes
-/// everything (nothing to judge); a column-less candidate never matches.
-bool PrefilterCompatible(const TableSignature& query,
-                         const TableSignature& candidate,
-                         const CascadeConfig& config);
-
-/// Layer 1 — metadata/type prefilter. O(candidates) signature compares;
-/// this is where >90% of a heterogeneous lake should fall away.
-class TypePrefilterStage : public CandidateStage {
- public:
-  TypePrefilterStage(const std::vector<TableSignature>* signatures,
-                     const CascadeConfig* config)
-      : signatures_(signatures), config_(config) {}
-
-  std::string name() const override { return "prefilter"; }
-  Status Run(CandidateSet& set) const override;
-
- private:
-  const std::vector<TableSignature>* signatures_;
-  const CascadeConfig* config_;
+/// What one step did to one query's candidate set.
+struct StageStats {
+  std::string stage;
+  size_t in = 0;
+  size_t out = 0;
+  double micros = 0.0;
 };
 
-/// Layer 2 — MinHash value-overlap prescreen: keeps the `prescreen_keep`
-/// candidates with the highest estimated Jaccard overlap against the
-/// query's value sketch (ties break toward lower table ids). A candidate
-/// set already at or under the cap passes through untouched.
-class MinHashPrescreenStage : public CandidateStage {
- public:
-  MinHashPrescreenStage(const std::vector<MinHashSketch>* sketches,
-                        const CascadeConfig* config)
-      : sketches_(sketches), config_(config) {}
-
-  std::string name() const override { return "prescreen"; }
-  Status Run(CandidateSet& set) const override;
-
- private:
-  const std::vector<MinHashSketch>* sketches_;
-  const CascadeConfig* config_;
+/// The state a query threads through the two steps: the surviving
+/// candidate table ids, and the ranked hits the rerank fills in.
+struct CandidateSet {
+  /// Final result size requested (the rerank truncates to it).
+  size_t n = 0;
+  /// Shared thread pool for the rerank's bound pass (may be null).
+  serve::Executor* executor = nullptr;
+  /// The query's table profile; the shortlist fails closed with an
+  /// Internal error when it needs one and finds null.
+  const la::Vec* query_profile = nullptr;
+  /// Surviving candidate lake-table ids, narrowed step by step.
+  std::vector<size_t> tables;
+  /// Ranked results, filled by the rerank.
+  std::vector<TableHit> hits;
 };
 
-/// Layer 3 — vector shortlist over table profiles. With an untouched
-/// candidate set it delegates to the installed index exactly as the flat
-/// path does (bit-identical, including approximate-index behavior); with a
-/// pre-pruned set it scores the survivors exactly and applies FinalizeHits
-/// semantics. shortlist == 0 or no index = pass-through (exact scoring of
-/// every survivor downstream).
-class VectorShortlistStage : public CandidateStage {
+/// Vector shortlist over table profiles. With every profile still a
+/// candidate it delegates to `index` exactly (approximate indexes keep
+/// their behaviour bit for bit); with a narrowed set (tables removed from
+/// the lake) it scores the survivors exactly and applies FinalizeHits
+/// semantics. `shortlist == 0` or a null index passes every candidate on
+/// to the rerank.
+class VectorShortlistStage {
  public:
-  VectorShortlistStage(const std::unique_ptr<index::VectorIndex>* index_slot,
+  VectorShortlistStage(const index::VectorIndex* index,
                        const std::vector<la::Vec>* profiles, size_t shortlist)
-      : index_slot_(index_slot), profiles_(profiles), shortlist_(shortlist) {}
+      : index_(index), profiles_(profiles), shortlist_(shortlist) {}
 
-  std::string name() const override { return "shortlist"; }
-  Status Run(CandidateSet& set) const override;
+  /// Errors mean a wiring bug (missing query profile, candidate id out of
+  /// range), never a bad query.
+  Status Run(CandidateSet& set) const;
 
  private:
-  const std::unique_ptr<index::VectorIndex>* index_slot_;
+  const index::VectorIndex* index_;
   const std::vector<la::Vec>* profiles_;
   size_t shortlist_;
 };
 
-/// Layer 4 — exact rerank, bound-and-verify. Computes `bound` for every
-/// surviving candidate (on the installed executor when there is one), then
-/// runs the exact `scorer` in descending bound order (ties toward lower
-/// ids) and stops once no remaining bound can reach the n-th best exact
-/// score. Hits are ranked descending by (score, id), truncated to `set.n`,
-/// and equal a full exact sort of every candidate, bit for bit.
+/// Exact rerank, bound-and-verify. Computes `bound` for every surviving
+/// candidate (on the set's executor when there is one), then runs the
+/// exact `scorer` in descending bound order (ties toward lower ids) and
+/// stops once no remaining bound can reach the n-th best exact score. Hits
+/// are ranked descending by (score, id), truncated to `set.n`, and equal a
+/// full exact sort of every candidate, bit for bit.
 ///
 /// Both callables must be pure per-table functions, and the caller
 /// guarantees bound(t) >= scorer(t) for every table (up to summation-order
-/// rounding, which the stage's 1e-9 margin absorbs). `bound` may run
-/// concurrently on pool threads; `scorer` runs on the calling thread.
-class ExactRerankStage : public CandidateStage {
+/// rounding, which the 1e-9 margin absorbs). `bound` may run concurrently
+/// on pool threads; `scorer` runs on the calling thread.
+class ExactRerankStage {
  public:
   using TableScorer = std::function<double(size_t)>;
 
   ExactRerankStage(TableScorer scorer, TableScorer bound)
       : scorer_(std::move(scorer)), bound_(std::move(bound)) {}
 
-  std::string name() const override { return "rerank"; }
-  Status Run(CandidateSet& set) const override;
+  Status Run(CandidateSet& set) const;
 
  private:
   TableScorer scorer_;

@@ -5,15 +5,13 @@
 
 #include "align/hungarian.h"
 #include "io/index_io.h"
+#include "obs/trace.h"
+#include "util/stopwatch.h"
 
 namespace dust::search {
 
 EmbeddingUnionSearch::EmbeddingUnionSearch(EmbeddingSearchConfig config)
-    : config_(config),
-      encoder_(config.encoder),
-      catalog_(config.cascade),
-      cascade_({"prefilter", "prescreen", "shortlist", "rerank"}),
-      shortlist_stage_(&profile_index_, &lake_profiles_, config_.shortlist) {}
+    : config_(config), encoder_(config.encoder) {}
 
 void EmbeddingUnionSearch::IndexLake(
     const std::vector<const table::Table*>& lake) {
@@ -137,10 +135,7 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
   cascade::CandidateSet set;
   set.n = n;
   set.executor = executor_;
-  // The catalog's optional prefilters narrow the live tables, then the
-  // (possibly degenerate) shortlist and the exact rerank run.
-  std::vector<cascade::StageStats> stats;
-  Status status = catalog_.Prefilter(query, cascade_, &set, &stats);
+  set.tables = catalog_.LiveTables();
   la::Vec profile;
   if (profile_index_ != nullptr && config_.shortlist > 0) {
     profile.assign(encoder_.dim(), 0.0f);
@@ -150,19 +145,32 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
     }
     set.query_profile = &profile;
   }
-  cascade::ExactRerankStage rerank(
+  const cascade::VectorShortlistStage shortlist(
+      profile_index_.get(), &lake_profiles_, config_.shortlist);
+  const cascade::ExactRerankStage rerank(
       [this, &query_cols](size_t t) {
         return TableScore(query_cols, lake_columns_[t]);
       },
       [this, &query_cols](size_t t) {
         return TableBound(query_cols, lake_columns_[t]);
       });
-  if (status.ok()) {
-    status = cascade_.Run({&shortlist_stage_, &rerank}, set, &stats);
-  }
-  // Stage errors mean an engine wiring bug (missing signal, id out of
-  // range), never a bad query — fail loud.
-  DUST_CHECK(status.ok());
+  std::vector<cascade::StageStats> stats;
+  const auto run_step = [&set, &stats](const char* name, const auto& step) {
+    const size_t in = set.tables.size();
+    obs::Span span(std::string("stage:") + name);
+    Stopwatch watch;
+    const Status status = step.Run(set);
+    // A step fails only on an engine wiring bug (missing query profile, id
+    // out of range), never on a bad query: fail loud.
+    DUST_CHECK(status.ok());
+    const double micros = watch.Seconds() * 1e6;
+    const size_t out = set.tables.size();
+    span.AddTag("in", static_cast<uint64_t>(in));
+    span.AddTag("out", static_cast<uint64_t>(out));
+    stats.push_back({name, in, out, micros});
+  };
+  run_step("shortlist", shortlist);
+  run_step("rerank", rerank);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     last_stats_ = std::move(stats);
@@ -186,32 +194,34 @@ Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
   if (profile_index_ != nullptr) {
     DUST_RETURN_IF_ERROR(io::WriteIndex(*profile_index_, writer));
   }
-  return catalog_.SaveSignals(writer);
+  // Snapshot format v2 ends with a flag byte that marked retrieval-cascade
+  // signals; the cascade is gone, so it is always 0.
+  writer->WriteU8(0);
+  return writer->status();
 }
 
 Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
+  // Everything is read into locals and committed only once the whole state
+  // has passed every check, so a failed load leaves the engine as it was.
   uint64_t num_tables = 0;
   DUST_RETURN_IF_ERROR(reader->ReadCount(sizeof(uint64_t), &num_tables));
-  // Snapshots carry no table names: every restored table is live, and
-  // RemoveTable refuses until IndexLake runs again.
-  catalog_.ResetUnnamed(num_tables);
-  lake_columns_.assign(num_tables, {});
-  for (uint64_t t = 0; t < num_tables; ++t) {
-    DUST_RETURN_IF_ERROR(reader->ReadVecs(&lake_columns_[t], encoder_.dim()));
+  std::vector<std::vector<la::Vec>> columns(num_tables);
+  for (std::vector<la::Vec>& cols : columns) {
+    DUST_RETURN_IF_ERROR(reader->ReadVecs(&cols, encoder_.dim()));
   }
-  DUST_RETURN_IF_ERROR(reader->ReadVecs(&lake_profiles_, encoder_.dim()));
-  if (lake_profiles_.size() != num_tables) {
+  std::vector<la::Vec> profiles;
+  DUST_RETURN_IF_ERROR(reader->ReadVecs(&profiles, encoder_.dim()));
+  if (profiles.size() != num_tables) {
     return Status::IoError("snapshot profile/table count mismatch");
   }
   uint8_t has_index = 0;
   DUST_RETURN_IF_ERROR(reader->ReadU8(&has_index));
-  profile_index_.reset();
+  std::unique_ptr<index::VectorIndex> profile_index;
   if (has_index != 0) {
     Result<std::unique_ptr<index::VectorIndex>> loaded = io::ReadIndex(reader);
     DUST_RETURN_IF_ERROR(loaded.status());
-    profile_index_ = std::move(loaded).value();
-    profile_index_->SetExecutor(executor_);
-    if (profile_index_->size() != num_tables) {
+    profile_index = std::move(loaded).value();
+    if (profile_index->size() != num_tables) {
       return Status::IoError("snapshot index/table count mismatch");
     }
   }
@@ -221,7 +231,23 @@ Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
     return Status::FailedPrecondition(
         "snapshot shortlist index does not match engine config");
   }
-  return catalog_.LoadSignals(reader);
+  uint8_t cascade_signals = 0;
+  DUST_RETURN_IF_ERROR(reader->ReadU8(&cascade_signals));
+  if (cascade_signals != 0) {
+    return Status::IoError(
+        "snapshot carries retrieval-cascade signals, but the retrieval "
+        "cascade was removed; rebuild the snapshot with IndexLake + "
+        "SaveSnapshot");
+  }
+
+  // Snapshots carry no table names: every restored table is live, and
+  // RemoveTable refuses until IndexLake runs again.
+  catalog_.ResetUnnamed(num_tables);
+  lake_columns_ = std::move(columns);
+  lake_profiles_ = std::move(profiles);
+  profile_index_ = std::move(profile_index);
+  if (profile_index_ != nullptr) profile_index_->SetExecutor(executor_);
+  return Status::Ok();
 }
 
 }  // namespace dust::search

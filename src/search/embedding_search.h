@@ -2,14 +2,11 @@
 // embeddings per table; a candidate's unionability score is the max-weight
 // bipartite matching between its columns and the query's (cosine weights).
 //
-// Every query runs through the retrieval cascade (src/search/cascade/):
-// optional type prefilter and MinHash prescreen, then the vector shortlist
-// over table-level profiles (mean column embedding, faiss-style), then the
-// exact bipartite rerank, which runs the matching only for tables whose
-// cheap upper bound can still reach the top n. The flat path is the
-// degenerate two-stage cascade (shortlist + rerank) — not a separate code
-// path — so cascade results with the prefilters off are bit-identical to
-// it.
+// Every query runs the two steps of src/search/cascade/stages.h over the
+// live lake tables: the optional vector shortlist over table-level
+// profiles (mean column embedding, faiss-style), then the exact bipartite
+// rerank, which runs the matching only for tables whose cheap upper bound
+// can still reach the top n.
 #ifndef DUST_SEARCH_EMBEDDING_SEARCH_H_
 #define DUST_SEARCH_EMBEDDING_SEARCH_H_
 
@@ -18,7 +15,6 @@
 
 #include "embed/starmie_encoder.h"
 #include "index/vector_index.h"
-#include "search/cascade/cascade_search.h"
 #include "search/cascade/stages.h"
 #include "search/lake_catalog.h"
 #include "search/union_search.h"
@@ -35,10 +31,7 @@ struct EmbeddingSearchConfig {
   /// Tuning knobs forwarded to the shortlist index (HNSW M/ef_search, IVF
   /// nlist/nprobe; 0 keeps defaults).
   index::IndexOptions index_options;
-  /// Staged candidate cascade ahead of the shortlist (type prefilter +
-  /// MinHash prescreen); default-off. IndexLake builds the per-table
-  /// signatures and value sketches when enabled, and SaveState persists
-  /// them so serving processes skip the re-sketch.
+  /// Empty; kept only for perfbench's replay (see cascade::CascadeConfig).
   cascade::CascadeConfig cascade;
 };
 
@@ -51,21 +44,21 @@ class EmbeddingUnionSearch : public UnionSearch {
                                      size_t n) const override;
   std::string name() const override { return "Starmie"; }
 
-  /// Persists the per-table column embeddings, the table profiles, (when a
-  /// shortlist is configured) the built profile index, and (when the
-  /// cascade is enabled) the per-table type signatures and MinHash value
-  /// sketches — everything IndexLake computes from the raw tables.
-  /// Snapshots carry no removed flags, so an engine with a removed table
-  /// is FailedPrecondition (re-run IndexLake over the live tables first).
+  /// Persists the per-table column embeddings, the table profiles and
+  /// (when a shortlist is configured) the built profile index — everything
+  /// IndexLake computes from the raw tables. Snapshots carry no removed
+  /// flags, so an engine with a removed table is FailedPrecondition (re-run
+  /// IndexLake over the live tables first).
   Status SaveState(io::IndexWriter* writer) const override;
   /// Restores SaveState output. The engine must be constructed with the same
   /// config as at save time (the pipeline's snapshot hash enforces this); a
-  /// shortlist or cascade mismatch between config and stored state is
-  /// rejected.
+  /// shortlist mismatch between config and stored state is rejected, and so
+  /// is a snapshot that carries retrieval-cascade signals. A failed call
+  /// changes nothing.
   Status LoadState(io::IndexReader* reader) override;
 
   /// Installs a shared executor on the shortlist profile index (kept across
-  /// IndexLake/LoadState rebuilds) and on the rerank stage's bound pass,
+  /// IndexLake/LoadState rebuilds) and on the rerank's bound pass,
   /// routing both through pooled threads on the serving path.
   void SetExecutor(serve::Executor* executor) override;
 
@@ -79,25 +72,15 @@ class EmbeddingUnionSearch : public UnionSearch {
   Status RemoveTable(const std::string& name);
 
   /// Encodes and appends `table` as a new lake table; its profile joins
-  /// the shortlist index and (when the cascade is enabled) its signature
-  /// and sketch extend the prefilter signals. InvalidArgument when a live
-  /// table already carries the name.
+  /// the shortlist index. InvalidArgument when a live table already
+  /// carries the name.
   Status AddTable(const table::Table& table);
 
   /// Every table ever indexed, with its removed flag.
   const LakeCatalog& catalog() const { return catalog_; }
 
-  /// Cumulative per-stage cascade summary (see CascadeSearch::StatsSummary).
-  std::string CascadeStatsSummary() const override {
-    return cascade_.StatsSummary();
-  }
-  /// Registers dust_cascade_stage_* instruments into `metrics`; this engine
-  /// must outlive the registry.
-  void RegisterCascadeMetrics(serve::Metrics* metrics) const {
-    cascade_.RegisterMetrics(metrics);
-  }
-  /// Per-stage stats of the most recent SearchTables call (benchmarks and
-  /// the CLI read per-layer reduction ratios from here).
+  /// The `shortlist` and `rerank` steps' stats of the most recent
+  /// SearchTables call (benchmarks read the tables scored from here).
   std::vector<cascade::StageStats> last_stage_stats() const {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     return last_stats_;
@@ -127,10 +110,6 @@ class EmbeddingUnionSearch : public UnionSearch {
   std::unique_ptr<index::VectorIndex> profile_index_;
   serve::Executor* executor_ = nullptr;  // re-applied on index rebuilds
   LakeCatalog catalog_;
-  cascade::CascadeSearch cascade_;
-  // Borrows the profiles and the index slot by pointer, so IndexLake and
-  // LoadState rebuilds never have to reconstruct it.
-  cascade::VectorShortlistStage shortlist_stage_;
   mutable std::mutex stats_mutex_;
   mutable std::vector<cascade::StageStats> last_stats_;
 };

@@ -25,14 +25,6 @@ MinHashSketch::MinHashSketch(const std::vector<std::string>& items,
   }
 }
 
-MinHashSketch MinHashSketch::FromState(std::vector<uint64_t> mins,
-                                       bool empty) {
-  MinHashSketch sketch;
-  sketch.mins_ = std::move(mins);
-  sketch.empty_ = empty;
-  return sketch;
-}
-
 double MinHashSketch::EstimateJaccard(const MinHashSketch& other) const {
   // Sketches of mismatched width estimate collision rates of unrelated
   // permutations, and zero-width sketches would divide by zero — both are

@@ -20,10 +20,6 @@ class MinHashSketch {
   MinHashSketch(const std::vector<std::string>& items, size_t num_hashes = 64,
                 uint64_t seed = 7777);
 
-  /// Reconstructs a persisted sketch (the io snapshot round-trip); `mins`
-  /// must be the `mins()` of a sketch saved with the same configuration.
-  static MinHashSketch FromState(std::vector<uint64_t> mins, bool empty);
-
   /// Estimated Jaccard similarity with another sketch of the same
   /// configuration. Incomparable sketches — different widths, or zero
   /// width — and empty sets estimate 0.0 rather than aborting or dividing
@@ -32,8 +28,6 @@ class MinHashSketch {
 
   size_t num_hashes() const { return mins_.size(); }
   bool empty() const { return empty_; }
-  /// Raw per-permutation minima (snapshot persistence).
-  const std::vector<uint64_t>& mins() const { return mins_; }
 
  private:
   std::vector<uint64_t> mins_;

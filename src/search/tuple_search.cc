@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "search/cascade/stages.h"
 #include "serve/executor.h"
 #include "text/hashing.h"
 #include "util/status.h"
@@ -17,20 +18,15 @@ namespace {
 /// Fuses per-query-tuple hit lists into the top-k lake tuples: a lake
 /// tuple's score is its best similarity to any query tuple (so exact copies
 /// rank first). Deterministic — ties break by (table, row) provenance.
-/// A non-empty `allowed` bitmap (the cascade's surviving tables) drops hits
-/// from pruned tables before fusion; empty means every table is allowed.
 /// The k best are selected, not sorted out of every candidate, and come
 /// back in a vector sized for them alone.
 std::vector<TupleHit> FuseTupleHits(
     const std::vector<std::vector<index::SearchHit>>& per_tuple_hits,
     size_t begin, size_t count, const std::vector<table::TupleRef>& refs,
-    size_t k, const std::vector<char>& allowed) {
+    size_t k) {
   std::unordered_map<size_t, double> best_similarity;
   for (size_t t = begin; t < begin + count; ++t) {
     for (const index::SearchHit& hit : per_tuple_hits[t]) {
-      if (!allowed.empty() && allowed[refs[hit.id].table_index] == 0) {
-        continue;
-      }
       double similarity = 1.0 - static_cast<double>(hit.distance);
       auto [it, inserted] = best_similarity.try_emplace(hit.id, similarity);
       if (!inserted && similarity > it->second) it->second = similarity;
@@ -201,29 +197,6 @@ Status TupleSearch::CompactIndex() {
   return Status::Ok();
 }
 
-Status TupleSearch::CascadeAllowedTables(const table::Table& query,
-                                         std::vector<char>* allowed) const {
-  allowed->clear();
-  if (!config_.cascade.enabled) return Status::Ok();
-  cascade::CandidateSet set;
-  DUST_RETURN_IF_ERROR(catalog_.Prefilter(query, cascade_, &set, nullptr));
-  const size_t num_tables = catalog_.size();
-  if (set.tables.size() >= num_tables) return Status::Ok();  // no pruning
-  allowed->assign(num_tables, 0);
-  for (size_t t : set.tables) (*allowed)[t] = 1;
-  return Status::Ok();
-}
-
-void TupleSearch::RegisterCascadeMetrics(serve::Metrics* metrics) const {
-  if (!config_.cascade.enabled) return;
-  cascade_.RegisterMetrics(metrics);
-}
-
-std::string TupleSearch::CascadeStatsSummary() const {
-  if (!config_.cascade.enabled) return std::string();
-  return cascade_.StatsSummary();
-}
-
 uint64_t TupleSearch::QueryFingerprint(const table::Table& query) const {
   uint64_t h = text::ChainHash(0, "dust-query-fp-v1");
   h = text::ChainHash(h, query.num_rows());
@@ -245,9 +218,9 @@ uint64_t TupleSearch::ConfigHash() const {
   h = text::ChainHash(h, config_.index_options.ivf_nprobe);
   h = text::ChainHash(h, encoder_->name());
   h = text::ChainHash(h, encoder_->dim());
-  // Cascade knobs shape which tables may contribute hits, so cache entries
-  // must not cross cascade configs.
-  h = cascade::ChainCascadeConfig(h, config_.cascade);
+  // The retired cascade knobs were chained here; their defaults keep every
+  // config hash, and so every cache key, unchanged.
+  h = cascade::ChainRetiredCascadeDefaults(h);
   return h;
 }
 
@@ -326,18 +299,8 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
       obs::Span span("fuse");
       span.AddTag("member", static_cast<uint64_t>(m));
       const size_t i = members[m];
-      // Per-request cascade: prune candidate tables with the cheap layers
-      // before fusion pays attention to their tuples. Stage objects are
-      // const-shared, so members cascade concurrently.
-      std::vector<char> allowed;
-      Status cascade_status =
-          CascadeAllowedTables(*queries[i].table, &allowed);
-      if (!cascade_status.ok()) {
-        results[i] = cascade_status;
-        return;
-      }
       results[i] = FuseTupleHits(hits, offsets[m], offsets[m + 1] - offsets[m],
-                                 refs_, queries[i].k, allowed);
+                                 refs_, queries[i].k);
     };
     if (executor != nullptr) {
       executor->ParallelFor(members.size(), fuse_member);

@@ -10,7 +10,6 @@
 
 #include "embed/tuple_encoder.h"
 #include "index/vector_index.h"
-#include "search/cascade/cascade_search.h"
 #include "search/lake_catalog.h"
 #include "table/table.h"
 #include "util/status.h"
@@ -33,12 +32,6 @@ struct TupleSearchConfig {
   size_t per_query_candidates = 200;
   /// Tuning knobs forwarded to the tuple index (0 keeps defaults).
   index::IndexOptions index_options;
-  /// Candidate-table cascade ahead of tuple fusion: when enabled, the type
-  /// prefilter and MinHash prescreen prune lake tables per request and
-  /// fused hits are restricted to the surviving tables. Default-off; with
-  /// both stage toggles off (or when nothing is pruned) results are
-  /// bit-identical to the flat path.
-  cascade::CascadeConfig cascade;
 };
 
 /// Indexes all tuples of a lake with a TupleEncoder and retrieves the top-k
@@ -163,21 +156,7 @@ class TupleSearch {
   /// edits.
   uint64_t LakeStateHash() const { return lake_hash_; }
 
-  /// Registers the cascade's dust_cascade_stage_* instruments into
-  /// `metrics` (no-op when the cascade is disabled); this object must
-  /// outlive the registry.
-  void RegisterCascadeMetrics(serve::Metrics* metrics) const;
-  /// Cumulative per-stage cascade summary; empty when disabled or before
-  /// any traffic.
-  std::string CascadeStatsSummary() const;
-
  private:
-  /// Runs the enabled prefilter stages over the lake's tables for one
-  /// query. `allowed` comes back empty when every table survives (the
-  /// common case and the disabled case — fusion then skips the bitmap
-  /// test entirely); otherwise allowed[t] != 0 marks survivors.
-  Status CascadeAllowedTables(const table::Table& query,
-                              std::vector<char>* allowed) const;
   /// Recomputes lake_hash_ from the catalog's live tables and mutations.
   void RecomputeLakeHash();
 
@@ -188,8 +167,7 @@ class TupleSearch {
   /// step with the index through mutations and compaction.
   std::vector<table::TupleRef> refs_;
   uint64_t lake_hash_ = 0;
-  LakeCatalog catalog_{config_.cascade};
-  cascade::CascadeSearch cascade_{{"prefilter", "prescreen"}};
+  LakeCatalog catalog_;
 };
 
 }  // namespace dust::search

@@ -59,10 +59,6 @@ class UnionSearch {
   /// per query. Engines without such a pass ignore it. Install during
   /// setup, before concurrent traffic.
   virtual void SetExecutor(serve::Executor* executor) { (void)executor; }
-
-  /// Cumulative per-stage statistics of the engine's retrieval cascade,
-  /// human-readable; engines without a staged retrieval path return empty.
-  virtual std::string CascadeStatsSummary() const { return std::string(); }
 };
 
 }  // namespace dust::search

@@ -95,9 +95,6 @@ void QueryServer::RegisterMetrics() {
     return static_cast<double>(search_->catalog().mutations());
   });
   if (cache_ != nullptr) cache_->RegisterWith(&metrics_);
-  // Cascade stage instruments (dust_cascade_stage_*) live in the search
-  // object, which outlives the server; no-op when the cascade is disabled.
-  search_->RegisterCascadeMetrics(&metrics_);
 }
 
 std::future<QueryServer::TupleResult> QueryServer::Submit(

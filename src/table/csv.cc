@@ -153,7 +153,10 @@ Status WriteCsvFile(const Table& table, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   out << ToCsv(table);
-  return out.good() ? Status::Ok() : Status::IoError("write failed: " + path);
+  // The stream buffers what it is given, so a write that fails only at the
+  // final flush (a full disk) shows up at close, not before.
+  out.close();
+  return out ? Status::Ok() : Status::IoError("write failed: " + path);
 }
 
 }  // namespace dust::table

@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <unordered_set>
@@ -321,151 +323,96 @@ TEST_F(PipelineFixture, SnapshotHeaderHashIsPinned) {
   // hashing code, or every snapshot already on disk turns stale. It
   // depends only on config and table shapes, so one constant serves both
   // SIMD backends.
-  for (const bool cascade : {false, true}) {
-    PipelineConfig config;
-    config.num_tables = 5;
-    config.cascade.enabled = cascade;
-    DustPipeline pipeline(config, TestEncoder());
-    pipeline.IndexLake(*lake_);
-    const std::string path = SnapshotPath("pipeline_snapshot_header.bin");
-    ASSERT_TRUE(pipeline.SaveSnapshot(path).ok());
-    io::IndexReader reader(path);
-    ASSERT_TRUE(reader.ExpectMagic(io::kSnapshotMagic, "DUST snapshot").ok());
-    uint32_t version = 0;
-    ASSERT_TRUE(reader.ReadU32(&version).ok());
-    uint64_t hash = 0;
-    ASSERT_TRUE(reader.ReadU64(&hash).ok());
-    EXPECT_EQ(hash, cascade ? 0x56172adc7ffa513full : 0x1b6ecb763db5cdffull)
-        << "cascade " << cascade;
-  }
-}
-
-// --- retrieval cascade ------------------------------------------------------
-
-TEST_F(PipelineFixture, CascadeWithPrefiltersOffIsBitIdenticalToFlat) {
-  // The flat path IS the degenerate cascade: with both prefilter layers
-  // disabled, every index type must return exactly the same tables (exact
-  // float equality on scores) and tuples as the cascade-free config.
-  // Parity covers failures too. No index returns an empty shortlist on this
-  // lake, so a query with no columns, which nothing can align with, keeps
-  // the failure branch exercised.
-  std::vector<const Table*> queries;
-  for (const auto& q : benchmark_->queries) queries.push_back(&q.data);
-  const Table unalignable("no_columns");
-  queries.push_back(&unalignable);
-  for (const char* index : {"flat", "ivf", "hnsw"}) {
-    size_t failures = 0;
-    PipelineConfig flat_config;
-    flat_config.num_tables = 5;
-    flat_config.search_index = index;
-    flat_config.search_shortlist = 8;
-    DustPipeline flat(flat_config, TestEncoder());
-    flat.IndexLake(*lake_);
-
-    PipelineConfig cascade_config = flat_config;
-    cascade_config.cascade.enabled = true;
-    cascade_config.cascade.prefilter = false;
-    cascade_config.cascade.prescreen = false;
-    DustPipeline cascaded(cascade_config, TestEncoder());
-    cascaded.IndexLake(*lake_);
-
-    for (const Table* query : queries) {
-      auto expected = flat.Run(*query, 8);
-      auto actual = cascaded.Run(*query, 8);
-      ASSERT_EQ(expected.ok(), actual.ok())
-          << index << ": " << actual.status().ToString();
-      if (!expected.ok()) {
-        EXPECT_EQ(expected.status().code(), actual.status().code()) << index;
-        ++failures;
-        continue;
-      }
-      ASSERT_EQ(expected.value().tables.size(), actual.value().tables.size())
-          << index;
-      for (size_t t = 0; t < expected.value().tables.size(); ++t) {
-        EXPECT_EQ(expected.value().tables[t].table_index,
-                  actual.value().tables[t].table_index)
-            << index;
-        EXPECT_EQ(expected.value().tables[t].score,
-                  actual.value().tables[t].score)
-            << index;
-      }
-      ASSERT_EQ(expected.value().provenance.size(),
-                actual.value().provenance.size())
-          << index;
-      for (size_t i = 0; i < expected.value().provenance.size(); ++i) {
-        EXPECT_EQ(expected.value().provenance[i].table_index,
-                  actual.value().provenance[i].table_index)
-            << index;
-        EXPECT_EQ(expected.value().provenance[i].row_index,
-                  actual.value().provenance[i].row_index)
-            << index;
-      }
-    }
-    EXPECT_EQ(failures, 1u) << index;
-  }
-}
-
-TEST_F(PipelineFixture, CascadeSnapshotRoundTripServesIdenticalResults) {
   PipelineConfig config;
   config.num_tables = 5;
-  config.search_shortlist = 8;
-  config.cascade.enabled = true;
+  DustPipeline pipeline(config, TestEncoder());
+  pipeline.IndexLake(*lake_);
+  const std::string path = SnapshotPath("pipeline_snapshot_header.bin");
+  ASSERT_TRUE(pipeline.SaveSnapshot(path).ok());
+  io::IndexReader reader(path);
+  ASSERT_TRUE(reader.ExpectMagic(io::kSnapshotMagic, "DUST snapshot").ok());
+  uint32_t version = 0;
+  ASSERT_TRUE(reader.ReadU32(&version).ok());
+  uint64_t hash = 0;
+  ASSERT_TRUE(reader.ReadU64(&hash).ok());
+  EXPECT_EQ(hash, 0x1b6ecb763db5cdffull);
+}
 
-  DustPipeline offline(config, TestEncoder());
-  offline.IndexLake(*lake_);
-  const std::string path = SnapshotPath("pipeline_snapshot_cascade.bin");
-  ASSERT_TRUE(offline.SaveSnapshot(path).ok());
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
-  // The serving process restores the persisted signals (type signatures,
-  // MinHash sketches) instead of re-deriving them from the lake.
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(PipelineFixture, SnapshotWithCascadeSignalsIsRejectedWithRebuildHint) {
+  // Snapshots end with the flag byte that marked retrieval-cascade
+  // signals. The cascade is gone, so a set flag can no longer be served.
+  const std::string path = SnapshotPath("pipeline_snapshot_cascade_flag.bin");
+  ASSERT_TRUE(pipeline_->SaveSnapshot(path).ok());
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_FALSE(bytes.empty());
+  ASSERT_EQ(bytes.back(), '\0');
+  bytes.back() = '\1';
+  WriteFileBytes(path, bytes);
+
+  PipelineConfig config;
+  config.num_tables = 5;
   DustPipeline online(config, TestEncoder());
   Status loaded = online.LoadSnapshot(path, *lake_);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
-    const Table& query = benchmark_->queries[q].data;
-    auto expected = offline.Run(query, 8);
-    auto actual = online.Run(query, 8);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    ASSERT_EQ(expected.value().tables.size(), actual.value().tables.size());
-    for (size_t t = 0; t < expected.value().tables.size(); ++t) {
-      EXPECT_EQ(expected.value().tables[t].table_index,
-                actual.value().tables[t].table_index);
-      EXPECT_EQ(expected.value().tables[t].score,
-                actual.value().tables[t].score);
-    }
-  }
-  EXPECT_NE(online.CascadeStatsSummary().find("stage prefilter"),
-            std::string::npos);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), StatusCode::kIoError);
+  EXPECT_NE(loaded.message().find("retrieval-cascade signals"),
+            std::string::npos)
+      << loaded.ToString();
+  EXPECT_NE(loaded.message().find("rebuild"), std::string::npos)
+      << loaded.ToString();
 }
 
-TEST_F(PipelineFixture, CascadeKnobDriftRejectsSnapshot) {
+TEST_F(PipelineFixture, FailedSnapshotLoadKeepsServingTheIndexedLake) {
+  // A snapshot of the whole lake, cut off inside the engine state: its
+  // header and id mapping check out, so the engine starts reading it.
+  const std::string path = SnapshotPath("pipeline_snapshot_truncated.bin");
+  ASSERT_TRUE(pipeline_->SaveSnapshot(path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  WriteFileBytes(path, bytes.substr(0, bytes.size() / 2));
+
+  // A pipeline serving two tables must come out of the failed load
+  // unchanged, not half-loaded with table ids past its lake.
+  const std::vector<size_t>& unionable = benchmark_->unionable[0];
+  ASSERT_GE(unionable.size(), 2u);
+  const std::vector<const Table*> small = {(*lake_)[unionable[0]],
+                                           (*lake_)[unionable[1]]};
+  ASSERT_LT(small.size(), lake_->size());
   PipelineConfig config;
   config.num_tables = 5;
-  config.search_shortlist = 8;
-  config.cascade.enabled = true;
+  DustPipeline pipeline(config, TestEncoder());
+  pipeline.IndexLake(small);
+  const Table& query = benchmark_->queries[0].data;
+  auto before = pipeline.Run(query, 8);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
 
-  DustPipeline offline(config, TestEncoder());
-  offline.IndexLake(*lake_);
-  const std::string path = SnapshotPath("pipeline_snapshot_cascade_knob.bin");
-  ASSERT_TRUE(offline.SaveSnapshot(path).ok());
+  Status loaded = pipeline.LoadSnapshot(path, *lake_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), StatusCode::kIoError) << loaded.ToString();
 
-  // Every cascade knob shapes results, so each is in the staleness hash: a
-  // server tuned differently must rebuild, not silently serve stale state.
-  PipelineConfig retuned = config;
-  retuned.cascade.prescreen_keep = 16;
-  DustPipeline wrong_keep(retuned, TestEncoder());
-  Status stale = wrong_keep.LoadSnapshot(path, *lake_);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
-
-  // And a cascade snapshot must not load into a cascade-free server.
-  PipelineConfig disabled = config;
-  disabled.cascade.enabled = false;
-  DustPipeline no_cascade(disabled, TestEncoder());
-  stale = no_cascade.LoadSnapshot(path, *lake_);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
+  auto after = pipeline.Run(query, 8);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after.value().tables.size(), before.value().tables.size());
+  for (size_t t = 0; t < before.value().tables.size(); ++t) {
+    EXPECT_EQ(after.value().tables[t].table_index,
+              before.value().tables[t].table_index);
+    EXPECT_EQ(after.value().tables[t].score, before.value().tables[t].score);
+  }
+  ASSERT_EQ(after.value().provenance.size(),
+            before.value().provenance.size());
+  for (size_t i = 0; i < before.value().provenance.size(); ++i) {
+    EXPECT_EQ(after.value().provenance[i], before.value().provenance[i]);
+  }
 }
 
 TEST_F(PipelineFixture, D3lEngineSnapshotUnimplemented) {

@@ -175,6 +175,16 @@ TEST_F(SearchFixture, EmbeddingSearchShortlistStillFindsUnionable) {
   search.IndexLake(*lake_);
   auto hits = search.SearchTables(benchmark_->queries[0].data, 4);
   EXPECT_GE(PrecisionAtN(hits, benchmark_->unionable[0]), 0.5);
+  // Both steps report: the shortlist cuts the lake to at most 8 tables,
+  // and the rerank ranks those into the hits.
+  const std::vector<cascade::StageStats> stats = search.last_stage_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_EQ(stats[0].stage, "shortlist");
+  EXPECT_EQ(stats[0].in, lake_->size());
+  EXPECT_LE(stats[0].out, 8u);
+  EXPECT_EQ(stats[1].stage, "rerank");
+  EXPECT_EQ(stats[1].in, stats[0].out);
+  EXPECT_EQ(stats[1].out, hits.size());
 }
 
 TEST_F(SearchFixture, ScoresAreDescending) {
@@ -396,10 +406,6 @@ TEST(TupleMutationTest, LakeStateAndConfigHashesArePinned) {
   EXPECT_EQ(lake.search.LakeStateHash(), 0xadb91c9be6566148ull);
 
   EXPECT_EQ(lake.search.ConfigHash(), 0xfbd21ae3cb6321ebull);
-  TupleSearchConfig cascade_on;
-  cascade_on.cascade.enabled = true;
-  TupleSearch with_cascade(SmallEncoder(), cascade_on);
-  EXPECT_EQ(with_cascade.ConfigHash(), 0x40e09553a6e97d14ull);
 }
 
 // Saves `search`'s lake index to a file and loads it back: the path a
@@ -684,104 +690,6 @@ TEST(EmbeddingSearchWideLakeTest, RerankEqualsExhaustiveMatching) {
   expect_exhaustive("pooled, top hit removed");
   search.SetExecutor(nullptr);
   expect_exhaustive("inline, top hit removed");
-}
-
-// --- cascade signals appended by AddTable -----------------------------------
-
-TEST(TupleMutationTest, CascadeAfterAddTableMatchesAFreshIndex) {
-  // Six two-row tables; the prescreen keeps two, so a query returns the
-  // tuples of two tables at most, and the added table's sketch decides
-  // whether it is one of them.
-  const std::vector<std::vector<std::string>> cells = {
-      {"apple", "apricot"}, {"banana", "blueberry"}, {"cherry", "cranberry"},
-      {"date", "durian"},   {"elderberry", "fig"},   {"grape", "guava"}};
-  std::vector<Table> tables;
-  for (size_t t = 0; t < cells.size(); ++t) {
-    tables.emplace_back(std::string(1, static_cast<char>('a' + t)));
-    ASSERT_TRUE(tables.back()
-                    .AddColumn("X", {Value(cells[t][0]), Value(cells[t][1])})
-                    .ok());
-  }
-  std::vector<const Table*> lake;
-  for (const Table& t : tables) lake.push_back(&t);
-  const std::shared_ptr<embed::TupleEncoder> encoder = SmallEncoder();
-  TupleSearchConfig config;
-  config.cascade.enabled = true;
-  config.cascade.prescreen_keep = 2;
-  TupleSearch fresh(encoder, config);
-  fresh.IndexLake(lake);
-  TupleSearch mutated(encoder, config);
-  mutated.IndexLake({lake.begin(), lake.end() - 1});
-  ASSERT_TRUE(mutated.AddTable(*lake.back()).ok());
-
-  for (const char* cell : {"guava", "grape", "apple", "durian", "fig"}) {
-    Table query("q");
-    ASSERT_TRUE(query.AddColumn("X", {Value(cell)}).ok());
-    Result<std::vector<TupleHit>> expected =
-        fresh.SearchTuplesChecked(query, 12);
-    Result<std::vector<TupleHit>> actual =
-        mutated.SearchTuplesChecked(query, 12);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-    ASSERT_FALSE(expected.value().empty()) << cell;
-    ASSERT_LE(expected.value().size(), 4u) << cell << ": nothing was pruned";
-    ASSERT_EQ(actual.value().size(), expected.value().size()) << cell;
-    for (size_t i = 0; i < expected.value().size(); ++i) {
-      EXPECT_EQ(actual.value()[i].ref, expected.value()[i].ref)
-          << cell << " rank " << i;
-      EXPECT_EQ(Bits(actual.value()[i].similarity),
-                Bits(expected.value()[i].similarity))
-          << cell << " rank " << i;
-    }
-  }
-}
-
-TEST_F(SearchFixture, EmbeddingCascadeAfterAddTableMatchesAFreshIndex) {
-  // The added table is unionable with query 0, so it survives the
-  // prefilter; the prescreen keeps fewer tables than are live.
-  EmbeddingSearchConfig config;
-  config.cascade.enabled = true;
-  config.cascade.prescreen_keep = 4;
-  const size_t added = benchmark_->unionable[0].front();
-  std::vector<const Table*> base;
-  for (size_t t = 0; t < lake_->size(); ++t) {
-    if (t != added) base.push_back((*lake_)[t]);
-  }
-  std::vector<const Table*> full = base;
-  full.push_back((*lake_)[added]);
-  EmbeddingUnionSearch fresh(config);
-  fresh.IndexLake(full);
-  EmbeddingUnionSearch mutated(config);
-  mutated.IndexLake(base);
-  ASSERT_TRUE(mutated.AddTable(*(*lake_)[added]).ok());
-
-  for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
-    const Table& query = benchmark_->queries[q].data;
-    const std::vector<TableHit> expected = fresh.SearchTables(query, 4);
-    const std::vector<TableHit> actual = mutated.SearchTables(query, 4);
-    ASSERT_EQ(actual.size(), expected.size()) << "query " << q;
-    for (size_t r = 0; r < expected.size(); ++r) {
-      EXPECT_EQ(actual[r].table_index, expected[r].table_index)
-          << "query " << q << " rank " << r;
-      EXPECT_EQ(Bits(actual[r].score), Bits(expected[r].score))
-          << "query " << q << " rank " << r;
-    }
-    const std::vector<cascade::StageStats> expected_stats =
-        fresh.last_stage_stats();
-    const std::vector<cascade::StageStats> actual_stats =
-        mutated.last_stage_stats();
-    ASSERT_EQ(actual_stats.size(), 4u);
-    ASSERT_EQ(expected_stats.size(), 4u);
-    EXPECT_LT(expected_stats[1].out, expected_stats[1].in)
-        << "query " << q << ": the prescreen pruned nothing";
-    for (size_t s = 0; s < expected_stats.size(); ++s) {
-      EXPECT_EQ(actual_stats[s].stage, expected_stats[s].stage);
-      EXPECT_EQ(actual_stats[s].in, expected_stats[s].in)
-          << "query " << q << " stage " << expected_stats[s].stage;
-      EXPECT_EQ(actual_stats[s].out, expected_stats[s].out)
-          << "query " << q << " stage " << expected_stats[s].stage;
-    }
-  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Unit tests for src/table: values, tables, CSV, serialization, unions.
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "table/csv.h"
 #include "table/serialize.h"
 #include "table/table.h"
@@ -177,6 +179,15 @@ TEST(CsvTest, BlankLinesAreSkippedNotArityErrors) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_rows(), 2u);
   EXPECT_EQ(r.value().at(1, 0).text(), "3");
+}
+
+TEST(CsvTest, WriteThatFailsAtTheFlushIsAnError) {
+  // /dev/full accepts the open and every buffered byte, then fails the
+  // flush with ENOSPC.
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "/dev/full cannot be opened";
+  Status written = WriteCsvFile(ParkTable(), "/dev/full");
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kIoError);
 }
 
 TEST(CsvTest, RoundTripWithSpecialChars) {

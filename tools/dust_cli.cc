@@ -80,10 +80,9 @@ struct CliOptions {
   size_t queue_capacity = 256;
   size_t clients = 4;
   size_t requests = 200;
-  // Serving-hardening knobs; defaults come from the pipeline-level serving
-  // config so every entry point agrees on them.
-  size_t cache_entries = core::ServingConfig{}.cache_entries;
-  size_t cache_bytes = core::ServingConfig{}.cache_bytes;
+  // Result-cache bounds for --serve; the library's default is no cache.
+  size_t cache_entries = 1024;
+  size_t cache_bytes = size_t{64} << 20;
   std::string metrics_out_path;
   std::string save_tuple_index_path;  // build the tuple index, save, exit
   std::string dump_hits_path;       // write baseline hits, bit-exact
@@ -93,12 +92,6 @@ struct CliOptions {
   std::string add_tables;           // comma-separated CSV paths to ingest
   bool compact = false;             // rewrite the index without tombstones
   std::string load_tuple_index_path;  // serve from a saved tuple index
-  // Retrieval cascade (PR 8): candidate prefilters ahead of the vector
-  // shortlist, for both the pipeline and --serve paths.
-  bool cascade = false;
-  std::string cascade_stages;  // raw --cascade-stages value
-  bool cascade_prefilter = true;
-  bool cascade_prescreen = true;
   // Tracing / slow-query log (PR 9). trace_sample_rate < 0 means "unset":
   // ParseArgs resolves it to 1.0 when --trace-out is given, else 0.0.
   std::string trace_out_path;
@@ -115,7 +108,6 @@ void Usage() {
       "                [--metric cosine|euclidean|manhattan]\n"
       "                [--shortlist N] [--out result.csv] [--p N] [--s N]\n"
       "                [--save-index <snapshot> | --load-index <snapshot>]\n"
-      "                [--cascade [--cascade-stages prefilter,prescreen]]\n"
       "                [--serve [--threads N] [--batch-window-us U]\n"
       "                 [--batch-max N] [--queue N] [--clients N]\n"
       "                 [--requests N] [--cache N] [--cache-bytes N]\n"
@@ -163,12 +155,7 @@ void Usage() {
       "       width\n"
       "       --metric selects the tuple distance delta(.) used for\n"
       "       diversification; table search scoring is always cosine\n"
-      "       (Starmie-style embedding similarity)\n"
-      "       --cascade enables the staged retrieval cascade (type\n"
-      "       prefilter -> MinHash prescreen -> vector shortlist -> exact\n"
-      "       rerank) for the starmie engine, in both pipeline and --serve\n"
-      "       modes; --cascade-stages restricts the prefilter layers to a\n"
-      "       comma-separated subset of {prefilter, prescreen}\n");
+      "       (Starmie-style embedding similarity)\n");
 }
 
 /// Parses a non-negative integer: digits only (strtoul alone would skip
@@ -273,10 +260,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                      value);
         return false;
       }
-    } else if (arg == "--cascade") {
-      options->cascade = true;
-    } else if (arg == "--cascade-stages" && (value = next())) {
-      options->cascade_stages = value;
     } else if (arg == "--serve") {
       options->serve = true;
     } else if (arg == "--threads" && (value = next())) {
@@ -374,35 +357,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     // Reject here for a usage error instead of the factory's DUST_CHECK
     // abort deep inside IndexLake.
     std::fprintf(stderr, "unknown --index type: %s\n", options->index.c_str());
-    return false;
-  }
-  if (!options->cascade_stages.empty() && !options->cascade) {
-    // A stage subset without the cascade itself is a contradiction —
-    // reject it instead of silently running flat.
-    std::fprintf(stderr, "--cascade-stages requires --cascade\n");
-    return false;
-  }
-  if (!options->cascade_stages.empty()) {
-    options->cascade_prefilter = false;
-    options->cascade_prescreen = false;
-    for (const std::string& stage : SplitCommas(options->cascade_stages)) {
-      if (stage == "prefilter") {
-        options->cascade_prefilter = true;
-      } else if (stage == "prescreen") {
-        options->cascade_prescreen = true;
-      } else {
-        std::fprintf(stderr,
-                     "unknown cascade stage: %s (expected a comma-separated "
-                     "subset of: prefilter, prescreen)\n",
-                     stage.c_str());
-        return false;
-      }
-    }
-  }
-  if (options->cascade && options->engine != "starmie") {
-    std::fprintf(stderr,
-                 "--cascade requires the starmie engine (the d3l engine has "
-                 "no staged retrieval path)\n");
     return false;
   }
   if (options->serve) {
@@ -504,15 +458,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
          (build_only || !options->query_path.empty()) && options->k > 0;
 }
 
-/// The cascade knobs shared by the pipeline and --serve entry points.
-search::cascade::CascadeConfig MakeCascadeConfig(const CliOptions& options) {
-  search::cascade::CascadeConfig config;
-  config.enabled = options.cascade;
-  config.prefilter = options.cascade_prefilter;
-  config.prescreen = options.cascade_prescreen;
-  return config;
-}
-
 /// The tuple-index configuration shared by --serve and --save-tuple-index:
 /// a saved index only loads back under the config that built it.
 search::TupleSearchConfig MakeTupleConfig(const CliOptions& options) {
@@ -520,7 +465,6 @@ search::TupleSearchConfig MakeTupleConfig(const CliOptions& options) {
   config.index_type = options.index;
   config.index_options.hnsw_m = options.hnsw_m;
   config.index_options.hnsw_ef_search = options.hnsw_ef;
-  config.cascade = MakeCascadeConfig(options);
   return config;
 }
 
@@ -789,21 +733,22 @@ int RunServeMode(const CliOptions& options,
         static_cast<unsigned long long>(stats.cache_invalidations));
   }
   std::printf("server %s\n", serve::ReadinessName(server.readiness()));
-  if (options.cascade) {
-    std::printf("cascade stages:\n%s", search.CascadeStatsSummary().c_str());
-  }
   std::printf("\nmetrics:\n%s", server.metrics().RenderTable().c_str());
   if (!options.metrics_out_path.empty()) {
     // Machine-readable exposition for scrapers/CI: name{label} value lines.
+    const std::string text = server.metrics().RenderText();
     std::FILE* f = std::fopen(options.metrics_out_path.c_str(), "w");
-    if (f == nullptr) {
+    bool written = f != nullptr;
+    if (written) {
+      // A full disk may fail the write or only the flush at close.
+      written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+      written = std::fclose(f) == 0 && written;
+    }
+    if (!written) {
       std::fprintf(stderr, "cannot write %s\n",
                    options.metrics_out_path.c_str());
       return 1;
     }
-    const std::string text = server.metrics().RenderText();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
     std::printf("wrote metrics to %s\n", options.metrics_out_path.c_str());
   }
   if (!options.trace_out_path.empty()) {
@@ -962,7 +907,6 @@ int main(int argc, char** argv) {
                    options.index.c_str());
     }
   }
-  config.cascade = MakeCascadeConfig(options);
   config.num_tables = options.tables;
   // The diversification tuple distance delta(.) (Sec. 3.1). The search
   // phase's shortlist index and table scoring are cosine by construction
@@ -1037,9 +981,6 @@ int main(int argc, char** argv) {
       "\ntimings: search %.3fs  align %.3fs  embed %.3fs  diversify %.3fs\n",
       r.timings.search_seconds, r.timings.align_seconds,
       r.timings.embed_seconds, r.timings.diversify_seconds);
-  if (options.cascade) {
-    std::printf("cascade stages:\n%s", pipeline.CascadeStatsSummary().c_str());
-  }
 
   if (!options.out_path.empty()) {
     Status written = table::WriteCsvFile(r.output, options.out_path);
