@@ -2,12 +2,18 @@
 // tuple encoders.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+
+#include "datagen/tus_generator.h"
 #include "embed/column_embedder.h"
 #include "embed/embedder.h"
 #include "embed/hashed_encoders.h"
 #include "embed/starmie_encoder.h"
 #include "embed/tuple_encoder.h"
 #include "la/distance.h"
+#include "la/simd/kernels.h"
+#include "table/serialize.h"
 
 namespace dust::embed {
 namespace {
@@ -192,6 +198,144 @@ TEST(TupleEncoderTest, EncodeTableRowsOnePerRow) {
   auto rows = tuple_encoder.EncodeTableRows(t);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_NE(rows[0], rows[1]);
+}
+
+// --- golden encoder bits ----------------------------------------------------
+
+/// A fixed set of alg1_tus-shaped serialized tuples (every row of a small
+/// generated TUS lake and its queries) plus hand-written edge cases.
+std::vector<std::string> GoldenTexts() {
+  datagen::TusConfig config;
+  config.num_queries = 2;
+  config.unionable_per_query = 3;
+  config.distractors_per_base = 1;
+  config.base_rows = 40;
+  config.seed = 11;
+  datagen::Benchmark benchmark = datagen::GenerateTus(config);
+  std::vector<std::string> texts = {
+      "",
+      "[CLS] [SEP]",
+      "!!! ,;- ...",
+      "UPPER lower MiXeD",
+      "773 731-0380 1e9 0.5",
+      "Caf\xc3\xa9 Z\xc3\xbcrich na\xc3\xafve \xff\x80 byte",
+      "a ab abc abcd abcde abcdef abcdefg abcdefghijkl abcdefghijklm",
+      "supercalifragilisticexpialidocious antidisestablishmentarianism",
+  };
+  auto add_rows = [&texts](const Table& t) {
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      texts.push_back(table::SerializeTableRow(t, r));
+    }
+  };
+  for (const auto& t : benchmark.lake) add_rows(t.data);
+  for (const auto& q : benchmark.queries) add_rows(q.data);
+  return texts;
+}
+
+/// FNV-1a over the length and float bits of every vector.
+uint64_t HashVecs(const std::vector<la::Vec>& vecs) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const la::Vec& v : vecs) {
+    mix(v.size());
+    for (float x : v) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &x, sizeof(bits));
+      mix(bits);
+    }
+  }
+  return h;
+}
+
+TEST(EncoderGoldenTest, HashedEncoderBitsArePinnedPerFamily) {
+  // Pins every family's Embed bit for bit at its DefaultConfigFor noise, so
+  // featurization and hashing work can show it changed nothing. The final
+  // NormalizeInPlace runs on the SIMD dot, so each backend has its own
+  // constants.
+  const std::vector<std::string> texts = GoldenTexts();
+  const ModelFamily families[] = {ModelFamily::kFastText, ModelFamily::kGlove,
+                                  ModelFamily::kBert, ModelFamily::kRoberta,
+                                  ModelFamily::kSbert};
+  std::vector<uint64_t> hashes;
+  for (ModelFamily family : families) {
+    auto encoder = MakeEmbedder(family, DefaultConfigFor(family, 64));
+    std::vector<la::Vec> vecs;
+    for (const std::string& text : texts) vecs.push_back(encoder->Embed(text));
+    hashes.push_back(HashVecs(vecs));
+  }
+  const std::map<std::string, std::vector<uint64_t>> expected = {
+      {"avx2",
+       {0x98a7363210eff447ull, 0xdacae528f6d2ed24ull, 0xb46488a581d9c1a6ull,
+        0x081fe66f57abab2bull, 0xf1d74cc704dbdb02ull}},
+      {"scalar",
+       {0x64fde8c040a582cbull, 0xd4d6da2cb21898b6ull, 0x648a4e4e05539ea2ull,
+        0x08058ad92b17f2abull, 0x2998e63d710e1adeull}},
+  };
+  const std::string backend = la::simd::ActiveName();
+  ASSERT_EQ(expected.count(backend), 1u) << backend;
+  for (size_t f = 0; f < hashes.size(); ++f) {
+    EXPECT_EQ(hashes[f], expected.at(backend)[f])
+        << backend << " " << ModelFamilyName(families[f]) << " hash 0x"
+        << std::hex << hashes[f];
+  }
+}
+
+TEST(EncoderGoldenTest, ServeTupleEncoderBitsArePinned) {
+  // The served tuple encoder: noiseless RoBERTa at dim 64. Without noise
+  // the bag vector holds small integers, whose squared norm is exact in any
+  // summation order, so both backends share one value.
+  EmbedderConfig config;
+  config.dim = 64;
+  PretrainedTupleEncoder encoder(std::shared_ptr<TextEmbedder>(
+      MakeEmbedder(ModelFamily::kRoberta, config)));
+  std::vector<la::Vec> vecs;
+  for (const std::string& text : GoldenTexts()) {
+    vecs.push_back(encoder.EncodeSerialized(text));
+  }
+  const uint64_t h = HashVecs(vecs);
+  EXPECT_EQ(h, 0x0c444528781951feull) << "hash 0x" << std::hex << h;
+}
+
+TEST(EncoderGoldenTest, ColumnEmbeddingBitsArePinned) {
+  // Column-level alignment embeddings as Run computes them (RoBERTa at its
+  // default noise, TF-IDF over every column passed in), once with the
+  // paper's 512-token cap and once with a cap small enough that TF-IDF
+  // selection runs, plus the no-corpus truncation path StarmieEncoder uses.
+  datagen::TusConfig config;
+  config.num_queries = 2;
+  config.unionable_per_query = 3;
+  config.distractors_per_base = 1;
+  config.base_rows = 40;
+  config.seed = 11;
+  datagen::Benchmark benchmark = datagen::GenerateTus(config);
+  std::vector<const Table*> tables;
+  for (const auto& q : benchmark.queries) tables.push_back(&q.data);
+  for (const auto& t : benchmark.lake) tables.push_back(&t.data);
+  auto encoder = std::shared_ptr<TextEmbedder>(MakeEmbedder(
+      ModelFamily::kRoberta, DefaultConfigFor(ModelFamily::kRoberta, 64)));
+  std::vector<la::Vec> vecs;
+  for (size_t limit : {512, 16}) {
+    ColumnEmbedder embedder(encoder, ColumnSerialization::kColumnLevel, limit);
+    for (const auto& table_vecs : embedder.EmbedTables(tables)) {
+      vecs.insert(vecs.end(), table_vecs.begin(), table_vecs.end());
+    }
+    for (const table::Column& c : tables[0]->columns()) {
+      vecs.push_back(embedder.EmbedColumn(c, nullptr));
+    }
+  }
+  const uint64_t h = HashVecs(vecs);
+  const std::map<std::string, uint64_t> expected = {
+      {"avx2", 0x4b35cce692d4e1ccull},
+      {"scalar", 0xf71f696aaa34efdeull},
+  };
+  const std::string backend = la::simd::ActiveName();
+  ASSERT_EQ(expected.count(backend), 1u) << backend;
+  EXPECT_EQ(h, expected.at(backend)) << backend << " hash 0x" << std::hex << h;
 }
 
 }  // namespace

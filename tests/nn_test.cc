@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <map>
 
+#include "datagen/tus_generator.h"
 #include "la/distance.h"
+#include "la/simd/kernels.h"
 #include "nn/dust_model.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "table/serialize.h"
 
 namespace dust::nn {
 namespace {
@@ -312,6 +319,98 @@ TEST(TrainerTest, EarlyStoppingTriggers) {
 TEST(TrainerTest, PairAccuracyOnEmptyPairsIsZero) {
   DustModel model(SmallModelConfig());
   EXPECT_FLOAT_EQ(PairAccuracy(model, {}, 0.7f), 0.0f);
+}
+
+// --- golden model bits ------------------------------------------------------
+
+/// FNV-1a over a byte span.
+uint64_t HashBytes(const void* data, size_t size,
+                   uint64_t h = 14695981039346656037ull) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t HashFloats(const std::vector<float>& v) {
+  return HashBytes(v.data(), v.size() * sizeof(float));
+}
+
+/// Every row of a small generated TUS lake and its queries, serialized as
+/// Algorithm 1 serializes unioned tuples, plus hand-written edge cases.
+std::vector<std::string> GoldenTuples() {
+  datagen::TusConfig config;
+  config.num_queries = 2;
+  config.unionable_per_query = 3;
+  config.distractors_per_base = 1;
+  config.base_rows = 40;
+  config.seed = 11;
+  datagen::Benchmark benchmark = datagen::GenerateTus(config);
+  std::vector<std::string> tuples = {
+      "", "[CLS] [SEP]", "[CLS] Name Caf\xc3\xa9 [SEP] Code AB-12 [SEP]",
+      "[CLS] Word supercalifragilisticexpialidocious [SEP]"};
+  auto add_rows = [&tuples](const table::Table& t) {
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      tuples.push_back(table::SerializeTableRow(t, r));
+    }
+  };
+  for (const auto& t : benchmark.lake) add_rows(t.data);
+  for (const auto& q : benchmark.queries) add_rows(q.data);
+  return tuples;
+}
+
+/// The benchmark's DustModel: default config (seed 7) at dim 64.
+DustModelConfig PerfbenchModelConfig() {
+  DustModelConfig config;
+  config.embedding_dim = 64;
+  return config;
+}
+
+TEST(DustModelGoldenTest, EncodeSerializedBitsArePinned) {
+  // EncodeSerialized runs no SIMD kernel, so both backends share one value.
+  DustModel model(PerfbenchModelConfig());
+  uint64_t h = 14695981039346656037ull;
+  for (const std::string& tuple : GoldenTuples()) {
+    la::Vec e = model.EncodeSerialized(tuple);
+    h = HashBytes(e.data(), e.size() * sizeof(float), h);
+  }
+  EXPECT_EQ(h, 0xa9b6678bc582cd8full) << "hash 0x" << std::hex << h;
+}
+
+TEST(DustModelGoldenTest, SavedParamsAndFileBytesArePinned) {
+  // SaveParams and the model file keep W out_dim x in_dim, whatever order
+  // Linear stores it in.
+  DustModel model(PerfbenchModelConfig());
+  const uint64_t params = HashFloats(model.SaveParams());
+  EXPECT_EQ(params, 0xfb1a34f91f393bbaull) << "params hash 0x" << std::hex << params;
+  const std::string path = ::testing::TempDir() + "/dust_model_golden.bin";
+  ASSERT_TRUE(model.SaveToFile(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const uint64_t file = HashBytes(bytes.data(), bytes.size());
+  EXPECT_EQ(bytes.size(), 4u + 4 * 8 + 8 + model.SaveParams().size() * 4);
+  EXPECT_EQ(file, 0x077520a436a0c5c1ull) << "file hash 0x" << std::hex << file;
+}
+
+TEST(DustModelGoldenTest, TrainedParamsArePinned) {
+  // Training runs Forward, Backward, BackwardSparse and Adam steps; the
+  // cosine loss uses the SIMD dot, so each backend has its own value.
+  DustModel model(SmallModelConfig());
+  TrainerConfig config;
+  config.max_epochs = 30;
+  config.batch_size = 8;
+  TrainDustModel(&model, ToyPairs(), ToyPairs(), config);
+  const uint64_t h = HashFloats(model.SaveParams());
+  const std::map<std::string, uint64_t> expected = {
+      {"avx2", 0x9530110ad6c7c82cull},
+      {"scalar", 0x30c5c512ee3b714cull},
+  };
+  const std::string backend = la::simd::ActiveName();
+  ASSERT_EQ(expected.count(backend), 1u) << backend;
+  EXPECT_EQ(h, expected.at(backend)) << backend << " hash 0x" << std::hex << h;
 }
 
 }  // namespace
