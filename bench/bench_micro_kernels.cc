@@ -2,8 +2,9 @@
 // computations, NN-chain clustering, the vector indexes (build, save, load,
 // query), and tuple encoding. The CI bench-smoke job runs the BM_Index*
 // benchmarks with --benchmark_out=BENCH_index.json (likewise BM_Kernel* to
-// BENCH_kernels.json, and BM_DistanceMatrix|BM_NnChainClustering to
-// BENCH_diversify.json) and uploads the JSON as a per-PR artifact, so the
+// BENCH_kernels.json, BM_DistanceMatrix|BM_NnChainClustering to
+// BENCH_diversify.json, and BM_TupleEncoding|BM_DustModelEncode to
+// BENCH_encode.json) and uploads the JSON as a per-PR artifact, so the
 // offline-build and online-serve timings are tracked across revisions.
 #include <benchmark/benchmark.h>
 
@@ -13,11 +14,14 @@
 
 #include "bench/bench_util.h"
 #include "cluster/agglomerative.h"
+#include "datagen/tus_generator.h"
 #include "index/flat_index.h"
 #include "index/ivf_index.h"
 #include "io/index_io.h"
 #include "la/distance.h"
 #include "la/simd/kernels.h"
+#include "nn/dust_model.h"
+#include "table/serialize.h"
 
 using namespace dust;
 
@@ -304,6 +308,48 @@ void BM_TupleEncoding(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TupleEncoding);
+
+/// 1,024 tuples of perfbench's alg1_tus lake (GenerateTus with 10 queries,
+/// 8 unionable tables each, 1,000 base rows, 2 distractors, seed 1), taken
+/// round-robin across its tables so every base schema is represented.
+const std::vector<std::string>& Alg1TusTuples() {
+  static const std::vector<std::string> tuples = [] {
+    datagen::TusConfig config;
+    config.num_queries = 10;
+    config.unionable_per_query = 8;
+    config.base_rows = 1000;
+    config.distractors_per_base = 2;
+    config.seed = 1;
+    const datagen::Benchmark lake = datagen::GenerateTus(config);
+    std::vector<std::string> out;
+    for (size_t row = 0; out.size() < 1024; ++row) {
+      for (const datagen::GeneratedTable& t : lake.lake) {
+        if (row < t.data.num_rows() && out.size() < 1024) {
+          out.push_back(table::SerializeTableRow(t.data, row));
+        }
+      }
+    }
+    return out;
+  }();
+  return tuples;
+}
+
+/// Algorithm 1's encoder: perfbench's DustModel (default config, seed 7,
+/// dim 64) over alg1_tus-shaped tuples, one at a time on one thread.
+void BM_DustModelEncode(benchmark::State& state) {
+  nn::DustModelConfig config;
+  config.embedding_dim = 64;
+  const nn::DustModel model(config);
+  const std::vector<std::string>& tuples = Alg1TusTuples();
+  for (auto _ : state) {
+    for (const std::string& tuple : tuples) {
+      benchmark::DoNotOptimize(model.EncodeSerialized(tuple).data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(tuples.size()));
+}
+BENCHMARK(BM_DustModelEncode)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,11 +1,14 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+
 #include "embed/column_embedder.h"
 #include "index/vector_index.h"
 #include "io/index_io.h"
 #include "search/cascade/stages.h"
 #include "search/embedding_search.h"
 #include "search/overlap_search.h"
+#include "serve/executor.h"
 #include "text/hashing.h"
 #include "util/stopwatch.h"
 
@@ -16,6 +19,9 @@ namespace {
 /// v2: engine state ends with a flag byte for retrieval-cascade signals,
 /// always 0 since the cascade was removed.
 constexpr uint32_t kSnapshotFormatVersion = 2;
+
+/// Tuples per executor task in EncodeTuples.
+constexpr size_t kEncodeChunk = 64;
 
 }  // namespace
 
@@ -143,6 +149,21 @@ Status DustPipeline::LoadSnapshot(
   return Status::Ok();
 }
 
+std::vector<la::Vec> DustPipeline::EncodeTuples(
+    const std::vector<std::string>& serialized) const {
+  std::vector<la::Vec> out(serialized.size());
+  const size_t chunks = (serialized.size() + kEncodeChunk - 1) / kEncodeChunk;
+  serve::Executor& pool =
+      executor_ != nullptr ? *executor_ : serve::Executor::Default();
+  pool.ParallelFor(chunks, [&](size_t chunk) {
+    const size_t end = std::min(serialized.size(), (chunk + 1) * kEncodeChunk);
+    for (size_t i = chunk * kEncodeChunk; i < end; ++i) {
+      out[i] = tuple_encoder_->EncodeSerialized(serialized[i]);
+    }
+  });
+  return out;
+}
+
 Result<PipelineResult> DustPipeline::Run(const table::Table& query,
                                          size_t k) const {
   if (lake_.empty()) {
@@ -199,16 +220,9 @@ Result<PipelineResult> DustPipeline::Run(const table::Table& query,
 
   // --- EmbedTuples (line 7) ---
   watch.Restart();
-  std::vector<la::Vec> lake_embeddings;
-  lake_embeddings.reserve(unionable.serialized.size());
-  for (const std::string& ser : unionable.serialized) {
-    lake_embeddings.push_back(tuple_encoder_->EncodeSerialized(ser));
-  }
-  std::vector<la::Vec> query_embeddings;
-  query_embeddings.reserve(unionable.query_serialized.size());
-  for (const std::string& ser : unionable.query_serialized) {
-    query_embeddings.push_back(tuple_encoder_->EncodeSerialized(ser));
-  }
+  std::vector<la::Vec> lake_embeddings = EncodeTuples(unionable.serialized);
+  std::vector<la::Vec> query_embeddings =
+      EncodeTuples(unionable.query_serialized);
   result.timings.embed_seconds = watch.Seconds();
 
   // --- DiversifyTuples (line 8, Algorithm 2) ---

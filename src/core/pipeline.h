@@ -115,11 +115,14 @@ class DustPipeline {
   /// Runs Algorithm 1 for one query, returning `k` diverse tuples.
   Result<PipelineResult> Run(const table::Table& query, size_t k) const;
 
-  /// Routes the search engine's rerank bound pass (and its shortlist
-  /// index's batch fan-out) through a shared thread pool, so a serving
-  /// process creates zero threads per Run. Install once before concurrent
-  /// traffic; the executor must outlive the pipeline or be unset first.
+  /// Routes Run's parallel work through a shared thread pool: the tuple
+  /// encode (fixed 64-tuple chunks) and the search engine's rerank bound
+  /// pass and shortlist-index batch fan-out, so a serving process creates
+  /// zero threads per Run. Without one, the encode runs on
+  /// serve::Executor::Default(). Install once before concurrent traffic;
+  /// the executor must outlive the pipeline or be unset first.
   void SetExecutor(serve::Executor* executor) {
+    executor_ = executor;
     search_->SetExecutor(executor);
   }
 
@@ -131,8 +134,15 @@ class DustPipeline {
   /// and added/removed/reshaped tables, not in-place cell edits.
   uint64_t SnapshotHash(const std::vector<const table::Table*>& lake) const;
 
+  /// EncodeSerialized of every tuple, each into its own slot, in fixed
+  /// chunks on the executor. Chunking changes no bit: each embedding is a
+  /// pure function of its tuple.
+  std::vector<la::Vec> EncodeTuples(
+      const std::vector<std::string>& serialized) const;
+
   PipelineConfig config_;
   std::shared_ptr<embed::TupleEncoder> tuple_encoder_;
+  serve::Executor* executor_ = nullptr;
   std::unique_ptr<search::UnionSearch> search_;
   std::vector<const table::Table*> lake_;
 };

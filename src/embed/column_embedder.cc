@@ -55,27 +55,29 @@ la::Vec ColumnEmbedder::EmbedColumn(const table::Column& column,
     la::NormalizeInPlace(&sum);
     return sum;
   }
+  return EmbedColumnTokens(ColumnTokens(column), tfidf);
+}
 
+la::Vec ColumnEmbedder::EmbedColumnTokens(std::vector<std::string> tokens,
+                                          const text::TfidfModel* tfidf) const {
   // Column-level: a single text from the TF-IDF top tokens (LM token cap).
-  std::vector<std::string> tokens = ColumnTokens(column);
-  std::vector<std::string> selected;
-  if (tfidf != nullptr && tokens.size() > token_limit_) {
-    selected = tfidf->TopTokens(tokens, token_limit_);
-  } else if (tokens.size() > token_limit_) {
-    tokens.resize(token_limit_);
-    selected = std::move(tokens);
-  } else {
-    selected = std::move(tokens);
+  if (tokens.size() > token_limit_) {
+    if (tfidf != nullptr) {
+      tokens = tfidf->TopTokens(tokens, token_limit_);
+    } else {
+      tokens.resize(token_limit_);
+    }
   }
-  return encoder_->Embed(Join(selected, " "));
+  return encoder_->Embed(Join(tokens, " "));
 }
 
 std::vector<std::vector<la::Vec>> ColumnEmbedder::EmbedTables(
     const std::vector<const table::Table*>& tables) const {
-  // Corpus for TF-IDF: one document per column across all tables.
+  // Corpus for TF-IDF: one document per column across all tables. Each
+  // column is tokenized once; its document then feeds its own embedding.
+  std::vector<std::vector<std::string>> docs;
   std::unique_ptr<text::TfidfModel> tfidf;
   if (serialization_ == ColumnSerialization::kColumnLevel) {
-    std::vector<std::vector<std::string>> docs;
     for (const table::Table* t : tables) {
       for (const table::Column& c : t->columns()) {
         docs.push_back(ColumnTokens(c));
@@ -85,11 +87,16 @@ std::vector<std::vector<la::Vec>> ColumnEmbedder::EmbedTables(
   }
   std::vector<std::vector<la::Vec>> out;
   out.reserve(tables.size());
+  size_t doc = 0;
   for (const table::Table* t : tables) {
     std::vector<la::Vec> cols;
     cols.reserve(t->num_columns());
     for (const table::Column& c : t->columns()) {
-      cols.push_back(EmbedColumn(c, tfidf.get()));
+      if (tfidf == nullptr) {
+        cols.push_back(EmbedColumn(c, nullptr));
+      } else {
+        cols.push_back(EmbedColumnTokens(std::move(docs[doc++]), tfidf.get()));
+      }
     }
     out.push_back(std::move(cols));
   }

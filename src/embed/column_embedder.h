@@ -45,6 +45,12 @@ class ColumnEmbedder {
   std::string name() const;
 
  private:
+  /// Column-level embedding of a column's ColumnTokens: the `token_limit`
+  /// tokens with the highest TF-IDF weight (the first ones without a
+  /// model), joined into one text.
+  la::Vec EmbedColumnTokens(std::vector<std::string> tokens,
+                            const text::TfidfModel* tfidf) const;
+
   std::shared_ptr<TextEmbedder> encoder_;
   ColumnSerialization serialization_;
   size_t token_limit_;

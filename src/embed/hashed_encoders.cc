@@ -1,5 +1,6 @@
 #include "embed/hashed_encoders.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "text/hashing.h"
@@ -83,9 +84,125 @@ std::vector<std::string> FamilyFeatures(ModelFamily family,
   return features;
 }
 
+namespace {
+
+/// Calls fn(word) for every word of text::WordTokens(text), in order, with
+/// `word` the raw (not yet lowercased) span of `text`.
+template <typename Fn>
+void ForEachWord(std::string_view text, Fn&& fn) {
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !text::IsWordByte(text[i])) ++i;
+    const size_t begin = i;
+    while (i < text.size() && text::IsWordByte(text[i])) ++i;
+    if (i > begin) fn(text.substr(begin, i - begin));
+  }
+}
+
+/// Hashes features of `seed` as they are produced.
+class FeatureHasher {
+ public:
+  FeatureHasher(uint64_t seed, std::vector<uint64_t>* out)
+      : start_(text::Fnv1a::Seeded(seed)), out_(out) {}
+
+  /// The word itself (text::WordTokens).
+  void Word(std::string_view word) {
+    text::Fnv1a h = start_;
+    AddLower(&h, word);
+    out_->push_back(h.Finish());
+  }
+
+  /// The n-grams of "<word>" (text::CharNgrams): the whole padded word
+  /// when it is no longer than n.
+  void CharNgrams(std::string_view word, size_t n) {
+    const size_t padded = word.size() + 2;
+    const size_t count = padded <= n ? 1 : padded - n + 1;
+    const size_t len = std::min(n, padded);
+    for (size_t first = 0; first < count; ++first) {
+      text::Fnv1a h = start_;
+      for (size_t k = first; k < first + len; ++k) h.Add(PaddedByte(word, k));
+      out_->push_back(h.Finish());
+    }
+  }
+
+  /// The pieces of text::SubwordPieces(word, max_piece).
+  void Pieces(std::string_view word, size_t max_piece) {
+    for (size_t p = 0; p < NumPieces(word, max_piece); ++p) {
+      text::Fnv1a h = start_;
+      AddPiece(&h, word, max_piece, p);
+      out_->push_back(h.Finish());
+    }
+  }
+
+  /// Piece bigrams "a|b" of consecutive pieces of one word.
+  void PieceBigrams(std::string_view word, size_t max_piece) {
+    for (size_t p = 0; p + 1 < NumPieces(word, max_piece); ++p) {
+      text::Fnv1a h = start_;
+      AddPiece(&h, word, max_piece, p);
+      h.Add('|');
+      AddPiece(&h, word, max_piece, p + 1);
+      out_->push_back(h.Finish());
+    }
+  }
+
+ private:
+  static void AddLower(text::Fnv1a* h, std::string_view s) {
+    for (char c : s) h->Add(text::LowerWordByte(c));
+  }
+  /// Byte k of "<" + word + ">", the word lowercased.
+  static char PaddedByte(std::string_view word, size_t k) {
+    if (k == 0) return '<';
+    if (k == word.size() + 1) return '>';
+    return text::LowerWordByte(word[k - 1]);
+  }
+  static size_t NumPieces(std::string_view word, size_t max_piece) {
+    return (word.size() + max_piece - 1) / max_piece;
+  }
+  /// Piece p: bytes [p * max_piece, +max_piece), "##"-prefixed after the
+  /// first. A word no longer than max_piece is its own single piece.
+  static void AddPiece(text::Fnv1a* h, std::string_view word, size_t max_piece,
+                       size_t p) {
+    if (p > 0) h->Add("##");
+    AddLower(h, word.substr(p * max_piece, max_piece));
+  }
+
+  text::Fnv1a start_;
+  std::vector<uint64_t>* out_;
+};
+
+}  // namespace
+
+void AppendFeatureHashes(ModelFamily family, std::string_view text,
+                         uint64_t seed, std::vector<uint64_t>* out) {
+  // Every family but FastText yields at most one feature per byte.
+  out->reserve(out->size() + text.size());
+  FeatureHasher hasher(seed, out);
+  switch (family) {
+    case ModelFamily::kFastText:
+      ForEachWord(text, [&](std::string_view w) { hasher.Word(w); });
+      ForEachWord(text, [&](std::string_view w) { hasher.CharNgrams(w, 3); });
+      ForEachWord(text, [&](std::string_view w) { hasher.CharNgrams(w, 4); });
+      break;
+    case ModelFamily::kGlove:
+    case ModelFamily::kSbert:
+      ForEachWord(text, [&](std::string_view w) { hasher.Word(w); });
+      break;
+    case ModelFamily::kBert:
+      ForEachWord(text, [&](std::string_view w) { hasher.Pieces(w, 4); });
+      break;
+    case ModelFamily::kRoberta:
+      ForEachWord(text, [&](std::string_view w) {
+        hasher.PieceBigrams(w, 6);
+        hasher.Pieces(w, 6);
+      });
+      break;
+  }
+}
+
 la::Vec HashedEncoder::Embed(const std::string& text) const {
-  std::vector<std::string> features = FamilyFeatures(family_, text);
-  la::Vec v = text::HashTokensToVector(features, config_.dim, family_seed_);
+  std::vector<uint64_t> features;
+  AppendFeatureHashes(family_, text, family_seed_, &features);
+  la::Vec v = text::HashesToVector(features, config_.dim);
   if (family_ == ModelFamily::kSbert) {
     // Sub-linear term weighting: re-embed with sqrt(tf) weights.
     // (Approximated by normalizing the bag vector before noise.)

@@ -21,7 +21,11 @@ class TupleEncoder {
  public:
   virtual ~TupleEncoder() = default;
 
-  /// Embedding of one serialized tuple.
+  /// Embedding of one serialized tuple. Implementations must be safe to
+  /// call concurrently from many threads on one encoder:
+  /// core::DustPipeline::Run encodes its tuples in parallel on an executor,
+  /// and search::TupleSearch::SearchTuplesBatch encodes batch members in
+  /// parallel.
   virtual la::Vec EncodeSerialized(const std::string& serialized) const = 0;
 
   virtual size_t dim() const = 0;

@@ -1,5 +1,6 @@
 #include "nn/dust_model.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -22,9 +23,10 @@ std::string DustModel::name() const {
 }
 
 text::SparseVector DustModel::Featurize(const std::string& serialized) const {
-  return text::HashTokensSparse(
-      embed::FamilyFeatures(config_.family, serialized), config_.feature_dim,
-      feature_seed_);
+  std::vector<uint64_t> hashes;
+  embed::AppendFeatureHashes(config_.family, serialized, feature_seed_,
+                             &hashes);
+  return text::HashesToSparse(std::move(hashes), config_.feature_dim);
 }
 
 la::Vec DustModel::EncodeSerialized(const std::string& serialized) const {
@@ -77,33 +79,22 @@ void DustModel::RegisterParams(Optimizer* optimizer) {
       {lin2_.bias().data(), lin2_.bias_grad().data(), lin2_.bias().size()});
 }
 
+size_t DustModel::num_params() const {
+  return lin1_.num_params() + lin2_.num_params();
+}
+
 std::vector<float> DustModel::SaveParams() const {
   std::vector<float> out;
-  out.reserve(lin1_.weights().data().size() + lin1_.bias().size() +
-              lin2_.weights().data().size() + lin2_.bias().size());
-  auto append = [&out](const std::vector<float>& v) {
-    out.insert(out.end(), v.begin(), v.end());
-  };
-  append(lin1_.weights().data());
-  append(lin1_.bias());
-  append(lin2_.weights().data());
-  append(lin2_.bias());
+  out.reserve(num_params());
+  lin1_.AppendParams(&out);
+  lin2_.AppendParams(&out);
   return out;
 }
 
 void DustModel::LoadParams(const std::vector<float>& params) {
-  size_t offset = 0;
-  auto take = [&](std::vector<float>& dst) {
-    DUST_CHECK(offset + dst.size() <= params.size());
-    std::copy(params.begin() + offset, params.begin() + offset + dst.size(),
-              dst.begin());
-    offset += dst.size();
-  };
-  take(lin1_.weights().data());
-  take(lin1_.bias());
-  take(lin2_.weights().data());
-  take(lin2_.bias());
-  DUST_CHECK(offset == params.size());
+  DUST_CHECK(params.size() == num_params());
+  lin1_.ReadParams(params.data());
+  lin2_.ReadParams(params.data() + lin1_.num_params());
 }
 
 namespace {
@@ -144,10 +135,23 @@ Status DustModel::LoadFromFile(const std::string& path) {
   }
   uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!in) return Status::IoError("truncated model file: " + path);
+  // Checked before allocating: a corrupt count must neither size a vector
+  // nor reach LoadParams.
+  if (count != num_params()) {
+    return Status::IoError("corrupt parameter count " + std::to_string(count) +
+                           " (model has " + std::to_string(num_params()) +
+                           "): " + path);
+  }
   std::vector<float> params(count);
   in.read(reinterpret_cast<char*>(params.data()),
           static_cast<std::streamsize>(count * sizeof(float)));
   if (!in) return Status::IoError("truncated model file: " + path);
+  for (float p : params) {
+    if (!std::isfinite(p)) {
+      return Status::IoError("non-finite parameter in model file: " + path);
+    }
+  }
   LoadParams(params);
   return Status::Ok();
 }

@@ -40,6 +40,7 @@ class DustModel : public embed::TupleEncoder {
   explicit DustModel(const DustModelConfig& config);
 
   // --- Inference (TupleEncoder) ---
+  /// Const and free of shared scratch: safe to call concurrently.
   la::Vec EncodeSerialized(const std::string& serialized) const override;
   size_t dim() const override { return config_.embedding_dim; }
   std::string name() const override;
@@ -64,11 +65,16 @@ class DustModel : public embed::TupleEncoder {
   /// Registers all trainable parameters with `optimizer`.
   void RegisterParams(Optimizer* optimizer);
 
-  /// Snapshot / restore of all parameters (early-stopping best model).
+  /// Snapshot / restore of all parameters (early-stopping best model), in
+  /// file order: each layer's W as out_dim x in_dim, then its bias.
+  /// LoadParams requires exactly num_params() values.
   std::vector<float> SaveParams() const;
   void LoadParams(const std::vector<float>& params);
+  size_t num_params() const;
 
-  /// Binary model (de)serialization.
+  /// Binary model (de)serialization. A file with the wrong parameter
+  /// count, a truncated payload or a NaN or infinite parameter fails with
+  /// an IoError naming the file; a failed load leaves the model unchanged.
   Status SaveToFile(const std::string& path) const;
   Status LoadFromFile(const std::string& path);
 

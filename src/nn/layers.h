@@ -18,15 +18,26 @@
 namespace dust::nn {
 
 /// Fully connected layer: y = W x + b.
+///
+/// Storage order: W is kept once, feature-major (in_dim x out_dim, row c
+/// holds input c's weight to every output), the order inference reads it:
+/// ForwardSparse reads one contiguous row per active feature. The file
+/// order is the conventional out_dim x in_dim one: the Xavier draw,
+/// AppendParams and ReadParams use it, so saved models keep their bytes.
+/// weights() and weight_grad() expose the storage order: weights().at(c, r)
+/// is the weight from input c to output r.
 class Linear {
  public:
-  /// Xavier/Glorot-uniform initialization, deterministic in `seed`.
+  /// Xavier/Glorot-uniform initialization, deterministic in `seed`, drawn
+  /// in file order.
   Linear(size_t in_dim, size_t out_dim, uint64_t seed);
 
-  /// Dense forward.
+  /// Dense forward. Each output sums W's column in input order from 0,
+  /// then adds the bias — la::Matrix::MatVec's order, so its bits.
   la::Vec Forward(const la::Vec& x) const;
 
-  /// Sparse forward (first layer; input features are hashed tokens).
+  /// Sparse forward (first layer; input features are hashed tokens): the
+  /// bias plus each active feature's row in index order.
   la::Vec ForwardSparse(const text::SparseVector& x) const;
 
   /// Accumulates gradients for (W, b) given upstream grad dy and the input
@@ -37,6 +48,12 @@ class Linear {
   void BackwardSparse(const text::SparseVector& x, const la::Vec& dy);
 
   void ZeroGrad();
+
+  /// Appends W in file order (out_dim x in_dim), then b.
+  void AppendParams(std::vector<float>* out) const;
+  /// Reads num_params() floats in AppendParams' order.
+  void ReadParams(const float* params);
+  size_t num_params() const { return in_dim_ * out_dim_ + out_dim_; }
 
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return out_dim_; }
@@ -51,9 +68,9 @@ class Linear {
  private:
   size_t in_dim_;
   size_t out_dim_;
-  la::Matrix w_;   // out_dim x in_dim
+  la::Matrix w_;   // in_dim x out_dim (feature-major)
   la::Vec b_;      // out_dim
-  la::Matrix dw_;  // gradient accumulators
+  la::Matrix dw_;  // gradient accumulators, laid out like w_
   la::Vec db_;
 };
 

@@ -16,6 +16,30 @@
 
 namespace dust::text {
 
+/// Incremental FNV-1a 64-bit state, the one HashString runs on: bytes added
+/// in pieces hash exactly as their concatenation would, so a featurizer can
+/// hash a feature made of several spans without building it as a string.
+class Fnv1a {
+ public:
+  /// The state before any byte, for `seed`.
+  static Fnv1a Seeded(uint64_t seed);
+
+  void Add(char c) {
+    h_ ^= static_cast<unsigned char>(c);
+    h_ *= 1099511628211ULL;
+  }
+  void Add(std::string_view s) {
+    for (char c : s) Add(c);
+  }
+
+  /// HashString of every byte added so far.
+  uint64_t Finish() const;
+
+ private:
+  explicit Fnv1a(uint64_t h) : h_(h) {}
+  uint64_t h_;
+};
+
 /// FNV-1a 64-bit hash, optionally mixed with a seed.
 uint64_t HashString(std::string_view s, uint64_t seed = 0);
 
@@ -27,16 +51,6 @@ uint64_t ChainHash(uint64_t h, uint64_t v);
 uint64_t ChainHash(uint64_t h, double v);
 uint64_t ChainHash(uint64_t h, std::string_view s);
 
-/// Feature-hashes `tokens` into a `dim`-dimensional vector: token t adds
-/// weight * sign(t) at index h(t) % dim. Deterministic in (token, seed).
-std::vector<float> HashTokensToVector(const std::vector<std::string>& tokens,
-                                      size_t dim, uint64_t seed);
-
-/// Weighted variant: tokens[i] contributes weights[i].
-std::vector<float> HashTokensToVectorWeighted(
-    const std::vector<std::string>& tokens, const std::vector<float>& weights,
-    size_t dim, uint64_t seed);
-
 /// Sparse feature view: index/value pairs (duplicate indices summed),
 /// used as the frozen feature extractor of the trainable DUST model.
 struct SparseVector {
@@ -44,8 +58,22 @@ struct SparseVector {
   std::vector<float> values;
 };
 
-/// Hashes tokens into a sparse `dim`-dimensional representation with signed
-/// values; duplicates are merged. Indices are sorted ascending.
+/// Feature hashing of token hashes h = HashString(token, seed): each adds
+/// sign(h) = (h >> 63 ? +1 : -1) at index h % dim. Values are sums of +-1,
+/// exact in any order. Dense form.
+std::vector<float> HashesToVector(const std::vector<uint64_t>& hashes,
+                                  size_t dim);
+
+/// Sparse form of HashesToVector: indices ascending, cancelled (zero)
+/// entries dropped. Takes the hashes by value and sorts them in place.
+SparseVector HashesToSparse(std::vector<uint64_t> hashes, size_t dim);
+
+/// Reference forms over token strings, kept for tests that check the
+/// hash-based forms above against them. HashTokensToVector is
+/// HashesToVector of every token's HashString; HashTokensSparse is its
+/// sparse form.
+std::vector<float> HashTokensToVector(const std::vector<std::string>& tokens,
+                                      size_t dim, uint64_t seed);
 SparseVector HashTokensSparse(const std::vector<std::string>& tokens,
                               size_t dim, uint64_t seed);
 

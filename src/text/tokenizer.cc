@@ -13,10 +13,9 @@ std::vector<std::string> WordTokens(std::string_view s) {
       cur.clear();
     }
   };
-  for (char raw : s) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c)) {
-      cur += static_cast<char>(std::tolower(c));
+  for (char c : s) {
+    if (IsWordByte(c)) {
+      cur += LowerWordByte(c);
     } else {
       flush();
     }

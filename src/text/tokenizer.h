@@ -14,6 +14,18 @@
 
 namespace dust::text {
 
+/// A word byte: an ASCII letter or digit, as isalnum classifies bytes in
+/// the "C" locale, whatever locale the process runs in. Every other byte,
+/// including each byte >= 0x80, separates words.
+inline bool IsWordByte(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
+}
+
+/// Lowercase of a word byte: digits and lower-case letters already have
+/// bit 0x20 set, and setting it maps 'A'..'Z' to 'a'..'z'.
+inline char LowerWordByte(char c) { return static_cast<char>(c | 0x20); }
+
 /// Lowercases and splits on non-alphanumeric boundaries; digits are kept as
 /// their own tokens so "773 731-0380" yields {"773", "731", "0380"}.
 std::vector<std::string> WordTokens(std::string_view s);

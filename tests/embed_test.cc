@@ -14,6 +14,7 @@
 #include "la/distance.h"
 #include "la/simd/kernels.h"
 #include "table/serialize.h"
+#include "text/hashing.h"
 
 namespace dust::embed {
 namespace {
@@ -81,6 +82,47 @@ TEST(EmbedderTest, FamilyFeaturesDifferByFamily) {
   auto subwords = FamilyFeatures(ModelFamily::kBert, "chippewa park");
   EXPECT_EQ(words.size(), 2u);
   EXPECT_GT(subwords.size(), 2u);  // "chippewa" splits into pieces
+}
+
+TEST(FeatureHashTest, StreamingHashesEqualHashStringOverFamilyFeatures) {
+  // AppendFeatureHashes must yield HashString(f, seed) for every feature f
+  // of FamilyFeatures, in order, for every family. The texts cover word
+  // splitting (empty, punctuation only, upper case, digits, bytes >= 0x80),
+  // the subword-piece boundaries of BERT (4) and RoBERTa (6) at word
+  // lengths 1, 4-9, 12 and 13, and the FastText 3/4-gram boundaries at
+  // padded lengths 3-6 (words of 1-4 characters; padding makes 2
+  // impossible).
+  const std::vector<std::string> texts = {
+      "",
+      " ,;- !!! ...",
+      "UPPER Case MiXeD",
+      "773 731-0380 x1y2z3",
+      "caf\xc3\xa9 \xff\x80xyz\x80 na\xc3\xafve",
+      "a abcdef abcdefg abcdefghijkl abcdefghijklm",
+      "ab abc abcd abcde abcdefgh abcdefghi",
+      "[CLS] Park Name Chippewa Park [SEP] City Brandon, MN [SEP]",
+      "supercalifragilisticexpialidocious",
+  };
+  const ModelFamily families[] = {ModelFamily::kFastText, ModelFamily::kGlove,
+                                  ModelFamily::kBert, ModelFamily::kRoberta,
+                                  ModelFamily::kSbert};
+  for (ModelFamily family : families) {
+    for (const std::string& text : texts) {
+      for (uint64_t seed : {0ull, 0x20BE27Aull}) {
+        std::vector<uint64_t> expected;
+        for (const std::string& f : FamilyFeatures(family, text)) {
+          expected.push_back(text::HashString(f, seed));
+        }
+        std::vector<uint64_t> streamed = {42};  // appends, keeps what is there
+        AppendFeatureHashes(family, text, seed, &streamed);
+        ASSERT_FALSE(streamed.empty());
+        EXPECT_EQ(streamed.front(), 42u);
+        streamed.erase(streamed.begin());
+        EXPECT_EQ(streamed, expected)
+            << ModelFamilyName(family) << " \"" << text << "\"";
+      }
+    }
+  }
 }
 
 Table MakeParkTable() {
@@ -261,27 +303,27 @@ TEST(EncoderGoldenTest, HashedEncoderBitsArePinnedPerFamily) {
   const ModelFamily families[] = {ModelFamily::kFastText, ModelFamily::kGlove,
                                   ModelFamily::kBert, ModelFamily::kRoberta,
                                   ModelFamily::kSbert};
-  std::vector<uint64_t> hashes;
+  const std::map<std::string, uint64_t> expected = {
+      {"avx2 FastText", 0x98a7363210eff447ull},
+      {"avx2 Glove", 0xdacae528f6d2ed24ull},
+      {"avx2 BERT", 0xb46488a581d9c1a6ull},
+      {"avx2 RoBERTa", 0x081fe66f57abab2bull},
+      {"avx2 sBERT", 0xf1d74cc704dbdb02ull},
+      {"scalar FastText", 0x64fde8c040a582cbull},
+      {"scalar Glove", 0xd4d6da2cb21898b6ull},
+      {"scalar BERT", 0x648a4e4e05539ea2ull},
+      {"scalar RoBERTa", 0x08058ad92b17f2abull},
+      {"scalar sBERT", 0x2998e63d710e1adeull},
+  };
   for (ModelFamily family : families) {
     auto encoder = MakeEmbedder(family, DefaultConfigFor(family, 64));
     std::vector<la::Vec> vecs;
     for (const std::string& text : texts) vecs.push_back(encoder->Embed(text));
-    hashes.push_back(HashVecs(vecs));
-  }
-  const std::map<std::string, std::vector<uint64_t>> expected = {
-      {"avx2",
-       {0x98a7363210eff447ull, 0xdacae528f6d2ed24ull, 0xb46488a581d9c1a6ull,
-        0x081fe66f57abab2bull, 0xf1d74cc704dbdb02ull}},
-      {"scalar",
-       {0x64fde8c040a582cbull, 0xd4d6da2cb21898b6ull, 0x648a4e4e05539ea2ull,
-        0x08058ad92b17f2abull, 0x2998e63d710e1adeull}},
-  };
-  const std::string backend = la::simd::ActiveName();
-  ASSERT_EQ(expected.count(backend), 1u) << backend;
-  for (size_t f = 0; f < hashes.size(); ++f) {
-    EXPECT_EQ(hashes[f], expected.at(backend)[f])
-        << backend << " " << ModelFamilyName(families[f]) << " hash 0x"
-        << std::hex << hashes[f];
+    const uint64_t h = HashVecs(vecs);
+    const std::string key =
+        std::string(la::simd::ActiveName()) + " " + ModelFamilyName(family);
+    ASSERT_EQ(expected.count(key), 1u) << key;
+    EXPECT_EQ(h, expected.at(key)) << key << " hash 0x" << std::hex << h;
   }
 }
 

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 
 #include "datagen/tus_generator.h"
@@ -49,23 +51,24 @@ TEST(LinearTest, NumericalGradientCheck) {
   lin.ZeroGrad();
   la::Vec dx = lin.Backward(x, dy);
 
+  // weights() is stored feature-major: at(c, r) is input c -> output r.
   const float eps = 1e-3f;
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < 4; ++c) {
-      float original = lin.weights().at(r, c);
-      lin.weights().at(r, c) = original + eps;
+      float original = lin.weights().at(c, r);
+      lin.weights().at(c, r) = original + eps;
       la::Vec y_plus = lin.Forward(x);
-      lin.weights().at(r, c) = original - eps;
+      lin.weights().at(c, r) = original - eps;
       la::Vec y_minus = lin.Forward(x);
-      lin.weights().at(r, c) = original;
+      lin.weights().at(c, r) = original;
       float numeric = 0.0f;
       for (size_t i = 0; i < 3; ++i) numeric += (y_plus[i] - y_minus[i]);
       numeric /= (2 * eps);
-      EXPECT_NEAR(lin.weight_grad().at(r, c), numeric, 1e-2);
+      EXPECT_NEAR(lin.weight_grad().at(c, r), numeric, 1e-2);
     }
   }
-  // dL/dx = W^T dy.
-  la::Vec expected_dx = lin.weights().TransposeMatVec(dy);
+  // dL/dx = W^T dy, and W^T is the stored in x out matrix.
+  la::Vec expected_dx = lin.weights().MatVec(dy);
   for (size_t i = 0; i < 4; ++i) EXPECT_NEAR(dx[i], expected_dx[i], 1e-5);
 }
 
@@ -84,10 +87,52 @@ TEST(LinearTest, SparseBackwardMatchesDense) {
   b.BackwardSparse(sv, dy);
   for (size_t r = 0; r < 2; ++r) {
     for (size_t c = 0; c < 6; ++c) {
-      EXPECT_NEAR(a.weight_grad().at(r, c), b.weight_grad().at(r, c), 1e-6);
+      EXPECT_NEAR(a.weight_grad().at(c, r), b.weight_grad().at(c, r), 1e-6);
     }
     EXPECT_NEAR(a.bias_grad()[r], b.bias_grad()[r], 1e-6);
   }
+}
+
+TEST(LinearTest, ForwardMatchesRowMajorMatVecBitForBit) {
+  // Forward keeps la::Matrix::MatVec's per-output order over the
+  // conventional out x in matrix, so its bits; ForwardSparse over every
+  // feature is the same sum.
+  Linear lin(37, 5, 3);
+  la::Matrix row_major(5, 37);
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t c = 0; c < 37; ++c) row_major.at(r, c) = lin.weights().at(c, r);
+  }
+  lin.bias() = {0.5f, -0.25f, 1e-3f, 3.0f, -7.0f};
+  la::Vec x(37);
+  text::SparseVector sv;
+  for (size_t c = 0; c < 37; ++c) {
+    x[c] = std::sin(static_cast<float>(c) * 1.7f) * 3.0f;
+    sv.indices.push_back(static_cast<uint32_t>(c));
+    sv.values.push_back(x[c]);
+  }
+  la::Vec expected = row_major.MatVec(x);
+  la::AddInPlace(&expected, lin.bias());
+  EXPECT_EQ(lin.Forward(x), expected);
+}
+
+TEST(LinearTest, ParamsUseFileOrder) {
+  // AppendParams writes W out x in (row r = output r), then b; ReadParams
+  // reads the same order back into the feature-major store.
+  Linear lin(3, 2, 9);
+  std::vector<float> params;
+  lin.AppendParams(&params);
+  ASSERT_EQ(params.size(), lin.num_params());
+  ASSERT_EQ(params.size(), 3u * 2u + 2u);
+  EXPECT_EQ(params[0 * 3 + 2], lin.weights().at(2, 0));
+  EXPECT_EQ(params[1 * 3 + 0], lin.weights().at(0, 1));
+  std::vector<float> file = {1, 2, 3, 4, 5, 6, 7, 8};
+  lin.ReadParams(file.data());
+  EXPECT_EQ(lin.weights().at(0, 1), 4.0f);  // output 1, input 0
+  EXPECT_EQ(lin.weights().at(2, 0), 3.0f);  // output 0, input 2
+  EXPECT_EQ(lin.bias(), (la::Vec{7.0f, 8.0f}));
+  params.clear();
+  lin.AppendParams(&params);
+  EXPECT_EQ(params, file);
 }
 
 TEST(DropoutTest, EvalIsIdentity) {
@@ -253,6 +298,89 @@ TEST(DustModelTest, FileShapeMismatchRejected) {
   EXPECT_FALSE(wrong.LoadFromFile(path).ok());
 }
 
+// --- corrupt model files ----------------------------------------------------
+//
+// Layout: u32 magic, u64 dims[4], u64 count, count floats.
+
+constexpr size_t kCountOffset = 4 + 4 * 8;
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Saves a model, lets `patch` edit the bytes, and loads them into a
+/// differently seeded model. A failed load must name the file and leave
+/// the model unchanged.
+Status LoadPatched(const std::string& name,
+                   const std::function<void(std::string*)>& patch) {
+  DustModel saved(SmallModelConfig());
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(saved.SaveToFile(path).ok());
+  std::string bytes = ReadAll(path);
+  patch(&bytes);
+  WriteAll(path, bytes);
+  DustModelConfig config = SmallModelConfig();
+  config.seed = 99;
+  DustModel target(config);
+  const std::vector<float> before = target.SaveParams();
+  Status status = target.LoadFromFile(path);
+  if (status.ok()) {
+    EXPECT_EQ(target.SaveParams(), saved.SaveParams());
+  } else {
+    EXPECT_EQ(target.SaveParams(), before) << "a failed load changed it";
+    EXPECT_NE(status.message().find(path), std::string::npos)
+        << status.ToString();
+  }
+  return status;
+}
+
+void PatchCount(std::string* bytes, uint64_t count) {
+  std::memcpy(&(*bytes)[kCountOffset], &count, sizeof(count));
+}
+
+TEST(DustModelFileTest, ShortParameterCountIsAnIoError) {
+  // Before the count check this reached LoadParams' DUST_CHECK and aborted.
+  const auto patch = [](std::string* b) { PatchCount(b, 10); };
+  Status s = LoadPatched("short_count.bin", patch);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+}
+
+TEST(DustModelFileTest, HugeParameterCountIsAnIoError) {
+  // 2^62 floats: sizing a vector by it threw std::length_error.
+  const auto patch = [](std::string* b) { PatchCount(b, uint64_t{1} << 62); };
+  Status s = LoadPatched("huge_count.bin", patch);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+}
+
+TEST(DustModelFileTest, TruncatedPayloadIsAnIoError) {
+  const auto patch = [](std::string* b) { b->resize(b->size() - 5); };
+  Status s = LoadPatched("truncated.bin", patch);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+}
+
+TEST(DustModelFileTest, NonFiniteWeightIsAnIoError) {
+  const size_t offset = kCountOffset + 8 + 17 * sizeof(float);
+  for (float bad : {std::nanf(""), std::numeric_limits<float>::infinity()}) {
+    const auto patch = [&](std::string* b) {
+      std::memcpy(&(*b)[offset], &bad, sizeof(bad));
+    };
+    Status s = LoadPatched("nan_weight.bin", patch);
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  }
+}
+
+TEST(DustModelFileTest, UnpatchedFileLoads) {
+  const auto patch = [](std::string*) {};
+  EXPECT_TRUE(LoadPatched("unpatched.bin", patch).ok());
+}
+
 std::vector<TuplePair> ToyPairs() {
   // Unionable: park-style tuples; non-unionable: park vs painting.
   std::vector<TuplePair> pairs;
@@ -349,8 +477,11 @@ std::vector<std::string> GoldenTuples() {
   config.seed = 11;
   datagen::Benchmark benchmark = datagen::GenerateTus(config);
   std::vector<std::string> tuples = {
-      "", "[CLS] [SEP]", "[CLS] Name Caf\xc3\xa9 [SEP] Code AB-12 [SEP]",
-      "[CLS] Word supercalifragilisticexpialidocious [SEP]"};
+      "",
+      "[CLS] [SEP]",
+      "[CLS] Name Caf\xc3\xa9 [SEP] Code AB-12 [SEP]",
+      "[CLS] Word supercalifragilisticexpialidocious [SEP]",
+  };
   auto add_rows = [&tuples](const table::Table& t) {
     for (size_t r = 0; r < t.num_rows(); ++r) {
       tuples.push_back(table::SerializeTableRow(t, r));
@@ -384,7 +515,8 @@ TEST(DustModelGoldenTest, SavedParamsAndFileBytesArePinned) {
   // Linear stores it in.
   DustModel model(PerfbenchModelConfig());
   const uint64_t params = HashFloats(model.SaveParams());
-  EXPECT_EQ(params, 0xfb1a34f91f393bbaull) << "params hash 0x" << std::hex << params;
+  EXPECT_EQ(params, 0xfb1a34f91f393bbaull)
+      << "params hash 0x" << std::hex << params;
   const std::string path = ::testing::TempDir() + "/dust_model_golden.bin";
   ASSERT_TRUE(model.SaveToFile(path).ok());
   std::ifstream in(path, std::ios::binary);

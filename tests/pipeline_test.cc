@@ -16,7 +16,9 @@
 #include "embed/tuple_encoder.h"
 #include "io/index_io.h"
 #include "la/simd/kernels.h"
+#include "nn/dust_model.h"
 #include "search/tuple_search.h"
+#include "serve/executor.h"
 #include "table/union.h"
 
 namespace dust::core {
@@ -424,6 +426,60 @@ TEST_F(PipelineFixture, D3lEngineSnapshotUnimplemented) {
   Status saved = pipeline.SaveSnapshot(SnapshotPath("d3l_snapshot.bin"));
   ASSERT_FALSE(saved.ok());
   EXPECT_EQ(saved.code(), StatusCode::kUnimplemented);
+}
+
+// --- parallel tuple encoding -------------------------------------------------
+
+TEST_F(PipelineFixture, RunIsIdenticalOnEveryExecutor) {
+  // Run encodes its tuples in chunks on the installed executor (the
+  // default pool when none is), and search fans out on it too. The output
+  // table and provenance must not depend on which pool ran the work:
+  // inline, four workers, or the default pool. Both the pretrained
+  // encoder and a DustModel are shared by every Run, as in serving.
+  nn::DustModelConfig model_config;
+  model_config.embedding_dim = 48;
+  const std::vector<std::shared_ptr<embed::TupleEncoder>> encoders = {
+      TestEncoder(), std::make_shared<nn::DustModel>(model_config)};
+  PipelineConfig config;
+  config.num_tables = 5;
+  config.diversifier.prune_s = 120;
+  for (const auto& encoder : encoders) {
+    auto run_all = [&](serve::Executor* executor) {
+      DustPipeline pipeline(config, encoder);
+      if (executor != nullptr) pipeline.SetExecutor(executor);
+      pipeline.IndexLake(*lake_);
+      std::vector<PipelineResult> results;
+      for (const auto& query : benchmark_->queries) {
+        auto result = pipeline.Run(query.data, 10);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        if (result.ok()) results.push_back(std::move(result).value());
+      }
+      return results;
+    };
+    serve::Executor inline_pool(0);
+    serve::Executor four(4);
+    const std::vector<PipelineResult> expected = run_all(&inline_pool);
+    ASSERT_EQ(expected.size(), benchmark_->queries.size());
+    serve::Executor* const none = nullptr;
+    for (serve::Executor* executor : {&four, none}) {
+      const std::vector<PipelineResult> actual = run_all(executor);
+      ASSERT_EQ(actual.size(), expected.size()) << encoder->name();
+      for (size_t q = 0; q < expected.size(); ++q) {
+        const Table& want = expected[q].output;
+        const Table& got = actual[q].output;
+        EXPECT_EQ(got.ColumnNames(), want.ColumnNames());
+        ASSERT_EQ(got.num_rows(), want.num_rows()) << encoder->name();
+        for (size_t i = 0; i < want.num_rows(); ++i) {
+          for (size_t j = 0; j < want.num_columns(); ++j) {
+            EXPECT_EQ(got.at(i, j), want.at(i, j))
+                << encoder->name() << " query " << q << " row " << i;
+          }
+        }
+        EXPECT_EQ(actual[q].provenance, expected[q].provenance)
+            << encoder->name() << " query " << q;
+      }
+    }
+  }
 }
 
 // --- golden Algorithm 1 output ---------------------------------------------

@@ -69,10 +69,48 @@ TEST(HashingTest, VectorAdditive) {
   for (size_t i = 0; i < 32; ++i) EXPECT_FLOAT_EQ(vab[i], va[i] + vb[i]);
 }
 
-TEST(HashingTest, WeightedVector) {
-  auto v1 = HashTokensToVector({"x"}, 16, 3);
-  auto v2 = HashTokensToVectorWeighted({"x"}, {2.5f}, 16, 3);
-  for (size_t i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(v2[i], 2.5f * v1[i]);
+TEST(HashingTest, IncrementalStateMatchesHashString) {
+  // Bytes added in pieces hash as their concatenation.
+  for (uint64_t seed : {0ull, 7ull, 0xFFFFFFFFFFFFFFFFull}) {
+    Fnv1a pieces = Fnv1a::Seeded(seed);
+    pieces.Add("##");
+    pieces.Add('p');
+    pieces.Add("ark|x");
+    EXPECT_EQ(pieces.Finish(), HashString("##park|x", seed));
+    EXPECT_EQ(Fnv1a::Seeded(seed).Finish(), HashString("", seed));
+  }
+  // The scheme is persisted in snapshot headers and cache keys.
+  EXPECT_EQ(HashString("park", 1), 0x30e2299ea61169c4ull);
+}
+
+TEST(HashingTest, HashFormsMatchTokenForms) {
+  // Repeated tokens, over power-of-two and other widths.
+  std::vector<std::string> tokens;
+  for (int i = 0; i < 200; ++i) tokens.push_back("t" + std::to_string(i % 37));
+  for (size_t dim : {1u, 7u, 16u, 100u, 4096u}) {
+    std::vector<uint64_t> hashes;
+    for (const std::string& t : tokens) hashes.push_back(HashString(t, 9));
+    EXPECT_EQ(HashesToVector(hashes, dim), HashTokensToVector(tokens, dim, 9));
+    SparseVector a = HashesToSparse(hashes, dim);
+    SparseVector b = HashTokensSparse(tokens, dim, 9);
+    EXPECT_EQ(a.indices, b.indices) << dim;
+    EXPECT_EQ(a.values, b.values) << dim;
+  }
+  EXPECT_TRUE(HashesToSparse({}, 8).indices.empty());
+}
+
+TEST(HashingTest, SparseDropsCancelledIndices) {
+  // One token of each sign share index 0 of a 1-wide space and cancel.
+  std::vector<std::string> tokens(2);
+  for (int i = 0; tokens[0].empty() || tokens[1].empty(); ++i) {
+    const std::string t = "t" + std::to_string(i);
+    tokens[HashString(t, 9) >> 63] = t;
+  }
+  std::vector<uint64_t> hashes = {HashString(tokens[0], 9),
+                                  HashString(tokens[1], 9)};
+  EXPECT_EQ(HashesToVector(hashes, 1), std::vector<float>{0.0f});
+  EXPECT_TRUE(HashesToSparse(hashes, 1).indices.empty());
+  EXPECT_TRUE(HashTokensSparse(tokens, 1, 9).indices.empty());
 }
 
 TEST(HashingTest, SparseMergesDuplicates) {
