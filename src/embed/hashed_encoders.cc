@@ -86,19 +86,6 @@ std::vector<std::string> FamilyFeatures(ModelFamily family,
 
 namespace {
 
-/// Calls fn(word) for every word of text::WordTokens(text), in order, with
-/// `word` the raw (not yet lowercased) span of `text`.
-template <typename Fn>
-void ForEachWord(std::string_view text, Fn&& fn) {
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !text::IsWordByte(text[i])) ++i;
-    const size_t begin = i;
-    while (i < text.size() && text::IsWordByte(text[i])) ++i;
-    if (i > begin) fn(text.substr(begin, i - begin));
-  }
-}
-
 /// Hashes features of `seed` as they are produced.
 class FeatureHasher {
  public:
@@ -177,6 +164,7 @@ void AppendFeatureHashes(ModelFamily family, std::string_view text,
   // Every family but FastText yields at most one feature per byte.
   out->reserve(out->size() + text.size());
   FeatureHasher hasher(seed, out);
+  using text::ForEachWord;
   switch (family) {
     case ModelFamily::kFastText:
       ForEachWord(text, [&](std::string_view w) { hasher.Word(w); });

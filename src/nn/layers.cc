@@ -1,7 +1,6 @@
 #include "nn/layers.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "util/status.h"
 
@@ -24,67 +23,29 @@ Linear::Linear(size_t in_dim, size_t out_dim, uint64_t seed)
   }
 }
 
-namespace {
-
-// Four float lanes (a GCC/Clang vector extension). Lane-wise * and + round
-// exactly as the scalar expressions do, so holding a block of outputs in
-// registers changes no bit.
-typedef float Lanes __attribute__((vector_size(16)));
-constexpr size_t kLanes = 4;
-// Outputs accumulated per pass: 8 lane registers.
-constexpr size_t kBlock = 32;
-
-Lanes LoadLanes(const float* p) {
-  Lanes v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-void StoreLanes(float* p, Lanes v) { std::memcpy(p, &v, sizeof(v)); }
-
-/// y[r] += row(t)[r] * scale(t) for t = 0..n-1 in order, for every output
-/// r < width: each output sums its terms in t order, whatever the blocking.
-template <typename Row, typename Scale>
-void AccumulateRows(size_t width, size_t n, const Row& row, const Scale& scale,
-                    float* y) {
-  constexpr size_t kRegs = kBlock / kLanes;
-  size_t r0 = 0;
-  for (; r0 + kBlock <= width; r0 += kBlock) {
-    Lanes acc[kRegs];
-    for (size_t i = 0; i < kRegs; ++i) acc[i] = LoadLanes(y + r0 + i * kLanes);
-    for (size_t t = 0; t < n; ++t) {
-      const float* w = row(t) + r0;
-      const Lanes s = Lanes{} + scale(t);
-      for (size_t i = 0; i < kRegs; ++i) {
-        acc[i] += LoadLanes(w + i * kLanes) * s;
-      }
-    }
-    for (size_t i = 0; i < kRegs; ++i) StoreLanes(y + r0 + i * kLanes, acc[i]);
-  }
-  for (; r0 < width; ++r0) {
-    float acc = y[r0];
-    for (size_t t = 0; t < n; ++t) acc += row(t)[r0] * scale(t);
-    y[r0] = acc;
-  }
-}
-
-}  // namespace
-
 la::Vec Linear::Forward(const la::Vec& x) const {
   DUST_CHECK(x.size() == in_dim_);
-  const auto row = [&](size_t c) { return w_.row(c); };
-  const auto scale = [&](size_t c) { return x[c]; };
+  // Outputs side by side: each still sums its terms in input order from 0.
   la::Vec y(out_dim_, 0.0f);
-  AccumulateRows(out_dim_, in_dim_, row, scale, y.data());
+  float* out = y.data();
+  for (size_t c = 0; c < in_dim_; ++c) {
+    const float* w = w_.row(c);
+    const float xc = x[c];
+    for (size_t r = 0; r < out_dim_; ++r) out[r] += w[r] * xc;
+  }
   la::AddInPlace(&y, b_);
   return y;
 }
 
 la::Vec Linear::ForwardSparse(const text::SparseVector& x) const {
-  for (uint32_t j : x.indices) DUST_CHECK(j < in_dim_);
-  const auto row = [&](size_t k) { return w_.row(x.indices[k]); };
-  const auto scale = [&](size_t k) { return x.values[k]; };
   la::Vec y = b_;
-  AccumulateRows(out_dim_, x.indices.size(), row, scale, y.data());
+  float* out = y.data();
+  for (size_t k = 0; k < x.indices.size(); ++k) {
+    DUST_CHECK(x.indices[k] < in_dim_);
+    const float* w = w_.row(x.indices[k]);
+    const float v = x.values[k];
+    for (size_t r = 0; r < out_dim_; ++r) out[r] += w[r] * v;
+  }
   return y;
 }
 

@@ -100,6 +100,19 @@ std::vector<float> HashTokensToVector(const std::vector<std::string>& tokens,
   return out;
 }
 
+std::vector<float> HashTokensToVectorWeighted(
+    const std::vector<std::string>& tokens, const std::vector<float>& weights,
+    size_t dim, uint64_t seed) {
+  DUST_CHECK(tokens.size() == weights.size());
+  DUST_CHECK(dim > 0);
+  std::vector<float> out(dim, 0.0f);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    uint64_t h = HashString(tokens[i], seed);
+    out[IndexOf(h, dim)] += SignOf(h) * weights[i];
+  }
+  return out;
+}
+
 SparseVector HashTokensSparse(const std::vector<std::string>& tokens,
                               size_t dim, uint64_t seed) {
   DUST_CHECK(dim > 0);

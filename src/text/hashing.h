@@ -77,6 +77,12 @@ std::vector<float> HashTokensToVector(const std::vector<std::string>& tokens,
 SparseVector HashTokensSparse(const std::vector<std::string>& tokens,
                               size_t dim, uint64_t seed);
 
+/// Weighted variant of HashTokensToVector: tokens[i] contributes
+/// weights[i] * sign at its index.
+std::vector<float> HashTokensToVectorWeighted(
+    const std::vector<std::string>& tokens, const std::vector<float>& weights,
+    size_t dim, uint64_t seed);
+
 }  // namespace dust::text
 
 #endif  // DUST_TEXT_HASHING_H_

@@ -6,21 +6,10 @@ namespace dust::text {
 
 std::vector<std::string> WordTokens(std::string_view s) {
   std::vector<std::string> out;
-  std::string cur;
-  auto flush = [&] {
-    if (!cur.empty()) {
-      out.push_back(cur);
-      cur.clear();
-    }
-  };
-  for (char c : s) {
-    if (IsWordByte(c)) {
-      cur += LowerWordByte(c);
-    } else {
-      flush();
-    }
-  }
-  flush();
+  ForEachWord(s, [&](std::string_view word) {
+    std::string& token = out.emplace_back(word);
+    for (char& c : token) c = LowerWordByte(c);
+  });
   return out;
 }
 

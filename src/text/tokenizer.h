@@ -26,6 +26,20 @@ inline bool IsWordByte(char c) {
 /// bit 0x20 set, and setting it maps 'A'..'Z' to 'a'..'z'.
 inline char LowerWordByte(char c) { return static_cast<char>(c | 0x20); }
 
+/// Calls fn(word) for every word of `s`, in order: each maximal run of word
+/// bytes, as a span of `s`, not yet lowercased. WordTokens and the streaming
+/// feature hashes (embed::AppendFeatureHashes) both split words with it.
+template <typename Fn>
+void ForEachWord(std::string_view s, Fn&& fn) {
+  size_t i = 0;
+  while (i < s.size()) {
+    while (i < s.size() && !IsWordByte(s[i])) ++i;
+    const size_t begin = i;
+    while (i < s.size() && IsWordByte(s[i])) ++i;
+    if (i > begin) fn(s.substr(begin, i - begin));
+  }
+}
+
 /// Lowercases and splits on non-alphanumeric boundaries; digits are kept as
 /// their own tokens so "773 731-0380" yields {"773", "731", "0380"}.
 std::vector<std::string> WordTokens(std::string_view s);

@@ -21,6 +21,19 @@ TEST(TokenizerTest, WordTokensEmpty) {
   EXPECT_TRUE(WordTokens(" ,;- ").empty());
 }
 
+TEST(TokenizerTest, ForEachWordYieldsRawSpans) {
+  // Bytes >= 0x80 and punctuation separate words; case is left as it is.
+  const std::string text = "  Caf\xc3\xa9-X9 ok.";
+  std::vector<std::string_view> words;
+  ForEachWord(text, [&](std::string_view w) { words.push_back(w); });
+  EXPECT_EQ(words, (std::vector<std::string_view>{"Caf", "X9", "ok"}));
+  for (std::string_view w : words) {
+    EXPECT_GE(w.data(), text.data());
+    EXPECT_LE(w.data() + w.size(), text.data() + text.size());
+  }
+  EXPECT_EQ(WordTokens(text), (std::vector<std::string>{"caf", "x9", "ok"}));
+}
+
 TEST(TokenizerTest, CharNgramsFastTextConvention) {
   auto grams = CharNgrams("park", 3);
   EXPECT_EQ(grams,
@@ -67,6 +80,12 @@ TEST(HashingTest, VectorAdditive) {
   auto vb = HashTokensToVector({"b"}, 32, 7);
   auto vab = HashTokensToVector({"a", "b"}, 32, 7);
   for (size_t i = 0; i < 32; ++i) EXPECT_FLOAT_EQ(vab[i], va[i] + vb[i]);
+}
+
+TEST(HashingTest, WeightedVector) {
+  auto v1 = HashTokensToVector({"x"}, 16, 3);
+  auto v2 = HashTokensToVectorWeighted({"x"}, {2.5f}, 16, 3);
+  for (size_t i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(v2[i], 2.5f * v1[i]);
 }
 
 TEST(HashingTest, IncrementalStateMatchesHashString) {
