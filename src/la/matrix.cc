@@ -16,16 +16,4 @@ Vec Matrix::MatVec(const Vec& x) const {
   return y;
 }
 
-Vec Matrix::TransposeMatVec(const Vec& x) const {
-  DUST_CHECK(x.size() == rows_);
-  Vec y(cols_, 0.0f);
-  for (size_t r = 0; r < rows_; ++r) {
-    const float* m = row(r);
-    float xr = x[r];
-    if (xr == 0.0f) continue;
-    for (size_t c = 0; c < cols_; ++c) y[c] += m[c] * xr;
-  }
-  return y;
-}
-
 }  // namespace dust::la

@@ -31,9 +31,6 @@ class Matrix {
   /// y = M x (x has cols() entries; result has rows()).
   Vec MatVec(const Vec& x) const;
 
-  /// y = M^T x (x has rows() entries; result has cols()).
-  Vec TransposeMatVec(const Vec& x) const;
-
  private:
   size_t rows_;
   size_t cols_;

@@ -451,16 +451,6 @@ TEST(MatrixTest, MatVec) {
   EXPECT_EQ(y, (Vec{6, 15}));
 }
 
-TEST(MatrixTest, TransposeMatVec) {
-  Matrix m(2, 3);
-  for (size_t c = 0; c < 3; ++c) {
-    m.at(0, c) = static_cast<float>(c + 1);
-    m.at(1, c) = static_cast<float>(c + 4);
-  }
-  Vec y = m.TransposeMatVec({1, 1});
-  EXPECT_EQ(y, (Vec{5, 7, 9}));
-}
-
 TEST(PcaTest, RecoversDominantDirection) {
   // Points stretched along (1,1)/sqrt(2) with small orthogonal noise.
   dust::Rng rng(5);

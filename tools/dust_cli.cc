@@ -40,6 +40,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -57,46 +58,39 @@ using namespace dust;
 
 namespace {
 
+/// The three kinds of invocation. Each flag names the ones that read it,
+/// and a flag given to any other is a usage error.
+enum Mode : unsigned {
+  kRun = 1,         // Algorithm 1 for --query, or a --save-index build
+  kServe = 2,       // --serve
+  kTupleBuild = 4,  // --save-tuple-index without --serve
+};
+constexpr unsigned kAnyMode = kRun | kServe | kTupleBuild;
+
+/// Flags parse straight into the library's configs; the rest are read only
+/// by the CLI.
 struct CliOptions {
+  core::PipelineConfig pipeline;
+  serve::QueryServerOptions server;
   std::string lake_dir;
   std::string query_path;
   std::string out_path;
   std::string save_index_path;
   std::string load_index_path;
-  std::string engine = "starmie";
-  std::string index = "flat";
-  la::Metric metric = la::Metric::kCosine;
-  size_t shortlist = 0;
-  size_t hnsw_m = 0;
-  size_t hnsw_ef = 0;
   size_t k = 30;
-  size_t tables = 10;
-  size_t p = 2;
-  size_t s = 2500;
   bool serve = false;
-  size_t threads = 4;
-  size_t batch_window_us = 2000;
-  size_t batch_max = 32;
-  size_t queue_capacity = 256;
   size_t clients = 4;
   size_t requests = 200;
-  // Result-cache bounds for --serve; the library's default is no cache.
-  size_t cache_entries = 1024;
-  size_t cache_bytes = size_t{64} << 20;
   std::string metrics_out_path;
+  std::string trace_out_path;
   std::string save_tuple_index_path;  // build the tuple index, save, exit
-  std::string dump_hits_path;       // write baseline hits, bit-exact
+  std::string dump_hits_path;         // write baseline hits, bit-exact
   // Mutable lakes (PR 10): tombstoned deletes and incremental ingest
   // against a live tuple index, applied before any query is served.
-  std::string delete_tables;        // comma-separated lake table names
-  std::string add_tables;           // comma-separated CSV paths to ingest
-  bool compact = false;             // rewrite the index without tombstones
+  std::string delete_tables;          // comma-separated lake table names
+  std::string add_tables;             // comma-separated CSV paths to ingest
+  bool compact = false;               // rewrite the index without tombstones
   std::string load_tuple_index_path;  // serve from a saved tuple index
-  // Tracing / slow-query log (PR 9). trace_sample_rate < 0 means "unset":
-  // ParseArgs resolves it to 1.0 when --trace-out is given, else 0.0.
-  std::string trace_out_path;
-  double trace_sample_rate = -1.0;
-  double slow_query_ms = -1.0;  // < 0 disables the slow-query log
 };
 
 void Usage() {
@@ -211,233 +205,183 @@ std::vector<std::string> SplitCommas(const std::string& list) {
   return parts;
 }
 
+/// The mode a command line selects: --serve wins over --save-tuple-index.
+Mode ModeOf(const CliOptions& options) {
+  if (options.serve) return kServe;
+  return options.save_tuple_index_path.empty() ? kRun : kTupleBuild;
+}
+
+/// Completes the mode rule's "<flag> is not read ..." message.
+const char* NotReadBy(Mode mode) {
+  if (mode == kServe) return "by --serve";
+  if (mode == kTupleBuild) return "by --save-tuple-index without --serve";
+  return "without --serve";
+}
+
+/// One command-line flag. The target's type picks the parser: text, count
+/// (ParseSize), number (ParseDouble), switch (takes no value) or metric
+/// name. A count or number below `min` is rejected.
+struct Flag {
+  const char* name;
+  std::variant<std::string*, size_t*, double*, bool*, la::Metric*> target;
+  double min;
+  unsigned modes;  // the Modes that read the flag
+  bool given = false;
+};
+
+/// Parses `value` into the flag's target. Returns false after printing the
+/// error.
+bool ParseValue(const Flag& flag, const char* value) {
+  if (auto* text = std::get_if<std::string*>(&flag.target)) {
+    **text = value;
+    return true;
+  }
+  if (auto* metric = std::get_if<la::Metric*>(&flag.target)) {
+    // MetricFromName rejects unknown spellings instead of silently
+    // falling back to cosine; a typo'd metric must not serve wrong
+    // distances.
+    Result<la::Metric> parsed = la::MetricFromName(value);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "bad %s: %s\n", flag.name,
+                   parsed.status().ToString().c_str());
+      return false;
+    }
+    **metric = parsed.value();
+    return true;
+  }
+  double number = 0.0;
+  if (auto* count = std::get_if<size_t*>(&flag.target)) {
+    if (!ParseSize(flag.name, value, *count)) return false;
+    number = static_cast<double>(**count);
+  } else {
+    double* target = std::get<double*>(flag.target);
+    if (!ParseDouble(flag.name, value, target)) return false;
+    number = *target;
+  }
+  if (number < flag.min) {
+    std::fprintf(stderr, "%s must be >= %g, got: %s\n", flag.name, flag.min,
+                 value);
+    return false;
+  }
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
+  core::PipelineConfig& pipeline = options->pipeline;
+  serve::QueryServerOptions& server = options->server;
+  // Result-cache bounds for --serve; the library's default is no cache.
+  server.cache_entries = 1024;
+  // < 0 means "unset" until --trace-out is known, below.
+  server.trace_sample_rate = -1.0;
+  Flag flags[] = {
+      {"--lake", &options->lake_dir, 0, kAnyMode},
+      {"--query", &options->query_path, 0, kRun | kServe},
+      {"--out", &options->out_path, 0, kRun},
+      {"--save-index", &options->save_index_path, 0, kRun},
+      {"--load-index", &options->load_index_path, 0, kRun},
+      {"--engine", &pipeline.engine, 0, kAnyMode},
+      {"--index", &pipeline.search_index, 0, kAnyMode},
+      // The diversification tuple distance delta(.) (Sec. 3.1). The search
+      // phase's shortlist index and table scoring are cosine by
+      // construction (Starmie-style embedding similarity), matching the
+      // paper.
+      {"--metric", &pipeline.metric, 0, kAnyMode},
+      {"--shortlist", &pipeline.search_shortlist, 0, kAnyMode},
+      // The HNSW graph degree and query beam width; 0 keeps the defaults.
+      {"--hnsw-m", &pipeline.hnsw_m, 2, kAnyMode},
+      {"--hnsw-ef", &pipeline.hnsw_ef_search, 1, kAnyMode},
+      {"--k", &options->k, 1, kAnyMode},
+      // A --save-tuple-index build reads none of these, nor --k, --metric
+      // or --shortlist, but accepts them so that one set of flags can drive
+      // both index builds.
+      {"--tables", &pipeline.num_tables, 0, kRun | kTupleBuild},
+      {"--p", &pipeline.diversifier.p, 0, kRun | kTupleBuild},
+      {"--s", &pipeline.diversifier.prune_s, 0, kRun | kTupleBuild},
+      {"--serve", &options->serve, 0, kServe},
+      {"--threads", &server.threads, 0, kServe},
+      {"--batch-window-us", &server.batch_window_us, 0, kServe},
+      {"--batch-max", &server.max_batch, 1, kServe},
+      {"--queue", &server.queue_capacity, 1, kServe},
+      {"--clients", &options->clients, 1, kServe},
+      // A 0-request serve run would "succeed" vacuously — the parity
+      // check passes because nothing was checked. Reject it up front.
+      {"--requests", &options->requests, 1, kServe},
+      {"--cache", &server.cache_entries, 0, kServe},
+      {"--cache-bytes", &server.cache_bytes, 0, kServe},
+      {"--metrics-out", &options->metrics_out_path, 0, kServe},
+      {"--trace-out", &options->trace_out_path, 0, kServe},
+      {"--trace-sample", &server.trace_sample_rate, 0, kServe},
+      {"--slow-query-ms", &server.slow_query_ms, 0, kServe},
+      {"--save-tuple-index", &options->save_tuple_index_path, 0,
+       kServe | kTupleBuild},
+      {"--load-tuple-index", &options->load_tuple_index_path, 0, kServe},
+      {"--delete-tables", &options->delete_tables, 0, kServe},
+      {"--add-tables", &options->add_tables, 0, kServe},
+      {"--compact", &options->compact, 0, kServe},
+      {"--dump-hits", &options->dump_hits_path, 0, kServe},
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    const char* value = nullptr;
-    if (arg == "--lake" && (value = next())) {
-      options->lake_dir = value;
-    } else if (arg == "--query" && (value = next())) {
-      options->query_path = value;
-    } else if (arg == "--out" && (value = next())) {
-      options->out_path = value;
-    } else if (arg == "--save-index" && (value = next())) {
-      options->save_index_path = value;
-    } else if (arg == "--load-index" && (value = next())) {
-      options->load_index_path = value;
-    } else if (arg == "--engine" && (value = next())) {
-      options->engine = value;
-    } else if (arg == "--index" && (value = next())) {
-      options->index = value;
-    } else if (arg == "--metric" && (value = next())) {
-      // MetricFromName rejects unknown spellings instead of silently
-      // falling back to cosine; a typo'd metric must not serve wrong
-      // distances.
-      Result<la::Metric> metric = la::MetricFromName(value);
-      if (!metric.ok()) {
-        std::fprintf(stderr, "bad --metric: %s\n",
-                     metric.status().ToString().c_str());
-        return false;
-      }
-      options->metric = metric.value();
-    } else if (arg == "--shortlist" && (value = next())) {
-      if (!ParseSize("--shortlist", value, &options->shortlist)) return false;
-    } else if (arg == "--hnsw-m" && (value = next())) {
-      if (!ParseSize("--hnsw-m", value, &options->hnsw_m)) return false;
-      if (options->hnsw_m < 2) {
-        std::fprintf(stderr,
-                     "--hnsw-m must be >= 2 (graph degree), got: %s\n", value);
-        return false;
-      }
-    } else if (arg == "--hnsw-ef" && (value = next())) {
-      if (!ParseSize("--hnsw-ef", value, &options->hnsw_ef)) return false;
-      if (options->hnsw_ef < 1) {
-        std::fprintf(stderr,
-                     "--hnsw-ef must be >= 1 (query beam width), got: %s\n",
-                     value);
-        return false;
-      }
-    } else if (arg == "--serve") {
-      options->serve = true;
-    } else if (arg == "--threads" && (value = next())) {
-      if (!ParseSize("--threads", value, &options->threads)) return false;
-    } else if (arg == "--batch-window-us" && (value = next())) {
-      if (!ParseSize("--batch-window-us", value, &options->batch_window_us)) {
-        return false;
-      }
-    } else if (arg == "--batch-max" && (value = next())) {
-      if (!ParseSize("--batch-max", value, &options->batch_max)) return false;
-      if (options->batch_max == 0) {
-        std::fprintf(stderr, "--batch-max must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--queue" && (value = next())) {
-      if (!ParseSize("--queue", value, &options->queue_capacity)) return false;
-      if (options->queue_capacity == 0) {
-        std::fprintf(stderr, "--queue must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--clients" && (value = next())) {
-      if (!ParseSize("--clients", value, &options->clients)) return false;
-      if (options->clients == 0) {
-        std::fprintf(stderr, "--clients must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--requests" && (value = next())) {
-      if (!ParseSize("--requests", value, &options->requests)) return false;
-      if (options->requests == 0) {
-        // A 0-request serve run would "succeed" vacuously — the parity
-        // check passes because nothing was checked. Reject it up front.
-        std::fprintf(stderr, "--requests must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--cache" && (value = next())) {
-      if (!ParseSize("--cache", value, &options->cache_entries)) return false;
-    } else if (arg == "--cache-bytes" && (value = next())) {
-      if (!ParseSize("--cache-bytes", value, &options->cache_bytes)) {
-        return false;
-      }
-    } else if (arg == "--metrics-out" && (value = next())) {
-      options->metrics_out_path = value;
-    } else if (arg == "--trace-out" && (value = next())) {
-      options->trace_out_path = value;
-    } else if (arg == "--trace-sample" && (value = next())) {
-      if (!ParseDouble("--trace-sample", value, &options->trace_sample_rate)) {
-        return false;
-      }
-      if (!obs::ValidSampleRate(options->trace_sample_rate)) {
-        std::fprintf(stderr,
-                     "--trace-sample must be a rate within [0, 1], got: %s\n",
-                     value);
-        return false;
-      }
-    } else if (arg == "--slow-query-ms" && (value = next())) {
-      if (!ParseDouble("--slow-query-ms", value, &options->slow_query_ms)) {
-        return false;
-      }
-      if (options->slow_query_ms < 0.0) {
-        std::fprintf(stderr, "--slow-query-ms must be >= 0, got: %s\n", value);
-        return false;
-      }
-    } else if (arg == "--save-tuple-index" && (value = next())) {
-      options->save_tuple_index_path = value;
-    } else if (arg == "--load-tuple-index" && (value = next())) {
-      options->load_tuple_index_path = value;
-    } else if (arg == "--delete-tables" && (value = next())) {
-      options->delete_tables = value;
-    } else if (arg == "--add-tables" && (value = next())) {
-      options->add_tables = value;
-    } else if (arg == "--compact") {
-      options->compact = true;
-    } else if (arg == "--dump-hits" && (value = next())) {
-      options->dump_hits_path = value;
-    } else if (arg == "--k" && (value = next())) {
-      if (!ParseSize("--k", value, &options->k)) return false;
-    } else if (arg == "--tables" && (value = next())) {
-      if (!ParseSize("--tables", value, &options->tables)) return false;
-    } else if (arg == "--p" && (value = next())) {
-      if (!ParseSize("--p", value, &options->p)) return false;
-    } else if (arg == "--s" && (value = next())) {
-      if (!ParseSize("--s", value, &options->s)) return false;
-    } else {
-      std::fprintf(stderr, "unknown or incomplete argument: %s\n", arg.c_str());
+    Flag* flag = nullptr;
+    for (Flag& f : flags) {
+      if (std::strcmp(argv[i], f.name) == 0) flag = &f;
+    }
+    const bool is_switch =
+        flag != nullptr && std::holds_alternative<bool*>(flag->target);
+    if (flag == nullptr || (!is_switch && i + 1 == argc)) {
+      std::fprintf(stderr, "unknown or incomplete argument: %s\n", argv[i]);
+      return false;
+    }
+    flag->given = true;
+    if (is_switch) {
+      *std::get<bool*>(flag->target) = true;
+    } else if (!ParseValue(*flag, argv[++i])) {
       return false;
     }
   }
-  if (options->engine != "starmie" && options->engine != "d3l") {
+  if (pipeline.engine != "starmie" && pipeline.engine != "d3l") {
     // The pipeline routes anything that is not exactly "d3l" to starmie;
     // reject typos here instead of silently running the wrong engine.
-    std::fprintf(stderr, "unknown --engine: %s\n", options->engine.c_str());
+    std::fprintf(stderr, "unknown --engine: %s\n", pipeline.engine.c_str());
     return false;
   }
-  if (!index::IsKnownIndexType(options->index)) {
+  if (!index::IsKnownIndexType(pipeline.search_index)) {
     // Reject here for a usage error instead of the factory's DUST_CHECK
     // abort deep inside IndexLake.
-    std::fprintf(stderr, "unknown --index type: %s\n", options->index.c_str());
+    std::fprintf(stderr, "unknown --index type: %s\n",
+                 pipeline.search_index.c_str());
     return false;
   }
-  if (options->serve) {
-    if (options->engine != "starmie") {
-      std::fprintf(stderr, "--serve supports only the starmie engine\n");
+  const Mode mode = ModeOf(*options);
+  for (const Flag& flag : flags) {
+    if (flag.given && (flag.modes & mode) == 0) {
+      std::fprintf(stderr, "%s is not read %s\n", flag.name, NotReadBy(mode));
       return false;
     }
-    if (!options->save_index_path.empty() ||
-        !options->load_index_path.empty() || !options->out_path.empty()) {
-      std::fprintf(stderr,
-                   "--serve is exclusive with --save-index/--load-index/"
-                   "--out\n");
-      return false;
-    }
+  }
+  if (mode != kRun && pipeline.engine != "starmie") {
+    std::fprintf(stderr, "%s needs the starmie engine\n",
+                 mode == kServe ? "--serve" : "--save-tuple-index");
+    return false;
+  }
+  if (mode == kServe) {
     if (options->query_path.empty()) {
       std::fprintf(stderr, "--serve needs --query for the client workload\n");
       return false;
     }
-    if (options->metric != la::Metric::kCosine) {
+    if (pipeline.metric != la::Metric::kCosine) {
       // The tuple index scores with cosine similarity by construction;
       // accepting another metric here would silently serve cosine results
       // under the wrong label.
       std::fprintf(stderr,
                    "--serve scores tuples with cosine similarity only; "
                    "--metric %s is not supported\n",
-                   la::MetricName(options->metric));
+                   la::MetricName(pipeline.metric));
       return false;
     }
-    if (options->shortlist > 0) {
+    if (pipeline.search_shortlist > 0) {
       std::fprintf(stderr,
                    "--shortlist is ignored by --serve (tuple search always "
                    "fetches per-query candidates)\n");
-    }
-  }
-  if (!options->metrics_out_path.empty() && !options->serve) {
-    std::fprintf(stderr, "--metrics-out requires --serve\n");
-    return false;
-  }
-  if (!options->trace_out_path.empty() && !options->serve) {
-    std::fprintf(stderr, "--trace-out requires --serve\n");
-    return false;
-  }
-  if (options->trace_sample_rate >= 0.0 && !options->serve) {
-    std::fprintf(stderr, "--trace-sample requires --serve\n");
-    return false;
-  }
-  if (options->slow_query_ms >= 0.0 && !options->serve) {
-    std::fprintf(stderr, "--slow-query-ms requires --serve\n");
-    return false;
-  }
-  if (options->trace_sample_rate < 0.0) {
-    // Asking for a trace file implies tracing everything; otherwise the
-    // sampler stays off and tracing costs nothing.
-    options->trace_sample_rate = options->trace_out_path.empty() ? 0.0 : 1.0;
-  }
-  if (!options->dump_hits_path.empty() && !options->serve) {
-    std::fprintf(stderr, "--dump-hits requires --serve\n");
-    return false;
-  }
-  const bool mutations = !options->delete_tables.empty() ||
-                         !options->add_tables.empty() || options->compact;
-  if (mutations && !options->serve) {
-    std::fprintf(stderr,
-                 "--delete-tables/--add-tables/--compact require --serve\n");
-    return false;
-  }
-  if (!options->load_tuple_index_path.empty() && !options->serve) {
-    std::fprintf(stderr, "--load-tuple-index requires --serve\n");
-    return false;
-  }
-  if (!options->save_tuple_index_path.empty()) {
-    if (!options->save_index_path.empty() ||
-        !options->load_index_path.empty()) {
-      std::fprintf(stderr,
-                   "--save-tuple-index is exclusive with "
-                   "--save-index/--load-index\n");
-      return false;
-    }
-    if (options->engine != "starmie") {
-      std::fprintf(stderr, "--save-tuple-index needs the starmie engine\n");
-      return false;
     }
   }
   if (!options->save_index_path.empty() && !options->load_index_path.empty()) {
@@ -446,25 +390,40 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   }
   if ((!options->save_index_path.empty() ||
        !options->load_index_path.empty()) &&
-      options->engine == "d3l") {
+      pipeline.engine == "d3l") {
     std::fprintf(stderr, "the d3l engine does not support index snapshots\n");
     return false;
   }
-  // --query is optional only for a build-and-save invocation.
-  bool build_only = (!options->save_index_path.empty() ||
-                     !options->save_tuple_index_path.empty()) &&
-                    options->query_path.empty();
+  if (server.trace_sample_rate < 0.0) {
+    // Asking for a trace file implies tracing everything; otherwise the
+    // sampler stays off and tracing costs nothing.
+    server.trace_sample_rate = options->trace_out_path.empty() ? 0.0 : 1.0;
+  }
+  if (!obs::ValidSampleRate(server.trace_sample_rate)) {
+    std::fprintf(stderr,
+                 "--trace-sample must be a rate within [0, 1], got: %g\n",
+                 server.trace_sample_rate);
+    return false;
+  }
+  // --query is optional only for a build-and-save invocation, which has no
+  // results for --out.
+  if (options->query_path.empty() && !options->out_path.empty()) {
+    std::fprintf(stderr, "--out needs --query\n");
+    return false;
+  }
+  const bool build_only =
+      mode == kTupleBuild || !options->save_index_path.empty();
   return !options->lake_dir.empty() &&
-         (build_only || !options->query_path.empty()) && options->k > 0;
+         (build_only || !options->query_path.empty());
 }
 
 /// The tuple-index configuration shared by --serve and --save-tuple-index:
 /// a saved index only loads back under the config that built it.
 search::TupleSearchConfig MakeTupleConfig(const CliOptions& options) {
   search::TupleSearchConfig config;
-  config.index_type = options.index;
-  config.index_options.hnsw_m = options.hnsw_m;
-  config.index_options.hnsw_ef_search = options.hnsw_ef;
+  config.index_type = options.pipeline.search_index;
+  config.index_options.hnsw_m = options.pipeline.hnsw_m;
+  config.index_options.hnsw_ef_search = options.pipeline.hnsw_ef_search;
   return config;
 }
 
@@ -563,39 +522,16 @@ bool ApplyLakeMutations(const CliOptions& options,
   return true;
 }
 
-/// --save-tuple-index: builds the tuple-level index over the lake (the same
-/// one --serve would build) and persists it with io::SaveIndex so a later
-/// --serve --load-tuple-index can skip the build. Returns the process exit
-/// code.
-int RunSaveTupleIndex(const CliOptions& options,
-                      const std::vector<const table::Table*>& lake) {
-  search::TupleSearch search(MakeTupleEncoder(), MakeTupleConfig(options));
-  Stopwatch watch;
-  search.IndexLake(lake);
-  std::printf("indexed %zu lake tuples in %.3fs\n", search.num_indexed(),
-              watch.Seconds());
-  Status saved =
-      io::SaveIndex(*search.lake_index(), options.save_tuple_index_path);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "cannot save tuple index: %s\n",
-                 saved.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote tuple index %s (%s)\n",
-              options.save_tuple_index_path.c_str(),
-              search.lake_index()->name().c_str());
-  return 0;
-}
-
-/// --serve: builds a tuple-level index over the lake (or loads a saved
-/// one), starts the async QueryServer, and drives it with a synthetic
-/// closed-loop client (each of --clients threads keeps exactly one request
-/// in flight until --requests queries have been served). Every response is
-/// verified bit-identical to the sequential SearchTuplesChecked baseline.
-/// Returns the process exit code.
-int RunServeMode(const CliOptions& options,
-                 const std::vector<const table::Table*>& lake,
-                 const table::Table& query) {
+/// --serve and --save-tuple-index: builds a tuple-level index over the
+/// lake (or loads a saved one), applies the lake mutations and saves it.
+/// Only --serve goes on: it starts the async QueryServer and drives it with
+/// a synthetic closed-loop client (each of --clients threads keeps exactly
+/// one request in flight until --requests queries have been served). Every
+/// response is verified bit-identical to the sequential SearchTuplesChecked
+/// baseline. Returns the process exit code.
+int RunTupleSearch(const CliOptions& options,
+                   const std::vector<const table::Table*>& lake,
+                   const table::Table& query) {
   search::TupleSearch search(MakeTupleEncoder(), MakeTupleConfig(options));
   Stopwatch index_watch;
   if (!options.load_tuple_index_path.empty()) {
@@ -637,6 +573,7 @@ int RunServeMode(const CliOptions& options,
                 options.save_tuple_index_path.c_str(),
                 search.lake_index()->name().c_str());
   }
+  if (!options.serve) return 0;
 
   // Sequential baseline: the parity oracle every served result must match.
   Result<std::vector<search::TupleHit>> sequential =
@@ -657,24 +594,15 @@ int RunServeMode(const CliOptions& options,
                 options.dump_hits_path.c_str());
   }
 
-  serve::QueryServerOptions server_options;
-  server_options.threads = options.threads;
-  server_options.queue_capacity = options.queue_capacity;
-  server_options.max_batch = options.batch_max;
-  server_options.batch_window_us = options.batch_window_us;
-  server_options.cache_entries = options.cache_entries;
-  server_options.cache_bytes = options.cache_bytes;
-  server_options.trace_sample_rate = options.trace_sample_rate;
-  server_options.slow_query_ms = options.slow_query_ms;
-  serve::QueryServer server(&search, server_options);
+  serve::QueryServer server(&search, options.server);
   // Readiness gate: a deploy script would poll this before routing traffic.
   if (server.readiness() != serve::Readiness::kReady) {
     std::fprintf(stderr, "server failed to become ready\n");
     return 1;
   }
   std::printf("server %s (cache %zu entries / %zu bytes)\n",
-              serve::ReadinessName(server.readiness()), options.cache_entries,
-              options.cache_bytes);
+              serve::ReadinessName(server.readiness()),
+              options.server.cache_entries, options.server.cache_bytes);
 
   std::atomic<size_t> next{0};
   std::atomic<size_t> mismatches{0};
@@ -720,9 +648,9 @@ int RunServeMode(const CliOptions& options,
       "batches %llu (mean size %.1f)  max queue depth %zu  "
       "threads %zu  window %zuus  clients %zu\n",
       static_cast<unsigned long long>(stats.batches), stats.mean_batch_size,
-      stats.max_queue_depth, options.threads, options.batch_window_us,
-      options.clients);
-  if (options.cache_entries > 0) {
+      stats.max_queue_depth, options.server.threads,
+      options.server.batch_window_us, options.clients);
+  if (options.server.cache_entries > 0) {
     std::printf(
         "cache: %llu hits / %llu misses (rate %.2f)  %zu entries  "
         "%zu bytes  %llu evictions  %llu invalidations\n",
@@ -807,30 +735,38 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Load the lake.
-  std::vector<table::Table> lake_storage;
-  std::vector<std::string> lake_names;
+  // Load the lake in file-name order. A directory lists in an unspecified
+  // order (hash order on ext4, an order that follows creation on tmpfs),
+  // and table indices, tie-breaks, snapshot hashes and a saved tuple
+  // index's refs all follow the lake order.
+  std::vector<std::filesystem::path> paths;
   std::error_code ec;
   for (const auto& entry :
        std::filesystem::directory_iterator(options.lake_dir, ec)) {
     if (!entry.is_regular_file()) continue;
     if (entry.path().extension() != ".csv") continue;
-    auto loaded = table::ReadCsvFile(entry.path().string());
+    paths.push_back(entry.path());
+  }
+  if (ec) {
+    std::fprintf(stderr, "cannot read lake directory %s: %s\n",
+                 options.lake_dir.c_str(), ec.message().c_str());
+    return 1;
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<table::Table> lake_storage;
+  std::vector<std::string> lake_names;
+  for (const std::filesystem::path& path : paths) {
+    auto loaded = table::ReadCsvFile(path.string());
     if (!loaded.ok()) {
-      std::fprintf(stderr, "skipping %s: %s\n", entry.path().c_str(),
+      std::fprintf(stderr, "skipping %s: %s\n", path.c_str(),
                    loaded.status().ToString().c_str());
       continue;
     }
     table::Table t = std::move(loaded).value();
     t.DropAllNullColumns();
     if (t.num_rows() == 0 || t.num_columns() == 0) continue;
-    lake_names.push_back(entry.path().filename().string());
+    lake_names.push_back(path.filename().string());
     lake_storage.push_back(std::move(t));
-  }
-  if (ec) {
-    std::fprintf(stderr, "cannot read lake directory %s: %s\n",
-                 options.lake_dir.c_str(), ec.message().c_str());
-    return 1;
   }
   if (lake_storage.empty()) {
     std::fprintf(stderr, "no usable CSV tables in %s\n",
@@ -862,66 +798,38 @@ int main(int argc, char** argv) {
                 lake_storage.size());
   }
 
-  if (options.serve || !options.save_tuple_index_path.empty()) {
-    std::vector<const table::Table*> lake;
-    lake.reserve(lake_storage.size());
-    for (const table::Table& t : lake_storage) lake.push_back(&t);
-    // --serve with --save-tuple-index persists the post-mutation index as
-    // part of the serving run; only the build-only invocation goes through
-    // RunSaveTupleIndex.
-    if (!options.serve) {
-      return RunSaveTupleIndex(options, lake);
-    }
-    return RunServeMode(options, lake, query);
-  }
+  std::vector<const table::Table*> lake;
+  for (const table::Table& t : lake_storage) lake.push_back(&t);
+  if (ModeOf(options) != kRun) return RunTupleSearch(options, lake, query);
 
   // Pipeline.
-  core::PipelineConfig config;
-  config.engine = options.engine;
-  config.search_index = options.index;
-  config.search_shortlist = options.shortlist;
-  config.hnsw_m = options.hnsw_m;
-  config.hnsw_ef_search = options.hnsw_ef;
-  if (options.engine == "d3l") {
+  const core::PipelineConfig& config = options.pipeline;
+  if (config.engine == "d3l") {
     // Only the starmie engine builds a shortlist index.
-    if (options.index != "flat" || options.shortlist > 0 ||
-        options.hnsw_m > 0 || options.hnsw_ef > 0) {
+    if (config.search_index != "flat" || config.search_shortlist > 0 ||
+        config.hnsw_m > 0 || config.hnsw_ef_search > 0) {
       std::fprintf(stderr,
                    "--index/--shortlist/--hnsw-* are ignored by the "
                    "%s engine\n",
-                   options.engine.c_str());
+                   config.engine.c_str());
     }
   } else {
-    if (options.index != "flat" && options.shortlist == 0) {
+    if (config.search_index != "flat" && config.search_shortlist == 0) {
       // The pipeline resolves this contradictory combination itself (a
       // shortlist of 0 would disable the index); surface the default here.
       std::fprintf(stderr,
                    "--index %s without --shortlist: the pipeline defaults "
                    "the shortlist to %zu\n",
-                   options.index.c_str(),
-                   core::PipelineConfig::DefaultShortlist(options.tables));
+                   config.search_index.c_str(),
+                   core::PipelineConfig::DefaultShortlist(config.num_tables));
     }
-    if ((options.hnsw_m > 0 || options.hnsw_ef > 0) &&
-        options.index != "hnsw") {
+    if ((config.hnsw_m > 0 || config.hnsw_ef_search > 0) &&
+        config.search_index != "hnsw") {
       std::fprintf(stderr, "--hnsw-m/--hnsw-ef are ignored by --index %s\n",
-                   options.index.c_str());
+                   config.search_index.c_str());
     }
   }
-  config.num_tables = options.tables;
-  // The diversification tuple distance delta(.) (Sec. 3.1). The search
-  // phase's shortlist index and table scoring are cosine by construction
-  // (Starmie-style embedding similarity), matching the paper.
-  config.metric = options.metric;
-  config.diversifier.p = options.p;
-  config.diversifier.prune_s = options.s;
-  embed::EmbedderConfig encoder_config;
-  encoder_config.dim = 64;
-  auto encoder = std::make_shared<embed::PretrainedTupleEncoder>(
-      std::shared_ptr<embed::TextEmbedder>(
-          embed::MakeEmbedder(embed::ModelFamily::kRoberta, encoder_config)));
-  core::DustPipeline pipeline(config, encoder);
-  std::vector<const table::Table*> lake;
-  for (const table::Table& t : lake_storage) lake.push_back(&t);
+  core::DustPipeline pipeline(config, MakeTupleEncoder());
 
   Stopwatch index_watch;
   if (!options.load_index_path.empty()) {
