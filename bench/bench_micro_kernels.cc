@@ -16,7 +16,6 @@
 #include "cluster/agglomerative.h"
 #include "datagen/tus_generator.h"
 #include "index/flat_index.h"
-#include "index/ivf_index.h"
 #include "io/index_io.h"
 #include "la/distance.h"
 #include "la/simd/kernels.h"
@@ -68,7 +67,7 @@ void BM_KernelCosineTerms(benchmark::State& state) {
 BENCHMARK(BM_KernelCosineTerms)->ArgsProduct({{128, 768}, {0, 1}});
 
 /// One-to-many batch kernel over an 8k-vector base with cached norms — the
-/// exact shape of a FlatIndex scan / IVF probe.
+/// shape of a linear index scan.
 void BM_KernelDistanceToMany(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const size_t n = 8192;
@@ -151,7 +150,7 @@ void BM_NnChainClustering(benchmark::State& state) {
 }
 BENCHMARK(BM_NnChainClustering)->Arg(200)->Arg(500)->Arg(1000)->Arg(2500);
 
-constexpr const char* kIndexTypes[] = {"flat", "ivf", "hnsw"};
+constexpr const char* kIndexTypes[] = {"flat", "hnsw"};
 
 /// Fraction of the exact top-10 the index reproduces, over 20 held-out
 /// queries (the acceptance gate for approximate shortlists is >= 0.95).
@@ -172,20 +171,6 @@ double RecallAt10(const index::VectorIndex& idx,
   return static_cast<double>(found) / static_cast<double>(total);
 }
 
-/// Factory wrapper keeping the IVF parameters this benchmark has always
-/// used (nlist=32, nprobe=4) instead of IvfConfig's defaults, so timings
-/// stay comparable across revisions.
-std::unique_ptr<index::VectorIndex> MakeBenchIndex(const std::string& type) {
-  if (type == "ivf") {
-    index::IvfConfig config;
-    config.nlist = 32;
-    config.nprobe = 4;
-    return std::make_unique<index::IvfFlatIndex>(64, la::Metric::kCosine,
-                                                 config);
-  }
-  return index::MakeVectorIndex(type, 64, la::Metric::kCosine);
-}
-
 /// Scratch file shared by the save/load benchmarks.
 std::string BenchIndexPath() {
   return (std::filesystem::temp_directory_path() / "dust_bench_index.bin")
@@ -197,29 +182,21 @@ void BM_IndexBuild(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(1));
   auto points = bench::SyntheticTupleCloud(n, 64, 16, 4);
   for (auto _ : state) {
-    auto idx = MakeBenchIndex(type);
+    auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
     idx->AddAll(points);
-    // Include IVF's k-means in the offline build cost instead of deferring
-    // it to the first (timed) query.
-    if (auto* ivf = dynamic_cast<index::IvfFlatIndex*>(idx.get())) {
-      ivf->Train();
-    }
     benchmark::DoNotOptimize(idx->size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
   state.SetLabel(type);
 }
-BENCHMARK(BM_IndexBuild)->ArgsProduct({{0, 1, 2}, {2000, 10000}});
+BENCHMARK(BM_IndexBuild)->ArgsProduct({{0, 1}, {2000, 10000}});
 
 void BM_IndexSave(benchmark::State& state) {
   const char* type = kIndexTypes[state.range(0)];
   auto points = bench::SyntheticTupleCloud(10000, 64, 16, 4);
-  auto idx = MakeBenchIndex(type);
+  auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
   idx->AddAll(points);
-  // Warm IVF's lazy training outside the timed loop (Save would otherwise
-  // fold the one-time k-means into the first iteration).
-  benchmark::DoNotOptimize(idx->Search(points[0], 1).size());
   const std::string path = BenchIndexPath();
   for (auto _ : state) {
     benchmark::DoNotOptimize(idx->Save(path).ok());
@@ -230,12 +207,12 @@ void BM_IndexSave(benchmark::State& state) {
   std::filesystem::remove(path, ec);
   state.SetLabel(type);
 }
-BENCHMARK(BM_IndexSave)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_IndexSave)->Arg(0)->Arg(1);
 
 void BM_IndexLoad(benchmark::State& state) {
   const char* type = kIndexTypes[state.range(0)];
   auto points = bench::SyntheticTupleCloud(10000, 64, 16, 4);
-  auto idx = MakeBenchIndex(type);
+  auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
   idx->AddAll(points);
   const std::string path = BenchIndexPath();
   if (!idx->Save(path).ok()) {
@@ -250,17 +227,15 @@ void BM_IndexLoad(benchmark::State& state) {
   std::filesystem::remove(path, ec);
   state.SetLabel(type);
 }
-BENCHMARK(BM_IndexLoad)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_IndexLoad)->Arg(0)->Arg(1);
 
 void BM_IndexSearch(benchmark::State& state) {
   const char* type = kIndexTypes[state.range(0)];
   size_t n = static_cast<size_t>(state.range(1));
   auto points = bench::SyntheticTupleCloud(n, 64, 16, 4);
-  auto idx = MakeBenchIndex(type);
+  auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
   idx->AddAll(points);
   la::Vec query = bench::SyntheticTupleCloud(1, 64, 1, 5)[0];
-  // Warm any lazy training outside the timed loop.
-  benchmark::DoNotOptimize(idx->Search(query, 10).size());
   for (auto _ : state) {
     benchmark::DoNotOptimize(idx->Search(query, 10).size());
   }
@@ -268,14 +243,14 @@ void BM_IndexSearch(benchmark::State& state) {
   state.SetLabel(type);
 }
 BENCHMARK(BM_IndexSearch)
-    ->ArgsProduct({{0, 1, 2}, {2000, 10000}});  // flat, ivf, hnsw
+    ->ArgsProduct({{0, 1}, {2000, 10000}});  // flat, hnsw
 
 /// One SearchBatch of `rows` queries for the top `k` each over `n` stored
 /// vectors of 64 dims, on the default executor.
 void BM_IndexSearchBatch(benchmark::State& state, const char* type, size_t n,
                          size_t rows, size_t k) {
   auto points = bench::SyntheticTupleCloud(n, 64, 16, 4);
-  auto idx = MakeBenchIndex(type);
+  auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
   idx->AddAll(points);
   std::vector<la::Vec> queries = bench::SyntheticTupleCloud(rows, 64, 8, 5);
   benchmark::DoNotOptimize(idx->SearchBatch(queries, k).size());
@@ -290,7 +265,7 @@ void BM_IndexSearchBatch(benchmark::State& state, const char* type, size_t n,
 void BM_IndexSearchBatch(benchmark::State& state) {
   BM_IndexSearchBatch(state, kIndexTypes[state.range(0)], 10000, 64, 10);
 }
-BENCHMARK(BM_IndexSearchBatch)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_IndexSearchBatch)->Arg(0)->Arg(1);
 
 // A served tuple-query miss: the flat index over the alg1_tus lake's
 // 37,439 tuples, about two requests' 25 query rows, and

@@ -31,7 +31,7 @@ void RunBenchmark(const std::string& name, const datagen::Benchmark& benchmark,
   std::vector<const table::Table*> lake;
   for (const auto& t : benchmark.lake) lake.push_back(&t.data);
   search::TupleSearchConfig search_config;
-  search_config.index_type = "ivf";
+  search_config.index_type = "flat";
   search_config.per_query_candidates = 4 * k;
   search::TupleSearch starmie(encoder, search_config);
   starmie.IndexLake(lake);

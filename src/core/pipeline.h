@@ -34,7 +34,7 @@ struct PipelineConfig {
   double min_table_score = 0.25;
   /// Union search engine: "starmie" (embedding) or "d3l" (overlap).
   std::string engine = "starmie";
-  /// Shortlist index for the starmie engine: "flat", "ivf", or "hnsw".
+  /// Shortlist index for the starmie engine: "flat" or "hnsw".
   std::string search_index = "flat";
   /// Candidates short-listed by that index before exact bipartite scoring.
   /// 0 = score every lake table exactly when search_index is "flat"; with

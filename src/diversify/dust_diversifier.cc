@@ -149,9 +149,12 @@ std::vector<size_t> DustDiversifier::SelectDiverse(const DiversifyInput& input,
     std::iota(kept.begin(), kept.end(), 0);
   }
 
-  // §5.2 Clustering into k·p clusters; medoids become candidates.
+  // §5.2 Clustering into k·p clusters, at most one per kept tuple; medoids
+  // become candidates. p > kept / k exactly when k·p > kept, and asks it
+  // without a product that could wrap past SIZE_MAX.
   std::vector<size_t> candidates;
-  size_t num_clusters = std::min(kept.size(), k * std::max<size_t>(1, config_.p));
+  const size_t p = std::max<size_t>(1, config_.p);
+  const size_t num_clusters = p > kept.size() / k ? kept.size() : k * p;
   if (kept.size() <= num_clusters) {
     candidates = kept;
   } else {

@@ -4,7 +4,6 @@
 
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/ivf_index.h"
 #include "io/index_io.h"
 #include "serve/executor.h"
 #include "util/status.h"
@@ -132,8 +131,8 @@ std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
     const std::vector<la::Vec>& queries, size_t k,
     serve::Executor* executor) const {
   std::vector<std::vector<SearchHit>> results(queries.size());
-  // Concurrent Search calls are safe for every index (IVF's lazy train is
-  // internally locked), so the pool fans out over all queries directly.
+  // Concurrent Search calls are safe for every index, so the pool fans out
+  // over all queries directly.
   // Each iteration writes only its own slot, and results are per-query, so
   // scheduling order cannot change the output.
   serve::Executor& pool =
@@ -178,18 +177,12 @@ std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
     if (options.hnsw_ef_search > 0) config.ef_search = options.hnsw_ef_search;
     return std::make_unique<HnswIndex>(dim, metric, config);
   }
-  if (type == "ivf") {
-    IvfConfig config;
-    if (options.ivf_nlist > 0) config.nlist = options.ivf_nlist;
-    if (options.ivf_nprobe > 0) config.nprobe = options.ivf_nprobe;
-    return std::make_unique<IvfFlatIndex>(dim, metric, config);
-  }
   DUST_CHECK(false && "IsKnownIndexType and MakeVectorIndex drifted apart");
   return nullptr;
 }
 
 bool IsKnownIndexType(const std::string& type) {
-  return type == "flat" || type == "hnsw" || type == "ivf";
+  return type == "flat" || type == "hnsw";
 }
 
 }  // namespace dust::index

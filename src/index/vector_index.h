@@ -57,9 +57,9 @@ class VectorIndex {
   /// Approximate indexes may miss true neighbors.
   ///
   /// Contract: concurrent Search calls on one index must be safe (the
-  /// default SearchBatch fans queries out across threads). Implementations
-  /// with lazy build state must synchronize it internally (see IvfFlatIndex
-  /// Train locking) or override SearchBatch.
+  /// default SearchBatch fans queries out across threads). An
+  /// implementation with lazy build state must synchronize it internally
+  /// or override SearchBatch.
   virtual std::vector<SearchHit> Search(const la::Vec& query,
                                         size_t k) const = 0;
 
@@ -126,18 +126,18 @@ class VectorIndex {
   /// in ascending id order to a fresh index with the same config.
   /// `*remap` gets one entry per old id — the new id for live vectors,
   /// kInvalidId for tombstoned ones — so callers can rewrite their own
-  /// id-keyed state. Exact index types (flat; ivf at full probe) return
-  /// bit-identical search results to the tombstoned original; approximate
-  /// types may re-rank as a rebuild would.
+  /// id-keyed state. An exact index type (flat) returns bit-identical
+  /// search results to the tombstoned original; approximate types may
+  /// re-rank as a rebuild would.
   virtual Result<std::unique_ptr<VectorIndex>> Compact(
       std::vector<size_t>* remap) const;
 
   /// Stable on-disk type name — the same string MakeVectorIndex accepts
-  /// ("flat", "hnsw", "ivf").
+  /// ("flat", "hnsw").
   virtual std::string type_tag() const = 0;
 
   /// Writes the type-specific payload (config + contents) after the common
-  /// header io::WriteIndex emits. Indexes with lazy build state (IVF) must
+  /// header io::WriteIndex emits. An index with lazy build state must
   /// finalize it first so the file never contains a half-built structure.
   virtual Status SavePayload(io::IndexWriter* writer) const = 0;
 
@@ -188,7 +188,7 @@ void FinalizeHits(std::vector<SearchHit>* hits, size_t k);
 
 /// Optional per-type tuning knobs consumed by MakeVectorIndex. A field set
 /// to 0 keeps that type's built-in default; fields for other index types
-/// are ignored. This is how the pipeline config and CLI expose HNSW/IVF
+/// are ignored. This is how the pipeline config and CLI expose HNSW
 /// parameters without every caller naming a concrete config struct.
 struct IndexOptions {
   /// HNSW max neighbors per node on layers > 0 (HnswConfig::M). Must be
@@ -196,10 +196,6 @@ struct IndexOptions {
   size_t hnsw_m = 0;
   /// HNSW query beam width (HnswConfig::ef_search).
   size_t hnsw_ef_search = 0;
-  /// IVF inverted-list count (IvfConfig::nlist).
-  size_t ivf_nlist = 0;
-  /// IVF lists probed per query (IvfConfig::nprobe).
-  size_t ivf_nprobe = 0;
 };
 
 /// InvalidArgument when `options` carries a value no index can serve (e.g.
@@ -208,7 +204,7 @@ struct IndexOptions {
 /// programming error and aborts.
 Status ValidateIndexOptions(const IndexOptions& options);
 
-/// Builds an index by type name: "flat", "ivf", or "hnsw". Unknown names
+/// Builds an index by type name: "flat" or "hnsw". Unknown names
 /// abort (DUST_CHECK) — a typo must not silently change algorithms.
 std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
                                              size_t dim, la::Metric metric);

@@ -209,8 +209,6 @@ bool IndexTypeTag(const std::string& type, uint8_t* tag) {
     *tag = 0;
   } else if (type == "hnsw") {
     *tag = 1;
-  } else if (type == "ivf") {
-    *tag = 2;
   } else {
     return false;
   }
@@ -226,16 +224,17 @@ Status IndexTypeFromTag(uint8_t tag, std::string* type) {
       *type = "hnsw";
       return Status::Ok();
     case 2:
-      *type = "ivf";
-      return Status::Ok();
+      return Status::IoError(
+          "index type tag 2 (ivf) was removed; rebuild the index as flat or "
+          "hnsw");
     case 3:
       return Status::IoError(
-          "index type tag 3 (lsh) was removed; rebuild the index as flat, "
-          "hnsw, or ivf");
+          "index type tag 3 (lsh) was removed; rebuild the index as flat or "
+          "hnsw");
     case 4:
       return Status::IoError(
-          "index type tag 4 (sharded) was removed; rebuild the index as "
-          "flat, hnsw, or ivf");
+          "index type tag 4 (sharded) was removed; rebuild the index as flat "
+          "or hnsw");
     default:
       return Status::IoError("unknown index type tag " +
                              std::to_string(static_cast<int>(tag)));

@@ -145,13 +145,13 @@ class IndexReader {
   Status status_;
 };
 
-/// Stable on-disk tag for an index type name ("flat" 0, "hnsw" 1, "ivf" 2);
-/// never reorder existing values. Tags 3 and 4 belonged to removed index
+/// Stable on-disk tag for an index type name ("flat" 0, "hnsw" 1); never
+/// reorder existing values. Tags 2 (ivf), 3 and 4 belonged to removed index
 /// types and are never reused. Returns false for unknown names.
 bool IndexTypeTag(const std::string& type, uint8_t* tag);
 /// Inverse of IndexTypeTag; IoError for unknown tags (corrupt files must
-/// surface as errors, not aborts) and for the retired tags 3 and 4, whose
-/// messages say the index must be rebuilt.
+/// surface as errors, not aborts) and for the retired tags 2, 3 and 4,
+/// whose messages say the index must be rebuilt.
 Status IndexTypeFromTag(uint8_t tag, std::string* type);
 
 /// Metric <-> on-disk tag; same stability rules as the type tag.

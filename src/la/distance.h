@@ -70,10 +70,10 @@ void DistanceToMany(Metric metric, const Vec& query,
                     const std::vector<float>& base_norms,
                     std::vector<float>* out);
 
-/// Gathered variants for index scans over id lists (IVF inverted lists,
-/// HNSW adjacency): out[i] = Distance(metric, query,
-/// base[ids[i]]). `out` must hold `count` floats; `base_norms` may be null
-/// (norms then computed on the fly for cosine) or NormsOf(base).
+/// Gathered variants for scans over id lists (HNSW adjacency, a diversity
+/// score's pairs): out[i] = Distance(metric, query, base[ids[i]]). `out`
+/// must hold `count` floats; `base_norms` may be null (norms then computed
+/// on the fly for cosine) or NormsOf(base).
 void DistanceToMany(Metric metric, const Vec& query,
                     const std::vector<Vec>& base, const float* base_norms,
                     const uint32_t* ids, size_t count, float* out);

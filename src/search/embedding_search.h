@@ -26,10 +26,10 @@ struct EmbeddingSearchConfig {
   /// Candidates short-listed by the table-profile index before exact
   /// bipartite scoring (0 = score every table exactly).
   size_t shortlist = 0;
-  /// Index type for the shortlist: "flat", "ivf", or "hnsw".
+  /// Index type for the shortlist: "flat" or "hnsw".
   std::string index_type = "flat";
-  /// Tuning knobs forwarded to the shortlist index (HNSW M/ef_search, IVF
-  /// nlist/nprobe; 0 keeps defaults).
+  /// Tuning knobs forwarded to the shortlist index (HNSW M/ef_search; 0
+  /// keeps defaults).
   index::IndexOptions index_options;
   /// Empty; kept only for perfbench's replay (see cascade::CascadeConfig).
   cascade::CascadeConfig cascade;

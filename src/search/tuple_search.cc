@@ -214,8 +214,10 @@ uint64_t TupleSearch::ConfigHash() const {
   h = text::ChainHash(h, config_.per_query_candidates);
   h = text::ChainHash(h, config_.index_options.hnsw_m);
   h = text::ChainHash(h, config_.index_options.hnsw_ef_search);
-  h = text::ChainHash(h, config_.index_options.ivf_nlist);
-  h = text::ChainHash(h, config_.index_options.ivf_nprobe);
+  // The retired IVF knobs (nlist, nprobe) were chained here; their
+  // defaults keep every saved tuple index and cache key valid.
+  h = text::ChainHash(h, uint64_t{0});
+  h = text::ChainHash(h, uint64_t{0});
   h = text::ChainHash(h, encoder_->name());
   h = text::ChainHash(h, encoder_->dim());
   // The retired cascade knobs were chained here; their defaults keep every

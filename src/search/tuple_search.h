@@ -26,7 +26,7 @@ struct TupleHit {
 };
 
 struct TupleSearchConfig {
-  /// "flat", "ivf", or "hnsw".
+  /// "flat" or "hnsw".
   std::string index_type = "flat";
   /// Per-query-tuple candidates fetched from the index before fusion.
   size_t per_query_candidates = 200;

@@ -1,5 +1,5 @@
 // Unit + property tests for src/cluster: linkages, NN-chain agglomerative,
-// constrained clustering, Silhouette, medoids, k-means.
+// constrained clustering, Silhouette, medoids.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 
 #include "cluster/agglomerative.h"
 #include "cluster/constrained.h"
-#include "cluster/kmeans.h"
 #include "cluster/medoid.h"
 #include "cluster/silhouette.h"
 #include "util/rng.h"
@@ -519,49 +518,6 @@ TEST(MedoidTest, ClusterMedoidsOnePerCluster) {
   ASSERT_EQ(medoids.size(), 2u);
   EXPECT_LT(medoids[0], 5u);
   EXPECT_GE(medoids[1], 5u);
-}
-
-TEST(KmeansTest, TwoBlobsRecovered) {
-  std::vector<Vec> points = TwoBlobs(15, 8);
-  KmeansResult result = Kmeans(points, 2);
-  // All of blob 1 assigned together, blob 2 together.
-  for (size_t i = 1; i < 15; ++i) {
-    EXPECT_EQ(result.assignments[i], result.assignments[0]);
-  }
-  for (size_t i = 16; i < 30; ++i) {
-    EXPECT_EQ(result.assignments[i], result.assignments[15]);
-  }
-  EXPECT_NE(result.assignments[0], result.assignments[15]);
-  EXPECT_LT(result.inertia, 10.0);
-}
-
-TEST(KmeansTest, KGreaterThanNClamps) {
-  std::vector<Vec> points = {{0, 0}, {1, 1}};
-  KmeansResult result = Kmeans(points, 10);
-  EXPECT_EQ(result.centroids.size(), 2u);
-  EXPECT_NEAR(result.inertia, 0.0, 1e-9);
-}
-
-TEST(KmeansTest, DeterministicWithSeed) {
-  std::vector<Vec> points = TwoBlobs(10, 9);
-  KmeansOptions options;
-  options.seed = 123;
-  KmeansResult a = Kmeans(points, 3, options);
-  KmeansResult b = Kmeans(points, 3, options);
-  EXPECT_EQ(a.assignments, b.assignments);
-  EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
-}
-
-TEST(KmeansTest, AssignmentsMatchNearestCentroid) {
-  std::vector<Vec> points = TwoBlobs(8, 10);
-  KmeansResult result = Kmeans(points, 4);
-  for (size_t i = 0; i < points.size(); ++i) {
-    double own = la::SquaredEuclideanDistance(
-        points[i], result.centroids[result.assignments[i]]);
-    for (const Vec& c : result.centroids) {
-      EXPECT_LE(own, la::SquaredEuclideanDistance(points[i], c) + 1e-5);
-    }
-  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -214,6 +215,33 @@ TEST(DustDiversifierTest, CandidateCountIsKTimesP) {
   DustDiversifier dust(config);
   std::vector<size_t> selected = dust.SelectDiverse(input, 5);
   EXPECT_EQ(selected.size(), 5u);
+}
+
+TEST(DustDiversifierTest, HugePCapsClustersAtTheKeptTuples) {
+  // k·p past SIZE_MAX must not wrap: 2·2^63 wrapped to 0 clusters (an
+  // abort) and 3·6148914691236517206 to 2 (too few rows). Every p below
+  // selects exactly as p = 50, whose k·p already covers all 50 kept tuples.
+  std::vector<Vec> query = RandomPoints(1, 8, 2);
+  std::vector<Vec> lake = RandomPoints(50, 8, 3);
+  DiversifyInput input;
+  input.query = &query;
+  input.lake = &lake;
+  auto select = [&](size_t k, size_t p) {
+    DustDiversifierConfig config;
+    config.p = p;
+    return DustDiversifier(config).SelectDiverse(input, k);
+  };
+  auto expect_covering = [&](size_t k, size_t p) {
+    SCOPED_TRACE("k=" + std::to_string(k) + " p=" + std::to_string(p));
+    const std::vector<size_t> covering = select(k, 50);
+    ASSERT_EQ(covering.size(), k);
+    EXPECT_EQ(select(k, p), covering);
+  };
+  const size_t kMax = std::numeric_limits<size_t>::max();
+  expect_covering(2, size_t{1} << 63);
+  expect_covering(3, 6148914691236517206u);
+  expect_covering(2, kMax);
+  expect_covering(3, kMax);
 }
 
 TEST(GmcTest, PrefersSpreadOverClumps) {

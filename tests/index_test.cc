@@ -1,5 +1,5 @@
-// Unit + property tests for src/index: Flat, IVF-Flat, and HNSW indexes,
-// plus the batched query path shared by all of them.
+// Unit + property tests for src/index: Flat and HNSW indexes,
+// plus the batched query path shared by both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/ivf_index.h"
 #include "la/simd/kernels.h"
 #include "serve/executor.h"
 #include "util/rng.h"
@@ -140,65 +139,6 @@ TEST(FinalizeHitsTest, KAtLeastSizeSortsEveryHit) {
     ExpectSameHits({{8, 0.1f}, {1, 0.5f}, {3, 0.5f}, {0, 0.7f}}, hits);
     EXPECT_LE(hits.capacity(), k);
   }
-}
-
-TEST(IvfIndexTest, FullProbeMatchesExact) {
-  auto vectors = RandomUnitVectors(200, 8, 21);
-  IvfConfig config;
-  config.nlist = 8;
-  config.nprobe = 8;  // probe everything -> exact
-  IvfFlatIndex ivf(8, la::Metric::kCosine, config);
-  FlatIndex flat(8, la::Metric::kCosine);
-  for (const auto& v : vectors) {
-    ivf.Add(v);
-    flat.Add(v);
-  }
-  ivf.Train();
-  la::Vec query = RandomUnitVectors(1, 8, 777)[0];
-  auto exact = flat.Search(query, 5);
-  auto approx = ivf.Search(query, 5);
-  ASSERT_EQ(exact.size(), approx.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(exact[i].id, approx[i].id);
-  }
-}
-
-TEST(IvfIndexTest, PartialProbeHasGoodRecall) {
-  auto vectors = RandomUnitVectors(500, 16, 22);
-  IvfConfig config;
-  config.nlist = 16;
-  config.nprobe = 6;
-  IvfFlatIndex ivf(16, la::Metric::kCosine, config);
-  FlatIndex flat(16, la::Metric::kCosine);
-  for (const auto& v : vectors) {
-    ivf.Add(v);
-    flat.Add(v);
-  }
-  ivf.Train();
-  size_t found = 0;
-  size_t total = 0;
-  for (uint64_t q = 0; q < 20; ++q) {
-    la::Vec query = RandomUnitVectors(1, 16, 1000 + q)[0];
-    auto exact = flat.Search(query, 10);
-    auto approx = ivf.Search(query, 10);
-    std::set<size_t> approx_ids;
-    for (const auto& h : approx) approx_ids.insert(h.id);
-    for (const auto& h : exact) {
-      ++total;
-      if (approx_ids.count(h.id)) ++found;
-    }
-  }
-  EXPECT_GT(static_cast<double>(found) / static_cast<double>(total), 0.6);
-}
-
-TEST(IvfIndexTest, LazyTrainOnSearch) {
-  IvfFlatIndex ivf(4, la::Metric::kEuclidean);
-  ivf.Add({1, 0, 0, 0});
-  ivf.Add({0, 1, 0, 0});
-  EXPECT_FALSE(ivf.trained());
-  auto hits = ivf.Search({1, 0, 0, 0}, 1);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].id, 0u);
 }
 
 TEST(HnswIndexTest, FindsIdenticalVector) {
@@ -408,7 +348,7 @@ TEST_P(IndexPropertyTest, RemoveReturnSemantics) {
 /// Asserts that `factory`'s index, after deleting `num_dead` random ids,
 /// answers queries bit-identically to a freshly built index over the
 /// survivors (ids mapped through the survivor order). Only meaningful for
-/// exact configurations — flat and full-probe IVF.
+/// an exact index (flat).
 void ExpectDeleteParityVsRebuild(
     const std::function<std::unique_ptr<VectorIndex>()>& factory,
     uint64_t seed) {
@@ -456,20 +396,6 @@ TEST(TombstoneParityTest, FlatMatchesRebuildOverSurvivors) {
             new FlatIndex(12, la::Metric::kCosine));
       },
       81);
-}
-
-TEST(TombstoneParityTest, FullProbeIvfMatchesRebuildOverSurvivors) {
-  // Full probe makes IVF exact regardless of clustering, so the rebuilt
-  // index (different centroids) must still answer bit-identically.
-  ExpectDeleteParityVsRebuild(
-      [] {
-        IvfConfig config;
-        config.nlist = 8;
-        config.nprobe = 8;
-        return std::unique_ptr<VectorIndex>(
-            new IvfFlatIndex(12, la::Metric::kCosine, config));
-      },
-      83);
 }
 
 /// What a flat scan's top k must be a prefix of: every live id scored by
@@ -663,18 +589,11 @@ TEST(IndexOptionsTest, KnobsReachTheConcreteConfigs) {
   IndexOptions options;
   options.hnsw_m = 6;
   options.hnsw_ef_search = 40;
-  options.ivf_nlist = 9;
-  options.ivf_nprobe = 5;
   auto hnsw = MakeVectorIndex("hnsw", 8, la::Metric::kCosine, options);
   auto* hnsw_index = dynamic_cast<HnswIndex*>(hnsw.get());
   ASSERT_NE(hnsw_index, nullptr);
   EXPECT_EQ(hnsw_index->config().M, 6u);
   EXPECT_EQ(hnsw_index->config().ef_search, 40u);
-  auto ivf = MakeVectorIndex("ivf", 8, la::Metric::kCosine, options);
-  auto* ivf_index = dynamic_cast<IvfFlatIndex*>(ivf.get());
-  ASSERT_NE(ivf_index, nullptr);
-  EXPECT_EQ(ivf_index->config().nlist, 9u);
-  EXPECT_EQ(ivf_index->config().nprobe, 5u);
   // Zero fields keep the type defaults.
   auto plain = MakeVectorIndex("hnsw", 8, la::Metric::kCosine);
   auto* plain_hnsw = dynamic_cast<HnswIndex*>(plain.get());
@@ -685,12 +604,13 @@ TEST(IndexOptionsTest, KnobsReachTheConcreteConfigs) {
 TEST(IndexTypeTest, OnlyTheThreeIndexTypesAreKnown) {
   // IsKnownIndexType is the one check a spec passes on its way in (CLI
   // flags, config files); anything it accepts MakeVectorIndex must build.
-  for (const char* name : {"flat", "hnsw", "ivf"}) {
+  for (const char* name : {"flat", "hnsw"}) {
     EXPECT_TRUE(IsKnownIndexType(name)) << name;
     EXPECT_NE(MakeVectorIndex(name, 4, la::Metric::kCosine), nullptr);
   }
   // Removed types, their old spec syntax, and typos are all unknown.
-  for (const char* name : {"lsh", "sharded", "sharded:flat:4", "faiss", ""}) {
+  for (const char* name :
+       {"ivf", "lsh", "sharded", "sharded:flat:4", "faiss", ""}) {
     EXPECT_FALSE(IsKnownIndexType(name)) << '"' << name << '"';
   }
 }
@@ -715,11 +635,6 @@ INSTANTIATE_TEST_SUITE_P(
                        IndexFactory([] {
                          return std::unique_ptr<VectorIndex>(
                              new FlatIndex(12, la::Metric::kCosine));
-                       })),
-        std::make_pair("ivf",
-                       IndexFactory([] {
-                         return std::unique_ptr<VectorIndex>(
-                             new IvfFlatIndex(12, la::Metric::kCosine));
                        })),
         std::make_pair("hnsw", IndexFactory([] {
                          return std::unique_ptr<VectorIndex>(

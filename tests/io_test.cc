@@ -1,7 +1,6 @@
 // Persistence tests for src/io: save/load round-trip parity for every
 // index type and metric, corrupt/truncated/version-mismatch rejection,
-// empty-index round-trips, the IVF train-before-save guarantee, and the
-// writer/reader primitives themselves.
+// empty-index round-trips, and the writer/reader primitives themselves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/ivf_index.h"
 #include "io/index_io.h"
 #include "text/hashing.h"
 #include "util/rng.h"
@@ -24,7 +22,6 @@ namespace {
 
 using index::FlatIndex;
 using index::HnswIndex;
-using index::IvfFlatIndex;
 using index::VectorIndex;
 
 std::vector<la::Vec> RandomUnitVectors(size_t n, size_t dim, uint64_t seed) {
@@ -122,9 +119,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RoundTripCase{"flat", la::Metric::kEuclidean},
                       RoundTripCase{"flat", la::Metric::kManhattan},
                       RoundTripCase{"hnsw", la::Metric::kCosine},
-                      RoundTripCase{"hnsw", la::Metric::kEuclidean},
-                      RoundTripCase{"ivf", la::Metric::kCosine},
-                      RoundTripCase{"ivf", la::Metric::kEuclidean}),
+                      RoundTripCase{"hnsw", la::Metric::kEuclidean}),
     [](const ::testing::TestParamInfo<RoundTripCase>& info) {
       return std::string(info.param.type) + "_" +
              la::MetricName(info.param.metric);
@@ -292,7 +287,7 @@ TEST(IndexIoTest, CompactedIndexRoundTripsWithoutTombstones) {
 TEST(IndexIoTest, AddAfterLoadKeepsServing) {
   // Incremental ingest: a loaded index accepts new vectors and returns
   // them from searches (norm caches and graphs stay consistent).
-  for (const char* type : {"flat", "hnsw", "ivf"}) {
+  for (const char* type : {"flat", "hnsw"}) {
     auto index = index::MakeVectorIndex(type, 8, la::Metric::kCosine);
     auto vectors = RandomUnitVectors(120, 8, 53);
     index->AddAll(vectors);
@@ -303,38 +298,12 @@ TEST(IndexIoTest, AddAfterLoadKeepsServing) {
     la::Vec probe = RandomUnitVectors(1, 8, 54)[0];
     loaded.value()->Add(probe);
     EXPECT_EQ(loaded.value()->size(), 121u) << type;
-    // The probe itself must come back as the top hit (distance ~0); IVF
-    // assigns it to the nearest existing centroid.
+    // The probe itself must come back as the top hit (distance ~0).
     auto hits = loaded.value()->Search(probe, 1);
     ASSERT_EQ(hits.size(), 1u) << type;
     EXPECT_EQ(hits[0].id, 120u) << type;
     EXPECT_NEAR(hits[0].distance, 0.0f, 1e-5f) << type;
   }
-}
-
-// --- the IVF train-before-save guarantee -----------------------------------
-
-TEST(IndexIoTest, SaveOnUntrainedIvfTrainsFirst) {
-  index::IvfConfig config;
-  config.nlist = 8;
-  config.nprobe = 8;
-  IvfFlatIndex ivf(12, la::Metric::kCosine, config);
-  ivf.AddAll(RandomUnitVectors(200, 12, 19));
-  ASSERT_FALSE(ivf.trained());  // never searched: lazy build still pending
-
-  const std::string path = TempPath("ivf_untrained");
-  ASSERT_TRUE(ivf.Save(path).ok());
-  EXPECT_TRUE(ivf.trained());  // Save finalized the lazy build
-
-  auto loaded = LoadIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto* restored = dynamic_cast<IvfFlatIndex*>(loaded.value().get());
-  ASSERT_NE(restored, nullptr);
-  // The file must hold real centroids/lists: the loaded index is already
-  // trained and serves without re-clustering.
-  EXPECT_TRUE(restored->trained());
-  EXPECT_EQ(restored->config().nlist, config.nlist);
-  ExpectSearchParity(ivf, *restored, 16, 5, 9300);
 }
 
 // --- rejection of bad files ------------------------------------------------
@@ -394,13 +363,13 @@ TEST_F(SavedFlatFileTest, UnknownTypeTagRejectedNotAborted) {
 }
 
 TEST_F(SavedFlatFileTest, RetiredTagsRejectedWithRebuildHint) {
-  // Tags 3 and 4 belonged to removed index types. An old file carrying
-  // either must fail with an IoError that names the type and says to
+  // Tags 2, 3 and 4 belonged to removed index types. An old file carrying
+  // any of them must fail with an IoError that names the type and says to
   // rebuild.
   const struct {
     uint8_t tag;
     const char* type;
-  } kRetired[] = {{3, "lsh"}, {4, "sharded"}};
+  } kRetired[] = {{2, "ivf"}, {3, "lsh"}, {4, "sharded"}};
   for (const auto& retired : kRetired) {
     std::string patched = bytes_;
     patched[12] = static_cast<char>(retired.tag);  // index type tag
@@ -655,16 +624,16 @@ TEST(IndexIoTest, TypeTagsAreStable) {
   EXPECT_EQ(tag, 0);
   ASSERT_TRUE(IndexTypeTag("hnsw", &tag));
   EXPECT_EQ(tag, 1);
-  ASSERT_TRUE(IndexTypeTag("ivf", &tag));
-  EXPECT_EQ(tag, 2);
   EXPECT_FALSE(IndexTypeTag("faiss", &tag));
-  // The lsh and sharded types were removed; their tags 3 and 4 are
+  // The ivf, lsh and sharded types were removed; their tags 2, 3 and 4 are
   // retired, never reused.
+  EXPECT_FALSE(IndexTypeTag("ivf", &tag));
   EXPECT_FALSE(IndexTypeTag("lsh", &tag));
   EXPECT_FALSE(IndexTypeTag("sharded", &tag));
   std::string type;
-  EXPECT_TRUE(IndexTypeFromTag(2, &type).ok());
-  EXPECT_EQ(type, "ivf");
+  Status retired = IndexTypeFromTag(2, &type);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.code(), StatusCode::kIoError);
   EXPECT_FALSE(IndexTypeFromTag(200, &type).ok());
 }
 

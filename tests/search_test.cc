@@ -170,7 +170,7 @@ TEST_F(SearchFixture, EmbeddingSearchRanksUnionableFirst) {
 TEST_F(SearchFixture, EmbeddingSearchShortlistStillFindsUnionable) {
   EmbeddingSearchConfig config;
   config.shortlist = 8;
-  config.index_type = "ivf";
+  config.index_type = "hnsw";
   EmbeddingUnionSearch search(config);
   search.IndexLake(*lake_);
   auto hits = search.SearchTables(benchmark_->queries[0].data, 4);

@@ -1,7 +1,7 @@
 // dust_cli — run diverse unionable tuple search over a directory of CSVs.
 //
 //   dust_cli --lake <dir> --query <file.csv> [--k 30] [--tables 10]
-//            [--engine starmie|d3l] [--index flat|ivf|hnsw]
+//            [--engine starmie|d3l] [--index flat|hnsw]
 //            [--hnsw-m N] [--hnsw-ef N]
 //            [--shortlist N] [--out result.csv] [--p 2] [--s 2500]
 //            [--save-index snap.bin | --load-index snap.bin]
@@ -98,7 +98,7 @@ void Usage() {
       stderr,
       "usage: dust_cli --lake <dir> --query <file.csv> [--k N] [--tables N]\n"
       "                [--engine starmie|d3l]\n"
-      "                [--index flat|ivf|hnsw] [--hnsw-m N] [--hnsw-ef N]\n"
+      "                [--index flat|hnsw] [--hnsw-m N] [--hnsw-ef N]\n"
       "                [--metric cosine|euclidean|manhattan]\n"
       "                [--shortlist N] [--out result.csv] [--p N] [--s N]\n"
       "                [--save-index <snapshot> | --load-index <snapshot>]\n"
@@ -233,6 +233,12 @@ struct Flag {
 /// error.
 bool ParseValue(const Flag& flag, const char* value) {
   if (auto* text = std::get_if<std::string*>(&flag.target)) {
+    // Every text flag is a name or a path, and the CLI treats an empty path
+    // as "not given": "" would silently skip the output or load it names.
+    if (*value == '\0') {
+      std::fprintf(stderr, "%s expects a non-empty value\n", flag.name);
+      return false;
+    }
     **text = value;
     return true;
   }
@@ -285,18 +291,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       // phase's shortlist index and table scoring are cosine by
       // construction (Starmie-style embedding similarity), matching the
       // paper.
-      {"--metric", &pipeline.metric, 0, kAnyMode},
-      {"--shortlist", &pipeline.search_shortlist, 0, kAnyMode},
+      {"--metric", &pipeline.metric, 0, kRun | kServe},
+      {"--shortlist", &pipeline.search_shortlist, 0, kRun | kServe},
       // The HNSW graph degree and query beam width; 0 keeps the defaults.
       {"--hnsw-m", &pipeline.hnsw_m, 2, kAnyMode},
       {"--hnsw-ef", &pipeline.hnsw_ef_search, 1, kAnyMode},
-      {"--k", &options->k, 1, kAnyMode},
-      // A --save-tuple-index build reads none of these, nor --k, --metric
-      // or --shortlist, but accepts them so that one set of flags can drive
-      // both index builds.
-      {"--tables", &pipeline.num_tables, 0, kRun | kTupleBuild},
-      {"--p", &pipeline.diversifier.p, 0, kRun | kTupleBuild},
-      {"--s", &pipeline.diversifier.prune_s, 0, kRun | kTupleBuild},
+      {"--k", &options->k, 1, kRun | kServe},
+      {"--tables", &pipeline.num_tables, 0, kRun},
+      {"--p", &pipeline.diversifier.p, 0, kRun},
+      {"--s", &pipeline.diversifier.prune_s, 0, kRun},
       {"--serve", &options->serve, 0, kServe},
       {"--threads", &server.threads, 0, kServe},
       {"--batch-window-us", &server.batch_window_us, 0, kServe},
