@@ -3,8 +3,9 @@
 // query), and tuple encoding. The CI bench-smoke job runs the BM_Index*
 // benchmarks with --benchmark_out=BENCH_index.json (likewise BM_Kernel* to
 // BENCH_kernels.json, BM_DistanceMatrix|BM_NnChainClustering to
-// BENCH_diversify.json, and BM_TupleEncoding|BM_DustModelEncode to
-// BENCH_encode.json) and uploads the JSON as a per-PR artifact, so the
+// BENCH_diversify.json, BM_TupleEncoding|BM_DustModelEncode to
+// BENCH_encode.json, and BM_SearchTables to BENCH_search.json) and uploads
+// the JSON as a per-PR artifact, so the
 // offline-build and online-serve timings are tracked across revisions.
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,8 @@
 #include "la/distance.h"
 #include "la/simd/kernels.h"
 #include "nn/dust_model.h"
+#include "search/embedding_search.h"
+#include "serve/executor.h"
 #include "table/serialize.h"
 
 using namespace dust;
@@ -65,6 +68,34 @@ void BM_KernelCosineTerms(benchmark::State& state) {
   state.SetLabel(ops.name);
 }
 BENCHMARK(BM_KernelCosineTerms)->ArgsProduct({{128, 768}, {0, 1}});
+
+/// The table-search bound pass's kernel: 5 query columns against a
+/// 256-column block of lake columns, every pair's dot in cosine_terms'
+/// order (items = pairs).
+void BM_KernelCosineDotBlock(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const la::simd::Kernels& ops = BenchKernels(state.range(1) != 0);
+  constexpr size_t kQueries = 5;
+  constexpr size_t kRows = 256;
+  std::vector<float> q, rows;
+  for (const la::Vec& v : bench::SyntheticTupleCloud(kQueries, dim, 2, 1)) {
+    q.insert(q.end(), v.begin(), v.end());
+  }
+  for (const la::Vec& v : bench::SyntheticTupleCloud(kRows, dim, 16, 2)) {
+    rows.insert(rows.end(), v.begin(), v.end());
+  }
+  std::vector<float> out(kQueries * kRows);
+  for (auto _ : state) {
+    ops.cosine_dot_block(q.data(), kQueries, rows.data(), kRows, dim,
+                         out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kQueries * kRows));
+  state.SetLabel(ops.name);
+}
+BENCHMARK(BM_KernelCosineDotBlock)->ArgsProduct({{64, 128}, {0, 1}});
 
 /// One-to-many batch kernel over an 8k-vector base with cached norms — the
 /// shape of a linear index scan.
@@ -325,6 +356,37 @@ void BM_DustModelEncode(benchmark::State& state) {
                           static_cast<int64_t>(tuples.size()));
 }
 BENCHMARK(BM_DustModelEncode)->Unit(benchmark::kMillisecond);
+
+// --- Table search (BM_SearchTables, exported as BENCH_search.json) ---
+
+/// Algorithm 1's search step on search_test's 1,010-table lake (GenerateTus
+/// with 10 queries, 100 unionable tables each, 20 base rows, 5 distractors):
+/// the top 10 tables for each query in turn, every table bounded. Arg 0
+/// runs the bound pass on Executor(0), the calling thread; arg 1 on the
+/// default pool.
+void BM_SearchTables(benchmark::State& state) {
+  datagen::TusConfig config;
+  config.num_queries = 10;
+  config.unionable_per_query = 100;
+  config.base_rows = 20;
+  config.distractors_per_base = 5;
+  static const datagen::Benchmark lake = datagen::GenerateTus(config);
+  std::vector<const table::Table*> tables;
+  for (const datagen::GeneratedTable& t : lake.lake) tables.push_back(&t.data);
+  serve::Executor inline_executor(0);
+  search::EmbeddingUnionSearch search;
+  if (state.range(0) == 0) search.SetExecutor(&inline_executor);
+  search.IndexLake(tables);
+  size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        search.SearchTables(lake.queries[q].data, 10).data());
+    q = (q + 1) % lake.queries.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetLabel(state.range(0) == 0 ? "serial" : "pooled");
+}
+BENCHMARK(BM_SearchTables)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -115,12 +115,13 @@ class DustPipeline {
   /// Runs Algorithm 1 for one query, returning `k` diverse tuples.
   Result<PipelineResult> Run(const table::Table& query, size_t k) const;
 
-  /// Routes Run's parallel work through a shared thread pool: the tuple
-  /// encode (fixed 64-tuple chunks) and the search engine's rerank bound
-  /// pass and shortlist-index batch fan-out, so a serving process creates
-  /// zero threads per Run. Without one, the encode runs on
-  /// serve::Executor::Default(). Install once before concurrent traffic;
-  /// the executor must outlive the pipeline or be unset first.
+  /// Routes the pipeline's parallel work through a shared thread pool: Run's
+  /// tuple encode (fixed 64-tuple chunks), and the search engine's lake
+  /// encode, rerank bound pass and shortlist-index batch fan-out, so a
+  /// serving process creates zero threads per Run. Null (the default) means
+  /// serve::Executor::Default() for all of them. Install once before
+  /// concurrent traffic; the executor must outlive the pipeline or be unset
+  /// first.
   void SetExecutor(serve::Executor* executor) {
     executor_ = executor;
     search_->SetExecutor(executor);

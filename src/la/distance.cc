@@ -62,6 +62,33 @@ float CosineDistance(const Vec& a, const Vec& b) {
   return 1.0f - CosineSimilarity(a, b);
 }
 
+float CosineNorm(const float* v, size_t dim) {
+  float dot = 0.0f, v2 = 0.0f, same = 0.0f;
+  simd::Active().cosine_terms(v, v, dim, &dot, &v2, &same);
+  return std::sqrt(v2);
+}
+
+void CosineWeights(const float* q, const float* q_norms, size_t q_count,
+                   const float* rows, const float* row_norms,
+                   size_t row_count, size_t dim, float* out) {
+  simd::Active().cosine_dot_block(q, q_count, rows, row_count, dim, out);
+  for (size_t i = 0; i < q_count; ++i) {
+    const float na = q_norms[i];
+    float* w = out + i * row_count;
+    // Branch-free, so the loop vectorizes.
+    for (size_t r = 0; r < row_count; ++r) {
+      const float nb = row_norms[r];
+      // CosineSimilarity's clamp to [-1, 1], then the floor at 0; a NaN
+      // fails `sim > 0` and weighs 0.
+      const float sim = w[r] / (na * nb);
+      const float weight = sim > 0.0f ? std::min(sim, 1.0f) : 0.0f;
+      // CosineSimilarity's zero vectors: two weigh 1, one weighs 0.
+      const float zero_weight = na == nb ? 1.0f : 0.0f;
+      w[r] = na == 0.0f || nb == 0.0f ? zero_weight : weight;
+    }
+  }
+}
+
 float SquaredEuclideanDistance(const Vec& a, const Vec& b) {
   DUST_CHECK(a.size() == b.size());
   return simd::Active().squared_l2(a.data(), b.data(), a.size());

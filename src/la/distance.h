@@ -45,6 +45,25 @@ float CosineSimilarity(const Vec& a, const Vec& b);
 /// use: with norms cached, each candidate costs one dot product.
 float CosineDistanceFromDot(float dot, float norm_a, float norm_b);
 
+/// The norm CosineSimilarity computes for a `dim`-float vector: the square
+/// root of cosine_terms' one-accumulator |v|^2. That term depends on `v`
+/// alone, so a cached CosineNorm equals the one CosineSimilarity recomputes
+/// on every call. Norm(v) sums |v|^2 in another order and may differ in the
+/// last bit.
+float CosineNorm(const float* v, size_t dim);
+
+/// max(0, CosineSimilarity(q_i, row_r)) for a block of pairs, bit for bit:
+/// out[i * row_count + r] for the q_count query vectors at `q` and the
+/// row_count vectors at `rows`, each set stored back to back with `dim`
+/// floats per vector. `q_norms` and `row_norms` hold each vector's
+/// CosineNorm. Two zero vectors weigh 1 and one zero vector weighs 0, as
+/// CosineSimilarity has it, and a NaN similarity weighs 0, as
+/// std::max(0.0, NaN) does. These are the weights of a bipartite table
+/// score.
+void CosineWeights(const float* q, const float* q_norms, size_t q_count,
+                   const float* rows, const float* row_norms,
+                   size_t row_count, size_t dim, float* out);
+
 float EuclideanDistance(const Vec& a, const Vec& b);
 float SquaredEuclideanDistance(const Vec& a, const Vec& b);
 float ManhattanDistance(const Vec& a, const Vec& b);

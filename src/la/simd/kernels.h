@@ -34,6 +34,11 @@ struct Kernels {
   /// result.
   void (*dot_batch)(const float* q, const float* base, size_t stride,
                     size_t count, size_t n, float* out);
+  /// Many-to-many dot in cosine_terms' order: out[i * row_count + r] is the
+  /// `dot` output of cosine_terms(q + i * n, rows + r * n, n), bit for bit,
+  /// for the q_count query rows and row_count rows stored back to back.
+  void (*cosine_dot_block)(const float* q, size_t q_count, const float* rows,
+                           size_t row_count, size_t n, float* out);
   /// Index of the first minimum of a[0, n), n >= 1. NaN entries never win,
   /// and a span with no entry below +inf returns 0.
   size_t (*argmin)(const float* a, size_t n);

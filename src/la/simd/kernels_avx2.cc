@@ -181,6 +181,105 @@ void DotBatchAvx2(const float* q, const float* base, size_t stride,
   for (; r < count; ++r) out[r] = DotAvx2(q, base + r * stride, n);
 }
 
+/// HorizontalSum of eight accumulators at once: lane e of the result is
+/// v[e]'s sum. Each sum adds the same lanes in the same order as
+/// HorizontalSum, ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)), so it
+/// equals HorizontalSum(v[e]) bit for bit.
+inline __m256 HorizontalSum8(const __m256* v) {
+  // Lanes i + (i + 4), for v[e] in the low half and v[e + 4] in the high.
+  __m256 half[4];
+  for (int e = 0; e < 4; ++e) {
+    half[e] = _mm256_add_ps(_mm256_permute2f128_ps(v[e], v[e + 4], 0x20),
+                            _mm256_permute2f128_ps(v[e], v[e + 4], 0x31));
+  }
+  // Then s0 + s2 and s1 + s3, two accumulators per vector.
+  __m256 quarter[2];
+  for (int e = 0; e < 2; ++e) {
+    const __m256 a = half[2 * e];
+    const __m256 b = half[2 * e + 1];
+    quarter[e] = _mm256_add_ps(
+        _mm256_shuffle_ps(a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+  }
+  // Then (s0 + s2) + (s1 + s3).
+  return _mm256_hadd_ps(quarter[0], quarter[1]);
+}
+
+/// The dots of kQ query rows against kR rows (`n` floats each, back to
+/// back), written to out[a * out_stride + b]. A single accumulator per pair
+/// is bound by FMA latency, so the tile keeps kQ * kR of them in flight;
+/// each still sums as CosineTermsAvx2 sums its dot: one 8-lane FMA
+/// accumulator, HorizontalSum, then the scalar tail.
+template <size_t kQ, size_t kR>
+__attribute__((always_inline)) inline void CosineDotTile(
+    const float* q, const float* rows, size_t n, size_t out_stride,
+    float* out) {
+  constexpr size_t kPairs = kQ * kR;
+  __m256 acc[kPairs];
+  for (__m256& a : acc) a = _mm256_setzero_ps();
+  size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    __m256 row[kR];
+    for (size_t b = 0; b < kR; ++b) row[b] = _mm256_loadu_ps(rows + b * n + k);
+    for (size_t a = 0; a < kQ; ++a) {
+      const __m256 qa = _mm256_loadu_ps(q + a * n + k);
+      for (size_t b = 0; b < kR; ++b) {
+        acc[a * kR + b] = _mm256_fmadd_ps(qa, row[b], acc[a * kR + b]);
+      }
+    }
+  }
+  // Every accumulator is read once, by a loop the compiler unrolls, so the
+  // accumulators stay in registers.
+  alignas(32) float sums[kPairs];
+  if constexpr (kPairs == 8) {
+    _mm256_store_ps(sums, HorizontalSum8(acc));
+  } else {
+    for (size_t e = 0; e < kPairs; ++e) sums[e] = HorizontalSum(acc[e]);
+  }
+  if (k < n) {
+    for (size_t a = 0; a < kQ; ++a) {
+      for (size_t b = 0; b < kR; ++b) {
+        const float* qa = q + a * n;
+        const float* rb = rows + b * n;
+        float ab = sums[a * kR + b];
+        // Same expression as CosineTermsAvx2's tail, so the compiler
+        // contracts it (or not) the same way.
+        for (size_t i = k; i < n; ++i) ab += qa[i] * rb[i];
+        sums[a * kR + b] = ab;
+      }
+    }
+  }
+  for (size_t a = 0; a < kQ; ++a) {
+    for (size_t b = 0; b < kR; ++b) out[a * out_stride + b] = sums[a * kR + b];
+  }
+}
+
+/// The tiles of every query row against kR rows.
+template <size_t kR>
+void CosineDotTiles(const float* q, size_t q_count, const float* rows,
+                    size_t n, size_t out_stride, float* out) {
+  size_t i = 0;
+  for (; i + 4 <= q_count; i += 4) {
+    CosineDotTile<4, kR>(q + i * n, rows, n, out_stride, out + i * out_stride);
+  }
+  for (; i < q_count; ++i) {
+    CosineDotTile<1, kR>(q + i * n, rows, n, out_stride, out + i * out_stride);
+  }
+}
+
+/// Two rows at a time against every query row, so each pair of rows is read
+/// from memory once per block.
+void CosineDotBlockAvx2(const float* q, size_t q_count, const float* rows,
+                        size_t row_count, size_t n, float* out) {
+  size_t r = 0;
+  for (; r + 2 <= row_count; r += 2) {
+    CosineDotTiles<2>(q, q_count, rows + r * n, n, row_count, out + r);
+  }
+  if (r < row_count) {
+    CosineDotTiles<1>(q, q_count, rows + r * n, n, row_count, out + r);
+  }
+}
+
 /// Two passes over the span: the minimum value, then the first index that
 /// holds it. min_ps returns its second operand when either is NaN, so a
 /// NaN never displaces the running minimum.
@@ -227,6 +326,7 @@ const Kernels& Avx2Kernels() {
     k.l1 = L1Avx2;
     k.cosine_terms = CosineTermsAvx2;
     k.dot_batch = DotBatchAvx2;
+    k.cosine_dot_block = CosineDotBlockAvx2;
     k.argmin = ArgminAvx2;
     k.name = "avx2";
     return k;

@@ -78,6 +78,20 @@ void DotBatchScalar(const float* q, const float* base, size_t stride,
   }
 }
 
+/// One plain sequential sum per pair, as CosineTermsScalar sums its dot.
+void CosineDotBlockScalar(const float* q, size_t q_count, const float* rows,
+                          size_t row_count, size_t n, float* out) {
+  for (size_t i = 0; i < q_count; ++i) {
+    const float* a = q + i * n;
+    for (size_t r = 0; r < row_count; ++r) {
+      const float* b = rows + r * n;
+      float ab = 0.0f;
+      for (size_t k = 0; k < n; ++k) ab += a[k] * b[k];
+      out[i * row_count + r] = ab;
+    }
+  }
+}
+
 size_t ArgminScalar(const float* a, size_t n) {
   float best = std::numeric_limits<float>::infinity();
   size_t arg = 0;
@@ -101,6 +115,7 @@ const Kernels& ScalarKernels() {
     k.l1 = L1Scalar;
     k.cosine_terms = CosineTermsScalar;
     k.dot_batch = DotBatchScalar;
+    k.cosine_dot_block = CosineDotBlockScalar;
     k.argmin = ArgminScalar;
     k.name = "scalar";
     return k;

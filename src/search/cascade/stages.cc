@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "la/distance.h"
-#include "serve/executor.h"
 #include "text/hashing.h"
 
 namespace dust::search::cascade {
@@ -63,18 +62,12 @@ Status VectorShortlistStage::Run(CandidateSet& set) const {
 
 Status ExactRerankStage::Run(CandidateSet& set) const {
   const std::vector<size_t>& tables = set.tables;
+  const std::vector<double>& bounds = bounds_;
   std::vector<TableHit> hits;
   if (set.n > 0) {
-    std::vector<double> bounds(tables.size());
-    const auto bound_one = [&](size_t i) { bounds[i] = bound_(tables[i]); };
-    // Bounds are pure per-table functions, so pooled evaluation is
-    // deterministic: every slot is written exactly once.
-    if (set.executor != nullptr) {
-      set.executor->ParallelFor(tables.size(), bound_one);
-    } else {
-      for (size_t i = 0; i < tables.size(); ++i) bound_one(i);
+    if (bounds.size() != tables.size()) {
+      return Status::Internal("rerank bounds do not match the candidates");
     }
-
     // Candidate positions as a heap popping the highest bound first, ties
     // toward the lower id.
     std::vector<size_t> pending(tables.size());

@@ -20,10 +20,6 @@
 #include "search/union_search.h"
 #include "util/status.h"
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::search::cascade {
 
 /// Empty: the type prefilter and MinHash prescreen it configured are gone.
@@ -51,8 +47,6 @@ struct StageStats {
 struct CandidateSet {
   /// Final result size requested (the rerank truncates to it).
   size_t n = 0;
-  /// Shared thread pool for the rerank's bound pass (may be null).
-  serve::Executor* executor = nullptr;
   /// The query's table profile; the shortlist fails closed with an
   /// Internal error when it needs one and finds null.
   const la::Vec* query_profile = nullptr;
@@ -84,29 +78,30 @@ class VectorShortlistStage {
   size_t shortlist_;
 };
 
-/// Exact rerank, bound-and-verify. Computes `bound` for every surviving
-/// candidate (on the set's executor when there is one), then runs the
+/// Exact rerank, bound-and-verify. Takes an upper bound for every
+/// surviving candidate, `bounds[i]` for `set.tables[i]`, then runs the
 /// exact `scorer` in descending bound order (ties toward lower ids) and
 /// stops once no remaining bound can reach the n-th best exact score. Hits
 /// are ranked descending by (score, id), truncated to `set.n`, and equal a
 /// full exact sort of every candidate, bit for bit.
 ///
-/// Both callables must be pure per-table functions, and the caller
-/// guarantees bound(t) >= scorer(t) for every table (up to summation-order
-/// rounding, which the 1e-9 margin absorbs). `bound` may run concurrently
-/// on pool threads; `scorer` runs on the calling thread.
+/// `scorer` must be a pure per-table function, and the caller guarantees
+/// bounds[i] >= scorer(set.tables[i]) (up to summation-order rounding,
+/// which the 1e-9 margin absorbs). With `set.n == 0` the bounds are not
+/// read and may be empty; otherwise a bounds count that differs from the
+/// candidate count is an Internal error.
 class ExactRerankStage {
  public:
   using TableScorer = std::function<double(size_t)>;
 
-  ExactRerankStage(TableScorer scorer, TableScorer bound)
-      : scorer_(std::move(scorer)), bound_(std::move(bound)) {}
+  ExactRerankStage(TableScorer scorer, std::vector<double> bounds)
+      : scorer_(std::move(scorer)), bounds_(std::move(bounds)) {}
 
   Status Run(CandidateSet& set) const;
 
  private:
   TableScorer scorer_;
-  TableScorer bound_;
+  std::vector<double> bounds_;
 };
 
 }  // namespace dust::search::cascade

@@ -5,7 +5,9 @@
 
 #include "align/hungarian.h"
 #include "io/index_io.h"
+#include "la/distance.h"
 #include "obs/trace.h"
+#include "serve/executor.h"
 #include "util/stopwatch.h"
 
 namespace dust::search {
@@ -13,22 +15,84 @@ namespace dust::search {
 EmbeddingUnionSearch::EmbeddingUnionSearch(EmbeddingSearchConfig config)
     : config_(config), encoder_(config.encoder) {}
 
+void EmbeddingUnionSearch::ColumnStore::AddTable(size_t count, size_t dim) {
+  offsets.push_back(offsets.back() + count);
+  data.resize(offsets.back() * dim, 0.0f);
+  norms.resize(offsets.back(), 0.0f);
+}
+
+void EmbeddingUnionSearch::ColumnStore::Set(size_t c, const float* column,
+                                            size_t dim) {
+  std::copy(column, column + dim, data.begin() + c * dim);
+  norms[c] = la::CosineNorm(column, dim);
+}
+
+void EmbeddingUnionSearch::ColumnStore::SetTable(
+    size_t t, const std::vector<la::Vec>& columns, size_t dim) {
+  DUST_CHECK(columns.size() == num_columns(t));
+  for (size_t j = 0; j < columns.size(); ++j) {
+    Set(offsets[t] + j, columns[j].data(), dim);
+  }
+}
+
+void EmbeddingUnionSearch::ColumnStore::AppendTable(
+    const std::vector<la::Vec>& columns, size_t dim) {
+  AddTable(columns.size(), dim);
+  SetTable(num_tables() - 1, columns, dim);
+}
+
+namespace {
+
+/// Tables encoded per executor task in IndexLake.
+constexpr size_t kEncodeChunkTables = 32;
+/// Lake columns per executor task in the bound pass: enough pairs to
+/// amortize a task, and a block small enough (64 KB at dim 64) to stay in
+/// cache while every query column reads it.
+constexpr size_t kBoundChunkColumns = 256;
+
+/// A table's profile: its mean column embedding, normalized (all zero for
+/// a table without columns).
+la::Vec TableProfile(const std::vector<la::Vec>& cols, size_t dim) {
+  la::Vec profile(dim, 0.0f);
+  if (!cols.empty()) {
+    profile = la::Mean(cols);
+    la::NormalizeInPlace(&profile);
+  }
+  return profile;
+}
+
+}  // namespace
+
+serve::Executor& EmbeddingUnionSearch::pool() const {
+  return executor_ != nullptr ? *executor_ : serve::Executor::Default();
+}
+
 void EmbeddingUnionSearch::IndexLake(
     const std::vector<const table::Table*>& lake) {
-  lake_columns_.clear();
-  lake_profiles_.clear();
-  lake_columns_.reserve(lake.size());
-  lake_profiles_.reserve(lake.size());
+  const size_t dim = encoder_.dim();
+  // Lay out every table's slice first, so the store is sized once.
+  ColumnStore store;
   for (const table::Table* t : lake) {
-    std::vector<la::Vec> cols = encoder_.EncodeTable(*t);
-    la::Vec profile(encoder_.dim(), 0.0f);
-    if (!cols.empty()) {
-      profile = la::Mean(cols);
-      la::NormalizeInPlace(&profile);
-    }
-    lake_columns_.push_back(std::move(cols));
-    lake_profiles_.push_back(std::move(profile));
+    store.offsets.push_back(store.offsets.back() + t->num_columns());
   }
+  store.data.resize(store.offsets.back() * dim);
+  store.norms.resize(store.offsets.back());
+  std::vector<la::Vec> profiles(lake.size());
+  // Each table's columns go straight into its own slice of the store; the
+  // encoder is a pure function of the table, so chunking changes no bit.
+  const size_t chunks = (lake.size() + kEncodeChunkTables - 1) /
+                        kEncodeChunkTables;
+  pool().ParallelFor(chunks, [&](size_t chunk) {
+    const size_t end =
+        std::min(lake.size(), (chunk + 1) * kEncodeChunkTables);
+    for (size_t t = chunk * kEncodeChunkTables; t < end; ++t) {
+      const std::vector<la::Vec> cols = encoder_.EncodeTable(*lake[t]);
+      store.SetTable(t, cols, dim);
+      profiles[t] = TableProfile(cols, dim);
+    }
+  });
+  lake_columns_ = std::move(store);
+  lake_profiles_ = std::move(profiles);
 
   if (config_.shortlist > 0) {
     profile_index_ =
@@ -58,108 +122,149 @@ Status EmbeddingUnionSearch::RemoveTable(const std::string& name) {
 
 Status EmbeddingUnionSearch::AddTable(const table::Table& table) {
   DUST_RETURN_IF_ERROR(catalog_.Add(table));
-  std::vector<la::Vec> cols = encoder_.EncodeTable(table);
-  la::Vec profile(encoder_.dim(), 0.0f);
-  if (!cols.empty()) {
-    profile = la::Mean(cols);
-    la::NormalizeInPlace(&profile);
-  }
+  const size_t dim = encoder_.dim();
+  const std::vector<la::Vec> cols = encoder_.EncodeTable(table);
+  lake_columns_.AppendTable(cols, dim);
+  la::Vec profile = TableProfile(cols, dim);
   if (profile_index_ != nullptr) profile_index_->Add(profile);
-  lake_columns_.push_back(std::move(cols));
   lake_profiles_.push_back(std::move(profile));
   return Status::Ok();
 }
 
-namespace {
-
-/// Fills `weights` (row-major, query x lake columns) with the weights the
-/// table score matches on: per-pair cosine similarity, widened to double
-/// and floored at 0.
-void MatchingWeights(const std::vector<la::Vec>& query_cols,
-                     const std::vector<la::Vec>& lake_cols,
-                     std::vector<double>* weights) {
-  weights->resize(query_cols.size() * lake_cols.size());
-  for (size_t i = 0; i < query_cols.size(); ++i) {
-    for (size_t j = 0; j < lake_cols.size(); ++j) {
-      (*weights)[i * lake_cols.size() + j] = std::max(
-          0.0, static_cast<double>(
-                   la::CosineSimilarity(query_cols[i], lake_cols[j])));
-    }
+std::vector<la::Vec> EmbeddingUnionSearch::ColumnEmbeddings(
+    size_t table_index) const {
+  const size_t dim = encoder_.dim();
+  std::vector<la::Vec> cols;
+  for (size_t c = lake_columns_.offsets[table_index];
+       c < lake_columns_.offsets[table_index + 1]; ++c) {
+    const float* column = lake_columns_.column(c, dim);
+    cols.emplace_back(column, column + dim);
   }
+  return cols;
 }
 
-}  // namespace
-
-double EmbeddingUnionSearch::TableScore(
-    const std::vector<la::Vec>& query_cols,
-    const std::vector<la::Vec>& lake_cols) const {
-  if (query_cols.empty() || lake_cols.empty()) return 0.0;
-  std::vector<double> weights;
-  MatchingWeights(query_cols, lake_cols, &weights);
+double EmbeddingUnionSearch::TableScore(const ColumnStore& query,
+                                        size_t t) const {
+  const size_t rows = query.norms.size();
+  const size_t cols = lake_columns_.num_columns(t);
+  if (rows == 0 || cols == 0) return 0.0;
+  const size_t dim = encoder_.dim();
+  const size_t first = lake_columns_.offsets[t];
+  std::vector<float> weights(rows * cols);
+  la::CosineWeights(query.data.data(), query.norms.data(), rows,
+                    lake_columns_.column(first, dim),
+                    lake_columns_.norms.data() + first, cols, dim,
+                    weights.data());
   align::MatchingResult matching = align::MaxWeightBipartiteMatching(
-      weights, query_cols.size(), lake_cols.size());
-  return matching.total_weight / static_cast<double>(query_cols.size());
+      std::vector<double>(weights.begin(), weights.end()), rows, cols);
+  return matching.total_weight / static_cast<double>(rows);
 }
 
-double EmbeddingUnionSearch::TableBound(
-    const std::vector<la::Vec>& query_cols,
-    const std::vector<la::Vec>& lake_cols) const {
-  if (query_cols.empty() || lake_cols.empty()) return 0.0;
-  // Runs once per candidate table, often on pool threads: keep one set of
-  // buffers per thread instead of allocating per table.
-  thread_local std::vector<double> weights;
-  thread_local std::vector<double> column_max;
-  MatchingWeights(query_cols, lake_cols, &weights);
-  const size_t cols = lake_cols.size();
-  column_max.assign(cols, 0.0);
-  double row_sum = 0.0;
-  for (size_t i = 0; i < query_cols.size(); ++i) {
-    double row_max = 0.0;
-    for (size_t j = 0; j < cols; ++j) {
-      const double w = weights[i * cols + j];
-      row_max = std::max(row_max, w);
-      column_max[j] = std::max(column_max[j], w);
+std::vector<double> EmbeddingUnionSearch::TableBounds(
+    const ColumnStore& query, const std::vector<size_t>& tables) const {
+  std::vector<double> bounds(tables.size(), 0.0);
+  const size_t rows = query.norms.size();
+  if (rows == 0 || tables.empty()) return bounds;
+  // Chunks of consecutive candidates, about kBoundChunkColumns lake columns
+  // each.
+  std::vector<size_t> chunk_begin = {0};
+  size_t chunk_columns = 0;
+  for (size_t i = 0; i + 1 < tables.size(); ++i) {
+    chunk_columns += lake_columns_.num_columns(tables[i]);
+    if (chunk_columns >= kBoundChunkColumns) {
+      chunk_begin.push_back(i + 1);
+      chunk_columns = 0;
     }
-    row_sum += row_max;
   }
-  double column_sum = 0.0;
-  for (double m : column_max) column_sum += m;
-  return std::min(row_sum, column_sum) /
-         static_cast<double>(query_cols.size());
+  chunk_begin.push_back(tables.size());
+
+  const size_t dim = encoder_.dim();
+  // Every bound is a pure function of its table, so pooled evaluation is
+  // deterministic: each slot is written exactly once.
+  pool().ParallelFor(chunk_begin.size() - 1, [&](size_t chunk) {
+    std::vector<float> weights;
+    std::vector<float> column_max;
+    std::vector<double> row_sum;
+    for (size_t run = chunk_begin[chunk]; run < chunk_begin[chunk + 1];) {
+      // A run of candidates whose columns are adjacent in the store is
+      // scored as one block: query rows x run columns.
+      size_t run_end = run + 1;
+      while (run_end < chunk_begin[chunk + 1] &&
+             tables[run_end] == tables[run_end - 1] + 1) {
+        ++run_end;
+      }
+      // Candidate i's columns, as positions in the block.
+      const size_t first = lake_columns_.offsets[tables[run]];
+      const auto begin_of = [&](size_t i) {
+        return lake_columns_.offsets[tables[i]] - first;
+      };
+      const auto end_of = [&](size_t i) {
+        return lake_columns_.offsets[tables[i] + 1] - first;
+      };
+      const size_t run_columns =
+          lake_columns_.offsets[tables[run_end - 1] + 1] - first;
+      weights.resize(rows * run_columns);
+      la::CosineWeights(query.data.data(), query.norms.data(), rows,
+                        lake_columns_.column(first, dim),
+                        lake_columns_.norms.data() + first, run_columns, dim,
+                        weights.data());
+      // Every table's row and column maxima, one query row at a time. The
+      // weights are floats >= +0, never NaN, so a maximum does not depend
+      // on the order it is taken in, and float -> double is exact and
+      // monotone: the maxima taken in float widen to the doubles a
+      // double-precision pass finds. The sums add them in the same order.
+      column_max.assign(run_columns, 0.0f);
+      row_sum.assign(run_end - run, 0.0);
+      for (size_t q = 0; q < rows; ++q) {
+        const float* w = weights.data() + q * run_columns;
+        for (size_t j = 0; j < run_columns; ++j) {
+          column_max[j] = std::max(column_max[j], w[j]);
+        }
+        for (size_t i = run; i < run_end; ++i) {
+          float row_max = 0.0f;
+          for (size_t j = begin_of(i); j < end_of(i); ++j) {
+            row_max = std::max(row_max, w[j]);
+          }
+          row_sum[i - run] += static_cast<double>(row_max);
+        }
+      }
+      for (size_t i = run; i < run_end; ++i) {
+        double column_sum = 0.0;
+        for (size_t j = begin_of(i); j < end_of(i); ++j) {
+          column_sum += static_cast<double>(column_max[j]);
+        }
+        bounds[i] = std::min(row_sum[i - run], column_sum) /
+                    static_cast<double>(rows);
+      }
+      run = run_end;
+    }
+  });
+  return bounds;
 }
 
 std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
     const table::Table& query, size_t n) const {
-  std::vector<la::Vec> query_cols = encoder_.EncodeTable(query);
+  const size_t dim = encoder_.dim();
+  const std::vector<la::Vec> query_cols = encoder_.EncodeTable(query);
+  ColumnStore packed;  // the query's columns, as a store of one table
+  packed.AppendTable(query_cols, dim);
 
   cascade::CandidateSet set;
   set.n = n;
-  set.executor = executor_;
   set.tables = catalog_.LiveTables();
   la::Vec profile;
   if (profile_index_ != nullptr && config_.shortlist > 0) {
-    profile.assign(encoder_.dim(), 0.0f);
-    if (!query_cols.empty()) {
-      profile = la::Mean(query_cols);
-      la::NormalizeInPlace(&profile);
-    }
+    profile = TableProfile(query_cols, dim);
     set.query_profile = &profile;
   }
   const cascade::VectorShortlistStage shortlist(
       profile_index_.get(), &lake_profiles_, config_.shortlist);
-  const cascade::ExactRerankStage rerank(
-      [this, &query_cols](size_t t) {
-        return TableScore(query_cols, lake_columns_[t]);
-      },
-      [this, &query_cols](size_t t) {
-        return TableBound(query_cols, lake_columns_[t]);
-      });
   std::vector<cascade::StageStats> stats;
   const auto run_step = [&set, &stats](const char* name, const auto& step) {
     const size_t in = set.tables.size();
     obs::Span span(std::string("stage:") + name);
     Stopwatch watch;
-    const Status status = step.Run(set);
+    const Status status = step();
     // A step fails only on an engine wiring bug (missing query profile, id
     // out of range), never on a bad query: fail loud.
     DUST_CHECK(status.ok());
@@ -169,8 +274,15 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
     span.AddTag("out", static_cast<uint64_t>(out));
     stats.push_back({name, in, out, micros});
   };
-  run_step("shortlist", shortlist);
-  run_step("rerank", rerank);
+  run_step("shortlist", [&] { return shortlist.Run(set); });
+  run_step("rerank", [&] {
+    std::vector<double> bounds;
+    if (set.n > 0) bounds = TableBounds(packed, set.tables);
+    const cascade::ExactRerankStage rerank(
+        [this, &packed](size_t t) { return TableScore(packed, t); },
+        std::move(bounds));
+    return rerank.Run(set);
+  });
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     last_stats_ = std::move(stats);
@@ -184,9 +296,11 @@ Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
         "snapshots carry no removed flags, so an engine with removed tables "
         "cannot be saved; re-run IndexLake over the live tables first");
   }
-  writer->WriteU64(lake_columns_.size());
-  for (const std::vector<la::Vec>& cols : lake_columns_) {
-    writer->WriteVecs(cols);
+  const size_t dim = encoder_.dim();
+  writer->WriteU64(lake_columns_.num_tables());
+  for (size_t t = 0; t < lake_columns_.num_tables(); ++t) {
+    writer->WriteVecs(lake_columns_.column(lake_columns_.offsets[t], dim),
+                      lake_columns_.num_columns(t), dim);
   }
   writer->WriteVecs(lake_profiles_);
   writer->WriteU8(profile_index_ != nullptr ? 1 : 0);
@@ -203,11 +317,19 @@ Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
 Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
   // Everything is read into locals and committed only once the whole state
   // has passed every check, so a failed load leaves the engine as it was.
+  const size_t dim = encoder_.dim();
   uint64_t num_tables = 0;
   DUST_RETURN_IF_ERROR(reader->ReadCount(sizeof(uint64_t), &num_tables));
-  std::vector<std::vector<la::Vec>> columns(num_tables);
-  for (std::vector<la::Vec>& cols : columns) {
-    DUST_RETURN_IF_ERROR(reader->ReadVecs(&cols, encoder_.dim()));
+  ColumnStore columns;
+  std::vector<float> rows;
+  for (uint64_t t = 0; t < num_tables; ++t) {
+    DUST_RETURN_IF_ERROR(reader->ReadRows(&rows, dim));
+    const size_t first = columns.offsets.back();
+    const size_t count = rows.size() / dim;
+    columns.AddTable(count, dim);
+    for (size_t j = 0; j < count; ++j) {
+      columns.Set(first + j, rows.data() + j * dim, dim);
+    }
   }
   std::vector<la::Vec> profiles;
   DUST_RETURN_IF_ERROR(reader->ReadVecs(&profiles, encoder_.dim()));

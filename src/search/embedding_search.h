@@ -6,7 +6,9 @@
 // live lake tables: the optional vector shortlist over table-level
 // profiles (mean column embedding, faiss-style), then the exact bipartite
 // rerank, which runs the matching only for tables whose cheap upper bound
-// can still reach the top n.
+// can still reach the top n. Every lake column lives in one row-major
+// store with its norm cached, so the bound pass scores blocks of lake
+// columns against all query columns at scan speed.
 #ifndef DUST_SEARCH_EMBEDDING_SEARCH_H_
 #define DUST_SEARCH_EMBEDDING_SEARCH_H_
 
@@ -58,8 +60,9 @@ class EmbeddingUnionSearch : public UnionSearch {
   Status LoadState(io::IndexReader* reader) override;
 
   /// Installs a shared executor on the shortlist profile index (kept across
-  /// IndexLake/LoadState rebuilds) and on the rerank's bound pass,
-  /// routing both through pooled threads on the serving path.
+  /// IndexLake/LoadState rebuilds), on IndexLake's table encode and on the
+  /// rerank's bound pass. Null (the default) means
+  /// serve::Executor::Default() for all three.
   void SetExecutor(serve::Executor* executor) override;
 
   /// Removes the live table named `name`: its slot is kept (table_index
@@ -86,26 +89,53 @@ class EmbeddingUnionSearch : public UnionSearch {
     return last_stats_;
   }
 
-  /// Column embeddings of an indexed lake table (for Starmie (B)/(H)).
-  const std::vector<la::Vec>& ColumnEmbeddings(size_t table_index) const {
-    return lake_columns_[table_index];
-  }
+  /// A copy of an indexed lake table's column embeddings (for Starmie
+  /// (B)/(H)).
+  std::vector<la::Vec> ColumnEmbeddings(size_t table_index) const;
   const embed::StarmieEncoder& encoder() const { return encoder_; }
 
  private:
-  /// Starmie's table score: max-weight bipartite matching over the
-  /// column-pair cosine weights, divided by the query's column count.
-  double TableScore(const std::vector<la::Vec>& query_cols,
-                    const std::vector<la::Vec>& lake_cols) const;
-  /// Upper bound on TableScore over the same weights: a matching uses each
-  /// row and each column at most once, so its weight is at most
-  /// min(sum_i max_j w_ij, sum_j max_i w_ij).
-  double TableBound(const std::vector<la::Vec>& query_cols,
-                    const std::vector<la::Vec>& lake_cols) const;
+  /// Column embeddings of a list of tables in one row-major block, table
+  /// after table: table t owns columns [offsets[t], offsets[t + 1]), and
+  /// norms[c] is la::CosineNorm of column c. The lake is one store; a
+  /// query's columns are a store of one table.
+  struct ColumnStore {
+    std::vector<float> data;  // columns x dim
+    std::vector<size_t> offsets{0};
+    std::vector<float> norms;
+
+    size_t num_tables() const { return offsets.size() - 1; }
+    size_t num_columns(size_t t) const { return offsets[t + 1] - offsets[t]; }
+    const float* column(size_t c, size_t dim) const {
+      return data.data() + c * dim;
+    }
+    /// Appends a table of `count` columns, zero until Set.
+    void AddTable(size_t count, size_t dim);
+    /// Copies `dim` floats into column `c` and caches their norm.
+    void Set(size_t c, const float* column, size_t dim);
+    /// Set of each of table t's columns; `columns` must hold exactly as
+    /// many as the table was laid out with.
+    void SetTable(size_t t, const std::vector<la::Vec>& columns, size_t dim);
+    /// AddTable, then SetTable.
+    void AppendTable(const std::vector<la::Vec>& columns, size_t dim);
+  };
+
+  /// Starmie's table score of lake table `t`: max-weight bipartite matching
+  /// over the column-pair weights max(0, cosine), divided by the query's
+  /// column count.
+  double TableScore(const ColumnStore& query, size_t t) const;
+  /// An upper bound on TableScore for every table in `tables`, in its
+  /// order. A matching uses each row and each column at most once, so its
+  /// weight is at most min(sum_i max_j w_ij, sum_j max_i w_ij). Runs in
+  /// chunks of consecutive candidates on the executor.
+  std::vector<double> TableBounds(const ColumnStore& query,
+                                  const std::vector<size_t>& tables) const;
+  /// The installed executor, or serve::Executor::Default().
+  serve::Executor& pool() const;
 
   EmbeddingSearchConfig config_;
   embed::StarmieEncoder encoder_;
-  std::vector<std::vector<la::Vec>> lake_columns_;
+  ColumnStore lake_columns_;
   std::vector<la::Vec> lake_profiles_;  // mean column embedding per table
   std::unique_ptr<index::VectorIndex> profile_index_;
   serve::Executor* executor_ = nullptr;  // re-applied on index rebuilds

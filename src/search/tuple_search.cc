@@ -255,6 +255,8 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
   // Captured by value so ParallelFor members re-install the batch's trace
   // on whichever pool thread runs them.
   const obs::TraceContext trace_ctx = obs::CurrentContext();
+  serve::Executor& pool =
+      executor != nullptr ? *executor : serve::Executor::Default();
   std::map<size_t, std::vector<size_t>> groups_by_fetch;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (queries[i].table == nullptr || queries[i].table->num_rows() == 0) {
@@ -285,11 +287,7 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
     };
     // Encoders are pure functions of the text (embed/embedder.h), so
     // encoding members concurrently is safe and deterministic.
-    if (executor != nullptr) {
-      executor->ParallelFor(members.size(), encode_member);
-    } else {
-      for (size_t m = 0; m < members.size(); ++m) encode_member(m);
-    }
+    pool.ParallelFor(members.size(), encode_member);
     std::vector<std::vector<index::SearchHit>> hits;
     {
       obs::Span span("index_search");
@@ -304,11 +302,7 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
       results[i] = FuseTupleHits(hits, offsets[m], offsets[m + 1] - offsets[m],
                                  refs_, queries[i].k);
     };
-    if (executor != nullptr) {
-      executor->ParallelFor(members.size(), fuse_member);
-    } else {
-      for (size_t m = 0; m < members.size(); ++m) fuse_member(m);
-    }
+    pool.ParallelFor(members.size(), fuse_member);
   }
   return results;
 }

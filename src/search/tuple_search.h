@@ -123,8 +123,10 @@ class TupleSearch {
   /// are encoded into one embedding batch and dispatched in one call.
   /// Result i corresponds to queries[i] and is bit-identical to a
   /// sequential SearchTuplesChecked(queries[i]) — per-request statuses, so
-  /// one malformed request cannot fail its batch-mates. With `executor`,
-  /// encoding, index fan-out, and per-request fusion run on pooled threads.
+  /// one malformed request cannot fail its batch-mates. Encoding, index
+  /// fan-out, and per-request fusion run on `executor`, or on
+  /// serve::Executor::Default() when it is null; a one-member batch encodes
+  /// and fuses on the calling thread.
   std::vector<Result<std::vector<TupleHit>>> SearchTuplesBatch(
       const std::vector<TupleQuery>& queries,
       serve::Executor* executor = nullptr) const;

@@ -54,10 +54,11 @@ class UnionSearch {
     return Status::Unimplemented(name() + " does not support snapshots");
   }
 
-  /// Routes the engine's internal fan-out (the rerank stage's bound pass)
-  /// through a shared thread pool, so serving processes create zero threads
-  /// per query. Engines without such a pass ignore it. Install during
-  /// setup, before concurrent traffic.
+  /// Routes the engine's internal fan-out (the lake encode and the rerank
+  /// stage's bound pass) through a shared thread pool, so serving processes
+  /// create zero threads per query; null means serve::Executor::Default().
+  /// Engines without such a pass ignore it. Install during setup, before
+  /// concurrent traffic.
   virtual void SetExecutor(serve::Executor* executor) { (void)executor; }
 };
 

@@ -1,11 +1,11 @@
 // Unit tests for the two steps of table search in
 // src/search/cascade/stages.h: the vector shortlist's delegation and
 // exact-survivor paths, and the bound-and-verify rerank's ordering, ties
-// and pruning.
+// and pruning. The bound pass that feeds the rerank runs on an executor
+// inside EmbeddingUnionSearch; search_test checks it pooled and inline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -14,7 +14,6 @@
 
 #include "index/vector_index.h"
 #include "search/cascade/stages.h"
-#include "serve/executor.h"
 #include "util/rng.h"
 
 namespace dust::search::cascade {
@@ -69,7 +68,7 @@ TEST(VectorShortlistStageTest, PassThroughWithoutIndexOrShortlist) {
 TEST(ExactRerankStageTest, RanksDescendingAndTruncates) {
   const std::vector<double> scores = {0.2, 0.9, 0.5, 0.9};
   const auto score = [&scores](size_t t) { return scores[t]; };
-  ExactRerankStage stage(score, score);
+  ExactRerankStage stage(score, scores);  // tables 0..3: bounds = scores
   CandidateSet set;
   set.n = 3;
   set.tables = {0, 1, 2, 3};
@@ -81,6 +80,29 @@ TEST(ExactRerankStageTest, RanksDescendingAndTruncates) {
   EXPECT_EQ(set.hits[2].table_index, 2u);
   EXPECT_DOUBLE_EQ(set.hits[0].score, 0.9);
   EXPECT_EQ(set.tables, (std::vector<size_t>{1, 3, 2}));
+}
+
+TEST(ExactRerankStageTest, BoundsMustMatchTheCandidates) {
+  const auto score = [](size_t) { return 0.5; };
+  CandidateSet set;
+  set.n = 2;
+  set.tables = {0, 1, 2};
+  EXPECT_EQ(ExactRerankStage(score, {0.5, 0.5}).Run(set).code(),
+            StatusCode::kInternal);
+  // With n == 0 the bounds are not read, so none are needed.
+  set.n = 0;
+  ASSERT_TRUE(ExactRerankStage(score, {}).Run(set).ok());
+  EXPECT_TRUE(set.hits.empty());
+  EXPECT_TRUE(set.tables.empty());
+}
+
+/// by_table[t] for each candidate t, in candidate order: the bounds vector
+/// the rerank takes.
+std::vector<double> AlignedWith(const std::vector<size_t>& tables,
+                                const std::vector<double>& by_table) {
+  std::vector<double> aligned;
+  for (size_t t : tables) aligned.push_back(by_table[t]);
+  return aligned;
 }
 
 uint64_t Bits(double x) {
@@ -116,7 +138,6 @@ void ExpectSameHits(const CandidateSet& set,
 }
 
 TEST(ExactRerankStageTest, BoundAndVerifyMatchesFullSort) {
-  serve::Executor executor(4);
   Rng rng(20261017);
   for (int trial = 0; trial < 60; ++trial) {
     // Sparse, shuffled candidate ids over a coarse score grid, so many
@@ -133,28 +154,23 @@ TEST(ExactRerankStageTest, BoundAndVerifyMatchesFullSort) {
       bounds[t] = scores[t] + slack;
     }
     const size_t sizes[] = {0, 1, 3, 10, count, count + 5};
-    serve::Executor* const pools[] = {nullptr, &executor};
     for (size_t n : sizes) {
-      for (serve::Executor* pool : pools) {
-        std::atomic<size_t> scored{0};
-        ExactRerankStage stage(
-            [&](size_t t) {
-              ++scored;
-              return scores[t];
-            },
-            [&](size_t t) { return bounds[t]; });
-        CandidateSet set;
-        set.n = n;
-        set.executor = pool;
-        set.tables = tables;
-        ASSERT_TRUE(stage.Run(set).ok());
-        SCOPED_TRACE("trial " + std::to_string(trial) + " count " +
-                     std::to_string(count) + " n " + std::to_string(n) +
-                     (pool != nullptr ? " pooled" : " inline"));
-        ExpectSameHits(set, FullSortTopN(tables, scores, n));
-        if (n == 0) {
-          EXPECT_EQ(scored.load(), 0u);
-        }
+      size_t scored = 0;
+      ExactRerankStage stage(
+          [&](size_t t) {
+            ++scored;
+            return scores[t];
+          },
+          AlignedWith(tables, bounds));
+      CandidateSet set;
+      set.n = n;
+      set.tables = tables;
+      ASSERT_TRUE(stage.Run(set).ok());
+      SCOPED_TRACE("trial " + std::to_string(trial) + " count " +
+                   std::to_string(count) + " n " + std::to_string(n));
+      ExpectSameHits(set, FullSortTopN(tables, scores, n));
+      if (n == 0) {
+        EXPECT_EQ(scored, 0u);
       }
     }
   }
@@ -167,9 +183,7 @@ TEST(ExactRerankStageTest, TiesAtTheCutAreVerifiedSoLowerIdsWin) {
   // either way and displace id 9.
   for (double bound7 : {0.5, std::nextafter(0.5, 0.0)}) {
     const auto score = [](size_t) { return 0.5; };
-    ExactRerankStage stage(score, [bound7](size_t t) {
-      return t == 9 ? 0.9 : t == 7 ? bound7 : 0.5;
-    });
+    ExactRerankStage stage(score, {0.5, bound7, 0.9});  // ids 3, 7, 9
     CandidateSet set;
     set.n = 2;
     set.tables = {3, 7, 9};
@@ -195,7 +209,7 @@ TEST(ExactRerankStageTest, ScoresOnlyTheTopNAndTheTiesAtTheCut) {
           ++calls;
           return scores[t];
         },
-        [&scores](size_t t) { return scores[t]; });
+        scores);  // tables 0..999: bounds = scores
     CandidateSet set;
     set.n = n;
     set.tables = tables;

@@ -2,7 +2,9 @@
 // and the runtime-dispatched SIMD kernel backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -352,6 +354,112 @@ TEST(DotBatchTest, BitIdenticalToDotOnEveryBackend) {
       }
     }
   }
+}
+
+TEST(CosineDotBlockTest, BitIdenticalToCosineTermsOnEveryBackend) {
+  // Dims straddle the 8-lane step and the scalar tail (contracted into an
+  // FMA in the AVX2 unit); query and row counts 1-9 run every remainder of
+  // the AVX2 tile, 4 query rows by 2 rows. One query vector and one row are
+  // zero.
+  dust::Rng rng(2468);
+  for (const simd::Kernels* ops : AllBackends()) {
+    for (size_t dim :
+         {1u, 7u, 8u, 9u, 15u, 16u, 17u, 63u, 64u, 65u, 127u}) {
+      for (size_t q_count = 1; q_count <= 9; ++q_count) {
+        for (size_t row_count = 1; row_count <= 9; ++row_count) {
+          Vec q = RandomVec(q_count * dim, &rng);
+          Vec rows = RandomVec(row_count * dim, &rng);
+          std::fill(q.end() - static_cast<std::ptrdiff_t>(dim), q.end(),
+                    0.0f);
+          std::fill(rows.begin() + static_cast<std::ptrdiff_t>(
+                                       row_count / 2 * dim),
+                    rows.begin() + static_cast<std::ptrdiff_t>(
+                                       (row_count / 2 + 1) * dim),
+                    0.0f);
+          std::vector<float> out(q_count * row_count + 1, -1.0f);
+          ops->cosine_dot_block(q.data(), q_count, rows.data(), row_count,
+                                dim, out.data());
+          for (size_t i = 0; i < q_count; ++i) {
+            for (size_t r = 0; r < row_count; ++r) {
+              float dot = 0.0f, a2 = 0.0f, b2 = 0.0f;
+              ops->cosine_terms(q.data() + i * dim, rows.data() + r * dim,
+                                dim, &dot, &a2, &b2);
+              EXPECT_EQ(FloatBits(out[i * row_count + r]), FloatBits(dot))
+                  << ops->name << " dim " << dim << " q " << q_count
+                  << " rows " << row_count << " pair " << i << "," << r;
+            }
+          }
+          EXPECT_EQ(out.back(), -1.0f) << "wrote past the block";
+        }
+      }
+    }
+  }
+}
+
+TEST(CosineWeightsTest, EqualFlooredCosineSimilarityOnEveryBackend) {
+  // Random pairs plus every special case: a zero vector on each side (two
+  // zero vectors weigh 1, one weighs 0), a row with a NaN (weighs 0), an
+  // opposite row (negative, floored to 0), and a vector paired with itself
+  // whose similarity rounds above 1 before CosineSimilarity's clamp.
+  for (bool scalar : {true, false}) {
+    simd::ForceScalar(scalar);
+    const simd::Kernels& ops = simd::Active();
+    dust::Rng rng(97);
+    for (size_t dim : {7u, 9u, 64u, 65u}) {
+      // A vector whose raw self-similarity reads above 1.
+      Vec over;
+      bool found = false;
+      for (int attempt = 0; attempt < 1000 && !found; ++attempt) {
+        over = RandomVec(dim, &rng);
+        float dot = 0.0f, a2 = 0.0f, b2 = 0.0f;
+        ops.cosine_terms(over.data(), over.data(), dim, &dot, &a2, &b2);
+        found = dot / (std::sqrt(a2) * std::sqrt(b2)) > 1.0f;
+      }
+      if (!found) {  // not ASSERT: the backend must be restored below
+        ADD_FAILURE() << ops.name << " dim " << dim << ": no clamp case";
+        continue;
+      }
+      std::vector<Vec> queries = {over, Vec(dim, 0.0f)};
+      std::vector<Vec> rows = {over, Vec(dim, 0.0f), Vec(dim, 0.0f)};
+      for (float& x : rows.back()) x = -over[0];
+      rows.back()[0] = std::numeric_limits<float>::quiet_NaN();
+      rows.push_back(over);
+      for (float& x : rows.back()) x = -x;
+      for (int i = 0; i < 3; ++i) queries.push_back(RandomVec(dim, &rng));
+      for (int r = 0; r < 5; ++r) rows.push_back(RandomVec(dim, &rng));
+
+      Vec q_flat, row_flat;
+      std::vector<float> q_norms, row_norms;
+      for (const Vec& v : queries) {
+        q_flat.insert(q_flat.end(), v.begin(), v.end());
+        q_norms.push_back(CosineNorm(v.data(), dim));
+      }
+      for (const Vec& v : rows) {
+        row_flat.insert(row_flat.end(), v.begin(), v.end());
+        row_norms.push_back(CosineNorm(v.data(), dim));
+      }
+      std::vector<float> out(queries.size() * rows.size());
+      CosineWeights(q_flat.data(), q_norms.data(), queries.size(),
+                    row_flat.data(), row_norms.data(), rows.size(), dim,
+                    out.data());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        for (size_t r = 0; r < rows.size(); ++r) {
+          const double want = std::max(
+              0.0, static_cast<double>(CosineSimilarity(queries[i], rows[r])));
+          const double got = out[i * rows.size() + r];
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << ops.name << " dim " << dim << " pair " << i << "," << r
+              << ": " << got << " vs " << want;
+        }
+      }
+      EXPECT_EQ(out[0], 1.0f);                // clamped self-similarity
+      EXPECT_EQ(out[1 * rows.size() + 1], 1.0f);  // two zero vectors
+      EXPECT_EQ(out[0 * rows.size() + 1], 0.0f);  // one zero vector
+      EXPECT_EQ(out[0 * rows.size() + 2], 0.0f);  // NaN
+      EXPECT_EQ(out[0 * rows.size() + 3], 0.0f);  // opposite
+    }
+  }
+  simd::ForceScalar(false);  // back to the startup selection
 }
 
 /// The semantics every argmin backend must reproduce.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "align/hungarian.h"
 #include "datagen/tus_generator.h"
@@ -690,6 +692,182 @@ TEST(EmbeddingSearchWideLakeTest, RerankEqualsExhaustiveMatching) {
   expect_exhaustive("pooled, top hit removed");
   search.SetExecutor(nullptr);
   expect_exhaustive("inline, top hit removed");
+}
+
+// The 1,010-table lake of RerankEqualsExhaustiveMatching, built once.
+const datagen::Benchmark& WideLake() {
+  static const datagen::Benchmark benchmark = [] {
+    datagen::TusConfig config;
+    config.num_queries = 10;
+    config.unionable_per_query = 100;
+    config.base_rows = 20;
+    config.distractors_per_base = 5;
+    return datagen::GenerateTus(config);
+  }();
+  return benchmark;
+}
+
+std::vector<const Table*> WideLakeTables() {
+  std::vector<const Table*> lake;
+  for (const auto& t : WideLake().lake) lake.push_back(&t.data);
+  return lake;
+}
+
+// SaveState's bytes.
+std::string SavedState(const EmbeddingUnionSearch& search,
+                       const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  {
+    io::IndexWriter writer(path);
+    EXPECT_TRUE(search.SaveState(&writer).ok());
+    EXPECT_TRUE(writer.Close().ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Every wide-lake query's top 1, 10 and 50 agree in ids and score bits.
+void ExpectSameWideLakeHits(const EmbeddingUnionSearch& got,
+                            const EmbeddingUnionSearch& want,
+                            const std::string& label) {
+  for (size_t q = 0; q < WideLake().queries.size(); ++q) {
+    const Table& query = WideLake().queries[q].data;
+    for (size_t n : {size_t{1}, size_t{10}, size_t{50}}) {
+      const std::vector<TableHit> a = got.SearchTables(query, n);
+      const std::vector<TableHit> b = want.SearchTables(query, n);
+      ASSERT_EQ(a.size(), b.size()) << label << " query " << q << " n " << n;
+      for (size_t r = 0; r < a.size(); ++r) {
+        EXPECT_EQ(a[r].table_index, b[r].table_index)
+            << label << " query " << q << " n " << n << " rank " << r;
+        EXPECT_EQ(Bits(a[r].score), Bits(b[r].score))
+            << label << " query " << q << " n " << n << " rank " << r;
+      }
+    }
+  }
+}
+
+// Executor(0) runs the lake encode and the bound pass on the calling
+// thread; a null executor means the default pool. Both give the same state
+// and hits, bit for bit, with and without a shortlist (whose candidates are
+// not adjacent in the column store).
+TEST(EmbeddingSearchWideLakeTest, InlineExecutorMatchesDefaultPool) {
+  const std::vector<const Table*> lake = WideLakeTables();
+  serve::Executor inline_executor(0);
+  for (size_t shortlist : {size_t{0}, size_t{50}}) {
+    EmbeddingSearchConfig config;
+    config.shortlist = shortlist;
+    EmbeddingUnionSearch pooled(config);
+    pooled.IndexLake(lake);
+    EmbeddingUnionSearch serial(config);
+    serial.SetExecutor(&inline_executor);
+    serial.IndexLake(lake);
+    const std::string label = "shortlist " + std::to_string(shortlist);
+    EXPECT_EQ(SavedState(serial, "wide_inline.bin"),
+              SavedState(pooled, "wide_pooled.bin"))
+        << label;
+    ExpectSameWideLakeHits(serial, pooled, label);
+  }
+}
+
+// Tables appended one by one after IndexLake land where IndexLake over the
+// extended lake puts them: the same snapshot bytes and the same hits.
+TEST(EmbeddingSearchWideLakeTest, AddTableAfterIndexLakeEqualsIndexLake) {
+  // Every 101st table moves to the end, so the appended tables include
+  // unionable tables of several queries.
+  std::vector<const Table*> head, tail;
+  const std::vector<const Table*> tables = WideLakeTables();
+  for (size_t t = 0; t < tables.size(); ++t) {
+    (t % 101 == 0 ? tail : head).push_back(tables[t]);
+  }
+  std::vector<const Table*> extended = head;
+  extended.insert(extended.end(), tail.begin(), tail.end());
+  for (size_t shortlist : {size_t{0}, size_t{50}}) {
+    EmbeddingSearchConfig config;
+    config.shortlist = shortlist;
+    EmbeddingUnionSearch grown(config);
+    grown.IndexLake(head);
+    for (const Table* t : tail) ASSERT_TRUE(grown.AddTable(*t).ok());
+    EmbeddingUnionSearch whole(config);
+    whole.IndexLake(extended);
+    const std::string label = "shortlist " + std::to_string(shortlist);
+    EXPECT_EQ(SavedState(grown, "wide_grown.bin"),
+              SavedState(whole, "wide_whole.bin"))
+        << label;
+    ExpectSameWideLakeHits(grown, whole, label);
+  }
+}
+
+// SaveState -> LoadState -> SaveState reproduces the snapshot byte for
+// byte, and the restored engine serves the same hits.
+TEST(EmbeddingSearchWideLakeTest, SaveLoadSaveIsByteIdentical) {
+  const std::vector<const Table*> lake = WideLakeTables();
+  for (size_t shortlist : {size_t{0}, size_t{50}}) {
+    EmbeddingSearchConfig config;
+    config.shortlist = shortlist;
+    config.index_type = shortlist > 0 ? "hnsw" : "flat";
+    EmbeddingUnionSearch search(config);
+    search.IndexLake(lake);
+    const std::string saved = SavedState(search, "wide_saved.bin");
+    EmbeddingUnionSearch restored(config);
+    {
+      io::IndexReader reader(::testing::TempDir() + "wide_saved.bin");
+      ASSERT_TRUE(restored.LoadState(&reader).ok());
+    }
+    const std::string label = "shortlist " + std::to_string(shortlist);
+    EXPECT_EQ(SavedState(restored, "wide_resaved.bin"), saved) << label;
+    ExpectSameWideLakeHits(restored, search, label);
+  }
+}
+
+// The encoder gives every column norm 1, even an unnamed all-null one, so
+// only a snapshot can carry a zero column. A hand-written state with zero
+// columns loads, and its hits equal the exhaustive matching's, whose
+// weights come from la::CosineSimilarity.
+TEST_F(SearchFixture, HandWrittenStateWithZeroColumnsMatchesExhaustive) {
+  EmbeddingUnionSearch source;
+  source.IndexLake(*lake_);
+  const size_t dim = source.encoder().dim();
+  std::vector<std::vector<la::Vec>> columns;
+  for (size_t t = 0; t < lake_->size(); ++t) {
+    columns.push_back(source.ColumnEmbeddings(t));
+  }
+  // Table 0 gets a zero first column, table 1 keeps only a zero column,
+  // and table 2 has no columns at all.
+  columns[0][0].assign(dim, 0.0f);
+  columns[1] = {la::Vec(dim, 0.0f)};
+  columns[2].clear();
+  const std::string path = ::testing::TempDir() + "embed_zero_state.bin";
+  {
+    io::IndexWriter writer(path);
+    writer.WriteU64(columns.size());
+    for (const std::vector<la::Vec>& cols : columns) writer.WriteVecs(cols);
+    writer.WriteVecs(std::vector<la::Vec>(columns.size(), la::Vec(dim, 0.0f)));
+    writer.WriteU8(0);  // no shortlist index
+    writer.WriteU8(0);  // no retrieval-cascade signals
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  EmbeddingUnionSearch restored;
+  {
+    io::IndexReader reader(path);
+    ASSERT_TRUE(restored.LoadState(&reader).ok());
+  }
+  ASSERT_EQ(restored.ColumnEmbeddings(1).size(), 1u);
+  EXPECT_TRUE(restored.ColumnEmbeddings(2).empty());
+  for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
+    const Table& query = benchmark_->queries[q].data;
+    for (size_t n : {size_t{1}, size_t{5}, lake_->size()}) {
+      const std::vector<TableHit> hits = restored.SearchTables(query, n);
+      const std::vector<TableHit> expected =
+          ExhaustiveTopN(restored, query, lake_->size(), {}, n);
+      ASSERT_EQ(hits.size(), expected.size()) << "query " << q << " n " << n;
+      for (size_t r = 0; r < hits.size(); ++r) {
+        EXPECT_EQ(hits[r].table_index, expected[r].table_index)
+            << "query " << q << " n " << n << " rank " << r;
+        EXPECT_EQ(Bits(hits[r].score), Bits(expected[r].score))
+            << "query " << q << " n " << n << " rank " << r;
+      }
+    }
+  }
 }
 
 }  // namespace

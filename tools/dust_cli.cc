@@ -146,7 +146,7 @@ void Usage() {
       "       --load-index serves queries from a saved snapshot without\n"
       "       re-embedding the lake\n"
       "       --hnsw-m/--hnsw-ef tune the HNSW graph degree and query beam\n"
-      "       width\n"
+      "       width, and need --index hnsw\n"
       "       --metric selects the tuple distance delta(.) used for\n"
       "       diversification; table search scoring is always cosine\n"
       "       (Starmie-style embedding similarity)\n");
@@ -292,7 +292,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       // construction (Starmie-style embedding similarity), matching the
       // paper.
       {"--metric", &pipeline.metric, 0, kRun | kServe},
-      {"--shortlist", &pipeline.search_shortlist, 0, kRun | kServe},
+      {"--shortlist", &pipeline.search_shortlist, 0, kRun},
       // The HNSW graph degree and query beam width; 0 keeps the defaults.
       {"--hnsw-m", &pipeline.hnsw_m, 2, kAnyMode},
       {"--hnsw-ef", &pipeline.hnsw_ef_search, 1, kAnyMode},
@@ -361,6 +361,15 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       return false;
     }
   }
+  if (pipeline.search_index != "hnsw" &&
+      (pipeline.hnsw_m > 0 || pipeline.hnsw_ef_search > 0)) {
+    // On a flat index the knobs would change no hit, yet still enter
+    // TupleSearch::ConfigHash and split the result cache's keys.
+    std::fprintf(stderr, "%s needs --index hnsw (--index %s has no graph)\n",
+                 pipeline.hnsw_m > 0 ? "--hnsw-m" : "--hnsw-ef",
+                 pipeline.search_index.c_str());
+    return false;
+  }
   if (mode != kRun && pipeline.engine != "starmie") {
     std::fprintf(stderr, "%s needs the starmie engine\n",
                  mode == kServe ? "--serve" : "--save-tuple-index");
@@ -380,11 +389,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                    "--metric %s is not supported\n",
                    la::MetricName(pipeline.metric));
       return false;
-    }
-    if (pipeline.search_shortlist > 0) {
-      std::fprintf(stderr,
-                   "--shortlist is ignored by --serve (tuple search always "
-                   "fetches per-query candidates)\n");
     }
   }
   if (!options->save_index_path.empty() && !options->load_index_path.empty()) {
@@ -825,11 +829,6 @@ int main(int argc, char** argv) {
                    "the shortlist to %zu\n",
                    config.search_index.c_str(),
                    core::PipelineConfig::DefaultShortlist(config.num_tables));
-    }
-    if ((config.hnsw_m > 0 || config.hnsw_ef_search > 0) &&
-        config.search_index != "hnsw") {
-      std::fprintf(stderr, "--hnsw-m/--hnsw-ef are ignored by --index %s\n",
-                   config.search_index.c_str());
     }
   }
   core::DustPipeline pipeline(config, MakeTupleEncoder());
