@@ -284,9 +284,9 @@ void BM_IndexSearchBatch(benchmark::State& state, const char* type, size_t n,
   auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
   idx->AddAll(points);
   std::vector<la::Vec> queries = bench::SyntheticTupleCloud(rows, 64, 8, 5);
-  benchmark::DoNotOptimize(idx->SearchBatch(queries, k).size());
+  benchmark::DoNotOptimize(idx->SearchBatch(queries, k, nullptr).size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx->SearchBatch(queries, k).size());
+    benchmark::DoNotOptimize(idx->SearchBatch(queries, k, nullptr).size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));

@@ -111,14 +111,14 @@ const MutationWorkload& Workload(size_t delete_pct) {
     exact.Add(vectors[id]);
     rebuilt->Add(vectors[id]);
   }
-  const auto truth = exact.SearchBatch(w->queries, kTopK);
-  auto filtered = w->tombstoned->SearchBatch(w->queries, kTopK);
+  const auto truth = exact.SearchBatch(w->queries, kTopK, nullptr);
+  auto filtered = w->tombstoned->SearchBatch(w->queries, kTopK, nullptr);
   for (auto& hits : filtered) {
     for (index::SearchHit& h : hits) h.id = survivor_of[h.id];
   }
   w->recall_at_10 = Recall(truth, filtered);
   w->rebuild_recall_at_10 =
-      Recall(truth, rebuilt->SearchBatch(w->queries, kTopK));
+      Recall(truth, rebuilt->SearchBatch(w->queries, kTopK, nullptr));
 
   cache->emplace_back(delete_pct, w);
   return *w;

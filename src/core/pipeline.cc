@@ -5,7 +5,6 @@
 #include "embed/column_embedder.h"
 #include "index/vector_index.h"
 #include "io/index_io.h"
-#include "search/cascade/stages.h"
 #include "search/embedding_search.h"
 #include "search/overlap_search.h"
 #include "serve/executor.h"
@@ -78,7 +77,7 @@ uint64_t DustPipeline::SnapshotHash(
   h = text::ChainHash(h, static_cast<uint64_t>(config_.metric));
   // The retired cascade knobs were chained here; their defaults keep the
   // hash in every saved snapshot valid.
-  h = search::cascade::ChainRetiredCascadeDefaults(h);
+  h = search::ChainRetiredCascadeDefaults(h);
   // The lake shape is chained here rather than through the engine's
   // LakeCatalog: LoadSnapshot checks a lake no engine holds yet, and a
   // snapshot records no mutation counter.

@@ -18,7 +18,7 @@
 #include "align/tuple_builder.h"
 #include "diversify/dust_diversifier.h"
 #include "embed/tuple_encoder.h"
-#include "search/cascade/stages.h"
+#include "search/embedding_search.h"
 #include "search/union_search.h"
 #include "table/table.h"
 #include "util/status.h"
@@ -117,11 +117,10 @@ class DustPipeline {
 
   /// Routes the pipeline's parallel work through a shared thread pool: Run's
   /// tuple encode (fixed 64-tuple chunks), and the search engine's lake
-  /// encode, rerank bound pass and shortlist-index batch fan-out, so a
-  /// serving process creates zero threads per Run. Null (the default) means
-  /// serve::Executor::Default() for all of them. Install once before
-  /// concurrent traffic; the executor must outlive the pipeline or be unset
-  /// first.
+  /// encode and rerank bound pass, so a serving process creates zero
+  /// threads per Run. Null (the default) means serve::Executor::Default()
+  /// for all of them. Install once before concurrent traffic; the executor
+  /// must outlive the pipeline or be unset first.
   void SetExecutor(serve::Executor* executor) {
     executor_ = executor;
     search_->SetExecutor(executor);

@@ -32,7 +32,6 @@ class FlatIndex : public VectorIndex {
   /// bulk AddAll over many tables re-copies it only O(log n) times.
   void Add(const la::Vec& v) override;
   std::vector<SearchHit> Search(const la::Vec& query, size_t k) const override;
-  using VectorIndex::SearchBatch;
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k,
       serve::Executor* executor) const override;

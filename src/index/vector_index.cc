@@ -85,7 +85,6 @@ Result<std::unique_ptr<VectorIndex>> VectorIndex::Compact(
   // Bulk re-add in ascending id order: the compacted index is exactly what
   // a fresh build over the survivors would produce.
   compacted->AddAll(live);
-  compacted->SetExecutor(executor_);
   return {std::move(compacted)};
 }
 

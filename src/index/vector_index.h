@@ -39,7 +39,7 @@ struct SearchHit {
 /// whenever k live vectors exist), and Compact rewrites the index without
 /// its tombstones.
 /// Mutations are not synchronized against in-flight searches — quiesce
-/// traffic before mutating, exactly as with SetExecutor.
+/// traffic before mutating.
 class VectorIndex {
  public:
   /// Sentinel id in Compact remaps for vectors that were tombstoned.
@@ -63,22 +63,16 @@ class VectorIndex {
   virtual std::vector<SearchHit> Search(const la::Vec& query,
                                         size_t k) const = 0;
 
-  /// Top-k nearest neighbors for every query, result i matching query i.
-  /// Routes through the executor installed with SetExecutor (none by
-  /// default, meaning serve::Executor::Default()). Exactly equivalent to
-  /// calling Search per query regardless of how the work is scheduled.
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<la::Vec>& queries, size_t k) const {
-    return SearchBatch(queries, k, executor_);
-  }
-
-  /// As above with an explicit executor: the work fans out across its
-  /// pooled threads (inline for Executor(0)), or across the process-wide
-  /// serve::Executor::Default() pool when `executor` is null; no call
-  /// spawns threads of its own. By default each query is one Search task;
-  /// FlatIndex overrides it with a blocked scan in which each task scores
-  /// a group of queries against its store one cache-sized block at a time.
-  /// Results must stay bit-identical across all scheduling modes.
+  /// Top-k nearest neighbors for every query, result i matching query i,
+  /// exactly as calling Search per query. The work fans out across
+  /// `executor`'s pooled threads (inline for Executor(0)), or across the
+  /// process-wide serve::Executor::Default() pool when `executor` is null;
+  /// no call spawns threads of its own. By default each query is one
+  /// Search task; FlatIndex overrides it with a blocked scan in which each
+  /// task scores a group of queries against its store one cache-sized
+  /// block at a time. Results must stay bit-identical across all
+  /// scheduling modes. Callers pass the executor, null included: a default
+  /// argument on a virtual binds by the caller's static type.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k,
       serve::Executor* executor) const;
@@ -151,14 +145,6 @@ class VectorIndex {
   /// Search/SearchBatch results are bit-identical.
   Status Save(const std::string& path) const;
 
-  /// Installs a shared executor for the parameterless SearchBatch's
-  /// fan-out. nullptr (the default) means serve::Executor::Default(). Not
-  /// synchronized against in-flight searches — install during serving
-  /// setup, before traffic. The executor must outlive the index or be unset
-  /// before destruction.
-  void SetExecutor(serve::Executor* executor) { executor_ = executor; }
-  serve::Executor* executor() const { return executor_; }
-
  protected:
   /// A fresh, empty index with this index's config (dim, metric, tuning
   /// knobs). The construction hook Compact is built on.
@@ -173,7 +159,6 @@ class VectorIndex {
   void OfferLiveHits(const float* distances, size_t first_id, size_t count,
                      size_t k, std::vector<SearchHit>* heap) const;
 
-  serve::Executor* executor_ = nullptr;
   /// Tombstone bitmap, sized lazily on first Remove (append-heavy indexes
   /// pay nothing until a delete happens). dead_[id] != 0 => tombstoned.
   std::vector<uint8_t> dead_;

@@ -77,7 +77,9 @@ void EmbeddingUnionSearch::IndexLake(
   }
   store.data.resize(store.offsets.back() * dim);
   store.norms.resize(store.offsets.back());
-  std::vector<la::Vec> profiles(lake.size());
+  // Profiles feed only the shortlist index, so only a shortlist computes
+  // them.
+  std::vector<la::Vec> profiles(config_.shortlist > 0 ? lake.size() : 0);
   // Each table's columns go straight into its own slice of the store; the
   // encoder is a pure function of the table, so chunking changes no bit.
   const size_t chunks = (lake.size() + kEncodeChunkTables - 1) /
@@ -88,34 +90,26 @@ void EmbeddingUnionSearch::IndexLake(
     for (size_t t = chunk * kEncodeChunkTables; t < end; ++t) {
       const std::vector<la::Vec> cols = encoder_.EncodeTable(*lake[t]);
       store.SetTable(t, cols, dim);
-      profiles[t] = TableProfile(cols, dim);
+      if (!profiles.empty()) profiles[t] = TableProfile(cols, dim);
     }
   });
   lake_columns_ = std::move(store);
-  lake_profiles_ = std::move(profiles);
 
   if (config_.shortlist > 0) {
     profile_index_ =
         index::MakeVectorIndex(config_.index_type, encoder_.dim(),
                                la::Metric::kCosine, config_.index_options);
-    profile_index_->SetExecutor(executor_);
-    profile_index_->AddAll(lake_profiles_);
+    profile_index_->AddAll(profiles);
   } else {
     profile_index_.reset();
   }
   catalog_.Reset(lake);
 }
 
-void EmbeddingUnionSearch::SetExecutor(serve::Executor* executor) {
-  executor_ = executor;
-  if (profile_index_ != nullptr) profile_index_->SetExecutor(executor);
-}
-
 Status EmbeddingUnionSearch::RemoveTable(const std::string& name) {
   Result<size_t> removed = catalog_.Remove(name);
   DUST_RETURN_IF_ERROR(removed.status());
-  // Tombstone the profile too so an untouched candidate set delegating
-  // straight to the index can never shortlist the removed table.
+  // Tombstone the profile too, so the shortlist never returns the table.
   if (profile_index_ != nullptr) profile_index_->Remove(removed.value());
   return Status::Ok();
 }
@@ -125,9 +119,7 @@ Status EmbeddingUnionSearch::AddTable(const table::Table& table) {
   const size_t dim = encoder_.dim();
   const std::vector<la::Vec> cols = encoder_.EncodeTable(table);
   lake_columns_.AppendTable(cols, dim);
-  la::Vec profile = TableProfile(cols, dim);
-  if (profile_index_ != nullptr) profile_index_->Add(profile);
-  lake_profiles_.push_back(std::move(profile));
+  if (profile_index_ != nullptr) profile_index_->Add(TableProfile(cols, dim));
   return Status::Ok();
 }
 
@@ -249,45 +241,44 @@ std::vector<TableHit> EmbeddingUnionSearch::SearchTables(
   ColumnStore packed;  // the query's columns, as a store of one table
   packed.AppendTable(query_cols, dim);
 
-  cascade::CandidateSet set;
-  set.n = n;
-  set.tables = catalog_.LiveTables();
-  la::Vec profile;
-  if (profile_index_ != nullptr && config_.shortlist > 0) {
-    profile = TableProfile(query_cols, dim);
-    set.query_profile = &profile;
-  }
-  const cascade::VectorShortlistStage shortlist(
-      profile_index_.get(), &lake_profiles_, config_.shortlist);
   std::vector<cascade::StageStats> stats;
-  const auto run_step = [&set, &stats](const char* name, const auto& step) {
-    const size_t in = set.tables.size();
-    obs::Span span(std::string("stage:") + name);
+  std::vector<size_t> tables = catalog_.LiveTables();
+  {
+    // Step 1: the shortlist, the tables whose profiles lie nearest the
+    // query's. The index holds every table ever indexed, with the removed
+    // ones tombstoned, so it never returns one.
+    obs::Span span("stage:shortlist");
     Stopwatch watch;
-    const Status status = step();
-    // A step fails only on an engine wiring bug (missing query profile, id
-    // out of range), never on a bad query: fail loud.
-    DUST_CHECK(status.ok());
-    const double micros = watch.Seconds() * 1e6;
-    const size_t out = set.tables.size();
+    const size_t in = tables.size();
+    if (profile_index_ != nullptr) {
+      const std::vector<index::SearchHit> hits = profile_index_->Search(
+          TableProfile(query_cols, dim), config_.shortlist);
+      tables.clear();
+      for (const index::SearchHit& hit : hits) tables.push_back(hit.id);
+    }
+    stats.push_back({"shortlist", in, tables.size(), watch.Seconds() * 1e6});
     span.AddTag("in", static_cast<uint64_t>(in));
-    span.AddTag("out", static_cast<uint64_t>(out));
-    stats.push_back({name, in, out, micros});
-  };
-  run_step("shortlist", [&] { return shortlist.Run(set); });
-  run_step("rerank", [&] {
+    span.AddTag("out", static_cast<uint64_t>(tables.size()));
+  }
+  std::vector<TableHit> hits;
+  {
+    // Step 2: the exact rerank, bound and verify.
+    obs::Span span("stage:rerank");
+    Stopwatch watch;
     std::vector<double> bounds;
-    if (set.n > 0) bounds = TableBounds(packed, set.tables);
-    const cascade::ExactRerankStage rerank(
-        [this, &packed](size_t t) { return TableScore(packed, t); },
-        std::move(bounds));
-    return rerank.Run(set);
-  });
+    if (n > 0) bounds = TableBounds(packed, tables);
+    hits = BoundAndVerifyTopN(
+        tables, bounds, n, [&](size_t t) { return TableScore(packed, t); });
+    stats.push_back({"rerank", tables.size(), hits.size(),
+                     watch.Seconds() * 1e6});
+    span.AddTag("in", static_cast<uint64_t>(tables.size()));
+    span.AddTag("out", static_cast<uint64_t>(hits.size()));
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     last_stats_ = std::move(stats);
   }
-  return std::move(set.hits);
+  return hits;
 }
 
 Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
@@ -302,7 +293,12 @@ Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
     writer->WriteVecs(lake_columns_.column(lake_columns_.offsets[t], dim),
                       lake_columns_.num_columns(t), dim);
   }
-  writer->WriteVecs(lake_profiles_);
+  // Each profile comes from the same floats, averaged in the same order, as
+  // the one IndexLake computes, so its bytes are the same.
+  writer->WriteU64(lake_columns_.num_tables());
+  for (size_t t = 0; t < lake_columns_.num_tables(); ++t) {
+    writer->WriteVec(TableProfile(ColumnEmbeddings(t), dim));
+  }
   writer->WriteU8(profile_index_ != nullptr ? 1 : 0);
   DUST_RETURN_IF_ERROR(writer->status());
   if (profile_index_ != nullptr) {
@@ -331,8 +327,10 @@ Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
       columns.Set(first + j, rows.data() + j * dim, dim);
     }
   }
+  // The profiles are checked (count, dim, finite values) and dropped: only
+  // the shortlist reads profiles, from the stored index.
   std::vector<la::Vec> profiles;
-  DUST_RETURN_IF_ERROR(reader->ReadVecs(&profiles, encoder_.dim()));
+  DUST_RETURN_IF_ERROR(reader->ReadVecs(&profiles, dim));
   if (profiles.size() != num_tables) {
     return Status::IoError("snapshot profile/table count mismatch");
   }
@@ -366,9 +364,7 @@ Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
   // RemoveTable refuses until IndexLake runs again.
   catalog_.ResetUnnamed(num_tables);
   lake_columns_ = std::move(columns);
-  lake_profiles_ = std::move(profiles);
   profile_index_ = std::move(profile_index);
-  if (profile_index_ != nullptr) profile_index_->SetExecutor(executor_);
   return Status::Ok();
 }
 

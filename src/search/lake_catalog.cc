@@ -80,4 +80,21 @@ std::vector<size_t> LakeCatalog::LiveTables() const {
   return live;
 }
 
+uint64_t ChainRetiredCascadeDefaults(uint64_t h) {
+  // The removed CascadeConfig's defaults, in its field order: enabled,
+  // prefilter, prescreen, prefilter_min_type_overlap,
+  // prefilter_max_column_ratio, prescreen_keep, minhash_hashes and
+  // minhash_seed.
+  h = text::HashString("dust-cascade-v1", h);
+  h = text::ChainHash(h, uint64_t{0});
+  h = text::ChainHash(h, uint64_t{1});
+  h = text::ChainHash(h, uint64_t{1});
+  h = text::ChainHash(h, 0.5);
+  h = text::ChainHash(h, 4.0);
+  h = text::ChainHash(h, uint64_t{64});
+  h = text::ChainHash(h, uint64_t{64});
+  h = text::ChainHash(h, uint64_t{0xD057CA5CADEULL});
+  return h;
+}
+
 }  // namespace dust::search

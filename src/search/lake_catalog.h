@@ -69,6 +69,12 @@ class LakeCatalog {
   uint64_t mutations_ = 0;
 };
 
+/// Chains the retired retrieval-cascade knobs' defaults into `h`, as the
+/// pipeline's snapshot hash and TupleSearch::ConfigHash chained the knobs
+/// when they existed. Hashes already stored in snapshot headers and cache
+/// keys keep their values.
+uint64_t ChainRetiredCascadeDefaults(uint64_t h);
+
 }  // namespace dust::search
 
 #endif  // DUST_SEARCH_LAKE_CATALOG_H_

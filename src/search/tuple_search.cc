@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "search/cascade/stages.h"
 #include "serve/executor.h"
 #include "text/hashing.h"
 #include "util/status.h"
@@ -222,7 +221,7 @@ uint64_t TupleSearch::ConfigHash() const {
   h = text::ChainHash(h, encoder_->dim());
   // The retired cascade knobs were chained here; their defaults keep every
   // config hash, and so every cache key, unchanged.
-  h = cascade::ChainRetiredCascadeDefaults(h);
+  h = ChainRetiredCascadeDefaults(h);
   return h;
 }
 

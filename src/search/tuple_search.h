@@ -78,7 +78,7 @@ class TupleSearch {
   // mutation bumps LakeStateHash, so the serving result cache and snapshot
   // staleness checks invalidate automatically — a mutated lake never serves
   // a pre-mutation cached hit. Mutations are not synchronized against
-  // in-flight searches; like SetExecutor, quiesce the server first.
+  // in-flight searches; quiesce the server first.
 
   /// Tombstones every tuple of the live table named `name`. NotFound if no
   /// live table has that name; FailedPrecondition before IndexLake/UseIndex.

@@ -83,8 +83,8 @@ TEST(FlatIndexTest, AddAllMatchesPerVectorAdd) {
   for (const auto& v : vectors) loop.Add(v);
   ASSERT_EQ(bulk.size(), loop.size());
   auto queries = RandomUnitVectors(8, 8, 6100);
-  auto expected = loop.SearchBatch(queries, 7);
-  auto actual = bulk.SearchBatch(queries, 7);
+  auto expected = loop.SearchBatch(queries, 7, nullptr);
+  auto actual = bulk.SearchBatch(queries, 7, nullptr);
   for (size_t q = 0; q < queries.size(); ++q) {
     ASSERT_EQ(expected[q].size(), actual[q].size());
     for (size_t i = 0; i < expected[q].size(); ++i) {
@@ -250,7 +250,7 @@ TEST_P(IndexPropertyTest, SearchBatchMatchesSequentialSearch) {
   auto index = GetParam().second();
   index->AddAll(RandomUnitVectors(150, index->dim(), 44));
   auto queries = RandomUnitVectors(23, index->dim(), 4500);
-  auto batched = index->SearchBatch(queries, 6);
+  auto batched = index->SearchBatch(queries, 6, nullptr);
   ASSERT_EQ(batched.size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     auto sequential = index->Search(queries[q], 6);
@@ -267,7 +267,7 @@ TEST_P(IndexPropertyTest, SearchBatchMatchesSequentialSearch) {
 TEST_P(IndexPropertyTest, SearchBatchEmptyQueries) {
   auto index = GetParam().second();
   index->AddAll(RandomUnitVectors(30, index->dim(), 45));
-  EXPECT_TRUE(index->SearchBatch({}, 5).empty());
+  EXPECT_TRUE(index->SearchBatch({}, 5, nullptr).empty());
 }
 
 TEST_P(IndexPropertyTest, SearchBatchParityAcrossKernelBackends) {
@@ -281,9 +281,9 @@ TEST_P(IndexPropertyTest, SearchBatchParityAcrossKernelBackends) {
   auto queries = RandomUnitVectors(16, index->dim(), 4700);
 
   la::simd::ForceScalar(true);
-  auto scalar_results = index->SearchBatch(queries, 8);
+  auto scalar_results = index->SearchBatch(queries, 8, nullptr);
   la::simd::ForceScalar(false);  // back to the startup selection
-  auto active_results = index->SearchBatch(queries, 8);
+  auto active_results = index->SearchBatch(queries, 8, nullptr);
 
   ASSERT_EQ(scalar_results.size(), active_results.size());
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -373,8 +373,8 @@ void ExpectDeleteParityVsRebuild(
   rebuilt->AddAll(survivors);
 
   auto queries = RandomUnitVectors(24, full->dim(), seed + 2);
-  auto filtered = full->SearchBatch(queries, 12);
-  auto fresh = rebuilt->SearchBatch(queries, 12);
+  auto filtered = full->SearchBatch(queries, 12, nullptr);
+  auto fresh = rebuilt->SearchBatch(queries, 12, nullptr);
   ASSERT_EQ(filtered.size(), fresh.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     ASSERT_EQ(filtered[q].size(), fresh[q].size()) << "query " << q;

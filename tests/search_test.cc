@@ -1,12 +1,15 @@
 // Unit tests for src/search: MinHash, D3L-style and Starmie-style union
-// search, tuple-level search, and lake mutations (RemoveTable/AddTable/
-// CompactIndex/UseIndex) with their staleness-hash contract.
+// search (with the rerank's bound-and-verify selection), tuple-level
+// search, and lake mutations (RemoveTable/AddTable/CompactIndex/UseIndex)
+// with their staleness-hash contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <string>
 
 #include "align/hungarian.h"
 #include "datagen/tus_generator.h"
@@ -18,6 +21,7 @@
 #include "search/overlap_search.h"
 #include "search/tuple_search.h"
 #include "serve/executor.h"
+#include "util/rng.h"
 
 namespace dust::search {
 namespace {
@@ -635,6 +639,171 @@ uint64_t Bits(double x) {
   uint64_t bits = 0;
   std::memcpy(&bits, &x, sizeof(bits));
   return bits;
+}
+
+// What the rerank must return: every table scored, fully sorted by
+// (score descending, id ascending), truncated to n.
+std::vector<TableHit> FullSortTopN(const std::vector<size_t>& tables,
+                                   const std::vector<double>& scores,
+                                   size_t n) {
+  std::vector<TableHit> hits;
+  for (size_t t : tables) hits.push_back({t, scores[t]});
+  std::sort(hits.begin(), hits.end(), [](const TableHit& a, const TableHit& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.table_index < b.table_index;
+  });
+  if (hits.size() > n) hits.resize(n);
+  return hits;
+}
+
+void ExpectSameHits(const std::vector<TableHit>& hits,
+                    const std::vector<TableHit>& expected) {
+  ASSERT_EQ(hits.size(), expected.size());
+  for (size_t r = 0; r < expected.size(); ++r) {
+    EXPECT_EQ(hits[r].table_index, expected[r].table_index) << "rank " << r;
+    EXPECT_EQ(Bits(hits[r].score), Bits(expected[r].score)) << "rank " << r;
+  }
+}
+
+TEST(BoundAndVerifyTopNTest, RanksDescendingAndTruncates) {
+  const std::vector<double> scores = {0.2, 0.9, 0.5, 0.9};
+  const auto score = [&scores](size_t t) { return scores[t]; };
+  // Tables 0..3, bounds = scores; ties break toward the lower id.
+  ExpectSameHits(BoundAndVerifyTopN({0, 1, 2, 3}, scores, 3, score),
+                 {{1, 0.9}, {3, 0.9}, {2, 0.5}});
+}
+
+TEST(BoundAndVerifyTopNTest, BoundAndVerifyMatchesFullSort) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Sparse, shuffled table ids over a coarse score grid, so many tables
+    // share a score; bounds sit at or above their scores.
+    const size_t count = static_cast<size_t>(rng.NextBelow(301));
+    const size_t universe = 4 * count + 1;
+    std::vector<size_t> tables = rng.SampleWithoutReplacement(universe, count);
+    std::vector<double> scores(universe, 0.0);
+    std::vector<double> bounds;
+    for (size_t t : tables) {
+      scores[t] = static_cast<double>(rng.NextBelow(9)) / 8.0;
+      const double slack =
+          rng.NextBernoulli(0.3) ? 0.0 : 0.5 * rng.NextDouble();
+      bounds.push_back(scores[t] + slack);
+    }
+    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{10}, count,
+                     count + 5}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " count " +
+                   std::to_string(count) + " n " + std::to_string(n));
+      size_t scored = 0;
+      const std::vector<TableHit> hits =
+          BoundAndVerifyTopN(tables, bounds, n, [&](size_t t) {
+            ++scored;
+            return scores[t];
+          });
+      ExpectSameHits(hits, FullSortTopN(tables, scores, n));
+      if (n == 0) {
+        EXPECT_EQ(scored, 0u);
+      }
+    }
+  }
+}
+
+TEST(BoundAndVerifyTopNTest, NothingIsScoredForNZero) {
+  size_t scored = 0;
+  const auto score = [&scored](size_t) {
+    ++scored;
+    return 0.5;
+  };
+  // With n == 0 the bounds are not read, so none are needed.
+  EXPECT_TRUE(BoundAndVerifyTopN({0, 1, 2}, {}, 0, score).empty());
+  EXPECT_EQ(scored, 0u);
+}
+
+TEST(BoundAndVerifyTopNTest, TiesAtTheCutAreVerifiedSoLowerIdsWin) {
+  // Ids 3, 7 and 9 all score 0.5 and id 9 has the highest bound, so it is
+  // verified first. Id 7's bound ties the cut exactly, then reads one ulp
+  // low, as a bound summed in another order may; it must be verified
+  // either way and displace id 9.
+  for (double bound7 : {0.5, std::nextafter(0.5, 0.0)}) {
+    const auto score = [](size_t) { return 0.5; };
+    const std::vector<TableHit> hits =
+        BoundAndVerifyTopN({3, 7, 9}, {0.5, bound7, 0.9}, 2, score);
+    ASSERT_EQ(hits.size(), 2u);
+    EXPECT_EQ(hits[0].table_index, 3u) << "bound " << bound7;
+    EXPECT_EQ(hits[1].table_index, 7u) << "bound " << bound7;
+  }
+}
+
+TEST(BoundAndVerifyTopNTest, ScoresOnlyTheTopNAndTheTiesAtTheCut) {
+  Rng rng(7);
+  std::vector<size_t> tables(1000);
+  std::vector<double> scores(1000);
+  for (size_t t = 0; t < tables.size(); ++t) {
+    tables[t] = t;
+    scores[t] = static_cast<double>(rng.NextBelow(64)) / 64.0;
+  }
+  const std::vector<TableHit> ranked =
+      FullSortTopN(tables, scores, tables.size());
+  for (size_t n : {size_t{1}, size_t{10}, size_t{100}}) {
+    size_t calls = 0;
+    // Tables 0..999, bounds = scores.
+    const std::vector<TableHit> hits =
+        BoundAndVerifyTopN(tables, scores, n, [&](size_t t) {
+          ++calls;
+          return scores[t];
+        });
+    ExpectSameHits(hits, FullSortTopN(tables, scores, n));
+    size_t ties_at_cut = 0;
+    for (size_t r = n; r < ranked.size(); ++r) {
+      if (ranked[r].score == ranked[n - 1].score) ++ties_at_cut;
+    }
+    EXPECT_LE(calls, n + ties_at_cut) << "n " << n;
+  }
+}
+
+// After RemoveTable, and after a removed table is added back, a lake
+// answers as IndexLake over its live tables does: the same tables (ids
+// mapped slot to position) with the same score bits, with and without a
+// flat shortlist. The shortlist reads the tombstoned profile index, whose
+// distances are the rebuilt index's.
+TEST_F(SearchFixture, MutatedLakeAnswersLikeARebuiltOne) {
+  for (size_t shortlist : {size_t{0}, size_t{4}}) {
+    EmbeddingSearchConfig config;
+    config.shortlist = shortlist;
+    EmbeddingUnionSearch mutated(config);
+    mutated.IndexLake(*lake_);
+    std::vector<const Table*> slots = *lake_;  // mutated's table per slot
+    const auto expect_rebuilt_hits = [&](const std::string& step) {
+      const std::vector<size_t> live = mutated.catalog().LiveTables();
+      std::vector<const Table*> live_tables;
+      for (size_t slot : live) live_tables.push_back(slots[slot]);
+      EmbeddingUnionSearch rebuilt(config);
+      rebuilt.IndexLake(live_tables);
+      for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
+        const Table& query = benchmark_->queries[q].data;
+        for (size_t n : {size_t{1}, size_t{3}, live.size()}) {
+          SCOPED_TRACE("shortlist " + std::to_string(shortlist) + ", " +
+                       step + ", query " + std::to_string(q) + ", n " +
+                       std::to_string(n));
+          std::vector<TableHit> expected = rebuilt.SearchTables(query, n);
+          for (TableHit& hit : expected) {
+            hit.table_index = live[hit.table_index];
+          }
+          ExpectSameHits(mutated.SearchTables(query, n), expected);
+        }
+      }
+    };
+    // Remove the first unionable table of queries 0 and 1: the top of
+    // each one's shortlist.
+    const size_t first = benchmark_->unionable[0].front();
+    for (size_t q : {0, 1}) {
+      const size_t victim = benchmark_->unionable[q].front();
+      ASSERT_TRUE(mutated.RemoveTable((*lake_)[victim]->name()).ok());
+    }
+    expect_rebuilt_hits("two removed");
+    ASSERT_TRUE(mutated.AddTable(*(*lake_)[first]).ok());
+    slots.push_back((*lake_)[first]);
+    expect_rebuilt_hits("one re-added");
+  }
 }
 
 // A lake with many near-copies of each query's base table, where the

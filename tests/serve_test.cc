@@ -1039,7 +1039,7 @@ TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
   auto queries = RandomUnitVectors(16, kDim, 42);
   auto index = index::MakeVectorIndex("flat", kDim, la::Metric::kEuclidean);
   index->AddAll(vectors);
-  const HitLists on_default = index->SearchBatch(queries, 5);
+  const HitLists on_default = index->SearchBatch(queries, 5, nullptr);
   Executor pooled(4);
   ExpectSameHitLists(on_default, index->SearchBatch(queries, 5, &pooled),
                      "Executor(4)");
@@ -1047,15 +1047,10 @@ TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
   ExpectSameHitLists(on_default,
                      index->SearchBatch(queries, 5, &inline_executor),
                      "Executor(0)");
-  // The parameterless overload routes through the installed executor.
-  index->SetExecutor(&pooled);
-  ExpectSameHitLists(on_default, index->SearchBatch(queries, 5),
-                     "SetExecutor(Executor(4))");
-  index->SetExecutor(nullptr);  // executors die before the index
 }
 
 TEST_F(ServeFixture, EmbeddingSearchExecutorParity) {
-  // The pipeline-side wiring: the rerank stage's bound pass routed through
+  // The pipeline-side wiring: the rerank's bound pass routed through
   // the executor must not change table retrieval.
   search::EmbeddingSearchConfig config;
   config.encoder.dim = 24;

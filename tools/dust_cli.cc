@@ -147,6 +147,8 @@ void Usage() {
       "       re-embedding the lake\n"
       "       --hnsw-m/--hnsw-ef tune the HNSW graph degree and query beam\n"
       "       width, and need --index hnsw\n"
+      "       --engine d3l builds no shortlist index and rejects --index,\n"
+      "       --shortlist, --hnsw-m and --hnsw-ef\n"
       "       --metric selects the tuple distance delta(.) used for\n"
       "       diversification; table search scoring is always cosine\n"
       "       (Starmie-style embedding similarity)\n");
@@ -374,6 +376,25 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     std::fprintf(stderr, "%s needs the starmie engine\n",
                  mode == kServe ? "--serve" : "--save-tuple-index");
     return false;
+  }
+  if (pipeline.engine == "d3l") {
+    // Only the starmie engine builds a shortlist index. Every flag that
+    // configures it is named, so each can be dropped at once.
+    std::string unread;
+    for (const Flag& flag : flags) {
+      const std::string name = flag.name;
+      if (flag.given && (name == "--index" || name == "--shortlist" ||
+                         name == "--hnsw-m" || name == "--hnsw-ef")) {
+        unread += (unread.empty() ? "" : ", ") + name;
+      }
+    }
+    if (!unread.empty()) {
+      std::fprintf(stderr,
+                   "%s: not read by the d3l engine, which builds no "
+                   "shortlist index\n",
+                   unread.c_str());
+      return false;
+    }
   }
   if (mode == kServe) {
     if (options->query_path.empty()) {
@@ -811,25 +832,14 @@ int main(int argc, char** argv) {
 
   // Pipeline.
   const core::PipelineConfig& config = options.pipeline;
-  if (config.engine == "d3l") {
-    // Only the starmie engine builds a shortlist index.
-    if (config.search_index != "flat" || config.search_shortlist > 0 ||
-        config.hnsw_m > 0 || config.hnsw_ef_search > 0) {
-      std::fprintf(stderr,
-                   "--index/--shortlist/--hnsw-* are ignored by the "
-                   "%s engine\n",
-                   config.engine.c_str());
-    }
-  } else {
-    if (config.search_index != "flat" && config.search_shortlist == 0) {
-      // The pipeline resolves this contradictory combination itself (a
-      // shortlist of 0 would disable the index); surface the default here.
-      std::fprintf(stderr,
-                   "--index %s without --shortlist: the pipeline defaults "
-                   "the shortlist to %zu\n",
-                   config.search_index.c_str(),
-                   core::PipelineConfig::DefaultShortlist(config.num_tables));
-    }
+  if (config.search_index != "flat" && config.search_shortlist == 0) {
+    // The pipeline resolves this contradictory combination itself (a
+    // shortlist of 0 would disable the index); surface the default here.
+    std::fprintf(stderr,
+                 "--index %s without --shortlist: the pipeline defaults "
+                 "the shortlist to %zu\n",
+                 config.search_index.c_str(),
+                 core::PipelineConfig::DefaultShortlist(config.num_tables));
   }
   core::DustPipeline pipeline(config, MakeTupleEncoder());
 
