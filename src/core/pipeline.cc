@@ -14,10 +14,12 @@
 namespace dust::core {
 namespace {
 
-/// Snapshot file format version; bump on any layout change.
-/// v2: engine state ends with a flag byte for retrieval-cascade signals,
-/// always 0 since the cascade was removed.
-constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Snapshot file format version; bump on any layout change. v3 is the
+/// header (magic "DUSTSNAP", this u32 version, the u64 SnapshotHash), then
+/// the engine state: a u64 table count, each table's column embeddings
+/// (IndexWriter::WriteVecs), a u8 has-index flag and, when it is set, the
+/// profile index (io::WriteIndex).
+constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// Tuples per executor task in EncodeTuples.
 constexpr size_t kEncodeChunk = 64;
@@ -28,6 +30,7 @@ DustPipeline::DustPipeline(PipelineConfig config,
                            std::shared_ptr<embed::TupleEncoder> tuple_encoder)
     : config_(std::move(config)), tuple_encoder_(std::move(tuple_encoder)) {
   DUST_CHECK(tuple_encoder_ != nullptr);
+  DUST_CHECK(config_.engine == "starmie" || config_.engine == "d3l");
   if (config_.engine == "d3l") {
     search::OverlapSearchConfig overlap;
     overlap.embedding_dim = config_.embedding_dim;
@@ -99,11 +102,6 @@ Status DustPipeline::SaveSnapshot(const std::string& path) const {
   writer.WriteBytes(io::kSnapshotMagic, sizeof(io::kSnapshotMagic));
   writer.WriteU32(kSnapshotFormatVersion);
   writer.WriteU64(SnapshotHash(lake_));
-  // Id-to-lake-table mapping. Identity for the table-profile index today;
-  // kept explicit so a tuple-level index can persist a non-trivial mapping
-  // without a format bump.
-  writer.WriteU64(lake_.size());
-  for (size_t t = 0; t < lake_.size(); ++t) writer.WriteU64(t);
   DUST_RETURN_IF_ERROR(writer.status());
   DUST_RETURN_IF_ERROR(search_->SaveState(&writer));
   return writer.Close();
@@ -122,7 +120,9 @@ Status DustPipeline::LoadSnapshot(
   DUST_RETURN_IF_ERROR(reader.ReadU32(&version));
   if (version != kSnapshotFormatVersion) {
     return Status::IoError("unsupported snapshot format version " +
-                           std::to_string(version));
+                           std::to_string(version) +
+                           "; rebuild the snapshot with IndexLake + "
+                           "SaveSnapshot (dust_cli --save-index)");
   }
   uint64_t stored_hash = 0;
   DUST_RETURN_IF_ERROR(reader.ReadU64(&stored_hash));
@@ -131,19 +131,7 @@ Status DustPipeline::LoadSnapshot(
         "stale snapshot: embedding config or lake changed since it was "
         "saved; rebuild with IndexLake + SaveSnapshot");
   }
-  uint64_t mapping_size = 0;
-  DUST_RETURN_IF_ERROR(reader.ReadCount(sizeof(uint64_t), &mapping_size));
-  if (mapping_size != lake.size()) {
-    return Status::IoError("snapshot mapping/lake size mismatch");
-  }
-  for (uint64_t i = 0; i < mapping_size; ++i) {
-    uint64_t table_index = 0;
-    DUST_RETURN_IF_ERROR(reader.ReadU64(&table_index));
-    if (table_index >= lake.size()) {
-      return Status::IoError("snapshot mapping references missing table");
-    }
-  }
-  DUST_RETURN_IF_ERROR(search_->LoadState(&reader));
+  DUST_RETURN_IF_ERROR(search_->LoadState(&reader, lake));
   lake_ = lake;
   return Status::Ok();
 }

@@ -32,7 +32,8 @@ struct PipelineConfig {
   /// table is always kept). Keeps weakly-unionable tables from polluting
   /// the outer union with null-padded "diverse" junk.
   double min_table_score = 0.25;
-  /// Union search engine: "starmie" (embedding) or "d3l" (overlap).
+  /// Union search engine: "starmie" (embedding) or "d3l" (overlap); any
+  /// other name aborts at pipeline construction.
   std::string engine = "starmie";
   /// Shortlist index for the starmie engine: "flat" or "hnsw".
   std::string search_index = "flat";
@@ -97,18 +98,19 @@ class DustPipeline {
   void IndexLake(const std::vector<const table::Table*>& lake);
 
   /// Persists the state IndexLake built — the search engine's lake
-  /// embeddings and shortlist index, the id-to-table mapping, and a hash of
-  /// every config field and lake shape that shaped that state — so serving
-  /// processes can LoadSnapshot instead of re-embedding the lake. Requires
-  /// IndexLake to have run; the d3l engine does not support snapshots.
+  /// embeddings and shortlist index, and a hash of every config field and
+  /// lake shape that shaped that state — so serving processes can
+  /// LoadSnapshot instead of re-embedding the lake. Requires IndexLake to
+  /// have run; the d3l engine does not support snapshots.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Restores a SaveSnapshot file against the same lake tables (still
   /// needed online for alignment and tuple materialization). A snapshot
   /// whose config hash does not match this pipeline's config and `lake` is
-  /// rejected with FailedPrecondition rather than silently mis-served. A
-  /// failed load changes nothing: the pipeline keeps serving the lake it
-  /// had.
+  /// rejected with FailedPrecondition rather than silently mis-served, and
+  /// a snapshot of another format version with an IoError that says to
+  /// rebuild it. A failed load changes nothing: the pipeline keeps serving
+  /// the lake it had.
   Status LoadSnapshot(const std::string& path,
                       const std::vector<const table::Table*>& lake);
 

@@ -29,11 +29,6 @@ void IndexWriter::WriteRaw(const void* data, size_t n) {
   if (!out_) status_ = Status::IoError("write failed: " + path_);
 }
 
-void IndexWriter::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  WriteRaw(s.data(), s.size());
-}
-
 void IndexWriter::WriteVec(const la::Vec& v) {
   WriteU64(v.size());
   WriteRaw(v.data(), v.size() * sizeof(float));
@@ -115,13 +110,6 @@ Status IndexReader::ExpectMagic(const char magic[8], const std::string& what) {
     return status_;
   }
   return Status::Ok();
-}
-
-Status IndexReader::ReadString(std::string* s) {
-  uint64_t len = 0;
-  DUST_RETURN_IF_ERROR(ReadCount(1, &len));
-  s->resize(len);
-  return len > 0 ? ReadRaw(s->data(), len) : Status::Ok();
 }
 
 Status IndexReader::ReadVecLength(size_t dim, uint64_t* len) {

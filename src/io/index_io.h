@@ -66,11 +66,8 @@ class IndexWriter {
   void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteI64(int64_t v) { WriteRaw(&v, sizeof(v)); }
-  void WriteFloat(float v) { WriteRaw(&v, sizeof(v)); }
   void WriteBytes(const char* data, size_t n) { WriteRaw(data, n); }
 
-  /// Length-prefixed (u64) UTF-8 string.
-  void WriteString(const std::string& s);
   /// Length-prefixed (u64) float vector.
   void WriteVec(const la::Vec& v);
   /// Count-prefixed (u64) list of vectors, each length-prefixed.
@@ -109,7 +106,6 @@ class IndexReader {
   Status ReadU32(uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
   Status ReadU64(uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
   Status ReadI64(int64_t* v) { return ReadRaw(v, sizeof(*v)); }
-  Status ReadFloat(float* v) { return ReadRaw(v, sizeof(*v)); }
 
   /// Reads a u64 element count and rejects it unless count * elem_size
   /// bytes are still available in the file.
@@ -118,7 +114,6 @@ class IndexReader {
   /// Expects the exact 8-byte magic; IoError mentioning `what` otherwise.
   Status ExpectMagic(const char magic[8], const std::string& what);
 
-  Status ReadString(std::string* s);
   /// Reads a length-prefixed vector and checks it has exactly `dim`
   /// elements (pass 0 to accept any length). A NaN or infinite element is
   /// an IoError: it would make every distance to the vector NaN, and

@@ -293,29 +293,26 @@ Status EmbeddingUnionSearch::SaveState(io::IndexWriter* writer) const {
     writer->WriteVecs(lake_columns_.column(lake_columns_.offsets[t], dim),
                       lake_columns_.num_columns(t), dim);
   }
-  // Each profile comes from the same floats, averaged in the same order, as
-  // the one IndexLake computes, so its bytes are the same.
-  writer->WriteU64(lake_columns_.num_tables());
-  for (size_t t = 0; t < lake_columns_.num_tables(); ++t) {
-    writer->WriteVec(TableProfile(ColumnEmbeddings(t), dim));
-  }
   writer->WriteU8(profile_index_ != nullptr ? 1 : 0);
   DUST_RETURN_IF_ERROR(writer->status());
   if (profile_index_ != nullptr) {
     DUST_RETURN_IF_ERROR(io::WriteIndex(*profile_index_, writer));
   }
-  // Snapshot format v2 ends with a flag byte that marked retrieval-cascade
-  // signals; the cascade is gone, so it is always 0.
-  writer->WriteU8(0);
   return writer->status();
 }
 
-Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
+Status EmbeddingUnionSearch::LoadState(
+    io::IndexReader* reader, const std::vector<const table::Table*>& lake) {
   // Everything is read into locals and committed only once the whole state
   // has passed every check, so a failed load leaves the engine as it was.
   const size_t dim = encoder_.dim();
   uint64_t num_tables = 0;
   DUST_RETURN_IF_ERROR(reader->ReadCount(sizeof(uint64_t), &num_tables));
+  if (num_tables != lake.size()) {
+    return Status::FailedPrecondition(
+        "snapshot covers " + std::to_string(num_tables) +
+        " tables but the lake has " + std::to_string(lake.size()));
+  }
   ColumnStore columns;
   std::vector<float> rows;
   for (uint64_t t = 0; t < num_tables; ++t) {
@@ -326,13 +323,6 @@ Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
     for (size_t j = 0; j < count; ++j) {
       columns.Set(first + j, rows.data() + j * dim, dim);
     }
-  }
-  // The profiles are checked (count, dim, finite values) and dropped: only
-  // the shortlist reads profiles, from the stored index.
-  std::vector<la::Vec> profiles;
-  DUST_RETURN_IF_ERROR(reader->ReadVecs(&profiles, dim));
-  if (profiles.size() != num_tables) {
-    return Status::IoError("snapshot profile/table count mismatch");
   }
   uint8_t has_index = 0;
   DUST_RETURN_IF_ERROR(reader->ReadU8(&has_index));
@@ -351,20 +341,10 @@ Status EmbeddingUnionSearch::LoadState(io::IndexReader* reader) {
     return Status::FailedPrecondition(
         "snapshot shortlist index does not match engine config");
   }
-  uint8_t cascade_signals = 0;
-  DUST_RETURN_IF_ERROR(reader->ReadU8(&cascade_signals));
-  if (cascade_signals != 0) {
-    return Status::IoError(
-        "snapshot carries retrieval-cascade signals, but the retrieval "
-        "cascade was removed; rebuild the snapshot with IndexLake + "
-        "SaveSnapshot");
-  }
 
-  // Snapshots carry no table names: every restored table is live, and
-  // RemoveTable refuses until IndexLake runs again.
-  catalog_.ResetUnnamed(num_tables);
   lake_columns_ = std::move(columns);
   profile_index_ = std::move(profile_index);
+  catalog_.Reset(lake);
   return Status::Ok();
 }
 

@@ -126,20 +126,20 @@ class EmbeddingUnionSearch : public UnionSearch {
                                      size_t n) const override;
   std::string name() const override { return "Starmie"; }
 
-  /// Persists the per-table column embeddings, each table's profile
-  /// (recomputed from its columns) and, when a shortlist is configured, the
-  /// built profile index — everything IndexLake computes from the raw
-  /// tables. Snapshots carry no removed flags, so an engine with a removed
-  /// table is FailedPrecondition (re-run IndexLake over the live tables
-  /// first).
+  /// Persists the per-table column embeddings and, when a shortlist is
+  /// configured, the built profile index — everything IndexLake computes
+  /// from the raw tables. Snapshots carry no removed flags, so an engine
+  /// with a removed table is FailedPrecondition (re-run IndexLake over the
+  /// live tables first).
   Status SaveState(io::IndexWriter* writer) const override;
-  /// Restores SaveState output. The engine must be constructed with the same
-  /// config as at save time (the pipeline's snapshot hash enforces this); a
-  /// shortlist mismatch between config and stored state is rejected, and so
-  /// is a snapshot that carries retrieval-cascade signals. The stored
-  /// profiles are validated and dropped: only the profile index reads them.
-  /// A failed call changes nothing.
-  Status LoadState(io::IndexReader* reader) override;
+  /// Restores SaveState output over `lake`, whose tables all become live
+  /// catalog slots as in IndexLake. The engine must be constructed with the
+  /// same config as at save time (the pipeline's snapshot hash enforces
+  /// this); a shortlist mismatch between config and stored state is
+  /// rejected, and a table count other than lake.size() is
+  /// FailedPrecondition. A failed call changes nothing.
+  Status LoadState(io::IndexReader* reader,
+                   const std::vector<const table::Table*>& lake) override;
 
   /// Installs a shared executor on IndexLake's table encode and on the
   /// rerank's bound pass. Null (the default) means
@@ -152,10 +152,8 @@ class EmbeddingUnionSearch : public UnionSearch {
   /// stability) but it leaves the candidate set and, when a shortlist is
   /// configured, its profile is tombstoned in the index, so later searches
   /// answer as IndexLake over the live tables would. NotFound when no
-  /// live table carries the name. Requires table names, which IndexLake
-  /// records but snapshots do not carry — FailedPrecondition after
-  /// LoadState (re-run IndexLake to mutate). Mutations are not
-  /// synchronized against in-flight SearchTables calls; quiesce first.
+  /// live table carries the name. Mutations are not synchronized against
+  /// in-flight SearchTables calls; quiesce first.
   Status RemoveTable(const std::string& name);
 
   /// Encodes and appends `table` as a new lake table; its profile joins

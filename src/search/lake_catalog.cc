@@ -5,15 +5,9 @@
 namespace dust::search {
 
 void LakeCatalog::Reset(const std::vector<const table::Table*>& lake) {
-  ResetUnnamed(0);  // clears the slots and the counter
-  named_ = true;
+  slots_.clear();
   slots_.reserve(lake.size());
   for (const table::Table* t : lake) Append(*t);
-}
-
-void LakeCatalog::ResetUnnamed(size_t num_tables) {
-  slots_.assign(num_tables, Slot{});
-  named_ = false;
   mutations_ = 0;
 }
 
@@ -22,15 +16,7 @@ void LakeCatalog::Append(const table::Table& table) {
       {table.name(), table.num_columns(), table.num_rows(), false});
 }
 
-Status LakeCatalog::CheckNamed() const {
-  if (named_) return Status::Ok();
-  return Status::FailedPrecondition(
-      "engine state was restored from a snapshot, which does not carry "
-      "table names; re-run IndexLake before mutating");
-}
-
 Status LakeCatalog::Add(const table::Table& table) {
-  DUST_RETURN_IF_ERROR(CheckNamed());
   for (const Slot& s : slots_) {
     if (!s.removed && s.name == table.name()) {
       return Status::InvalidArgument(
@@ -44,7 +30,6 @@ Status LakeCatalog::Add(const table::Table& table) {
 }
 
 Result<size_t> LakeCatalog::Remove(const std::string& name) {
-  DUST_RETURN_IF_ERROR(CheckNamed());
   for (size_t t = 0; t < slots_.size(); ++t) {
     if (slots_[t].removed || slots_[t].name != name) continue;
     slots_[t].removed = true;

@@ -19,8 +19,7 @@ namespace dust::search {
 
 class LakeCatalog {
  public:
-  /// One indexed lake table. Slots restored by ResetUnnamed carry no name
-  /// and no shape.
+  /// One indexed lake table.
   struct Slot {
     std::string name;
     size_t num_columns = 0;
@@ -30,10 +29,6 @@ class LakeCatalog {
 
   /// One live slot per table of `lake`; mutation counter zeroed.
   void Reset(const std::vector<const table::Table*>& lake);
-  /// `num_tables` live slots for state restored from a snapshot. Snapshots
-  /// carry no table names, so Add and Remove fail with FailedPrecondition
-  /// until the next Reset.
-  void ResetUnnamed(size_t num_tables);
   /// Marks slot `t` removed without counting a mutation: the table was
   /// already gone from the state the engine restored.
   void MarkRemoved(size_t t) { slots_[t].removed = true; }
@@ -61,11 +56,9 @@ class LakeCatalog {
   std::vector<size_t> LiveTables() const;
 
  private:
-  Status CheckNamed() const;
   void Append(const table::Table& table);
 
   std::vector<Slot> slots_;
-  bool named_ = true;
   uint64_t mutations_ = 0;
 };
 

@@ -47,10 +47,13 @@ class UnionSearch {
     return Status::Unimplemented(name() + " does not support snapshots");
   }
 
-  /// Restores SaveState output into a freshly-configured engine; after it
-  /// succeeds SearchTables serves as if IndexLake had run.
-  virtual Status LoadState(io::IndexReader* reader) {
+  /// Restores SaveState output into a freshly-configured engine, over the
+  /// same `lake` IndexLake was given; after it succeeds the engine is in
+  /// the state IndexLake(lake) builds.
+  virtual Status LoadState(io::IndexReader* reader,
+                           const std::vector<const table::Table*>& lake) {
     (void)reader;
+    (void)lake;
     return Status::Unimplemented(name() + " does not support snapshots");
   }
 

@@ -33,7 +33,6 @@ QueryServer::QueryServer(const search::TupleSearch* search,
     ResultCacheOptions cache_options;
     cache_options.capacity_entries = options_.cache_entries;
     cache_options.capacity_bytes = options_.cache_bytes;
-    cache_options.stripes = options_.cache_stripes;
     cache_ = std::make_unique<ResultCache>(cache_options);
     // The config never changes over the server's lifetime, so the key's
     // config component is hashed once, not per request.

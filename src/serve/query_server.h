@@ -61,8 +61,6 @@ struct QueryServerOptions {
   size_t cache_entries = 0;
   /// Result cache capacity in bytes of cached hit lists.
   size_t cache_bytes = size_t{64} << 20;
-  /// Result cache lock stripes (1 = globally LRU-ordered).
-  size_t cache_stripes = 16;
   /// Fraction of requests traced into obs::SpanCollector::Global() with a
   /// deterministic sampler; 0 disables tracing entirely (no clock reads on
   /// the hot path), 1 traces everything. Must be a finite value in [0, 1].

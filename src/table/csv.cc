@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 namespace dust::table {
 
@@ -96,7 +97,14 @@ Result<Table> ParseCsv(const std::string& text, const std::string& table_name) {
   }
   Table table(table_name);
   const auto& header = records[0];
+  // A repeated name makes the column ambiguous: an output written under
+  // this header would carry two columns of the same name.
+  std::unordered_set<std::string> names;
   for (const std::string& name : header) {
+    if (!names.insert(name).second) {
+      return Status::InvalidArgument("CSV header names column \"" + name +
+                                     "\" twice");
+    }
     table.AddColumn(name);
   }
   for (size_t r = 1; r < records.size(); ++r) {

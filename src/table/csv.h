@@ -11,6 +11,8 @@
 namespace dust::table {
 
 /// Parses CSV text (first record is the header) into a Table.
+/// InvalidArgument when the header names a column twice or a record's
+/// field count differs from the header's.
 Result<Table> ParseCsv(const std::string& text, const std::string& table_name);
 
 /// Reads a CSV file; the table is named after the file's basename.

@@ -272,7 +272,8 @@ TEST_F(PipelineFixture, StaleSnapshotLakeRejected) {
   const std::string path = SnapshotPath("pipeline_snapshot_lake.bin");
   ASSERT_TRUE(pipeline_->SaveSnapshot(path).ok());
 
-  // Dropping a table from the lake invalidates the snapshot's id mapping.
+  // Dropping a table from the lake changes the lake shape the snapshot's
+  // staleness hash covers.
   std::vector<const Table*> shrunk(*lake_);
   shrunk.pop_back();
   PipelineConfig config;
@@ -288,9 +289,10 @@ TEST_F(PipelineFixture, PreMutationSnapshotRejectedAfterLakeMutation) {
   ASSERT_TRUE(pipeline_->SaveSnapshot(path).ok());
 
   // A lake mutated since the snapshot was taken — a mid-lake table deleted
-  // (not just truncated at the end) — shifts every later table's tuple-id
-  // range, so the snapshot's id mapping is a lie. It must be rejected, not
-  // served against the wrong rows.
+  // (not just truncated at the end) — shifts every later table's id, so
+  // the snapshot's tables no longer line up with the lake's. The staleness
+  // hash covers every table's name and shape, so the snapshot is rejected,
+  // not served against the wrong rows.
   std::vector<const Table*> deleted(*lake_);
   deleted.erase(deleted.begin() + 1);
   PipelineConfig config;
@@ -351,15 +353,15 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST_F(PipelineFixture, SnapshotWithCascadeSignalsIsRejectedWithRebuildHint) {
-  // Snapshots end with the flag byte that marked retrieval-cascade
-  // signals. The cascade is gone, so a set flag can no longer be served.
-  const std::string path = SnapshotPath("pipeline_snapshot_cascade_flag.bin");
+TEST_F(PipelineFixture, SnapshotOfAnotherVersionIsRejectedWithRebuildHint) {
+  // Bytes 8-11 hold the format version. Only the current one loads; a v2
+  // snapshot (id mapping, profiles, trailing cascade byte) must be rebuilt.
+  const std::string path = SnapshotPath("pipeline_snapshot_v2.bin");
   ASSERT_TRUE(pipeline_->SaveSnapshot(path).ok());
   std::string bytes = ReadFileBytes(path);
-  ASSERT_FALSE(bytes.empty());
-  ASSERT_EQ(bytes.back(), '\0');
-  bytes.back() = '\1';
+  ASSERT_GE(bytes.size(), 12u);
+  const uint32_t old_version = 2;
+  std::memcpy(&bytes[8], &old_version, sizeof(old_version));
   WriteFileBytes(path, bytes);
 
   PipelineConfig config;
@@ -368,8 +370,7 @@ TEST_F(PipelineFixture, SnapshotWithCascadeSignalsIsRejectedWithRebuildHint) {
   Status loaded = online.LoadSnapshot(path, *lake_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.code(), StatusCode::kIoError);
-  EXPECT_NE(loaded.message().find("retrieval-cascade signals"),
-            std::string::npos)
+  EXPECT_NE(loaded.message().find("version 2"), std::string::npos)
       << loaded.ToString();
   EXPECT_NE(loaded.message().find("rebuild"), std::string::npos)
       << loaded.ToString();
@@ -377,7 +378,7 @@ TEST_F(PipelineFixture, SnapshotWithCascadeSignalsIsRejectedWithRebuildHint) {
 
 TEST_F(PipelineFixture, FailedSnapshotLoadKeepsServingTheIndexedLake) {
   // A snapshot of the whole lake, cut off inside the engine state: its
-  // header and id mapping check out, so the engine starts reading it.
+  // header checks out, so the engine starts reading it.
   const std::string path = SnapshotPath("pipeline_snapshot_truncated.bin");
   ASSERT_TRUE(pipeline_->SaveSnapshot(path).ok());
   const std::string bytes = ReadFileBytes(path);
@@ -415,6 +416,16 @@ TEST_F(PipelineFixture, FailedSnapshotLoadKeepsServingTheIndexedLake) {
   for (size_t i = 0; i < before.value().provenance.size(); ++i) {
     EXPECT_EQ(after.value().provenance[i], before.value().provenance[i]);
   }
+}
+
+TEST(PipelineConfigDeathTest, UnknownEngineAborts) {
+  // Only "starmie" and "d3l" name an engine; any other name, a case variant
+  // included, must not silently run one of them.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  PipelineConfig config;
+  config.engine = "D3L";
+  EXPECT_DEATH(DustPipeline(config, TestEncoder()),
+               "DUST_CHECK failed.*engine");
 }
 
 TEST_F(PipelineFixture, D3lEngineSnapshotUnimplemented) {

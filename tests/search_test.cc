@@ -564,30 +564,6 @@ TEST_F(SearchFixture, EmbeddingAddTableBecomesSearchable) {
   EXPECT_EQ(search.AddTable(dup).code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(SearchFixture, EmbeddingMutationsRejectedAfterSnapshotRestore) {
-  const std::string path = ::testing::TempDir() + "embed_mut_state.bin";
-  EmbeddingUnionSearch search;
-  search.IndexLake(*lake_);
-  {
-    io::IndexWriter writer(path);
-    ASSERT_TRUE(search.SaveState(&writer).ok());
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  EmbeddingUnionSearch restored;
-  {
-    io::IndexReader reader(path);
-    ASSERT_TRUE(restored.LoadState(&reader).ok());
-  }
-  // Snapshots do not carry table names, so a restored engine cannot
-  // resolve mutations; it must refuse rather than guess.
-  EXPECT_EQ(restored.RemoveTable((*lake_)[0]->name()).code(),
-            StatusCode::kFailedPrecondition);
-  Table extra("extra");
-  EXPECT_TRUE(extra.AddColumn("X", {Value("z")}).ok());
-  EXPECT_EQ(restored.AddTable(extra).code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST_F(SearchFixture, EmbeddingSaveStateRefusesRemovedTables) {
   // Snapshots carry no removed flags: a saved engine with a removed table
   // would bring the table back on LoadState.
@@ -980,12 +956,77 @@ TEST(EmbeddingSearchWideLakeTest, SaveLoadSaveIsByteIdentical) {
     EmbeddingUnionSearch restored(config);
     {
       io::IndexReader reader(::testing::TempDir() + "wide_saved.bin");
-      ASSERT_TRUE(restored.LoadState(&reader).ok());
+      ASSERT_TRUE(restored.LoadState(&reader, lake).ok());
     }
     const std::string label = "shortlist " + std::to_string(shortlist);
     EXPECT_EQ(SavedState(restored, "wide_resaved.bin"), saved) << label;
     ExpectSameWideLakeHits(restored, search, label);
   }
+}
+
+// A restored engine holds the catalog IndexLake builds over the same lake,
+// so it takes the same mutations and then answers like the indexed engine:
+// the same tables with the same score bits, with and without a flat
+// shortlist. After AddTable alone the two save the same bytes.
+TEST_F(SearchFixture, EmbeddingMutationsAfterSnapshotRestoreMatchIndexLake) {
+  Table extra = *(*lake_)[benchmark_->unionable[1].front()];
+  extra.set_name("extra");
+  const std::string victim = (*lake_)[benchmark_->unionable[0].front()]->name();
+  for (size_t shortlist : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("shortlist " + std::to_string(shortlist));
+    EmbeddingSearchConfig config;
+    config.shortlist = shortlist;
+    EmbeddingUnionSearch indexed(config);
+    indexed.IndexLake(*lake_);
+    SavedState(indexed, "embed_restore_state.bin");
+    EmbeddingUnionSearch restored(config);
+    {
+      io::IndexReader reader(::testing::TempDir() + "embed_restore_state.bin");
+      ASSERT_TRUE(restored.LoadState(&reader, *lake_).ok());
+    }
+    EXPECT_EQ(restored.catalog().ChainState(0),
+              indexed.catalog().ChainState(0));
+
+    ASSERT_TRUE(restored.AddTable(extra).ok());
+    ASSERT_TRUE(indexed.AddTable(extra).ok());
+    EXPECT_EQ(SavedState(restored, "embed_restored_added.bin"),
+              SavedState(indexed, "embed_indexed_added.bin"));
+    ASSERT_TRUE(restored.RemoveTable(victim).ok());
+    ASSERT_TRUE(indexed.RemoveTable(victim).ok());
+    EXPECT_EQ(restored.catalog().ChainState(0),
+              indexed.catalog().ChainState(0));
+    for (size_t q = 0; q < benchmark_->queries.size(); ++q) {
+      const Table& query = benchmark_->queries[q].data;
+      for (size_t n : {size_t{1}, size_t{3}, lake_->size()}) {
+        SCOPED_TRACE("query " + std::to_string(q) + ", n " + std::to_string(n));
+        ExpectSameHits(restored.SearchTables(query, n),
+                       indexed.SearchTables(query, n));
+      }
+    }
+  }
+}
+
+// A state saved over one lake does not load over a lake of another size:
+// FailedPrecondition, and the engine keeps serving the lake it had.
+TEST_F(SearchFixture, EmbeddingLoadStateRejectsALakeOfAnotherSize) {
+  EmbeddingUnionSearch whole;
+  whole.IndexLake(*lake_);
+  SavedState(whole, "embed_whole_state.bin");
+
+  const std::vector<const Table*> smaller(lake_->begin(), lake_->end() - 1);
+  EmbeddingUnionSearch search;
+  search.IndexLake(smaller);
+  const std::string before = SavedState(search, "embed_smaller_state.bin");
+  const Table& query = benchmark_->queries[0].data;
+  const std::vector<TableHit> hits = search.SearchTables(query, 5);
+  {
+    io::IndexReader reader(::testing::TempDir() + "embed_whole_state.bin");
+    EXPECT_EQ(search.LoadState(&reader, smaller).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  EXPECT_EQ(search.catalog().size(), smaller.size());
+  EXPECT_EQ(SavedState(search, "embed_smaller_resaved.bin"), before);
+  ExpectSameHits(search.SearchTables(query, 5), hits);
 }
 
 // The encoder gives every column norm 1, even an unnamed all-null one, so
@@ -1010,15 +1051,13 @@ TEST_F(SearchFixture, HandWrittenStateWithZeroColumnsMatchesExhaustive) {
     io::IndexWriter writer(path);
     writer.WriteU64(columns.size());
     for (const std::vector<la::Vec>& cols : columns) writer.WriteVecs(cols);
-    writer.WriteVecs(std::vector<la::Vec>(columns.size(), la::Vec(dim, 0.0f)));
     writer.WriteU8(0);  // no shortlist index
-    writer.WriteU8(0);  // no retrieval-cascade signals
     ASSERT_TRUE(writer.Close().ok());
   }
   EmbeddingUnionSearch restored;
   {
     io::IndexReader reader(path);
-    ASSERT_TRUE(restored.LoadState(&reader).ok());
+    ASSERT_TRUE(restored.LoadState(&reader, *lake_).ok());
   }
   ASSERT_EQ(restored.ColumnEmbeddings(1).size(), 1u);
   EXPECT_TRUE(restored.ColumnEmbeddings(2).empty());

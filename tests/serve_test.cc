@@ -874,8 +874,7 @@ TEST_F(ServeFixture, ConcurrentHitMissStormStaysConsistent) {
   options.threads = 4;
   options.max_batch = 8;
   options.batch_window_us = 100;
-  options.cache_entries = 64;
-  options.cache_stripes = 4;
+  options.cache_entries = 64;  // over the cache's 16 stripes
   QueryServer server(search_, options);
   const size_t kClients = 6;
   const size_t kRoundsPerClient = 40;

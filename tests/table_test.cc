@@ -145,6 +145,18 @@ TEST(CsvTest, ArityMismatchRejected) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(CsvTest, RepeatedHeaderNameRejected) {
+  // A repeated name leaves the column ambiguous: an output under this
+  // header would carry two city columns. The parse fails and names it.
+  auto r = ParseCsv("city,city\nAlice,Wonder\n", "q");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("\"city\""), std::string::npos)
+      << r.status().ToString();
+  EXPECT_FALSE(ParseCsv("a,b,a\n1,2,3\n", "t").ok());
+  EXPECT_TRUE(ParseCsv("city,City\nAlice,Wonder\n", "t").ok());
+}
+
 TEST(CsvTest, RoundTrip) {
   Table t = ParkTable();
   t.AddColumn("Notes");  // null column
