@@ -29,7 +29,7 @@ std::vector<size_t> DustWithRandomRepresentative(
     uint64_t seed) {
   const std::vector<la::Vec>& lake = *input.lake;
   cluster::Dendrogram dendrogram = cluster::AgglomerativeCluster(
-      lake, input.metric, cluster::Linkage::kAverage);
+      la::DistanceMatrix(lake, input.metric), cluster::Linkage::kAverage);
   std::vector<size_t> labels =
       cluster::CutDendrogram(dendrogram, std::min(lake.size(), k * p));
   Rng rng(seed);

@@ -230,7 +230,7 @@ void BM_IndexSave(benchmark::State& state) {
   idx->AddAll(points);
   const std::string path = BenchIndexPath();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx->Save(path).ok());
+    benchmark::DoNotOptimize(io::SaveIndex(*idx, path).ok());
   }
   std::error_code ec;
   state.counters["file_bytes"] = static_cast<double>(
@@ -246,7 +246,7 @@ void BM_IndexLoad(benchmark::State& state) {
   auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
   idx->AddAll(points);
   const std::string path = BenchIndexPath();
-  if (!idx->Save(path).ok()) {
+  if (!io::SaveIndex(*idx, path).ok()) {
     state.SkipWithError("cannot write bench index file");
     return;
   }

@@ -250,11 +250,6 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
   return dendrogram;
 }
 
-Dendrogram AgglomerativeCluster(const std::vector<la::Vec>& points,
-                                la::Metric metric, Linkage linkage) {
-  return AgglomerativeCluster(la::DistanceMatrix(points, metric), linkage);
-}
-
 std::vector<size_t> CutDendrogram(const Dendrogram& dendrogram, size_t k) {
   const size_t n = dendrogram.num_leaves;
   DUST_CHECK(k >= 1 && k <= std::max<size_t>(n, 1));

@@ -34,11 +34,6 @@ struct Dendrogram {
 /// matrix afterwards passes a copy (an lvalue argument is copied).
 Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage);
 
-/// Convenience overload: computes the distance matrix first and hands it
-/// over, so only one n^2 buffer is ever alive.
-Dendrogram AgglomerativeCluster(const std::vector<la::Vec>& points,
-                                la::Metric metric, Linkage linkage);
-
 /// Cuts the dendrogram into exactly `k` clusters (1 <= k <= n) by applying
 /// the first n-k merges in distance order. Returns cluster labels in
 /// [0, k), relabeled to be dense and ordered by first occurrence.

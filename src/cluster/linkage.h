@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <string>
 
 #include "util/status.h"
 
@@ -18,11 +17,6 @@ namespace dust::cluster {
 enum class Linkage { kSingle, kComplete, kAverage, kWard };
 
 const char* LinkageName(Linkage linkage);
-
-/// Parses "single" / "complete" / "average" / "ward", case-insensitively.
-/// Any other spelling ("wards", "avg") is InvalidArgument rather than a
-/// silent fallback to average.
-Result<Linkage> LinkageFromName(const std::string& name);
 
 /// Lance-Williams update for a linkage fixed at compile time: distance
 /// between cluster (a ∪ b) and cluster c, given d(a,c), d(b,c), d(a,b) and

@@ -107,10 +107,11 @@ class DustPipeline {
   /// Restores a SaveSnapshot file against the same lake tables (still
   /// needed online for alignment and tuple materialization). A snapshot
   /// whose config hash does not match this pipeline's config and `lake` is
-  /// rejected with FailedPrecondition rather than silently mis-served, and
-  /// a snapshot of another format version with an IoError that says to
-  /// rebuild it. A failed load changes nothing: the pipeline keeps serving
-  /// the lake it had.
+  /// rejected with FailedPrecondition rather than silently mis-served, a
+  /// snapshot of another format version with an IoError that says to
+  /// rebuild it, and a file with bytes after the engine state with an
+  /// IoError that counts them. A failed load changes nothing: the pipeline
+  /// keeps serving the lake it had.
   Status LoadSnapshot(const std::string& path,
                       const std::vector<const table::Table*>& lake);
 

@@ -4,7 +4,6 @@
 
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "io/index_io.h"
 #include "serve/executor.h"
 #include "util/status.h"
 
@@ -141,10 +140,6 @@ std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
   return results;
 }
 
-Status VectorIndex::Save(const std::string& path) const {
-  return io::SaveIndex(*this, path);
-}
-
 Status ValidateIndexOptions(const IndexOptions& options) {
   if (options.hnsw_m == 1) {
     return Status::InvalidArgument(
@@ -152,11 +147,6 @@ Status ValidateIndexOptions(const IndexOptions& options) {
         "connected); 0 keeps the default");
   }
   return Status::Ok();
-}
-
-std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
-                                             size_t dim, la::Metric metric) {
-  return MakeVectorIndex(type, dim, metric, IndexOptions{});
 }
 
 std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,

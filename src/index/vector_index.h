@@ -140,11 +140,6 @@ class VectorIndex {
   /// on error the index is unusable and must be discarded.
   virtual Status LoadPayload(io::IndexReader* reader) = 0;
 
-  /// Saves this index as a standalone file (io::SaveIndex). Load the result
-  /// back with io::LoadIndex, which restores the concrete type; round-trip
-  /// Search/SearchBatch results are bit-identical.
-  Status Save(const std::string& path) const;
-
  protected:
   /// A fresh, empty index with this index's config (dim, metric, tuning
   /// knobs). The construction hook Compact is built on.
@@ -189,15 +184,12 @@ struct IndexOptions {
 /// programming error and aborts.
 Status ValidateIndexOptions(const IndexOptions& options);
 
-/// Builds an index by type name: "flat" or "hnsw". Unknown names
-/// abort (DUST_CHECK) — a typo must not silently change algorithms.
-std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
-                                             size_t dim, la::Metric metric);
-
-/// As above with tuning knobs applied.
+/// Builds an index by type name, "flat" or "hnsw", with `options`' tuning
+/// knobs applied. Unknown names abort (DUST_CHECK) — a typo must not
+/// silently change algorithms.
 std::unique_ptr<VectorIndex> MakeVectorIndex(const std::string& type,
                                              size_t dim, la::Metric metric,
-                                             const IndexOptions& options);
+                                             const IndexOptions& options = {});
 
 /// True when MakeVectorIndex accepts `type`. The single source of truth for
 /// user-facing validation (CLI flags, config files).

@@ -112,6 +112,16 @@ Status IndexReader::ExpectMagic(const char magic[8], const std::string& what) {
   return Status::Ok();
 }
 
+Status IndexReader::ExpectEnd() {
+  DUST_RETURN_IF_ERROR(status_);
+  if (remaining_ != 0) {
+    status_ = Status::IoError(std::to_string(remaining_) +
+                              " extra bytes after the end of " + path_);
+    return status_;
+  }
+  return Status::Ok();
+}
+
 Status IndexReader::ReadVecLength(size_t dim, uint64_t* len) {
   DUST_RETURN_IF_ERROR(ReadCount(sizeof(float), len));
   if (dim != 0 && *len != dim) {
@@ -321,7 +331,10 @@ Status SaveIndex(const index::VectorIndex& index, const std::string& path) {
 Result<std::unique_ptr<index::VectorIndex>> LoadIndex(const std::string& path) {
   IndexReader reader(path);
   DUST_RETURN_IF_ERROR(reader.status());
-  return ReadIndex(&reader);
+  Result<std::unique_ptr<index::VectorIndex>> index = ReadIndex(&reader);
+  DUST_RETURN_IF_ERROR(index.status());
+  DUST_RETURN_IF_ERROR(reader.ExpectEnd());
+  return index;
 }
 
 }  // namespace dust::io

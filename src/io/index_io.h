@@ -15,9 +15,10 @@
 // host's native byte order (little-endian on every supported target); files
 // are not portable across endianness, only across processes/machines of the
 // same family. Readers validate magic, version, type, metric, and every
-// element count against the bytes actually remaining in the file, so a
-// corrupt or truncated file yields Status::IoError instead of an abort or
-// an unbounded allocation.
+// element count against the bytes actually remaining in the file, and
+// loaders reject bytes after a format's last section, so a corrupt,
+// truncated or extended file yields Status::IoError instead of an abort,
+// an unbounded allocation or a silent load.
 #ifndef DUST_IO_INDEX_IO_H_
 #define DUST_IO_INDEX_IO_H_
 
@@ -114,6 +115,11 @@ class IndexReader {
   /// Expects the exact 8-byte magic; IoError mentioning `what` otherwise.
   Status ExpectMagic(const char magic[8], const std::string& what);
 
+  /// IoError naming the count of unread bytes when any remain. Loaders call
+  /// it after a format's last section: a file with bytes past that point
+  /// was concatenated with something or partly overwritten.
+  Status ExpectEnd();
+
   /// Reads a length-prefixed vector and checks it has exactly `dim`
   /// elements (pass 0 to accept any length). A NaN or infinite element is
   /// an IoError: it would make every distance to the vector NaN, and
@@ -160,13 +166,15 @@ Status WriteIndex(const index::VectorIndex& index, IndexWriter* writer);
 /// Reads one index (header + payload) from an already-open reader.
 Result<std::unique_ptr<index::VectorIndex>> ReadIndex(IndexReader* reader);
 
-/// Saves `index` as a standalone file at `path`. Equivalent to
-/// index.Save(path).
+/// Saves `index` as a standalone file at `path`. Load it back with
+/// LoadIndex, which restores the concrete type; round-trip Search and
+/// SearchBatch results are bit-identical.
 Status SaveIndex(const index::VectorIndex& index, const std::string& path);
 
 /// Loads a standalone index file. The concrete type, metric, dim, config,
 /// and contents are restored from the file; Search/SearchBatch on the
-/// result are bit-identical to the saved index.
+/// result are bit-identical to the saved index. Bytes after the index are
+/// an IoError.
 Result<std::unique_ptr<index::VectorIndex>> LoadIndex(const std::string& path);
 
 }  // namespace dust::io

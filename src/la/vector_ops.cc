@@ -49,25 +49,11 @@ void NormalizeInPlace(Vec* a) {
   if (n > 0.0f) ScaleInPlace(a, 1.0f / n);
 }
 
-Vec Normalized(const Vec& a) {
-  Vec out = a;
-  NormalizeInPlace(&out);
-  return out;
-}
-
 Vec Mean(const std::vector<Vec>& vectors) {
   DUST_CHECK(!vectors.empty());
   Vec out(vectors[0].size(), 0.0f);
   for (const Vec& v : vectors) AddInPlace(&out, v);
   ScaleInPlace(&out, 1.0f / static_cast<float>(vectors.size()));
-  return out;
-}
-
-Vec MeanOf(const std::vector<Vec>& vectors, const std::vector<size_t>& indices) {
-  DUST_CHECK(!indices.empty());
-  Vec out(vectors[indices[0]].size(), 0.0f);
-  for (size_t idx : indices) AddInPlace(&out, vectors[idx]);
-  ScaleInPlace(&out, 1.0f / static_cast<float>(indices.size()));
   return out;
 }
 

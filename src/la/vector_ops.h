@@ -38,14 +38,8 @@ Vec Sub(const Vec& a, const Vec& b);
 /// Normalizes to unit L2 norm; leaves the zero vector untouched.
 void NormalizeInPlace(Vec* a);
 
-/// Unit-norm copy (zero vector maps to itself).
-Vec Normalized(const Vec& a);
-
 /// Component-wise mean of a non-empty set of equal-length vectors.
 Vec Mean(const std::vector<Vec>& vectors);
-
-/// Component-wise mean over `indices` into `vectors` (indices non-empty).
-Vec MeanOf(const std::vector<Vec>& vectors, const std::vector<size_t>& indices);
 
 }  // namespace dust::la
 

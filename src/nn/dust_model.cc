@@ -66,7 +66,7 @@ void DustModel::ZeroGrad() {
   lin2_.ZeroGrad();
 }
 
-void DustModel::RegisterParams(Optimizer* optimizer) {
+void DustModel::RegisterParams(Adam* optimizer) {
   optimizer->Register({lin1_.weights().data().data(),
                        lin1_.weight_grad().data().data(),
                        lin1_.weights().data().size()});

@@ -15,6 +15,7 @@
 #include "embed/tuple_encoder.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace dust::nn {
@@ -63,7 +64,7 @@ class DustModel : public embed::TupleEncoder {
   void ZeroGrad();
 
   /// Registers all trainable parameters with `optimizer`.
-  void RegisterParams(Optimizer* optimizer);
+  void RegisterParams(Adam* optimizer);
 
   /// Snapshot / restore of all parameters (early-stopping best model), in
   /// file order: each layer's W as out_dim x in_dim, then its bias.

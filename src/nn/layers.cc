@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace dust::nn {
@@ -108,31 +109,6 @@ void Linear::ReadParams(const float* params) {
     for (size_t c = 0; c < in_dim_; ++c) w_.at(c, r) = *params++;
   }
   std::copy(params, params + out_dim_, b_.begin());
-}
-
-la::Vec Dropout::ForwardTrain(const la::Vec& x, Rng* rng) {
-  mask_.assign(x.size(), 0.0f);
-  la::Vec y(x.size(), 0.0f);
-  if (p_ <= 0.0f) {
-    std::fill(mask_.begin(), mask_.end(), 1.0f);
-    return x;
-  }
-  float keep = 1.0f - p_;
-  float scale = 1.0f / keep;
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (rng->NextDouble() < keep) {
-      mask_[i] = scale;
-      y[i] = x[i] * scale;
-    }
-  }
-  return y;
-}
-
-la::Vec Dropout::Backward(const la::Vec& dy) const {
-  DUST_CHECK(dy.size() == mask_.size());
-  la::Vec dx(dy.size(), 0.0f);
-  for (size_t i = 0; i < dy.size(); ++i) dx[i] = dy[i] * mask_[i];
-  return dx;
 }
 
 la::Vec TanhForward(const la::Vec& x) {

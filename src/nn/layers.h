@@ -1,9 +1,9 @@
 // Neural network layers with explicit forward/backward passes.
 //
-// The DUST fine-tuning architecture (Sec. 4, Fig. 3 bottom-right) is a
-// frozen feature extractor followed by a dropout layer and two linear
-// layers. The graph is small and fixed, so layers carry their own gradient
-// buffers instead of a general autograd.
+// The DUST fine-tuning architecture (Sec. 4, Fig. 3 bottom-right) puts two
+// linear layers over a frozen feature extractor. The graph is small and
+// fixed, so layers carry their own gradient buffers instead of a general
+// autograd.
 #ifndef DUST_NN_LAYERS_H_
 #define DUST_NN_LAYERS_H_
 
@@ -13,7 +13,6 @@
 #include "la/matrix.h"
 #include "la/vector_ops.h"
 #include "text/hashing.h"
-#include "util/rng.h"
 
 namespace dust::nn {
 
@@ -72,28 +71,6 @@ class Linear {
   la::Vec b_;      // out_dim
   la::Matrix dw_;  // gradient accumulators, laid out like w_
   la::Vec db_;
-};
-
-/// Inverted dropout: at train time zeroes each unit with probability p and
-/// scales survivors by 1/(1-p); identity at eval time.
-class Dropout {
- public:
-  explicit Dropout(float p) : p_(p) {}
-
-  /// Samples a fresh mask (train mode).
-  la::Vec ForwardTrain(const la::Vec& x, Rng* rng);
-
-  /// Identity (eval mode).
-  la::Vec ForwardEval(const la::Vec& x) const { return x; }
-
-  /// Applies the last sampled mask to the upstream gradient.
-  la::Vec Backward(const la::Vec& dy) const;
-
-  float p() const { return p_; }
-
- private:
-  float p_;
-  std::vector<float> mask_;
 };
 
 /// tanh activation.

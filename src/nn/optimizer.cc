@@ -4,24 +4,6 @@
 
 namespace dust::nn {
 
-Sgd::Sgd(float lr, float momentum) : lr_(lr), momentum_(momentum) {}
-
-void Sgd::Register(ParamView view) {
-  views_.push_back(view);
-  velocity_.emplace_back(view.size, 0.0f);
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < views_.size(); ++i) {
-    ParamView& view = views_[i];
-    std::vector<float>& vel = velocity_[i];
-    for (size_t j = 0; j < view.size; ++j) {
-      vel[j] = momentum_ * vel[j] - lr_ * view.grad[j];
-      view.param[j] += vel[j];
-    }
-  }
-}
-
 Adam::Adam(float lr, float beta1, float beta2, float eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 

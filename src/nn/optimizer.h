@@ -1,4 +1,4 @@
-// Gradient-descent optimizers over flat parameter views.
+// The fine-tuning optimizer, over flat parameter views.
 #ifndef DUST_NN_OPTIMIZER_H_
 #define DUST_NN_OPTIMIZER_H_
 
@@ -15,36 +15,15 @@ struct ParamView {
   size_t size;
 };
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Registers a parameter tensor; call once per tensor before stepping.
-  virtual void Register(ParamView view) = 0;
-  /// Applies one update using the current gradient values.
-  virtual void Step() = 0;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0f);
-  void Register(ParamView view) override;
-  void Step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<ParamView> views_;
-  std::vector<std::vector<float>> velocity_;
-};
-
 /// Adam (Kingma & Ba) with bias correction.
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float eps = 1e-8f);
-  void Register(ParamView view) override;
-  void Step() override;
+  /// Registers a parameter tensor; call once per tensor before stepping.
+  void Register(ParamView view);
+  /// Applies one update using the current gradient values.
+  void Step();
 
  private:
   float lr_, beta1_, beta2_, eps_;

@@ -319,6 +319,13 @@ Status EmbeddingUnionSearch::LoadState(
     DUST_RETURN_IF_ERROR(reader->ReadRows(&rows, dim));
     const size_t first = columns.offsets.back();
     const size_t count = rows.size() / dim;
+    const size_t lake_count = lake[t]->num_columns();
+    if (count != lake_count) {
+      return Status::FailedPrecondition(
+          "snapshot table " + std::to_string(t) + " has " +
+          std::to_string(count) + " columns but lake table \"" +
+          lake[t]->name() + "\" has " + std::to_string(lake_count));
+    }
     columns.AddTable(count, dim);
     for (size_t j = 0; j < count; ++j) {
       columns.Set(first + j, rows.data() + j * dim, dim);
@@ -341,6 +348,8 @@ Status EmbeddingUnionSearch::LoadState(
     return Status::FailedPrecondition(
         "snapshot shortlist index does not match engine config");
   }
+  // The state is a snapshot's last section.
+  DUST_RETURN_IF_ERROR(reader->ExpectEnd());
 
   lake_columns_ = std::move(columns);
   profile_index_ = std::move(profile_index);

@@ -136,8 +136,10 @@ class EmbeddingUnionSearch : public UnionSearch {
   /// catalog slots as in IndexLake. The engine must be constructed with the
   /// same config as at save time (the pipeline's snapshot hash enforces
   /// this); a shortlist mismatch between config and stored state is
-  /// rejected, and a table count other than lake.size() is
-  /// FailedPrecondition. A failed call changes nothing.
+  /// rejected, and a table count other than lake.size(), or a table whose
+  /// stored column count differs from its lake table's, is
+  /// FailedPrecondition. The state must end the reader: bytes after it are
+  /// an IoError. A failed call changes nothing.
   Status LoadState(io::IndexReader* reader,
                    const std::vector<const table::Table*>& lake) override;
 

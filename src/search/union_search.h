@@ -49,7 +49,8 @@ class UnionSearch {
 
   /// Restores SaveState output into a freshly-configured engine, over the
   /// same `lake` IndexLake was given; after it succeeds the engine is in
-  /// the state IndexLake(lake) builds.
+  /// the state IndexLake(lake) builds. The state is a snapshot's last
+  /// section, so bytes left in `reader` after it fail the load.
   virtual Status LoadState(io::IndexReader* reader,
                            const std::vector<const table::Table*>& lake) {
     (void)reader;

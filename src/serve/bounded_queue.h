@@ -75,11 +75,6 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();
@@ -96,8 +91,6 @@ class BoundedQueue {
     std::lock_guard<std::mutex> lock(mu_);
     return total_pushed_;
   }
-
-  size_t capacity() const { return capacity_; }
 
  private:
   bool PopLocked(std::unique_lock<std::mutex>* lock, T* out) {

@@ -46,8 +46,8 @@ void Executor::WorkerLoop() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      // Drain the queue even while stopping: a submitted task's future must
-      // become ready, never broken.
+      // Drain the queue even while stopping: a helper left over from a
+      // finished loop returns at once.
       if (tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop_front();
@@ -60,28 +60,11 @@ void Executor::WorkerLoop() {
 }
 
 void Executor::Enqueue(std::function<void()> task) {
-  if (!threads_.empty()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!stopping_) {
-      tasks_.push_back(std::move(task));
-      lock.unlock();
-      task_ready_.notify_one();
-      return;
-    }
-    // Submitted during destruction: workers may already have seen an empty
-    // queue and exited, so a queued task could be orphaned and its future
-    // never become ready. Defined semantics: run it inline on the caller.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
   }
-  // Inline executor (no workers) or stopping: execute on the calling thread.
-  task();
-  tasks_run_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::future<void> Executor::Submit(std::function<void()> fn) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> result = task->get_future();
-  Enqueue([task] { (*task)(); });
-  return result;
+  task_ready_.notify_one();
 }
 
 void Executor::Drain(const std::shared_ptr<ForLoop>& loop) {
@@ -107,9 +90,10 @@ void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   loop->body = &body;
   loop->n = n;
   // The caller takes one share of the work, so at most n-1 helpers are
-  // useful. `body` stays valid for helpers: an iteration is only claimed
-  // while done < n, and the caller cannot return (invalidating `body`)
-  // until done == n.
+  // useful, and none is needed: the caller claims whatever no helper took.
+  // `body` stays valid for helpers: an iteration is only claimed while
+  // done < n, and the caller cannot return (invalidating `body`) until
+  // done == n.
   const size_t helpers = std::min(threads_.size(), n - 1);
   for (size_t h = 0; h < helpers; ++h) {
     Enqueue([loop] { Drain(loop); });

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -25,11 +24,11 @@
 
 namespace dust::serve {
 
-/// Fixed pool of worker threads executing submitted tasks FIFO. All methods
-/// are thread-safe; tasks may themselves call ParallelFor (nested fan-out
-/// cannot deadlock because the calling thread always participates in its
-/// own loop). Destruction completes every task already submitted, then
-/// joins the workers.
+/// Fixed pool of worker threads that help run ParallelFor loops. All
+/// methods are thread-safe; loop bodies may themselves call ParallelFor
+/// (nested fan-out cannot deadlock because the calling thread always
+/// participates in its own loop). Destruction runs every helper task still
+/// queued, then joins the workers.
 class Executor {
  public:
   /// Spawns `num_threads` workers. 0 is valid and means "run everything
@@ -49,14 +48,6 @@ class Executor {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Enqueues `fn` for execution on a pool thread (inline when the pool is
-  /// empty). The future becomes ready when `fn` returns; `fn` must not
-  /// throw (the library does not use exceptions across API boundaries).
-  /// A Submit that races with destruction runs `fn` inline on the calling
-  /// thread instead of queuing it — the future always becomes ready, never
-  /// broken or orphaned.
-  std::future<void> Submit(std::function<void()> fn);
-
   /// Runs body(0..n-1), each index exactly once, and returns when all have
   /// completed. Iterations run concurrently on the pool plus the calling
   /// thread; the caller always drains work itself, so ParallelFor from
@@ -64,9 +55,9 @@ class Executor {
   /// `body` must be safe to invoke concurrently for distinct indices.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
-  /// Total tasks executed by pool threads (or inline when the pool is
-  /// empty) over the executor's lifetime. Observability only — a serving
-  /// metrics registry publishes it as a counter.
+  /// Total helper tasks executed by pool threads over the executor's
+  /// lifetime. Observability only — a serving metrics registry publishes it
+  /// as a counter.
   uint64_t tasks_run() const {
     return tasks_run_.load(std::memory_order_relaxed);
   }

@@ -117,15 +117,6 @@ void ResultCache::Insert(const Key& key, uint64_t snapshot_hash,
   }
 }
 
-void ResultCache::Clear() {
-  for (auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    while (!stripe->lru.empty()) {
-      EraseLocked(stripe.get(), std::prev(stripe->lru.end()));
-    }
-  }
-}
-
 void ResultCache::RegisterWith(Metrics* metrics) const {
   DUST_CHECK(metrics != nullptr);
   metrics->RegisterCounter("dust_cache_hits_total", &hits_);

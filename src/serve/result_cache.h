@@ -72,8 +72,6 @@ class ResultCache {
   void Insert(const Key& key, uint64_t snapshot_hash,
               const std::vector<search::TupleHit>& hits);
 
-  void Clear();
-
   uint64_t hits() const { return hits_.value(); }
   uint64_t misses() const { return misses_.value(); }
   uint64_t evictions() const { return evictions_.value(); }

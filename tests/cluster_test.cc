@@ -37,24 +37,11 @@ std::vector<Vec> TwoBlobs(size_t per_blob, uint64_t seed = 99) {
   return points;
 }
 
-TEST(LinkageTest, NamesRoundTrip) {
-  EXPECT_EQ(LinkageFromName("average").ValueOrDie(), Linkage::kAverage);
-  EXPECT_EQ(LinkageFromName("Single").ValueOrDie(), Linkage::kSingle);
+TEST(LinkageTest, Names) {
+  EXPECT_STREQ(LinkageName(Linkage::kSingle), "single");
   EXPECT_STREQ(LinkageName(Linkage::kComplete), "complete");
-  for (Linkage linkage : {Linkage::kSingle, Linkage::kComplete,
-                          Linkage::kAverage, Linkage::kWard}) {
-    EXPECT_EQ(LinkageFromName(LinkageName(linkage)).ValueOrDie(), linkage);
-  }
-}
-
-TEST(LinkageTest, LinkageFromNameRejectsUnknownSpellings) {
-  // The old behavior mapped any unknown name to average, so "wards" quietly
-  // clustered with the wrong criterion.
-  for (const char* bad : {"wards", "avg", "", "singel", "centroid"}) {
-    Result<Linkage> parsed = LinkageFromName(bad);
-    EXPECT_FALSE(parsed.ok()) << bad;
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
-  }
+  EXPECT_STREQ(LinkageName(Linkage::kAverage), "average");
+  EXPECT_STREQ(LinkageName(Linkage::kWard), "ward");
 }
 
 TEST(LinkageTest, InvalidLinkageValueAborts) {
@@ -64,8 +51,9 @@ TEST(LinkageTest, InvalidLinkageValueAborts) {
   EXPECT_DEATH(LinkageName(corrupt), "invalid Linkage");
   EXPECT_DEATH(LanceWilliams(corrupt, 2, 5, 1, 1, 1, 1), "invalid Linkage");
   const std::vector<Vec> points = {{0.0f}, {1.0f}, {3.0f}};
-  EXPECT_DEATH(AgglomerativeCluster(points, Metric::kEuclidean, corrupt),
-               "invalid Linkage");
+  EXPECT_DEATH(
+      AgglomerativeCluster(DistanceMatrix(points, Metric::kEuclidean), corrupt),
+      "invalid Linkage");
 }
 
 TEST(LinkageTest, LanceWilliamsSingleComplete) {
@@ -80,8 +68,8 @@ TEST(LinkageTest, LanceWilliamsAverageWeightsBySize) {
 
 TEST(AgglomerativeTest, TwoBlobsSplitAtK2) {
   std::vector<Vec> points = TwoBlobs(10);
-  Dendrogram d = AgglomerativeCluster(points, Metric::kEuclidean,
-                                      Linkage::kAverage);
+  Dendrogram d = AgglomerativeCluster(
+      DistanceMatrix(points, Metric::kEuclidean), Linkage::kAverage);
   EXPECT_EQ(d.num_leaves, 20u);
   EXPECT_EQ(d.merges.size(), 19u);
   std::vector<size_t> labels = CutDendrogram(d, 2);
@@ -93,8 +81,8 @@ TEST(AgglomerativeTest, TwoBlobsSplitAtK2) {
 
 TEST(AgglomerativeTest, MergeDistancesSortedAscending) {
   std::vector<Vec> points = TwoBlobs(8, 123);
-  Dendrogram d =
-      AgglomerativeCluster(points, Metric::kEuclidean, Linkage::kAverage);
+  Dendrogram d = AgglomerativeCluster(
+      DistanceMatrix(points, Metric::kEuclidean), Linkage::kAverage);
   for (size_t i = 1; i < d.merges.size(); ++i) {
     EXPECT_GE(d.merges[i].distance, d.merges[i - 1].distance);
   }
@@ -102,8 +90,8 @@ TEST(AgglomerativeTest, MergeDistancesSortedAscending) {
 
 TEST(AgglomerativeTest, MergeIdsReferenceOnlyEarlierClusters) {
   std::vector<Vec> points = TwoBlobs(6, 7);
-  Dendrogram d =
-      AgglomerativeCluster(points, Metric::kEuclidean, Linkage::kComplete);
+  Dendrogram d = AgglomerativeCluster(
+      DistanceMatrix(points, Metric::kEuclidean), Linkage::kComplete);
   size_t n = d.num_leaves;
   for (size_t i = 0; i < d.merges.size(); ++i) {
     EXPECT_LT(d.merges[i].a, n + i);
@@ -115,8 +103,8 @@ TEST(AgglomerativeTest, MergeIdsReferenceOnlyEarlierClusters) {
 
 TEST(AgglomerativeTest, CutK1AndKn) {
   std::vector<Vec> points = TwoBlobs(5, 11);
-  Dendrogram d =
-      AgglomerativeCluster(points, Metric::kEuclidean, Linkage::kAverage);
+  Dendrogram d = AgglomerativeCluster(
+      DistanceMatrix(points, Metric::kEuclidean), Linkage::kAverage);
   std::vector<size_t> one = CutDendrogram(d, 1);
   for (size_t label : one) EXPECT_EQ(label, 0u);
   std::vector<size_t> all = CutDendrogram(d, 10);
@@ -125,11 +113,13 @@ TEST(AgglomerativeTest, CutK1AndKn) {
 }
 
 TEST(AgglomerativeTest, SingletonAndEmptyInputs) {
-  Dendrogram empty = AgglomerativeCluster(std::vector<Vec>{},
-                                          Metric::kEuclidean, Linkage::kAverage);
+  Dendrogram empty = AgglomerativeCluster(
+      DistanceMatrix(std::vector<Vec>{}, Metric::kEuclidean),
+      Linkage::kAverage);
   EXPECT_EQ(empty.num_leaves, 0u);
-  Dendrogram one = AgglomerativeCluster(std::vector<Vec>{{1.0f, 2.0f}},
-                                        Metric::kEuclidean, Linkage::kAverage);
+  Dendrogram one = AgglomerativeCluster(
+      DistanceMatrix(std::vector<Vec>{{1.0f, 2.0f}}, Metric::kEuclidean),
+      Linkage::kAverage);
   EXPECT_EQ(one.num_leaves, 1u);
   EXPECT_TRUE(one.merges.empty());
   EXPECT_EQ(CutDendrogram(one, 1), (std::vector<size_t>{0}));
@@ -140,7 +130,8 @@ class LinkagePropertyTest : public ::testing::TestWithParam<Linkage> {};
 
 TEST_P(LinkagePropertyTest, CutsAreValidPartitionsAtEveryK) {
   std::vector<Vec> points = TwoBlobs(7, 5);
-  Dendrogram d = AgglomerativeCluster(points, Metric::kEuclidean, GetParam());
+  Dendrogram d = AgglomerativeCluster(
+      DistanceMatrix(points, Metric::kEuclidean), GetParam());
   for (size_t k = 1; k <= points.size(); ++k) {
     std::vector<size_t> labels = CutDendrogram(d, k);
     ASSERT_EQ(labels.size(), points.size());
@@ -153,7 +144,8 @@ TEST_P(LinkagePropertyTest, CutsAreValidPartitionsAtEveryK) {
 TEST_P(LinkagePropertyTest, CutsAreNested) {
   // Coarser cuts only merge (never split) finer cuts.
   std::vector<Vec> points = TwoBlobs(6, 17);
-  Dendrogram d = AgglomerativeCluster(points, Metric::kEuclidean, GetParam());
+  Dendrogram d = AgglomerativeCluster(
+      DistanceMatrix(points, Metric::kEuclidean), GetParam());
   for (size_t k = points.size(); k > 1; --k) {
     std::vector<size_t> fine = CutDendrogram(d, k);
     std::vector<size_t> coarse = CutDendrogram(d, k - 1);
@@ -498,7 +490,9 @@ TEST(MedoidTest, ClusterMedoidsMatchMedoidOfFullMatrix) {
   }
   for (size_t k : {1u, 7u, 40u, 240u}) {
     std::vector<size_t> labels = CutDendrogram(
-        AgglomerativeCluster(points, Metric::kCosine, Linkage::kAverage), k);
+        AgglomerativeCluster(DistanceMatrix(points, Metric::kCosine),
+                             Linkage::kAverage),
+        k);
     const DistanceMatrix full(points, Metric::kCosine);
     std::vector<size_t> want;
     for (const auto& members : GroupByLabel(labels)) {

@@ -3,7 +3,7 @@
 //  - NN-chain agglomerative vs. constrained agglomerative with no
 //    constraints (same linkage, same partitions at every level);
 //  - greedy algorithms vs. brute force on tiny instances (GMC's objective,
-//    Hungarian matching, Max-Min greedy's 2-approximation bound);
+//    Hungarian matching);
 //  - MinHash vs. exact Jaccard convergence in the number of hashes.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "align/hungarian.h"
 #include "cluster/agglomerative.h"
 #include "cluster/constrained.h"
-#include "diversify/maxmin.h"
 #include "diversify/metrics.h"
 #include "search/minhash.h"
 #include "util/rng.h"
@@ -101,36 +100,6 @@ TEST(HungarianCrossCheck, MatchesBruteForceOnSmallMatrices) {
     } while (std::next_permutation(perm.begin(), perm.end()));
 
     EXPECT_NEAR(result.total_weight, best, 1e-9) << "trial " << trial;
-  }
-}
-
-TEST(MaxMinCrossCheck, GreedyWithinTwoOfOptimalMinDiversity) {
-  // Gonzalez greedy is a 2-approximation of Max-Min dispersion; verify on
-  // brute-forceable instances (n=10, k=3, no query).
-  Rng rng(6);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<Vec> lake = RandomPoints(10, 2, 100 + trial);
-    diversify::DiversifyInput input;
-    input.lake = &lake;
-    input.metric = Metric::kEuclidean;
-    diversify::MaxMinGreedyDiversifier greedy;
-    std::vector<size_t> selection = greedy.SelectDiverse(input, 3);
-    std::vector<Vec> greedy_points;
-    for (size_t i : selection) greedy_points.push_back(lake[i]);
-    double greedy_min =
-        diversify::MinDiversity({}, greedy_points, Metric::kEuclidean);
-
-    double optimal = 0.0;
-    for (size_t a = 0; a < 10; ++a) {
-      for (size_t b = a + 1; b < 10; ++b) {
-        for (size_t c = b + 1; c < 10; ++c) {
-          double m = diversify::MinDiversity(
-              {}, {lake[a], lake[b], lake[c]}, Metric::kEuclidean);
-          optimal = std::max(optimal, m);
-        }
-      }
-    }
-    EXPECT_GE(greedy_min * 2.0 + 1e-6, optimal) << "trial " << trial;
   }
 }
 

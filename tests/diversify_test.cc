@@ -13,10 +13,8 @@
 #include "diversify/dust_diversifier.h"
 #include "diversify/gmc.h"
 #include "diversify/gne.h"
-#include "diversify/maxmin.h"
 #include "diversify/metrics.h"
 #include "diversify/random_div.h"
-#include "diversify/swap.h"
 #include "util/rng.h"
 
 namespace dust::diversify {
@@ -346,26 +344,6 @@ TEST(CltTest, QueryAgnostic) {
   EXPECT_EQ(clt.SelectDiverse(in_a, 5), clt.SelectDiverse(in_b, 5));
 }
 
-TEST(MaxMinTest, OptimizesMinDiversity) {
-  std::vector<Vec> query = RandomPoints(2, 8, 11);
-  std::vector<Vec> lake = RandomPoints(60, 8, 12);
-  DiversifyInput input;
-  input.query = &query;
-  input.lake = &lake;
-  MaxMinGreedyDiversifier maxmin;
-  RandomDiversifier random(7);
-  auto to_points = [&](const std::vector<size_t>& idx) {
-    std::vector<Vec> pts;
-    for (size_t i : idx) pts.push_back(lake[i]);
-    return pts;
-  };
-  double mm = MinDiversity(query, to_points(maxmin.SelectDiverse(input, 6)),
-                           input.metric);
-  double rnd = MinDiversity(query, to_points(random.SelectDiverse(input, 6)),
-                            input.metric);
-  EXPECT_GE(mm, rnd);
-}
-
 TEST(RandomTest, SeedReproducible) {
   std::vector<Vec> lake = RandomPoints(20, 4, 13);
   DiversifyInput input;
@@ -461,12 +439,6 @@ INSTANTIATE_TEST_SUITE_P(
         })),
         std::make_pair("clt", DiversifierFactory([] {
           return std::unique_ptr<Diversifier>(new CltDiversifier());
-        })),
-        std::make_pair("swap", DiversifierFactory([] {
-          return std::unique_ptr<Diversifier>(new SwapDiversifier());
-        })),
-        std::make_pair("maxmin", DiversifierFactory([] {
-          return std::unique_ptr<Diversifier>(new MaxMinGreedyDiversifier());
         })),
         std::make_pair("random", DiversifierFactory([] {
           return std::unique_ptr<Diversifier>(new RandomDiversifier(5));

@@ -1,6 +1,6 @@
-// Tests for the extension components: the DisC-style threshold diversifier,
-// the pipeline's weak-table filter, CSV file round trips (the CLI path),
-// and cross-metric behavioural invariants.
+// Tests for the extension components: the pipeline's weak-table filter,
+// CSV file round trips (the CLI path), and cross-metric behavioural
+// invariants.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,7 +9,6 @@
 #include "datagen/tus_generator.h"
 #include "diversify/dust_diversifier.h"
 #include "diversify/metrics.h"
-#include "diversify/threshold_div.h"
 #include "embed/tuple_encoder.h"
 #include "table/csv.h"
 #include "util/rng.h"
@@ -30,72 +29,6 @@ std::vector<Vec> RandomUnitPoints(size_t n, size_t dim, uint64_t seed) {
     out.push_back(v);
   }
   return out;
-}
-
-TEST(ThresholdDiversifierTest, CoverTouchesEveryTuple) {
-  std::vector<Vec> lake = RandomUnitPoints(60, 8, 1);
-  diversify::DiversifyInput input;
-  input.lake = &lake;
-  diversify::ThresholdDiversifier disc;
-  const float radius = 0.8f;
-  std::vector<size_t> cover = disc.CoverWithRadius(input, radius);
-  // Every lake tuple must be within radius of some cover member.
-  for (size_t i = 0; i < lake.size(); ++i) {
-    bool covered = false;
-    for (size_t c : cover) {
-      if (la::Distance(input.metric, lake[i], lake[c]) <= radius) {
-        covered = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(covered) << "tuple " << i;
-  }
-}
-
-TEST(ThresholdDiversifierTest, CoverMembersAreMutuallyDissimilar) {
-  std::vector<Vec> lake = RandomUnitPoints(80, 8, 2);
-  diversify::DiversifyInput input;
-  input.lake = &lake;
-  diversify::ThresholdDiversifier disc;
-  const float radius = 0.7f;
-  std::vector<size_t> cover = disc.CoverWithRadius(input, radius);
-  for (size_t a = 0; a < cover.size(); ++a) {
-    for (size_t b = a + 1; b < cover.size(); ++b) {
-      EXPECT_GT(la::Distance(input.metric, lake[cover[a]], lake[cover[b]]),
-                radius);
-    }
-  }
-}
-
-TEST(ThresholdDiversifierTest, RadiusZeroSelectsEverything) {
-  std::vector<Vec> lake = RandomUnitPoints(15, 4, 3);
-  diversify::DiversifyInput input;
-  input.lake = &lake;
-  diversify::ThresholdDiversifier disc;
-  EXPECT_EQ(disc.CoverWithRadius(input, 0.0f).size(), 15u);
-}
-
-TEST(ThresholdDiversifierTest, KAdapterReturnsExactlyK) {
-  std::vector<Vec> lake = RandomUnitPoints(100, 8, 4);
-  diversify::DiversifyInput input;
-  input.lake = &lake;
-  diversify::ThresholdDiversifier disc;
-  for (size_t k : {1u, 7u, 30u}) {
-    std::vector<size_t> selected = disc.SelectDiverse(input, k);
-    EXPECT_EQ(selected.size(), k);
-    std::set<size_t> unique(selected.begin(), selected.end());
-    EXPECT_EQ(unique.size(), k);
-  }
-}
-
-TEST(ThresholdDiversifierTest, EmptyAndOversizedK) {
-  std::vector<Vec> lake;
-  diversify::DiversifyInput input;
-  input.lake = &lake;
-  diversify::ThresholdDiversifier disc;
-  EXPECT_TRUE(disc.SelectDiverse(input, 5).empty());
-  lake = RandomUnitPoints(4, 4, 5);
-  EXPECT_EQ(disc.SelectDiverse(input, 99).size(), 4u);
 }
 
 // The paper's Sec. 6.4.1 claim: relative performance is stable across

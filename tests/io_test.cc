@@ -1,19 +1,28 @@
 // Persistence tests for src/io: save/load round-trip parity for every
-// index type and metric, corrupt/truncated/version-mismatch rejection,
-// empty-index round-trips, and the writer/reader primitives themselves.
+// index type and metric, corrupt/truncated/version-mismatch/trailing-byte
+// rejection, empty-index round-trips, a seeded corruption loop over the
+// index and snapshot files dust_cli loads, and the writer/reader
+// primitives themselves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/pipeline.h"
+#include "datagen/tus_generator.h"
+#include "embed/embedder.h"
+#include "embed/tuple_encoder.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "io/index_io.h"
+#include "search/tuple_search.h"
 #include "text/hashing.h"
 #include "util/rng.h"
 
@@ -88,7 +97,7 @@ TEST_P(RoundTripTest, SearchBatchParityOn1kVectors) {
 
   const std::string path = TempPath(std::string("roundtrip_") + param.type +
                                     std::to_string(MetricTag(param.metric)));
-  ASSERT_TRUE(index->Save(path).ok());
+  ASSERT_TRUE(SaveIndex(*index, path).ok());
   auto loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
@@ -106,7 +115,7 @@ TEST_P(RoundTripTest, EmptyIndexRoundTrips) {
   auto index = index::MakeVectorIndex(param.type, 8, param.metric);
   const std::string path = TempPath(std::string("empty_") + param.type +
                                     std::to_string(MetricTag(param.metric)));
-  ASSERT_TRUE(index->Save(path).ok());
+  ASSERT_TRUE(SaveIndex(*index, path).ok());
   auto loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value()->size(), 0u);
@@ -137,7 +146,7 @@ TEST(IndexIoTest, HnswCustomConfigAndGraphShapeSurviveRoundTrip) {
   hnsw.AddAll(RandomUnitVectors(600, 12, 13));
 
   const std::string path = TempPath("hnsw_config");
-  ASSERT_TRUE(hnsw.Save(path).ok());
+  ASSERT_TRUE(SaveIndex(hnsw, path).ok());
   auto loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   auto* restored = dynamic_cast<HnswIndex*>(loaded.value().get());
@@ -161,7 +170,7 @@ TEST_P(RoundTripTest, TombstonesSurviveRoundTrip) {
 
   const std::string path = TempPath(std::string("tombstones_") + param.type +
                                     std::to_string(MetricTag(param.metric)));
-  ASSERT_TRUE(index->Save(path).ok());
+  ASSERT_TRUE(SaveIndex(*index, path).ok());
   auto loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const VectorIndex& restored = *loaded.value();
@@ -263,7 +272,7 @@ TEST(IndexIoTest, CompactedIndexRoundTripsWithoutTombstones) {
   EXPECT_EQ(compacted.value()->num_tombstones(), 0u);
 
   const std::string path = TempPath("compacted.idx");
-  ASSERT_TRUE(compacted.value()->Save(path).ok());
+  ASSERT_TRUE(SaveIndex(*compacted.value(), path).ok());
   auto loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value()->num_tombstones(), 0u);
@@ -292,7 +301,7 @@ TEST(IndexIoTest, AddAfterLoadKeepsServing) {
     auto vectors = RandomUnitVectors(120, 8, 53);
     index->AddAll(vectors);
     const std::string path = TempPath(std::string("add_after_load_") + type);
-    ASSERT_TRUE(index->Save(path).ok()) << type;
+    ASSERT_TRUE(SaveIndex(*index, path).ok()) << type;
     auto loaded = LoadIndex(path);
     ASSERT_TRUE(loaded.ok()) << type << ": " << loaded.status().ToString();
     la::Vec probe = RandomUnitVectors(1, 8, 54)[0];
@@ -334,7 +343,7 @@ class SavedFlatFileTest : public ::testing::Test {
     FlatIndex flat(6, la::Metric::kCosine);
     flat.AddAll(RandomUnitVectors(50, 6, 23));
     path_ = TempPath("patched.idx");
-    ASSERT_TRUE(flat.Save(path_).ok());
+    ASSERT_TRUE(SaveIndex(flat, path_).ok());
     bytes_ = ReadFileBytes(path_);
     // header (8 magic + 4 version + 2 tags + 8 dim) + tombstone section (8)
     ASSERT_GT(bytes_.size(), 38u);
@@ -480,14 +489,14 @@ TEST(IndexIoTest, SavedFlatFileBytesArePinned) {
   flat.AddAll({vectors.begin() + 1, vectors.end()});
   ASSERT_EQ(flat.RemoveAll({2, 7}), 2u);
   const std::string path = TempPath("pinned_flat.idx");
-  ASSERT_TRUE(flat.Save(path).ok());
+  ASSERT_TRUE(SaveIndex(flat, path).ok());
   const std::string bytes = ReadFileBytes(path);
   EXPECT_EQ(bytes.size(), 306u);
   EXPECT_EQ(text::HashString(bytes), 0x87e5c3bf302b96ecULL);
   auto loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string resaved_path = TempPath("pinned_flat_resaved.idx");
-  ASSERT_TRUE(loaded.value()->Save(resaved_path).ok());
+  ASSERT_TRUE(SaveIndex(*loaded.value(), resaved_path).ok());
   EXPECT_EQ(ReadFileBytes(resaved_path), bytes);
 }
 
@@ -535,12 +544,141 @@ TEST(IndexIoTest, HnswUnderReportedLayersRejectedNotSearched) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
+TEST(IndexIoTest, TrailingBytesRejected) {
+  // Bytes after the index mean the file was concatenated with something or
+  // partly overwritten by a shorter one. Every section before them checks
+  // out, so only the end check can catch it.
+  for (const char* type : {"flat", "hnsw"}) {
+    auto index = index::MakeVectorIndex(type, 8, la::Metric::kCosine);
+    index->AddAll(RandomUnitVectors(40, 8, 61));
+    const std::string path = TempPath(std::string("trailing_") + type);
+    ASSERT_TRUE(SaveIndex(*index, path).ok()) << type;
+    const std::string bytes = ReadFileBytes(path);
+    WriteFileBytes(path, bytes + std::string(7, '\0'));
+    auto loaded = LoadIndex(path);
+    ASSERT_FALSE(loaded.ok()) << type;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << type;
+    EXPECT_NE(loaded.status().message().find("7 extra bytes"),
+              std::string::npos)
+        << loaded.status().ToString();
+    WriteFileBytes(path, bytes);
+    EXPECT_TRUE(LoadIndex(path).ok()) << type;
+  }
+}
+
 TEST(IndexIoTest, SaveToUnwritablePathIsIoError) {
   FlatIndex flat(4, la::Metric::kCosine);
   flat.Add({1, 0, 0, 0});
-  Status status = flat.Save(TempPath("no_such_dir/sub/index.idx"));
+  Status status = SaveIndex(flat, TempPath("no_such_dir/sub/index.idx"));
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
+}
+
+// --- seeded corruption of the index and snapshot files dust_cli loads ------
+
+/// `bytes` cut at a seeded offset, with the byte there changed, or with 1-16
+/// seeded bytes appended. Half the offsets fall in the first 64 bytes, where
+/// the headers and counts sit.
+std::string Corrupt(const std::string& bytes, dust::Rng* rng) {
+  size_t span = bytes.size();
+  if (rng->NextBelow(2) == 0) span = std::min<size_t>(span, 64);
+  const size_t offset = rng->NextBelow(span);
+  std::string out = bytes;
+  switch (rng->NextBelow(3)) {
+    case 0:
+      out.resize(offset);
+      break;
+    case 1:
+      out[offset] = static_cast<char>(out[offset] ^ (1 + rng->NextBelow(255)));
+      break;
+    default:
+      for (uint64_t n = 1 + rng->NextBelow(16); n > 0; --n) {
+        out.push_back(static_cast<char>(rng->NextBelow(256)));
+      }
+  }
+  return out;
+}
+
+// The files of a small lake: a flat and an hnsw tuple index
+// (--save-tuple-index), a flat snapshot and an --index hnsw --shortlist 4
+// one (--save-index). Each is corrupted at seeded offsets. Every load must
+// return ok or a Status, and every load that succeeds must answer a query
+// without aborting.
+TEST(CorruptFileTest, EveryLoadReturnsOkOrStatusAndServes) {
+  datagen::TusConfig tus;
+  tus.num_queries = 2;
+  tus.unionable_per_query = 3;
+  tus.distractors_per_base = 1;
+  tus.base_rows = 20;
+  tus.seed = 5;
+  const datagen::Benchmark benchmark = datagen::GenerateTus(tus);
+  std::vector<const table::Table*> lake;
+  for (const auto& t : benchmark.lake) lake.push_back(&t.data);
+  const table::Table& query = benchmark.queries[0].data;
+  embed::EmbedderConfig embedder;
+  embedder.dim = 32;
+  auto encoder = std::make_shared<embed::PretrainedTupleEncoder>(
+      std::shared_ptr<embed::TextEmbedder>(
+          embed::MakeEmbedder(embed::ModelFamily::kRoberta, embedder)));
+
+  std::vector<std::string> tuple_indexes;
+  for (const char* type : {"flat", "hnsw"}) {
+    search::TupleSearchConfig config;
+    config.index_type = type;
+    search::TupleSearch search(encoder, config);
+    search.IndexLake(lake);
+    const std::string path = TempPath(std::string("clean_") + type + ".tidx");
+    ASSERT_TRUE(SaveIndex(*search.lake_index(), path).ok()) << type;
+    tuple_indexes.push_back(ReadFileBytes(path));
+  }
+  core::PipelineConfig flat;
+  flat.num_tables = 4;
+  core::PipelineConfig hnsw = flat;
+  hnsw.search_index = "hnsw";
+  hnsw.search_shortlist = 4;
+  std::vector<std::pair<core::PipelineConfig, std::string>> snapshots;
+  for (const core::PipelineConfig& config : {flat, hnsw}) {
+    core::DustPipeline pipeline(config, encoder);
+    pipeline.IndexLake(lake);
+    const std::string path = TempPath("clean_" + config.search_index + ".snap");
+    ASSERT_TRUE(pipeline.SaveSnapshot(path).ok()) << config.search_index;
+    snapshots.emplace_back(config, ReadFileBytes(path));
+  }
+
+  constexpr int kTrials = 200;
+  const std::string path = TempPath("corrupt.bin");
+  const la::Vec probe = RandomUnitVectors(1, embedder.dim, 88)[0];
+  dust::Rng rng(2025);
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (const std::string& bytes : tuple_indexes) {
+    for (int trial = 0; trial < kTrials; ++trial) {
+      WriteFileBytes(path, Corrupt(bytes, &rng));
+      auto index = LoadIndex(path);
+      if (!index.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      EXPECT_LE(index.value()->Search(probe, 5).size(), 5u);
+    }
+  }
+  for (const auto& [config, bytes] : snapshots) {
+    for (int trial = 0; trial < kTrials; ++trial) {
+      WriteFileBytes(path, Corrupt(bytes, &rng));
+      core::DustPipeline pipeline(config, encoder);
+      if (!pipeline.LoadSnapshot(path, lake).ok()) {
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      auto result = pipeline.Run(query, 5);
+      if (result.ok()) EXPECT_LE(result.value().output.num_rows(), 5u);
+    }
+  }
+  // Both outcomes occur, so the loop reaches past the header checks.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- writer/reader primitives ----------------------------------------------

@@ -50,11 +50,9 @@ TEST(VectorOpsTest, NormalizeZeroVectorIsNoop) {
   EXPECT_EQ(z, (Vec{0, 0, 0}));
 }
 
-TEST(VectorOpsTest, MeanOfVectors) {
+TEST(VectorOpsTest, Mean) {
   std::vector<Vec> vs = {{1, 2}, {3, 4}, {5, 6}};
   EXPECT_EQ(Mean(vs), (Vec{3, 4}));
-  EXPECT_EQ(MeanOf(vs, {0, 2}), (Vec{3, 4}));
-  EXPECT_EQ(MeanOf(vs, {1}), (Vec{3, 4}));
 }
 
 TEST(DistanceTest, CosineIdenticalIsZero) {

@@ -376,6 +376,29 @@ TEST_F(PipelineFixture, SnapshotOfAnotherVersionIsRejectedWithRebuildHint) {
       << loaded.ToString();
 }
 
+// Tables, scores and provenance of two Run results must agree exactly.
+void ExpectSameRun(const PipelineResult& expected,
+                   const PipelineResult& actual) {
+  ASSERT_EQ(actual.tables.size(), expected.tables.size());
+  for (size_t t = 0; t < expected.tables.size(); ++t) {
+    EXPECT_EQ(actual.tables[t].table_index, expected.tables[t].table_index);
+    EXPECT_EQ(actual.tables[t].score, expected.tables[t].score);
+  }
+  ASSERT_EQ(actual.provenance.size(), expected.provenance.size());
+  for (size_t i = 0; i < expected.provenance.size(); ++i) {
+    EXPECT_EQ(actual.provenance[i], expected.provenance[i]);
+  }
+}
+
+// Two tables unionable with query 0: a snapshot of the whole lake differs
+// from the state of a pipeline indexed over them in every section.
+std::vector<const Table*> TwoTableLake(const datagen::Benchmark& benchmark,
+                                       const std::vector<const Table*>& lake) {
+  const std::vector<size_t>& unionable = benchmark.unionable[0];
+  EXPECT_GE(unionable.size(), 2u);
+  return {lake[unionable[0]], lake[unionable[1]]};
+}
+
 TEST_F(PipelineFixture, FailedSnapshotLoadKeepsServingTheIndexedLake) {
   // A snapshot of the whole lake, cut off inside the engine state: its
   // header checks out, so the engine starts reading it.
@@ -386,15 +409,10 @@ TEST_F(PipelineFixture, FailedSnapshotLoadKeepsServingTheIndexedLake) {
 
   // A pipeline serving two tables must come out of the failed load
   // unchanged, not half-loaded with table ids past its lake.
-  const std::vector<size_t>& unionable = benchmark_->unionable[0];
-  ASSERT_GE(unionable.size(), 2u);
-  const std::vector<const Table*> small = {(*lake_)[unionable[0]],
-                                           (*lake_)[unionable[1]]};
-  ASSERT_LT(small.size(), lake_->size());
   PipelineConfig config;
   config.num_tables = 5;
   DustPipeline pipeline(config, TestEncoder());
-  pipeline.IndexLake(small);
+  pipeline.IndexLake(TwoTableLake(*benchmark_, *lake_));
   const Table& query = benchmark_->queries[0].data;
   auto before = pipeline.Run(query, 8);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
@@ -405,17 +423,47 @@ TEST_F(PipelineFixture, FailedSnapshotLoadKeepsServingTheIndexedLake) {
 
   auto after = pipeline.Run(query, 8);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  ASSERT_EQ(after.value().tables.size(), before.value().tables.size());
-  for (size_t t = 0; t < before.value().tables.size(); ++t) {
-    EXPECT_EQ(after.value().tables[t].table_index,
-              before.value().tables[t].table_index);
-    EXPECT_EQ(after.value().tables[t].score, before.value().tables[t].score);
+  ExpectSameRun(before.value(), after.value());
+}
+
+TEST_F(PipelineFixture, SnapshotWithTrailingBytesRejectedAndChangesNothing) {
+  // Bytes after the engine state mean the file was concatenated with
+  // something or partly overwritten. Every section before them checks out,
+  // so only the end check can catch it; the load must fail, count them, and
+  // leave the pipeline serving the lake it had.
+  const std::string path = SnapshotPath("pipeline_snapshot_trailing.bin");
+  ASSERT_TRUE(pipeline_->SaveSnapshot(path).ok());
+  const std::string bytes = ReadFileBytes(path);
+
+  PipelineConfig config;
+  config.num_tables = 5;
+  DustPipeline pipeline(config, TestEncoder());
+  pipeline.IndexLake(TwoTableLake(*benchmark_, *lake_));
+  const Table& query = benchmark_->queries[0].data;
+  auto before = pipeline.Run(query, 8);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  for (size_t extra : {size_t{1}, size_t{23}}) {
+    WriteFileBytes(path, bytes + std::string(extra, '\x5a'));
+    Status loaded = pipeline.LoadSnapshot(path, *lake_);
+    ASSERT_FALSE(loaded.ok()) << extra;
+    EXPECT_EQ(loaded.code(), StatusCode::kIoError) << loaded.ToString();
+    EXPECT_NE(loaded.message().find(std::to_string(extra) + " extra bytes"),
+              std::string::npos)
+        << loaded.ToString();
+    auto after = pipeline.Run(query, 8);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ExpectSameRun(before.value(), after.value());
   }
-  ASSERT_EQ(after.value().provenance.size(),
-            before.value().provenance.size());
-  for (size_t i = 0; i < before.value().provenance.size(); ++i) {
-    EXPECT_EQ(after.value().provenance[i], before.value().provenance[i]);
-  }
+
+  // The file as saved still loads and serves the whole lake.
+  WriteFileBytes(path, bytes);
+  ASSERT_TRUE(pipeline.LoadSnapshot(path, *lake_).ok());
+  auto restored = pipeline.Run(query, 8);
+  auto expected = pipeline_->Run(query, 8);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ExpectSameRun(expected.value(), restored.value());
 }
 
 TEST(PipelineConfigDeathTest, UnknownEngineAborts) {

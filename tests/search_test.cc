@@ -1031,8 +1031,8 @@ TEST_F(SearchFixture, EmbeddingLoadStateRejectsALakeOfAnotherSize) {
 
 // The encoder gives every column norm 1, even an unnamed all-null one, so
 // only a snapshot can carry a zero column. A hand-written state with zero
-// columns loads, and its hits equal the exhaustive matching's, whose
-// weights come from la::CosineSimilarity.
+// columns loads over a lake of the same shapes, and its hits equal the
+// exhaustive matching's, whose weights come from la::CosineSimilarity.
 TEST_F(SearchFixture, HandWrittenStateWithZeroColumnsMatchesExhaustive) {
   EmbeddingUnionSearch source;
   source.IndexLake(*lake_);
@@ -1042,10 +1042,15 @@ TEST_F(SearchFixture, HandWrittenStateWithZeroColumnsMatchesExhaustive) {
     columns.push_back(source.ColumnEmbeddings(t));
   }
   // Table 0 gets a zero first column, table 1 keeps only a zero column,
-  // and table 2 has no columns at all.
+  // and table 2 has no columns at all; the lake is reshaped to match.
   columns[0][0].assign(dim, 0.0f);
   columns[1] = {la::Vec(dim, 0.0f)};
   columns[2].clear();
+  const Table one_column = (*lake_)[1]->ProjectColumns({0});
+  const Table no_columns = (*lake_)[2]->ProjectColumns({});
+  std::vector<const Table*> lake = *lake_;
+  lake[1] = &one_column;
+  lake[2] = &no_columns;
   const std::string path = ::testing::TempDir() + "embed_zero_state.bin";
   {
     io::IndexWriter writer(path);
@@ -1056,8 +1061,20 @@ TEST_F(SearchFixture, HandWrittenStateWithZeroColumnsMatchesExhaustive) {
   }
   EmbeddingUnionSearch restored;
   {
+    // The lake the columns came from has the same size but other shapes:
+    // the load fails, naming the first table whose column count differs.
     io::IndexReader reader(path);
-    ASSERT_TRUE(restored.LoadState(&reader, *lake_).ok());
+    Status loaded = restored.LoadState(&reader, *lake_);
+    ASSERT_EQ(loaded.code(), StatusCode::kFailedPrecondition)
+        << loaded.ToString();
+    EXPECT_NE(loaded.message().find("\"" + (*lake_)[1]->name() + "\""),
+              std::string::npos)
+        << loaded.ToString();
+  }
+  {
+    io::IndexReader reader(path);
+    Status loaded = restored.LoadState(&reader, lake);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   }
   ASSERT_EQ(restored.ColumnEmbeddings(1).size(), 1u);
   EXPECT_TRUE(restored.ColumnEmbeddings(2).empty());
