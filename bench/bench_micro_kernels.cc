@@ -155,15 +155,21 @@ BENCHMARK(BM_CosineDistance)->Arg(64)->Arg(256)->Arg(768);
 // The two O(s^2) phases of DUST's clustering step at dim 64, cosine; 2500
 // is the paper's pruning cap s.
 
+/// Arg 1 == 0 builds the matrix on Executor(0), the calling thread; arg 1
+/// == 1 on the default pool.
 void BM_DistanceMatrix(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto points = bench::SyntheticTupleCloud(n, 64, 8, 2);
+  serve::Executor inline_executor(0);
+  serve::Executor* executor =
+      state.range(1) == 0 ? &inline_executor : &serve::Executor::Default();
   for (auto _ : state) {
-    la::DistanceMatrix m(points, la::Metric::kCosine);
+    la::DistanceMatrix m(points, la::Metric::kCosine, executor);
     benchmark::DoNotOptimize(m.at(0, n - 1));
   }
+  state.SetLabel(state.range(1) == 0 ? "serial" : "pooled");
 }
-BENCHMARK(BM_DistanceMatrix)->Arg(200)->Arg(500)->Arg(1000)->Arg(2500);
+BENCHMARK(BM_DistanceMatrix)->ArgsProduct({{200, 500, 1000, 2500}, {0, 1}});
 
 void BM_NnChainClustering(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

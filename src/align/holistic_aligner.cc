@@ -62,7 +62,8 @@ AlignmentResult BuildResult(const table::Table& query,
 AlignmentResult HolisticAligner::Align(
     const table::Table& query,
     const std::vector<const table::Table*>& lake_tables,
-    const std::vector<std::vector<la::Vec>>& column_embeddings) const {
+    const std::vector<std::vector<la::Vec>>& column_embeddings,
+    serve::Executor* executor) const {
   DUST_CHECK(column_embeddings.size() == lake_tables.size() + 1);
 
   // Flatten columns: ids[i] identifies the column behind embedding i;
@@ -82,7 +83,7 @@ AlignmentResult HolisticAligner::Align(
     return BuildResult(query, lake_tables, ids, {}, 0);
   }
 
-  la::DistanceMatrix distances(points, config_.metric);
+  la::DistanceMatrix distances(points, config_.metric, executor);
   cluster::ConstrainedDendrogram dendrogram =
       cluster::ConstrainedAgglomerative(distances, group_of, config_.linkage);
 

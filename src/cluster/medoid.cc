@@ -26,7 +26,8 @@ size_t MedoidOf(const std::vector<size_t>& members,
 
 std::vector<size_t> ClusterMedoids(const std::vector<la::Vec>& points,
                                    const std::vector<size_t>& labels,
-                                   la::Metric metric) {
+                                   la::Metric metric,
+                                   serve::Executor* executor) {
   std::vector<size_t> medoids;
   std::vector<la::Vec> cluster_points;
   std::vector<size_t> local;
@@ -36,8 +37,8 @@ std::vector<size_t> ClusterMedoids(const std::vector<la::Vec>& points,
     for (size_t i : members) cluster_points.push_back(points[i]);
     local.resize(members.size());
     std::iota(local.begin(), local.end(), 0);
-    medoids.push_back(
-        members[MedoidOf(local, la::DistanceMatrix(cluster_points, metric))]);
+    medoids.push_back(members[MedoidOf(
+        local, la::DistanceMatrix(cluster_points, metric, executor))]);
   }
   return medoids;
 }

@@ -21,8 +21,10 @@ namespace {
 /// profile index (io::WriteIndex).
 constexpr uint32_t kSnapshotFormatVersion = 3;
 
-/// Tuples per executor task in EncodeTuples.
-constexpr size_t kEncodeChunk = 64;
+/// EncodeTuples' grain: 64 tuples take about 0.28 ms at 4.3 us a tuple,
+/// 17 round trips of an empty pooled ParallelFor (16 us at the median on
+/// 4 vCPUs).
+constexpr size_t kEncodeGrainTuples = 64;
 
 }  // namespace
 
@@ -139,15 +141,14 @@ Status DustPipeline::LoadSnapshot(
 std::vector<la::Vec> DustPipeline::EncodeTuples(
     const std::vector<std::string>& serialized) const {
   std::vector<la::Vec> out(serialized.size());
-  const size_t chunks = (serialized.size() + kEncodeChunk - 1) / kEncodeChunk;
   serve::Executor& pool =
       executor_ != nullptr ? *executor_ : serve::Executor::Default();
-  pool.ParallelFor(chunks, [&](size_t chunk) {
-    const size_t end = std::min(serialized.size(), (chunk + 1) * kEncodeChunk);
-    for (size_t i = chunk * kEncodeChunk; i < end; ++i) {
-      out[i] = tuple_encoder_->EncodeSerialized(serialized[i]);
-    }
-  });
+  pool.ParallelFor(serialized.size(), kEncodeGrainTuples,
+                   [&](size_t begin, size_t end) {
+                     for (size_t i = begin; i < end; ++i) {
+                       out[i] = tuple_encoder_->EncodeSerialized(serialized[i]);
+                     }
+                   });
   return out;
 }
 
@@ -191,9 +192,10 @@ Result<PipelineResult> DustPipeline::Run(const table::Table& query,
   all_tables.push_back(&query);
   for (const table::Table* t : retrieved) all_tables.push_back(t);
   std::vector<std::vector<la::Vec>> column_embeddings =
-      column_embedder.EmbedTables(all_tables);
+      column_embedder.EmbedTables(all_tables, executor_);
   align::HolisticAligner aligner(config_.aligner);
-  result.alignment = aligner.Align(query, retrieved, column_embeddings);
+  result.alignment =
+      aligner.Align(query, retrieved, column_embeddings, executor_);
 
   Result<align::UnionableTuples> tuples =
       align::BuildUnionableTuples(query, retrieved, result.alignment);
@@ -223,6 +225,7 @@ Result<PipelineResult> DustPipeline::Run(const table::Table& query,
   input.lake = &lake_embeddings;
   input.metric = config_.metric;
   input.table_of = &table_of;
+  input.executor = executor_;
   diversify::DustDiversifier diversifier(config_.diversifier);
   std::vector<size_t> selected = diversifier.SelectDiverse(input, k);
   result.timings.diversify_seconds = watch.Seconds();

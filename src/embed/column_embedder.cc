@@ -1,5 +1,9 @@
 #include "embed/column_embedder.h"
 
+#include <algorithm>
+#include <iterator>
+
+#include "serve/executor.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
 #include "util/status.h"
@@ -72,33 +76,50 @@ la::Vec ColumnEmbedder::EmbedColumnTokens(std::vector<std::string> tokens,
 }
 
 std::vector<std::vector<la::Vec>> ColumnEmbedder::EmbedTables(
-    const std::vector<const table::Table*>& tables) const {
+    const std::vector<const table::Table*>& tables,
+    serve::Executor* executor) const {
+  std::vector<const table::Column*> columns;
+  size_t cells = 0;
+  for (const table::Table* t : tables) {
+    for (const table::Column& c : t->columns()) {
+      columns.push_back(&c);
+      cells += c.values.size();
+    }
+  }
+  // A column's cost grows with its cells, so a claim is the columns of
+  // about kGrainCells cells at this call's mean column height; a call of at
+  // most kGrainCells cells is one claim, on the caller.
+  const size_t grain = std::max<size_t>(
+      1, kGrainCells * columns.size() / std::max<size_t>(cells, 1));
+  serve::Executor& pool =
+      executor != nullptr ? *executor : serve::Executor::Default();
   // Corpus for TF-IDF: one document per column across all tables. Each
   // column is tokenized once; its document then feeds its own embedding.
   std::vector<std::vector<std::string>> docs;
   std::unique_ptr<text::TfidfModel> tfidf;
   if (serialization_ == ColumnSerialization::kColumnLevel) {
-    for (const table::Table* t : tables) {
-      for (const table::Column& c : t->columns()) {
-        docs.push_back(ColumnTokens(c));
-      }
-    }
+    docs.resize(columns.size());
+    pool.ParallelFor(columns.size(), grain, [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) docs[c] = ColumnTokens(*columns[c]);
+    });
     tfidf = std::make_unique<text::TfidfModel>(docs);
   }
+  std::vector<la::Vec> embedded(columns.size());
+  pool.ParallelFor(columns.size(), grain, [&](size_t begin, size_t end) {
+    for (size_t c = begin; c < end; ++c) {
+      embedded[c] = tfidf == nullptr
+                        ? EmbedColumn(*columns[c], nullptr)
+                        : EmbedColumnTokens(std::move(docs[c]), tfidf.get());
+    }
+  });
   std::vector<std::vector<la::Vec>> out;
   out.reserve(tables.size());
-  size_t doc = 0;
+  auto next = embedded.begin();
   for (const table::Table* t : tables) {
-    std::vector<la::Vec> cols;
-    cols.reserve(t->num_columns());
-    for (const table::Column& c : t->columns()) {
-      if (tfidf == nullptr) {
-        cols.push_back(EmbedColumn(c, nullptr));
-      } else {
-        cols.push_back(EmbedColumnTokens(std::move(docs[doc++]), tfidf.get()));
-      }
-    }
-    out.push_back(std::move(cols));
+    const auto end = next + static_cast<std::ptrdiff_t>(t->num_columns());
+    out.emplace_back(std::make_move_iterator(next),
+                     std::make_move_iterator(end));
+    next = end;
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "la/simd/kernels.h"
+#include "serve/executor.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -238,12 +239,47 @@ void DistanceToRows(Metric metric, const float* query, float query_norm,
   DUST_CHECK(false && "invalid Metric enum value");
 }
 
-DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric)
-    : n_(points.size()), data_(points.size() * points.size(), 0.0f) {
+namespace {
+
+/// Side of the square tiles the lower triangle is mirrored in: both sides
+/// of a 64 x 64 tile stay in cache.
+constexpr size_t kMirrorTile = 64;
+
+/// Tiles per claim of the mirror: 24 tiles take about 0.25 ms at s = 2,500,
+/// where a tile's column reads stride 10 KB and cost 10 us a tile, 15
+/// round trips of an empty pooled ParallelFor (16 us at the median on 4
+/// vCPUs). Smaller matrices have cheaper tiles and fewer of them.
+constexpr size_t kGrainTiles = 24;
+
+/// Runs row(r) once for every r in [0, rows) on `pool`, for a triangle
+/// whose rows u and rows - 1 - u, a long row and a short one, together cost
+/// `cost_of_pair` units. Index u runs both, so every index costs the same
+/// and a claim of at least `grain_units` units is a range of indices.
+template <typename Row>
+void ForTriangleRows(serve::Executor& pool, size_t rows, size_t cost_of_pair,
+                     size_t grain_units, const Row& row) {
+  const size_t cost = std::max<size_t>(cost_of_pair, 1);
+  const size_t grain = (grain_units + cost - 1) / cost;
+  pool.ParallelFor((rows + 1) / 2, grain, [&](size_t begin, size_t end) {
+    for (size_t u = begin; u < end; ++u) {
+      row(u);
+      if (rows - 1 - u != u) row(rows - 1 - u);
+    }
+  });
+}
+
+}  // namespace
+
+DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric,
+                               serve::Executor* executor)
+    : n_(points.size()) {
   if (n_ == 0) return;
-  // The strict upper triangle, written row by row. One contiguous copy of
-  // the points makes row i a single contiguous scan over the points after
-  // i (a batched dot for cosine).
+  data_.reset(new float[n_ * n_]);
+  serve::Executor& pool =
+      executor != nullptr ? *executor : serve::Executor::Default();
+  // One contiguous copy of the points makes row i of the strict upper
+  // triangle a single contiguous scan over the points after i (a batched
+  // dot for cosine).
   const size_t dim = points[0].size();
   std::vector<float> flat(n_ * dim);
   for (size_t i = 0; i < n_; ++i) {
@@ -251,25 +287,42 @@ DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric)
     std::copy(points[i].begin(), points[i].end(), flat.begin() + i * dim);
   }
   const std::vector<float> norms = NormsOf(points);
-  for (size_t i = 0; i + 1 < n_; ++i) {
+  float* const data = data_.get();
+  // Row i holds n - 1 - i pairs, so rows i and n - 1 - i hold n - 1.
+  ForTriangleRows(pool, n_, n_ - 1, kGrainPairs, [&](size_t i) {
+    float* row = data + i * n_;
+    row[i] = 0.0f;
     const float* q = flat.data() + i * dim;
     DistanceToRows(metric, q, norms[i], q + dim, norms.data() + i + 1,
-                   n_ - i - 1, dim, data_.data() + i * n_ + i + 1);
-  }
+                   n_ - i - 1, dim, row + i + 1);
+  });
   // Every kernel is symmetric in its two operands, so the lower triangle is
   // the transposed upper one; copy it tile by tile to keep both sides of
-  // each tile in cache.
-  constexpr size_t kTile = 64;
-  for (size_t ib = 0; ib < n_; ib += kTile) {
-    const size_t i_end = std::min(ib + kTile, n_);
-    for (size_t jb = 0; jb <= ib; jb += kTile) {
+  // each tile in cache. Tile row t holds t + 1 tiles, so tile rows t and
+  // tiles - 1 - t hold tiles + 1.
+  const size_t tiles = (n_ + kMirrorTile - 1) / kMirrorTile;
+  ForTriangleRows(pool, tiles, tiles + 1, kGrainTiles, [&](size_t t) {
+    const size_t ib = t * kMirrorTile;
+    const size_t i_end = std::min(ib + kMirrorTile, n_);
+    for (size_t jb = 0; jb <= ib; jb += kMirrorTile) {
       for (size_t i = ib; i < i_end; ++i) {
-        float* row = data_.data() + i * n_;
-        const size_t j_end = std::min(jb + kTile, i);
-        for (size_t j = jb; j < j_end; ++j) row[j] = data_[j * n_ + i];
+        float* row = data + i * n_;
+        const size_t j_end = std::min(jb + kMirrorTile, i);
+        for (size_t j = jb; j < j_end; ++j) row[j] = data[j * n_ + i];
       }
     }
-  }
+  });
+}
+
+DistanceMatrix::DistanceMatrix(const DistanceMatrix& other) : n_(other.n_) {
+  if (other.data_ == nullptr) return;
+  data_.reset(new float[n_ * n_]);
+  std::copy(other.data_.get(), other.data_.get() + n_ * n_, data_.get());
+}
+
+DistanceMatrix& DistanceMatrix::operator=(const DistanceMatrix& other) {
+  if (this != &other) *this = DistanceMatrix(other);
+  return *this;
 }
 
 }  // namespace dust::la

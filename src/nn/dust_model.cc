@@ -147,6 +147,15 @@ Status DustModel::LoadFromFile(const std::string& path) {
   in.read(reinterpret_cast<char*>(params.data()),
           static_cast<std::streamsize>(count * sizeof(float)));
   if (!in) return Status::IoError("truncated model file: " + path);
+  // Bytes past the parameters mean the file was concatenated with something
+  // or partly overwritten by a shorter one.
+  const std::streamoff end_of_params = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff extra = in.tellg() - end_of_params;
+  if (extra != 0) {
+    return Status::IoError(std::to_string(extra) +
+                           " extra bytes after the end of " + path);
+  }
   for (float p : params) {
     if (!std::isfinite(p)) {
       return Status::IoError("non-finite parameter in model file: " + path);

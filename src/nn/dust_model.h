@@ -74,8 +74,9 @@ class DustModel : public embed::TupleEncoder {
   size_t num_params() const;
 
   /// Binary model (de)serialization. A file with the wrong parameter
-  /// count, a truncated payload or a NaN or infinite parameter fails with
-  /// an IoError naming the file; a failed load leaves the model unchanged.
+  /// count, a truncated payload, bytes after the parameters or a NaN or
+  /// infinite parameter fails with an IoError naming the file; a failed
+  /// load leaves the model unchanged.
   Status SaveToFile(const std::string& path) const;
   Status LoadFromFile(const std::string& path);
 

@@ -1,5 +1,7 @@
 #include "serve/executor.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -10,9 +12,14 @@ namespace dust::serve {
 /// helper tasks may still sit in the queue after the loop finished (they
 /// wake up, see the counter exhausted, and return without touching `body`).
 struct Executor::ForLoop {
-  const std::function<void(size_t)>* body = nullptr;
+  const std::function<void(size_t, size_t)>* body = nullptr;
   size_t n = 0;
+  size_t grain = 1;
+  /// The caller plus the helpers enqueued for this loop.
+  size_t participants = 1;
+  /// The first index no claim has taken.
   std::atomic<size_t> next{0};
+  /// Indices whose ranges have completed.
   std::atomic<size_t> done{0};
   std::mutex m;
   std::condition_variable all_done;
@@ -26,9 +33,20 @@ Executor::Executor(size_t num_threads) {
 }
 
 Executor& Executor::Default() {
-  static Executor* pool = new Executor(
-      std::max<size_t>(1, std::thread::hardware_concurrency()));
+  static Executor* pool = new Executor(AvailableCpus());
   return *pool;
+}
+
+size_t Executor::AvailableCpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<size_t>(count);
+  }
+#endif
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
 Executor::~Executor() {
@@ -68,39 +86,58 @@ void Executor::Enqueue(std::function<void()> task) {
 }
 
 void Executor::Drain(const std::shared_ptr<ForLoop>& loop) {
-  for (size_t i = loop->next.fetch_add(1); i < loop->n;
-       i = loop->next.fetch_add(1)) {
-    (*loop->body)(i);
-    if (loop->done.fetch_add(1) + 1 == loop->n) {
+  size_t begin = loop->next.load();
+  while (begin < loop->n) {
+    // Guided self-scheduling: a share of what is left, never below grain.
+    const size_t remaining = loop->n - begin;
+    const size_t claim = std::min(
+        remaining,
+        std::max(loop->grain, remaining / (2 * loop->participants)));
+    // On failure the exchange reloads `begin` and the claim is resized.
+    if (!loop->next.compare_exchange_weak(begin, begin + claim)) continue;
+    (*loop->body)(begin, begin + claim);
+    if (loop->done.fetch_add(claim) + claim == loop->n) {
       // Taking the mutex pairs this notify with the waiter's predicate
       // check, so the wakeup cannot slip into the gap before the wait.
       std::lock_guard<std::mutex> lock(loop->m);
       loop->all_done.notify_all();
     }
+    begin = loop->next.load();
   }
 }
 
-void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+void Executor::ParallelFor(size_t n, size_t grain,
+                           const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
-  if (threads_.empty() || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
+  grain = std::max<size_t>(grain, 1);
+  if (threads_.empty() || n <= grain) {
+    body(0, n);
     return;
   }
   auto loop = std::make_shared<ForLoop>();
   loop->body = &body;
   loop->n = n;
-  // The caller takes one share of the work, so at most n-1 helpers are
-  // useful, and none is needed: the caller claims whatever no helper took.
-  // `body` stays valid for helpers: an iteration is only claimed while
-  // done < n, and the caller cannot return (invalidating `body`) until
-  // done == n.
-  const size_t helpers = std::min(threads_.size(), n - 1);
+  loop->grain = grain;
+  // Every claim but the last takes at least `grain` indices, so at most
+  // ceil(n / grain) claims exist; the caller takes one, so more than
+  // ceil(n / grain) - 1 helpers would find nothing, and none is needed:
+  // the caller claims whatever no helper took. `body` stays valid for
+  // helpers: a range is only claimed while done < n, and the caller cannot
+  // return (invalidating `body`) until done == n.
+  const size_t helpers = std::min(threads_.size(), (n - 1) / grain);
+  loop->participants = helpers + 1;
   for (size_t h = 0; h < helpers; ++h) {
     Enqueue([loop] { Drain(loop); });
   }
   Drain(loop);
   std::unique_lock<std::mutex> lock(loop->m);
   loop->all_done.wait(lock, [&] { return loop->done.load() == loop->n; });
+}
+
+void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
+  ParallelFor(n, 1, [&body](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) body(i);
+  });
 }
 
 }  // namespace dust::serve

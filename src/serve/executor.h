@@ -41,18 +41,36 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   /// The process-wide pool for parallel work that was handed no executor:
-  /// max(1, hardware_concurrency()) workers, created on first use and never
-  /// destroyed (leaked, like obs::SpanCollector::Global(), so a call during
-  /// static destruction never meets a joined pool).
+  /// AvailableCpus() workers as the first caller sees them, created on
+  /// first use and never destroyed (leaked, like
+  /// obs::SpanCollector::Global(), so a call during static destruction
+  /// never meets a joined pool).
   static Executor& Default();
+
+  /// The CPUs the calling thread may run on: CPU_COUNT of its
+  /// sched_getaffinity mask, so a process started under `taskset -c 0,1`
+  /// counts 2 on a 4-CPU host. Falls back to hardware_concurrency(), then
+  /// to 1.
+  static size_t AvailableCpus();
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Runs body(0..n-1), each index exactly once, and returns when all have
-  /// completed. Iterations run concurrently on the pool plus the calling
-  /// thread; the caller always drains work itself, so ParallelFor from
-  /// inside a pool task completes even when every other worker is busy.
-  /// `body` must be safe to invoke concurrently for distinct indices.
+  /// Runs body(begin, end) over disjoint ranges that cover [0, n) exactly
+  /// once, and returns when all have completed. Ranges run concurrently on
+  /// the pool plus the calling thread; the caller always drains work
+  /// itself, so ParallelFor from inside a pool task completes even when
+  /// every other worker is busy. Each claim takes about remaining /
+  /// (2 x participants) indices and never fewer than `grain` (the last may
+  /// be shorter), so claims shrink as the range drains and the
+  /// participants finish close together. A loop with n <= grain runs as
+  /// body(0, n) on the caller without waking a helper: pass as `grain` the
+  /// number of indices whose work outweighs a pooled round trip. `body`
+  /// must be safe to invoke concurrently for disjoint ranges.
+  void ParallelFor(size_t n, size_t grain,
+                   const std::function<void(size_t, size_t)>& body);
+
+  /// Runs body(0..n-1), each index exactly once: the range form with a
+  /// grain of one index.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// Total helper tasks executed by pool threads over the executor's
@@ -71,7 +89,7 @@ class Executor {
  private:
   struct ForLoop;
 
-  /// Runs ForLoop iterations until the loop's shared counter is exhausted.
+  /// Claims and runs ForLoop ranges until the loop's counter is exhausted.
   static void Drain(const std::shared_ptr<ForLoop>& loop);
 
   void Enqueue(std::function<void()> task);

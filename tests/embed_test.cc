@@ -1,9 +1,11 @@
-// Unit tests for src/embed: encoder zoo, column embedders, Starmie encoder,
-// tuple encoders.
+// Unit tests for src/embed: encoder zoo, column embedders (serial and
+// pooled), Starmie encoder, tuple encoders.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <map>
+#include <vector>
 
 #include "datagen/tus_generator.h"
 #include "embed/column_embedder.h"
@@ -13,6 +15,7 @@
 #include "embed/tuple_encoder.h"
 #include "la/distance.h"
 #include "la/simd/kernels.h"
+#include "serve/executor.h"
 #include "table/serialize.h"
 #include "text/hashing.h"
 
@@ -293,6 +296,53 @@ uint64_t HashVecs(const std::vector<la::Vec>& vecs) {
     }
   }
   return h;
+}
+
+/// HashVecs over every column embedding, table by table.
+uint64_t HashTables(const std::vector<std::vector<la::Vec>>& tables) {
+  std::vector<la::Vec> columns;
+  for (const auto& t : tables) {
+    columns.insert(columns.end(), t.begin(), t.end());
+  }
+  return HashVecs(columns);
+}
+
+TEST(ColumnEmbedderTest, EmbedTablesIsIdenticalOnEveryExecutor) {
+  // Tokenizing and embedding run in claims of about kGrainCells cells; the
+  // lake below spans several claims. Each column's tokens and embedding are
+  // a pure function of the column and the TF-IDF fit, so every pool must
+  // give the inline result bit for bit, for both serializations and for a
+  // cap small enough that TF-IDF selection runs.
+  datagen::TusConfig config;
+  config.num_queries = 2;
+  config.unionable_per_query = 3;
+  config.distractors_per_base = 1;
+  config.base_rows = 300;
+  config.seed = 12;
+  const datagen::Benchmark benchmark = datagen::GenerateTus(config);
+  std::vector<const Table*> tables;
+  size_t cells = 0;
+  for (const auto& t : benchmark.lake) {
+    tables.push_back(&t.data);
+    cells += t.data.num_rows() * t.data.num_columns();
+  }
+  ASSERT_GT(cells, 4 * ColumnEmbedder::kGrainCells);
+  auto encoder = std::shared_ptr<TextEmbedder>(MakeEmbedder(
+      ModelFamily::kRoberta, DefaultConfigFor(ModelFamily::kRoberta, 64)));
+  serve::Executor inline_executor(0);
+  serve::Executor four(4);
+  for (ColumnSerialization serialization :
+       {ColumnSerialization::kColumnLevel, ColumnSerialization::kCellLevel}) {
+    for (size_t limit : {512, 16}) {
+      const ColumnEmbedder embedder(encoder, serialization, limit);
+      const uint64_t want =
+          HashTables(embedder.EmbedTables(tables, &inline_executor));
+      EXPECT_EQ(HashTables(embedder.EmbedTables(tables, &four)), want)
+          << embedder.name() << " limit " << limit << " on Executor(4)";
+      EXPECT_EQ(HashTables(embedder.EmbedTables(tables)), want)
+          << embedder.name() << " limit " << limit << " on Default()";
+    }
+  }
 }
 
 TEST(EncoderGoldenTest, HashedEncoderBitsArePinnedPerFamily) {

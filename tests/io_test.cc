@@ -22,6 +22,7 @@
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "io/index_io.h"
+#include "nn/dust_model.h"
 #include "search/tuple_search.h"
 #include "text/hashing.h"
 #include "util/rng.h"
@@ -601,9 +602,9 @@ std::string Corrupt(const std::string& bytes, dust::Rng* rng) {
 
 // The files of a small lake: a flat and an hnsw tuple index
 // (--save-tuple-index), a flat snapshot and an --index hnsw --shortlist 4
-// one (--save-index). Each is corrupted at seeded offsets. Every load must
-// return ok or a Status, and every load that succeeds must answer a query
-// without aborting.
+// one (--save-index), and a DustModel file. Each is corrupted at seeded
+// offsets. Every load must return ok or a Status, and every load that
+// succeeds must answer a query, or encode a tuple, without aborting.
 TEST(CorruptFileTest, EveryLoadReturnsOkOrStatusAndServes) {
   datagen::TusConfig tus;
   tus.num_queries = 2;
@@ -645,6 +646,14 @@ TEST(CorruptFileTest, EveryLoadReturnsOkOrStatusAndServes) {
     snapshots.emplace_back(config, ReadFileBytes(path));
   }
 
+  nn::DustModelConfig model_config;
+  model_config.feature_dim = 64;
+  model_config.hidden_dim = 8;
+  model_config.embedding_dim = 4;
+  const std::string model_path = TempPath("clean_model.bin");
+  ASSERT_TRUE(nn::DustModel(model_config).SaveToFile(model_path).ok());
+  const std::string model_bytes = ReadFileBytes(model_path);
+
   constexpr int kTrials = 200;
   const std::string path = TempPath("corrupt.bin");
   const la::Vec probe = RandomUnitVectors(1, embedder.dim, 88)[0];
@@ -675,6 +684,17 @@ TEST(CorruptFileTest, EveryLoadReturnsOkOrStatusAndServes) {
       auto result = pipeline.Run(query, 5);
       if (result.ok()) EXPECT_LE(result.value().output.num_rows(), 5u);
     }
+  }
+  for (int trial = 0; trial < kTrials; ++trial) {
+    WriteFileBytes(path, Corrupt(model_bytes, &rng));
+    nn::DustModel model(model_config);
+    if (!model.LoadFromFile(path).ok()) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    EXPECT_EQ(model.EncodeSerialized("[CLS] park Hyde Park [SEP]").size(),
+              model_config.embedding_dim);
   }
   // Both outcomes occur, so the loop reaches past the header checks.
   EXPECT_GT(loaded, 0u);

@@ -1,5 +1,6 @@
-// Unit + property tests for src/la: vector ops, distances, matrices, PCA,
-// and the runtime-dispatched SIMD kernel backends.
+// Unit + property tests for src/la: vector ops, distances, matrices (the
+// distance matrix serial and pooled), PCA, and the runtime-dispatched SIMD
+// kernel backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,12 +9,16 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "la/distance.h"
 #include "la/matrix.h"
 #include "la/pca.h"
 #include "la/simd/kernels.h"
 #include "la/vector_ops.h"
+#include "serve/executor.h"
 #include "util/rng.h"
 
 namespace dust::la {
@@ -512,33 +517,78 @@ TEST(ArgminTest, FirstMinimumOnEveryBackend) {
   }
 }
 
+/// Leaves a freed n x n block of NaNs on the heap, which the next matrix of
+/// that size is likely to be handed: a build that skipped an entry would
+/// then read NaN there rather than a fresh page's zero.
+void PoisonHeap(size_t n) {
+  std::unique_ptr<float[]> block(new float[n * n]);
+  std::fill(block.get(), block.get() + n * n,
+            std::numeric_limits<float>::quiet_NaN());
+}
+
+void ExpectSameBits(const DistanceMatrix& want, const DistanceMatrix& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t j = 0; j < want.size(); ++j) {
+      ASSERT_EQ(FloatBits(want.at(i, j)), FloatBits(got.at(i, j)))
+          << what << " (" << i << ", " << j << ")";
+    }
+  }
+}
+
 TEST(DistanceMatrixTest, EntriesBitIdenticalToDistanceToManyRows) {
   // Off the diagonal, row i of the matrix is DistanceToMany's norm-cached
-  // row for points[i], under each backend, for every metric. 25 points give
-  // row lengths on both sides of the batched kernel's 4-row groups; a
-  // duplicate and a zero vector exercise the cosine conventions.
+  // row for points[i], under each backend, for every metric, whether the
+  // matrix is built inline, on four workers or on the default pool. Row
+  // lengths fall on both sides of the batched kernel's 4-row groups, and at
+  // n = 700 the pairs span several claims of the pooled build. A duplicate
+  // and a zero vector exercise the cosine conventions. The buffer is never
+  // zero-filled, so each build follows a freed block of NaNs and the
+  // diagonal must still read exactly 0. A copy equals its source.
+  ASSERT_GT(700u * 699u / 2u, 4 * DistanceMatrix::kGrainPairs);
+  serve::Executor inline_executor(0);
+  serve::Executor four(4);
   dust::Rng rng(99);
   for (bool force_scalar : {true, false}) {
     simd::ForceScalar(force_scalar);
     for (size_t dim : {1u, 7u, 33u, 64u}) {
-      std::vector<Vec> points;
-      for (int i = 0; i < 23; ++i) points.push_back(RandomVec(dim, &rng));
-      points.push_back(points[3]);
-      points.push_back(Vec(dim, 0.0f));
-      const std::vector<float> norms = NormsOf(points);
-      for (Metric metric :
-           {Metric::kCosine, Metric::kEuclidean, Metric::kManhattan}) {
-        const DistanceMatrix m(points, metric);
-        ASSERT_EQ(m.size(), points.size());
-        std::vector<float> row;
-        for (size_t i = 0; i < points.size(); ++i) {
-          DistanceToMany(metric, points[i], points, norms, &row);
-          for (size_t j = 0; j < points.size(); ++j) {
-            const float want = i == j ? 0.0f : row[j];
-            EXPECT_EQ(FloatBits(m.at(i, j)), FloatBits(want))
-                << simd::ActiveName() << " " << MetricName(metric) << " dim "
-                << dim << " (" << i << ", " << j << ")";
+      for (size_t n : {1u, 2u, 3u, 25u, 130u, 700u}) {
+        std::vector<Vec> points;
+        for (size_t i = 0; i < n; ++i) points.push_back(RandomVec(dim, &rng));
+        if (n >= 3) {
+          points[n - 2] = points[0];
+          points[n - 1] = Vec(dim, 0.0f);
+        }
+        const std::vector<float> norms = NormsOf(points);
+        for (Metric metric :
+             {Metric::kCosine, Metric::kEuclidean, Metric::kManhattan}) {
+          const std::string what = std::string(simd::ActiveName()) + " " +
+                                   MetricName(metric) + " dim " +
+                                   std::to_string(dim) + " n " +
+                                   std::to_string(n);
+          PoisonHeap(n);
+          const DistanceMatrix serial(points, metric, &inline_executor);
+          PoisonHeap(n);
+          const DistanceMatrix pooled(points, metric, &four);
+          PoisonHeap(n);
+          const DistanceMatrix on_default(points, metric);
+          ExpectSameBits(serial, pooled, what + " Executor(4)");
+          ExpectSameBits(serial, on_default, what + " Default()");
+          std::vector<float> row;
+          for (size_t i = 0; i < n; ++i) {
+            DistanceToMany(metric, points[i], points, norms, &row);
+            for (size_t j = 0; j < n; ++j) {
+              const float want = i == j ? 0.0f : row[j];
+              ASSERT_EQ(FloatBits(pooled.at(i, j)), FloatBits(want))
+                  << what << " (" << i << ", " << j << ")";
+            }
           }
+          const DistanceMatrix copy = pooled;
+          ExpectSameBits(pooled, copy, what + " copy");
+          DistanceMatrix assigned;
+          assigned = pooled;
+          ExpectSameBits(pooled, assigned, what + " copy-assigned");
         }
       }
     }

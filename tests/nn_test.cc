@@ -342,6 +342,32 @@ TEST(DustModelFileTest, NonFiniteWeightIsAnIoError) {
   }
 }
 
+TEST(DustModelFileTest, TrailingBytesAreAnIoError) {
+  // Every section before the appended bytes checks out, so only the end
+  // check can catch them.
+  DustModelConfig config;
+  config.feature_dim = 64;
+  config.hidden_dim = 8;
+  config.embedding_dim = 4;
+  DustModel saved(config);
+  const std::string path = ::testing::TempDir() + "/trailing_bytes.bin";
+  ASSERT_TRUE(saved.SaveToFile(path).ok());
+  const std::string bytes = ReadAll(path);
+  WriteAll(path, bytes + std::string(14, '\0'));
+  config.seed = 99;
+  DustModel target(config);
+  const std::vector<float> before = target.SaveParams();
+  Status status = target.LoadFromFile(path);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+  EXPECT_NE(status.message().find("14 extra bytes after the end of " + path),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(target.SaveParams(), before) << "a failed load changed it";
+  WriteAll(path, bytes);
+  ASSERT_TRUE(target.LoadFromFile(path).ok());
+  EXPECT_EQ(target.SaveParams(), saved.SaveParams());
+}
+
 TEST(DustModelFileTest, UnpatchedFileLoads) {
   const auto patch = [](std::string*) {};
   EXPECT_TRUE(LoadPatched("unpatched.bin", patch).ok());

@@ -15,6 +15,7 @@
 #include "diversify/metrics.h"
 #include "embed/tuple_encoder.h"
 #include "io/index_io.h"
+#include "la/distance.h"
 #include "la/simd/kernels.h"
 #include "nn/dust_model.h"
 #include "search/tuple_search.h"
@@ -487,55 +488,85 @@ TEST_F(PipelineFixture, D3lEngineSnapshotUnimplemented) {
   EXPECT_EQ(saved.code(), StatusCode::kUnimplemented);
 }
 
-// --- parallel tuple encoding -------------------------------------------------
+// --- parallel Algorithm 1 ----------------------------------------------------
 
 TEST_F(PipelineFixture, RunIsIdenticalOnEveryExecutor) {
-  // Run encodes its tuples in chunks on the installed executor (the
-  // default pool when none is), and search fans out on it too. The output
-  // table and provenance must not depend on which pool ran the work:
-  // inline, four workers, or the default pool. Both the pretrained
-  // encoder and a DustModel are shared by every Run, as in serving.
+  // Run embeds columns, encodes tuples and builds its distance matrices on
+  // the installed executor (the default pool when none is), and search
+  // fans out on it too. The output table and provenance must not depend on
+  // which pool ran the work: inline, four workers, or the default pool.
+  // Both the pretrained encoder and a DustModel are shared by every Run, as
+  // in serving. The fixture's lake keeps 120 tuples, a matrix that one
+  // claim covers; a lake of 300-row base tables keeps 500 of its 541-643
+  // unioned tuples, whose pairs span several claims.
+  datagen::TusConfig wide_config;
+  wide_config.num_queries = 3;
+  wide_config.unionable_per_query = 5;
+  wide_config.distractors_per_base = 1;
+  wide_config.base_rows = 300;
+  wide_config.seed = 99;
+  const datagen::Benchmark wide = datagen::GenerateTus(wide_config);
+  std::vector<const Table*> wide_lake;
+  for (const auto& t : wide.lake) wide_lake.push_back(&t.data);
+  struct Case {
+    const datagen::Benchmark* benchmark;
+    const std::vector<const Table*>* lake;
+    size_t prune_s;
+  };
+  const Case cases[] = {{benchmark_, lake_, 120}, {&wide, &wide_lake, 500}};
+  ASSERT_GE(500u * 499u / 2u, 3 * la::DistanceMatrix::kGrainPairs);
+
   nn::DustModelConfig model_config;
   model_config.embedding_dim = 48;
   const std::vector<std::shared_ptr<embed::TupleEncoder>> encoders = {
       TestEncoder(), std::make_shared<nn::DustModel>(model_config)};
-  PipelineConfig config;
-  config.num_tables = 5;
-  config.diversifier.prune_s = 120;
-  for (const auto& encoder : encoders) {
-    auto run_all = [&](serve::Executor* executor) {
-      DustPipeline pipeline(config, encoder);
-      if (executor != nullptr) pipeline.SetExecutor(executor);
-      pipeline.IndexLake(*lake_);
-      std::vector<PipelineResult> results;
-      for (const auto& query : benchmark_->queries) {
-        auto result = pipeline.Run(query.data, 10);
-        EXPECT_TRUE(result.ok()) << result.status().ToString();
-        if (result.ok()) results.push_back(std::move(result).value());
-      }
-      return results;
-    };
-    serve::Executor inline_pool(0);
-    serve::Executor four(4);
-    const std::vector<PipelineResult> expected = run_all(&inline_pool);
-    ASSERT_EQ(expected.size(), benchmark_->queries.size());
-    serve::Executor* const none = nullptr;
-    for (serve::Executor* executor : {&four, none}) {
-      const std::vector<PipelineResult> actual = run_all(executor);
-      ASSERT_EQ(actual.size(), expected.size()) << encoder->name();
-      for (size_t q = 0; q < expected.size(); ++q) {
-        const Table& want = expected[q].output;
-        const Table& got = actual[q].output;
-        EXPECT_EQ(got.ColumnNames(), want.ColumnNames());
-        ASSERT_EQ(got.num_rows(), want.num_rows()) << encoder->name();
-        for (size_t i = 0; i < want.num_rows(); ++i) {
-          for (size_t j = 0; j < want.num_columns(); ++j) {
-            EXPECT_EQ(got.at(i, j), want.at(i, j))
-                << encoder->name() << " query " << q << " row " << i;
+  for (const Case& c : cases) {
+    PipelineConfig config;
+    config.num_tables = 5;
+    config.diversifier.prune_s = c.prune_s;
+    for (const auto& encoder : encoders) {
+      const std::string what =
+          encoder->name() + " prune_s " + std::to_string(c.prune_s);
+      auto run_all = [&](serve::Executor* executor) {
+        DustPipeline pipeline(config, encoder);
+        if (executor != nullptr) pipeline.SetExecutor(executor);
+        pipeline.IndexLake(*c.lake);
+        std::vector<PipelineResult> results;
+        for (const auto& query : c.benchmark->queries) {
+          auto result = pipeline.Run(query.data, 10);
+          EXPECT_TRUE(result.ok()) << result.status().ToString();
+          if (!result.ok()) continue;
+          size_t unioned = 0;
+          for (const search::TableHit& hit : result.value().tables) {
+            unioned += (*c.lake)[hit.table_index]->num_rows();
           }
+          EXPECT_GT(unioned, c.prune_s) << what;
+          results.push_back(std::move(result).value());
         }
-        EXPECT_EQ(actual[q].provenance, expected[q].provenance)
-            << encoder->name() << " query " << q;
+        return results;
+      };
+      serve::Executor inline_pool(0);
+      serve::Executor four(4);
+      const std::vector<PipelineResult> expected = run_all(&inline_pool);
+      ASSERT_EQ(expected.size(), c.benchmark->queries.size()) << what;
+      serve::Executor* const none = nullptr;
+      for (serve::Executor* executor : {&four, none}) {
+        const std::vector<PipelineResult> actual = run_all(executor);
+        ASSERT_EQ(actual.size(), expected.size()) << what;
+        for (size_t q = 0; q < expected.size(); ++q) {
+          const Table& want = expected[q].output;
+          const Table& got = actual[q].output;
+          EXPECT_EQ(got.ColumnNames(), want.ColumnNames());
+          ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
+          for (size_t i = 0; i < want.num_rows(); ++i) {
+            for (size_t j = 0; j < want.num_columns(); ++j) {
+              EXPECT_EQ(got.at(i, j), want.at(i, j))
+                  << what << " query " << q << " row " << i;
+            }
+          }
+          EXPECT_EQ(actual[q].provenance, expected[q].provenance)
+              << what << " query " << q;
+        }
       }
     }
   }

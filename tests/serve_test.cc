@@ -1,5 +1,6 @@
 // Tests for src/serve and the executor-routed search paths: Executor
-// ParallelFor semantics (including nesting and the Default() pool),
+// ParallelFor semantics (the range form's claims and grain, nesting, the
+// Default() pool and its affinity-mask sizing),
 // BoundedQueue backpressure (blocks, never drops) and close-drains
 // semantics, QueryServer parity with sequential SearchTuplesChecked under
 // concurrent clients, per-request rejection of malformed queries, shutdown
@@ -11,13 +12,16 @@
 // bit-identical to uncached serving, zero stale hits after re-indexing,
 // counters reconcile).
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "embed/embedder.h"
@@ -102,6 +106,113 @@ TEST(ExecutorTest, DestructorCompletesQueuedTasks) {
   }  // destructor must drain, not abandon
   EXPECT_EQ(counter.load(), 100);
 }
+
+// --- Executor: the range form ----------------------------------------------
+
+/// The ranges one range-form loop ran, each checked against [0, n).
+struct RangeLog {
+  std::mutex mu;
+  std::vector<std::pair<size_t, size_t>> ranges;
+};
+
+TEST(ExecutorTest, RangeFormRunsEveryIndexExactlyOnce) {
+  Executor executor(4);
+  for (size_t grain : {1u, 7u, 64u}) {
+    for (size_t n : {size_t{0}, size_t{1}, grain - 1, grain, grain + 1,
+                     size_t{10007}}) {
+      std::vector<std::atomic<int>> visits(n);
+      for (auto& v : visits) v.store(0);
+      RangeLog log;
+      executor.ParallelFor(n, grain, [&](size_t begin, size_t end) {
+        {
+          std::lock_guard<std::mutex> lock(log.mu);
+          log.ranges.emplace_back(begin, end);
+        }
+        for (size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+      });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(visits[i].load(), 1)
+            << "grain " << grain << " n " << n << " index " << i;
+      }
+      EXPECT_EQ(log.ranges.empty(), n == 0) << "grain " << grain;
+      for (const auto& [begin, end] : log.ranges) {
+        EXPECT_LT(begin, end) << "grain " << grain << " n " << n;
+        EXPECT_LE(end, n) << "grain " << grain << " n " << n;
+        // Only the range that ends the loop may be shorter than a grain.
+        if (end - begin < grain) {
+          EXPECT_EQ(end, n) << "grain " << grain << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutorTest, RangeOfAtMostOneGrainRunsOnTheCaller) {
+  // A fresh pool has run no helper; a loop of n <= grain must not wake one.
+  Executor executor(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (size_t grain : {1u, 7u, 64u}) {
+    for (size_t n : {size_t{1}, grain - 1, grain}) {
+      if (n == 0) continue;
+      RangeLog log;
+      bool on_caller = true;
+      executor.ParallelFor(n, grain, [&](size_t begin, size_t end) {
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+        log.ranges.emplace_back(begin, end);
+      });
+      EXPECT_TRUE(on_caller) << "grain " << grain << " n " << n;
+      EXPECT_EQ(log.ranges,
+                (std::vector<std::pair<size_t, size_t>>{{0, n}}))
+          << "grain " << grain << " n " << n;
+    }
+  }
+  EXPECT_EQ(executor.tasks_run(), 0u);
+}
+
+TEST(ExecutorTest, NestedRangeLoopsCompleteOnDefaultAndInline) {
+  // The inner loops run from inside pool tasks of the same pool, as a flat
+  // index scan does inside a pooled SearchBatch; each caller drains its own.
+  Executor inline_executor(0);
+  for (Executor* executor : {&Executor::Default(), &inline_executor}) {
+    std::atomic<size_t> total{0};
+    executor->ParallelFor(40, 3, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        executor->ParallelFor(1000, 16, [&](size_t b, size_t e) {
+          total.fetch_add(e - b);
+        });
+      }
+    });
+    EXPECT_EQ(total.load(), 40u * 1000u) << executor->num_threads();
+  }
+  // Executor(0) runs the whole range as one call on the caller.
+  RangeLog log;
+  inline_executor.ParallelFor(10007, 7, [&](size_t begin, size_t end) {
+    log.ranges.emplace_back(begin, end);
+  });
+  EXPECT_EQ(log.ranges,
+            (std::vector<std::pair<size_t, size_t>>{{0, 10007}}));
+}
+
+#if defined(__linux__)
+TEST(ExecutorTest, AvailableCpusFollowsTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  const size_t allowed = static_cast<size_t>(CPU_COUNT(&original));
+  EXPECT_EQ(Executor::AvailableCpus(), allowed);
+  // Pin this thread to the first CPU it may use, then restore its mask.
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned = Executor::AvailableCpus();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(Executor::AvailableCpus(), allowed);
+}
+#endif
 
 // --- BoundedQueue -----------------------------------------------------------
 
