@@ -35,6 +35,10 @@ class UnionFind {
 // the copies sum to a small constant times the first n^2.
 constexpr size_t kCompactDivisor = 4;
 
+// Side of the square tiles (live rows x rewritten slots) in which the
+// catch-up before a compaction moves stale pairs.
+constexpr size_t kCatchUpTile = 64;
+
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
 /// row_a[c] = Lance-Williams(row_a[c], row_b[c]) for every column c, dead
@@ -90,14 +94,33 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
   // Cluster sizes in the type Lance-Williams reads (exact below 2^24).
   std::vector<float> size(n, 1.0f);
   std::vector<unsigned char> alive(n, 1);
-  // Slots dead since the last compaction, in order of death; synced[x] is
-  // how many of them row x already holds as +inf.
-  std::vector<size_t> dead;
+  // A merge rewrites only its own row. merge_log[k] is the k-th merge since
+  // the last compaction: slot a rewritten as a ∪ b, slot b dead. synced[x]
+  // counts the entries row x has taken in, and last[a] is the latest entry
+  // that rewrote row a (read only for a slot some entry names). A row is
+  // rewritten right after it is synced, so for live x != y the current
+  // distance sits in row(y)[x] when y was rewritten at an entry row x has
+  // not taken in (last[y] >= synced[x]), and in row(x)[y] otherwise; the
+  // two cases never both hold. sync(x) makes row x current before it is
+  // read: +inf into each new dead column, and each newer rewrite pulled in
+  // from the rewritten row. A dead row (left on the chain only when
+  // rounding breaks reducibility) pulls nothing, keeping the values it
+  // died with.
+  struct LogEntry {
+    size_t a, b;
+  };
+  std::vector<LogEntry> merge_log;
   std::vector<size_t> synced(n, 0);
+  std::vector<size_t> last(n, 0);
   auto sync = [&](size_t x) {
     float* r = row(x);
-    for (size_t k = synced[x]; k < dead.size(); ++k) r[dead[k]] = kInf;
-    synced[x] = dead.size();
+    const bool pull = alive[x] != 0;
+    for (size_t k = synced[x]; k < merge_log.size(); ++k) {
+      const auto [a, b] = merge_log[k];
+      r[b] = kInf;
+      if (pull && last[a] == k && alive[a] && a != x) r[a] = row(a)[x];
+    }
+    synced[x] = merge_log.size();
   };
   for (size_t x = 0; x < n; ++x) row(x)[x] = kInf;
 
@@ -112,11 +135,12 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
   std::vector<RawMerge> raw;
   raw.reserve(n - 1);
 
-  // Drops the dead slots: live rows and columns move down in order, so
-  // slot order (and with it every first-minimum tie-break) is unchanged.
-  // Each destination precedes its source, so the copy runs front to back
-  // within the one buffer.
+  // Drops the dead slots once every live row has caught up: live rows and
+  // columns move down in order, so slot order (and with it every
+  // first-minimum tie-break) is unchanged. Each destination precedes its
+  // source, so the copy runs front to back within the one buffer.
   std::vector<size_t> live;
+  std::vector<size_t> rewritten;
   std::vector<size_t> slot_of(n);
   auto compact = [&]() {
     live.clear();
@@ -124,6 +148,33 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
       if (alive[x]) {
         slot_of[x] = live.size();
         live.push_back(x);
+      }
+    }
+    // First every live row catches up: each pair it still holds stale,
+    // (x, a) with last[a] >= synced[x], is read from row a. Tiles of
+    // kCatchUpTile live rows x kCatchUpTile rewritten slots, in slot order,
+    // keep the strided reads of row(a)[x] and the scattered writes into
+    // row x within cache. A pair is written only where it is stale and read
+    // only where it is current, so no write feeds a read. Dead columns are
+    // dropped and need no +inf.
+    rewritten.clear();
+    for (size_t k = 0; k < merge_log.size(); ++k) {
+      const size_t a = merge_log[k].a;
+      if (last[a] == k && alive[a]) rewritten.push_back(a);
+    }
+    std::sort(rewritten.begin(), rewritten.end());
+    for (size_t i0 = 0; i0 < live.size(); i0 += kCatchUpTile) {
+      const size_t i1 = std::min(i0 + kCatchUpTile, live.size());
+      for (size_t j0 = 0; j0 < rewritten.size(); j0 += kCatchUpTile) {
+        const size_t j1 = std::min(j0 + kCatchUpTile, rewritten.size());
+        for (size_t i = i0; i < i1; ++i) {
+          const size_t x = live[i];
+          float* r = row(x);
+          for (size_t j = j0; j < j1; ++j) {
+            const size_t a = rewritten[j];
+            if (a != x && last[a] >= synced[x]) r[a] = row(a)[x];
+          }
+        }
       }
     }
     const size_t next_width = live.size();
@@ -138,7 +189,7 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
     width = next_width;
     std::fill(alive.begin(), alive.begin() + width, 1);
     std::fill(synced.begin(), synced.begin() + width, 0);
-    dead.clear();
+    merge_log.clear();
   };
 
   size_t remaining = n;
@@ -183,24 +234,23 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
         const float d_ab = row_a[b];
         raw.push_back({leaf[a], leaf[b], d_ab});
 
-        // Slot a becomes a ∪ b. Both rows hold +inf in every dead column,
-        // which Lance-Williams keeps non-finite; the diagonal is restored
-        // and b's column turns +inf at row a's next sync.
+        // Slot a becomes a ∪ b. Both rows are current and hold +inf in
+        // every dead column, which Lance-Williams keeps non-finite; the
+        // diagonal is restored and b's column turns +inf at row a's next
+        // sync. Every other row takes in the new values when next read.
         sync(b);
         UpdateRow(linkage, row_a, row(b), size.data(), width, d_ab, size[a],
                   size[b]);
         row_a[a] = kInf;
         alive[b] = 0;
-        dead.push_back(b);
+        last[a] = merge_log.size();
+        merge_log.push_back({a, b});
         size[a] += size[b];
-        for (size_t c = 0; c < width; ++c) {
-          if (alive[c] && c != a) row(c)[a] = row_a[c];
-        }
         --remaining;
         // A chain still holding a dead slot (possible only when rounding
         // breaks reducibility) has no place in the compacted matrix, so it
         // postpones compaction.
-        if (dead.size() * kCompactDivisor >= width &&
+        if (merge_log.size() * kCompactDivisor >= width &&
             std::all_of(chain.begin(), chain.end(),
                         [&alive](size_t x) { return alive[x] != 0; })) {
           compact();

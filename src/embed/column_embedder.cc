@@ -102,7 +102,7 @@ std::vector<std::vector<la::Vec>> ColumnEmbedder::EmbedTables(
     pool.ParallelFor(columns.size(), grain, [&](size_t begin, size_t end) {
       for (size_t c = begin; c < end; ++c) docs[c] = ColumnTokens(*columns[c]);
     });
-    tfidf = std::make_unique<text::TfidfModel>(docs);
+    tfidf = std::make_unique<text::TfidfModel>(docs, &pool);
   }
   std::vector<la::Vec> embedded(columns.size());
   pool.ParallelFor(columns.size(), grain, [&](size_t begin, size_t end) {

@@ -46,9 +46,10 @@ class ColumnEmbedder {
   /// result[t][j] is the embedding of table t's column j. Columns are
   /// tokenized, then embedded, on `executor` (null means
   /// serve::Executor::Default()) in claims of about kGrainCells cells; the
-  /// TF-IDF fit between the two passes is serial. Each token list and
-  /// embedding is a pure function of its column and the fit, so the result
-  /// is the same on every executor.
+  /// TF-IDF fit between the two passes runs on the same executor, with
+  /// only its count merge serial. Each token list and embedding is a pure
+  /// function of its column and the fit, so the result is the same on
+  /// every executor.
   std::vector<std::vector<la::Vec>> EmbedTables(
       const std::vector<const table::Table*>& tables,
       serve::Executor* executor = nullptr) const;

@@ -2,15 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <unordered_set>
+
+#include "serve/executor.h"
 
 namespace dust::text {
 
-TfidfModel::TfidfModel(const std::vector<std::vector<std::string>>& documents)
+TfidfModel::TfidfModel(const std::vector<std::vector<std::string>>& documents,
+                       serve::Executor* executor)
     : num_documents_(documents.size()) {
-  for (const auto& doc : documents) {
-    std::unordered_set<std::string> seen(doc.begin(), doc.end());
-    for (const auto& token : seen) ++doc_freq_[token];
+  size_t tokens = 0;
+  for (const auto& doc : documents) tokens += doc.size();
+  // A claim is the documents of about kGrainTokens tokens at this corpus's
+  // mean document length; a corpus of at most kGrainTokens tokens is one
+  // claim, on the caller.
+  const size_t grain = std::max<size_t>(
+      1, kGrainTokens * documents.size() / std::max<size_t>(tokens, 1));
+  serve::Executor& pool =
+      executor != nullptr ? *executor : serve::Executor::Default();
+  // distinct[i] points at the first occurrence of each distinct token of
+  // document i.
+  std::vector<std::vector<const std::string*>> distinct(documents.size());
+  pool.ParallelFor(documents.size(), grain, [&](size_t begin, size_t end) {
+    std::unordered_set<std::string_view> seen;
+    for (size_t i = begin; i < end; ++i) {
+      seen.clear();
+      for (const std::string& token : documents[i]) {
+        if (seen.insert(token).second) distinct[i].push_back(&token);
+      }
+    }
+  });
+  for (const auto& doc : distinct) {
+    for (const std::string* token : doc) ++doc_freq_[*token];
   }
 }
 

@@ -342,7 +342,7 @@ class NnChainGoldenTest : public ::testing::TestWithParam<Linkage> {};
 
 TEST_P(NnChainGoldenTest, MatchesReferenceMergeForMerge) {
   const Linkage linkage = GetParam();
-  for (size_t n : {2u, 3u, 64u, 65u, 300u, 1000u}) {
+  for (size_t n : {2u, 3u, 64u, 65u, 300u, 1000u, 2500u}) {
     for (bool grid : {true, false}) {
       const std::vector<Vec> points = TiedPoints(n, 3, grid, 1000 + n);
       const Metric metric = grid ? Metric::kEuclidean : Metric::kCosine;

@@ -1,11 +1,17 @@
 // Unit tests for src/text: tokenization, TF-IDF, feature hashing.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <set>
 
+#include "serve/executor.h"
 #include "text/hashing.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
+#include "util/rng.h"
 
 namespace dust::text {
 namespace {
@@ -196,6 +202,68 @@ TEST(TfidfTest, TopTokensDeterministicTies) {
   auto t1 = model.TopTokens({"a", "b"}, 2);
   auto t2 = model.TopTokens({"b", "a"}, 2);
   EXPECT_EQ(t1, t2);  // lexicographic tie-break
+}
+
+TEST(TfidfTest, RepeatedTokenCountsOncePerDocument) {
+  // "a" appears twice in one document: its document frequency is 1, not 2.
+  TfidfModel model(std::vector<std::vector<std::string>>{{"a", "a", "b"},
+                                                         {"b"}});
+  EXPECT_FLOAT_EQ(model.Idf("a"), std::log(3.0f / 2.0f) + 1.0f);
+  EXPECT_FLOAT_EQ(model.Idf("b"), 1.0f);
+}
+
+uint32_t FloatBits(float f) {
+  uint32_t bits = 0;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+TEST(TfidfTest, IdfIsIdenticalOnEveryExecutor) {
+  // Distinct tokens are found in claims of about kGrainTokens tokens; this
+  // corpus spans several claims, repeats tokens within documents and holds
+  // an empty document (docs[0]). Every pool must give each token the
+  // document frequency a per-document set counts.
+  Rng rng(27);
+  std::vector<std::string> vocabulary;
+  for (size_t v = 0; v < 400; ++v) {
+    vocabulary.push_back("t" + std::to_string(v));
+  }
+  std::vector<std::vector<std::string>> docs(600);
+  for (size_t i = 1; i < docs.size(); ++i) {
+    const size_t length = 1 + rng.NextBelow(80);
+    for (size_t t = 0; t < length; ++t) {
+      // Skewed draws, so common tokens repeat inside a document.
+      const size_t v = rng.NextBelow(1 + rng.NextBelow(vocabulary.size()));
+      docs[i].push_back(vocabulary[v]);
+    }
+  }
+  size_t tokens = 0;
+  for (const auto& doc : docs) tokens += doc.size();
+  ASSERT_GT(tokens, 4 * TfidfModel::kGrainTokens);
+  std::map<std::string, size_t> df;
+  for (const auto& doc : docs) {
+    for (const std::string& token : std::set<std::string>(doc.begin(),
+                                                           doc.end())) {
+      ++df[token];
+    }
+  }
+  vocabulary.push_back("unseen");
+
+  serve::Executor inline_executor(0);
+  serve::Executor four(4);
+  const TfidfModel on_inline(docs, &inline_executor);
+  const TfidfModel on_four(docs, &four);
+  const TfidfModel on_default(docs);
+  for (const std::string& token : vocabulary) {
+    const float idf = std::log((1.0f + static_cast<float>(docs.size())) /
+                               (1.0f + static_cast<float>(df[token]))) +
+                      1.0f;
+    EXPECT_EQ(FloatBits(on_inline.Idf(token)), FloatBits(idf)) << token;
+    EXPECT_EQ(FloatBits(on_four.Idf(token)), FloatBits(idf))
+        << token << " on Executor(4)";
+    EXPECT_EQ(FloatBits(on_default.Idf(token)), FloatBits(idf))
+        << token << " on Default()";
+  }
 }
 
 }  // namespace
