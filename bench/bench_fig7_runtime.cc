@@ -85,10 +85,10 @@ int main() {
     for (const la::Vec& q : queries) hnsw->Search(q, 10);
     double t_hnsw = watch.Seconds();
     watch.Restart();
-    flat->SearchBatch(queries, 10, nullptr);
+    flat->SearchBatch(queries, 10);
     double t_flat_batch = watch.Seconds();
     watch.Restart();
-    hnsw->SearchBatch(queries, 10, nullptr);
+    hnsw->SearchBatch(queries, 10);
     double t_hnsw_batch = watch.Seconds();
     bench::PrintRow({std::to_string(n), bench::Fmt("%.4f", t_flat),
                      bench::Fmt("%.4f", t_hnsw),

@@ -161,10 +161,10 @@ void BM_DistanceMatrix(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto points = bench::SyntheticTupleCloud(n, 64, 8, 2);
   serve::Executor inline_executor(0);
-  serve::Executor* executor =
-      state.range(1) == 0 ? &inline_executor : &serve::Executor::Default();
+  const serve::ScopedExecutor scope(
+      state.range(1) == 0 ? inline_executor : serve::Executor::Default());
   for (auto _ : state) {
-    la::DistanceMatrix m(points, la::Metric::kCosine, executor);
+    la::DistanceMatrix m(points, la::Metric::kCosine);
     benchmark::DoNotOptimize(m.at(0, n - 1));
   }
   state.SetLabel(state.range(1) == 0 ? "serial" : "pooled");
@@ -290,9 +290,9 @@ void BM_IndexSearchBatch(benchmark::State& state, const char* type, size_t n,
   auto idx = index::MakeVectorIndex(type, 64, la::Metric::kCosine);
   idx->AddAll(points);
   std::vector<la::Vec> queries = bench::SyntheticTupleCloud(rows, 64, 8, 5);
-  benchmark::DoNotOptimize(idx->SearchBatch(queries, k, nullptr).size());
+  benchmark::DoNotOptimize(idx->SearchBatch(queries, k).size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx->SearchBatch(queries, k, nullptr).size());
+    benchmark::DoNotOptimize(idx->SearchBatch(queries, k).size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(queries.size()));
@@ -380,8 +380,9 @@ void BM_SearchTables(benchmark::State& state) {
   std::vector<const table::Table*> tables;
   for (const datagen::GeneratedTable& t : lake.lake) tables.push_back(&t.data);
   serve::Executor inline_executor(0);
+  const serve::ScopedExecutor scope(
+      state.range(0) == 0 ? inline_executor : serve::Executor::Default());
   search::EmbeddingUnionSearch search;
-  if (state.range(0) == 0) search.SetExecutor(&inline_executor);
   search.IndexLake(tables);
   size_t q = 0;
   for (auto _ : state) {

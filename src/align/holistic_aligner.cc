@@ -62,8 +62,7 @@ AlignmentResult BuildResult(const table::Table& query,
 AlignmentResult HolisticAligner::Align(
     const table::Table& query,
     const std::vector<const table::Table*>& lake_tables,
-    const std::vector<std::vector<la::Vec>>& column_embeddings,
-    serve::Executor* executor) const {
+    const std::vector<std::vector<la::Vec>>& column_embeddings) const {
   DUST_CHECK(column_embeddings.size() == lake_tables.size() + 1);
 
   // Flatten columns: ids[i] identifies the column behind embedding i;
@@ -83,7 +82,7 @@ AlignmentResult HolisticAligner::Align(
     return BuildResult(query, lake_tables, ids, {}, 0);
   }
 
-  la::DistanceMatrix distances(points, config_.metric, executor);
+  la::DistanceMatrix distances(points, config_.metric);
   cluster::ConstrainedDendrogram dendrogram =
       cluster::ConstrainedAgglomerative(distances, group_of, config_.linkage);
 

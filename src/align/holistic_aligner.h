@@ -70,14 +70,11 @@ class HolisticAligner {
   explicit HolisticAligner(AlignerConfig config = {}) : config_(config) {}
 
   /// `column_embeddings[t][j]`: embedding of table t's column j, where
-  /// table 0 is the query and tables 1..m are the lake tables. The column
-  /// distance matrix is built on `executor` (null means
-  /// serve::Executor::Default()); the alignment is the same on every one.
+  /// table 0 is the query and tables 1..m are the lake tables.
   AlignmentResult Align(
       const table::Table& query,
       const std::vector<const table::Table*>& lake_tables,
-      const std::vector<std::vector<la::Vec>>& column_embeddings,
-      serve::Executor* executor = nullptr) const;
+      const std::vector<std::vector<la::Vec>>& column_embeddings) const;
 
  private:
   AlignerConfig config_;

@@ -26,8 +26,7 @@ size_t MedoidOf(const std::vector<size_t>& members,
 
 std::vector<size_t> ClusterMedoids(const std::vector<la::Vec>& points,
                                    const std::vector<size_t>& labels,
-                                   la::Metric metric,
-                                   serve::Executor* executor) {
+                                   la::Metric metric) {
   std::vector<size_t> medoids;
   std::vector<la::Vec> cluster_points;
   std::vector<size_t> local;
@@ -38,7 +37,7 @@ std::vector<size_t> ClusterMedoids(const std::vector<la::Vec>& points,
     local.resize(members.size());
     std::iota(local.begin(), local.end(), 0);
     medoids.push_back(members[MedoidOf(
-        local, la::DistanceMatrix(cluster_points, metric, executor))]);
+        local, la::DistanceMatrix(cluster_points, metric))]);
   }
   return medoids;
 }

@@ -18,14 +18,12 @@ size_t MedoidOf(const std::vector<size_t>& members,
 
 /// Medoids of every cluster in a labeling: result[c] is the point index of
 /// cluster c's medoid. Empty clusters are skipped (not represented). Each
-/// cluster gets its own small DistanceMatrix, built on `executor` (null
-/// means serve::Executor::Default()), whose entries are bit for bit those
-/// of the full matrix over `points`, so the result equals MedoidOf over the
-/// full matrix without keeping that matrix alive.
+/// cluster gets its own small DistanceMatrix, whose entries are bit for bit
+/// those of the full matrix over `points`, so the result equals MedoidOf
+/// over the full matrix without keeping that matrix alive.
 std::vector<size_t> ClusterMedoids(const std::vector<la::Vec>& points,
                                    const std::vector<size_t>& labels,
-                                   la::Metric metric,
-                                   serve::Executor* executor = nullptr);
+                                   la::Metric metric);
 
 }  // namespace dust::cluster
 

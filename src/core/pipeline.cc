@@ -141,8 +141,7 @@ Status DustPipeline::LoadSnapshot(
 std::vector<la::Vec> DustPipeline::EncodeTuples(
     const std::vector<std::string>& serialized) const {
   std::vector<la::Vec> out(serialized.size());
-  serve::Executor& pool =
-      executor_ != nullptr ? *executor_ : serve::Executor::Default();
+  serve::Executor& pool = serve::Executor::Current();
   pool.ParallelFor(serialized.size(), kEncodeGrainTuples,
                    [&](size_t begin, size_t end) {
                      for (size_t i = begin; i < end; ++i) {
@@ -192,10 +191,9 @@ Result<PipelineResult> DustPipeline::Run(const table::Table& query,
   all_tables.push_back(&query);
   for (const table::Table* t : retrieved) all_tables.push_back(t);
   std::vector<std::vector<la::Vec>> column_embeddings =
-      column_embedder.EmbedTables(all_tables, executor_);
+      column_embedder.EmbedTables(all_tables);
   align::HolisticAligner aligner(config_.aligner);
-  result.alignment =
-      aligner.Align(query, retrieved, column_embeddings, executor_);
+  result.alignment = aligner.Align(query, retrieved, column_embeddings);
 
   Result<align::UnionableTuples> tuples =
       align::BuildUnionableTuples(query, retrieved, result.alignment);
@@ -225,7 +223,6 @@ Result<PipelineResult> DustPipeline::Run(const table::Table& query,
   input.lake = &lake_embeddings;
   input.metric = config_.metric;
   input.table_of = &table_of;
-  input.executor = executor_;
   diversify::DustDiversifier diversifier(config_.diversifier);
   std::vector<size_t> selected = diversifier.SelectDiverse(input, k);
   result.timings.diversify_seconds = watch.Seconds();

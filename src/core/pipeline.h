@@ -115,23 +115,10 @@ class DustPipeline {
   Status LoadSnapshot(const std::string& path,
                       const std::vector<const table::Table*>& lake);
 
-  /// Runs Algorithm 1 for one query, returning `k` diverse tuples.
+  /// Runs Algorithm 1 for one query, returning `k` diverse tuples. Its
+  /// parallel work runs on serve::Executor::Current(); the output is the
+  /// same on every executor.
   Result<PipelineResult> Run(const table::Table& query, size_t k) const;
-
-  /// Routes all of the pipeline's parallel work through one thread pool:
-  /// Run's column embedding, tuple encode and distance matrices (the
-  /// aligner's, diversify's s x s one and its per-cluster ones), and the
-  /// search engine's lake encode and rerank bound pass, so a serving process
-  /// creates zero threads per Run. Each is a range-form ParallelFor whose
-  /// grain (in columns, tuples or pairs) keeps a small loop on the calling
-  /// thread. Null (the default) means serve::Executor::Default() for all of
-  /// them; the output is the same on every executor. Install once before
-  /// concurrent traffic; the executor must outlive the pipeline or be unset
-  /// first.
-  void SetExecutor(serve::Executor* executor) {
-    executor_ = executor;
-    search_->SetExecutor(executor);
-  }
 
   const PipelineConfig& config() const { return config_; }
 
@@ -141,15 +128,14 @@ class DustPipeline {
   /// and added/removed/reshaped tables, not in-place cell edits.
   uint64_t SnapshotHash(const std::vector<const table::Table*>& lake) const;
 
-  /// EncodeSerialized of every tuple, each into its own slot, on the
-  /// executor. The claims change no bit: each embedding is a pure function
-  /// of its tuple.
+  /// EncodeSerialized of every tuple, each into its own slot, on
+  /// serve::Executor::Current(). The claims change no bit: each embedding
+  /// is a pure function of its tuple.
   std::vector<la::Vec> EncodeTuples(
       const std::vector<std::string>& serialized) const;
 
   PipelineConfig config_;
   std::shared_ptr<embed::TupleEncoder> tuple_encoder_;
-  serve::Executor* executor_ = nullptr;
   std::unique_ptr<search::UnionSearch> search_;
   std::vector<const table::Table*> lake_;
 };

@@ -16,10 +16,9 @@ std::vector<size_t> CltDiversifier::SelectDiverse(const DiversifyInput& input,
   // Clustering consumes the one n x n matrix; medoids come from small
   // per-cluster matrices with bit-identical entries.
   cluster::Dendrogram dendrogram = cluster::AgglomerativeCluster(
-      la::DistanceMatrix(lake, input.metric, input.executor),
-      config_.linkage);
+      la::DistanceMatrix(lake, input.metric), config_.linkage);
   std::vector<size_t> labels = cluster::CutDendrogram(dendrogram, k);
-  return cluster::ClusterMedoids(lake, labels, input.metric, input.executor);
+  return cluster::ClusterMedoids(lake, labels, input.metric);
 }
 
 }  // namespace dust::diversify

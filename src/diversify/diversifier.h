@@ -9,10 +9,6 @@
 
 #include "la/distance.h"
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::diversify {
 
 struct DiversifyInput {
@@ -25,10 +21,6 @@ struct DiversifyInput {
   /// Optional provenance: table id of each lake tuple (used by DUST's
   /// per-table pruning, Sec. 5.1). May be null.
   const std::vector<size_t>* table_of = nullptr;
-  /// The pool that builds the clustering diversifiers' distance matrices
-  /// (DUST, CLT). Null means serve::Executor::Default(); the selection is
-  /// the same on every executor.
-  serve::Executor* executor = nullptr;
 };
 
 /// Selects k diverse lake tuples; returns indices into `input.lake`.

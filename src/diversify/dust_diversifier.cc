@@ -164,13 +164,11 @@ std::vector<size_t> DustDiversifier::SelectDiverse(const DiversifyInput& input,
     // Clustering consumes the one s x s matrix; medoids come from small
     // per-cluster matrices with bit-identical entries.
     cluster::Dendrogram dendrogram = cluster::AgglomerativeCluster(
-        la::DistanceMatrix(pruned_points, input.metric, input.executor),
-        config_.linkage);
+        la::DistanceMatrix(pruned_points, input.metric), config_.linkage);
     std::vector<size_t> labels =
         cluster::CutDendrogram(dendrogram, num_clusters);
-    for (size_t medoid : cluster::ClusterMedoids(pruned_points, labels,
-                                                 input.metric,
-                                                 input.executor)) {
+    for (size_t medoid :
+         cluster::ClusterMedoids(pruned_points, labels, input.metric)) {
       candidates.push_back(kept[medoid]);
     }
   }

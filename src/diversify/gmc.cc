@@ -23,22 +23,15 @@ std::vector<size_t> GmcDiversifier::SelectDiverse(const DiversifyInput& input,
     }
   }
 
-  // Optional Θ(s²) distance cache (the paper's implementation equivalent).
-  std::vector<float> cache;
-  if (config_.cache_distances) {
-    cache.assign(s * s, 0.0f);
-    for (size_t i = 0; i < s; ++i) {
-      for (size_t j = i + 1; j < s; ++j) {
-        float d = la::Distance(input.metric, lake[i], lake[j]);
-        cache[i * s + j] = d;
-        cache[j * s + i] = d;
-      }
+  // The Θ(s²) candidate-candidate distance cache.
+  std::vector<float> cache(s * s, 0.0f);
+  for (size_t i = 0; i < s; ++i) {
+    for (size_t j = i + 1; j < s; ++j) {
+      float d = la::Distance(input.metric, lake[i], lake[j]);
+      cache[i * s + j] = d;
+      cache[j * s + i] = d;
     }
   }
-  auto dist = [&](size_t i, size_t j) -> float {
-    if (config_.cache_distances) return cache[i * s + j];
-    return la::Distance(input.metric, lake[i], lake[j]);
-  };
 
   const double lambda = config_.lambda;
   const double div_weight = (k > 1) ? 2.0 * lambda / (k - 1.0) : 0.0;
@@ -64,7 +57,7 @@ std::vector<size_t> GmcDiversifier::SelectDiverse(const DiversifyInput& input,
         scratch.clear();
         for (size_t j = 0; j < s; ++j) {
           if (j == i || selected[j]) continue;
-          scratch.push_back(dist(i, j));
+          scratch.push_back(cache[i * s + j]);
         }
         size_t take = std::min(lookahead, scratch.size());
         if (take > 0) {
@@ -86,7 +79,7 @@ std::vector<size_t> GmcDiversifier::SelectDiverse(const DiversifyInput& input,
     selected[best] = 1;
     result.push_back(best);
     for (size_t j = 0; j < s; ++j) {
-      if (!selected[j]) sum_to_selected[j] += dist(best, j);
+      if (!selected[j]) sum_to_selected[j] += cache[best * s + j];
     }
   }
   return result;

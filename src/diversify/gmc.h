@@ -23,9 +23,6 @@ namespace dust::diversify {
 struct GmcConfig {
   /// Relevance/diversity trade-off λ (DivDB default 0.5).
   double lambda = 0.5;
-  /// Cache the candidate-candidate distance matrix (Θ(s²) memory). Without
-  /// the cache distances are recomputed on the fly each iteration.
-  bool cache_distances = true;
 };
 
 class GmcDiversifier : public Diversifier {

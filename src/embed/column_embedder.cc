@@ -76,8 +76,7 @@ la::Vec ColumnEmbedder::EmbedColumnTokens(std::vector<std::string> tokens,
 }
 
 std::vector<std::vector<la::Vec>> ColumnEmbedder::EmbedTables(
-    const std::vector<const table::Table*>& tables,
-    serve::Executor* executor) const {
+    const std::vector<const table::Table*>& tables) const {
   std::vector<const table::Column*> columns;
   size_t cells = 0;
   for (const table::Table* t : tables) {
@@ -91,8 +90,7 @@ std::vector<std::vector<la::Vec>> ColumnEmbedder::EmbedTables(
   // most kGrainCells cells is one claim, on the caller.
   const size_t grain = std::max<size_t>(
       1, kGrainCells * columns.size() / std::max<size_t>(cells, 1));
-  serve::Executor& pool =
-      executor != nullptr ? *executor : serve::Executor::Default();
+  serve::Executor& pool = serve::Executor::Current();
   // Corpus for TF-IDF: one document per column across all tables. Each
   // column is tokenized once; its document then feeds its own embedding.
   std::vector<std::vector<std::string>> docs;
@@ -102,7 +100,7 @@ std::vector<std::vector<la::Vec>> ColumnEmbedder::EmbedTables(
     pool.ParallelFor(columns.size(), grain, [&](size_t begin, size_t end) {
       for (size_t c = begin; c < end; ++c) docs[c] = ColumnTokens(*columns[c]);
     });
-    tfidf = std::make_unique<text::TfidfModel>(docs, &pool);
+    tfidf = std::make_unique<text::TfidfModel>(docs);
   }
   std::vector<la::Vec> embedded(columns.size());
   pool.ParallelFor(columns.size(), grain, [&](size_t begin, size_t end) {

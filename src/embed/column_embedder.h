@@ -16,10 +16,6 @@
 #include "table/table.h"
 #include "text/tfidf.h"
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::embed {
 
 enum class ColumnSerialization { kCellLevel, kColumnLevel };
@@ -44,15 +40,13 @@ class ColumnEmbedder {
   /// Embeds every column of every table; the TF-IDF corpus is the full set
   /// of columns passed here (a "document" = one column's token bag).
   /// result[t][j] is the embedding of table t's column j. Columns are
-  /// tokenized, then embedded, on `executor` (null means
-  /// serve::Executor::Default()) in claims of about kGrainCells cells; the
-  /// TF-IDF fit between the two passes runs on the same executor, with
-  /// only its count merge serial. Each token list and embedding is a pure
-  /// function of its column and the fit, so the result is the same on
-  /// every executor.
+  /// tokenized, then embedded, on serve::Executor::Current() in claims of
+  /// about kGrainCells cells; the TF-IDF fit between the two passes runs on
+  /// the same executor, with only its count merge serial. Each token list
+  /// and embedding is a pure function of its column and the fit, so the
+  /// result is the same on every executor.
   std::vector<std::vector<la::Vec>> EmbedTables(
-      const std::vector<const table::Table*>& tables,
-      serve::Executor* executor = nullptr) const;
+      const std::vector<const table::Table*>& tables) const;
 
   /// Embeds a single column given a prebuilt TF-IDF model (column-level) or
   /// directly (cell-level).

@@ -25,19 +25,16 @@ bool FlatIndex::GetVector(size_t id, la::Vec* out) const {
 
 std::vector<SearchHit> FlatIndex::Search(const la::Vec& query,
                                          size_t k) const {
-  return std::move(Scan(&query, 1, k, nullptr)[0]);
+  return std::move(Scan(&query, 1, k)[0]);
 }
 
 std::vector<std::vector<SearchHit>> FlatIndex::SearchBatch(
-    const std::vector<la::Vec>& queries, size_t k,
-    serve::Executor* executor) const {
-  return Scan(queries.data(), queries.size(), k,
-              executor != nullptr ? executor : &serve::Executor::Default());
+    const std::vector<la::Vec>& queries, size_t k) const {
+  return Scan(queries.data(), queries.size(), k);
 }
 
 std::vector<std::vector<SearchHit>> FlatIndex::Scan(
-    const la::Vec* queries, size_t rows, size_t k,
-    serve::Executor* pool) const {
+    const la::Vec* queries, size_t rows, size_t k) const {
   std::vector<std::vector<SearchHit>> results(rows);
   const size_t keep = std::min(k, live_size());
   if (rows == 0 || keep == 0) return results;
@@ -69,11 +66,10 @@ std::vector<std::vector<SearchHit>> FlatIndex::Scan(
     }
   };
   const size_t groups = (rows + kGroupRows - 1) / kGroupRows;
-  if (pool == nullptr) {
-    for (size_t g = 0; g < groups; ++g) scan_group(g);
-  } else {
-    pool->ParallelFor(groups, scan_group);
-  }
+  serve::Executor& pool = serve::Executor::Current();
+  pool.ParallelFor(groups, 1, [&](size_t begin, size_t end) {
+    for (size_t g = begin; g < end; ++g) scan_group(g);
+  });
   return results;
 }
 

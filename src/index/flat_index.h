@@ -6,9 +6,9 @@
 // kBlockRows rows at a time: each block is read into cache once per group
 // instead of once per row. Every row keeps its k best live hits in a
 // k-bounded heap, so no row builds a hit list the size of the store.
-// SearchBatch runs the groups as tasks on the executor; Search is the same
-// scan with one row, run inline. Selection under the (distance, id) order
-// is exact, so hits are bit-identical to a full sort of every distance.
+// SearchBatch runs the groups on serve::Executor::Current(); Search is the
+// same scan with one row, on the caller. Selection under the (distance, id)
+// order is exact, so hits are bit-identical to a full sort of every distance.
 #ifndef DUST_INDEX_FLAT_INDEX_H_
 #define DUST_INDEX_FLAT_INDEX_H_
 
@@ -33,8 +33,7 @@ class FlatIndex : public VectorIndex {
   void Add(const la::Vec& v) override;
   std::vector<SearchHit> Search(const la::Vec& query, size_t k) const override;
   std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<la::Vec>& queries, size_t k,
-      serve::Executor* executor) const override;
+      const std::vector<la::Vec>& queries, size_t k) const override;
 
   size_t size() const override { return norms_.size(); }
   size_t dim() const override { return dim_; }
@@ -53,11 +52,10 @@ class FlatIndex : public VectorIndex {
   }
 
  private:
-  /// The one flat scan: top-k hits for queries[0, rows), one task per
-  /// group of rows on `pool`, or all inline when `pool` is null.
+  /// The one flat scan: top-k hits for queries[0, rows), one claim per
+  /// group of rows on serve::Executor::Current().
   std::vector<std::vector<SearchHit>> Scan(const la::Vec* queries,
-                                           size_t rows, size_t k,
-                                           serve::Executor* pool) const;
+                                           size_t rows, size_t k) const;
 
   size_t dim_;
   la::Metric metric_;

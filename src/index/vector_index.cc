@@ -126,17 +126,16 @@ void VectorIndex::OfferLiveHits(const float* distances, size_t first_id,
 }
 
 std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
-    const std::vector<la::Vec>& queries, size_t k,
-    serve::Executor* executor) const {
+    const std::vector<la::Vec>& queries, size_t k) const {
   std::vector<std::vector<SearchHit>> results(queries.size());
   // Concurrent Search calls are safe for every index, so the pool fans out
   // over all queries directly.
   // Each iteration writes only its own slot, and results are per-query, so
   // scheduling order cannot change the output.
-  serve::Executor& pool =
-      executor != nullptr ? *executor : serve::Executor::Default();
-  pool.ParallelFor(queries.size(),
-                   [&](size_t i) { results[i] = Search(queries[i], k); });
+  serve::Executor& pool = serve::Executor::Current();
+  pool.ParallelFor(queries.size(), 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) results[i] = Search(queries[i], k);
+  });
   return results;
 }
 

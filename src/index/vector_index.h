@@ -20,10 +20,6 @@ class IndexWriter;
 class IndexReader;
 }  // namespace dust::io
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::index {
 
 /// One search hit: the stored vector's id and its distance to the query.
@@ -65,17 +61,13 @@ class VectorIndex {
 
   /// Top-k nearest neighbors for every query, result i matching query i,
   /// exactly as calling Search per query. The work fans out across
-  /// `executor`'s pooled threads (inline for Executor(0)), or across the
-  /// process-wide serve::Executor::Default() pool when `executor` is null;
-  /// no call spawns threads of its own. By default each query is one
-  /// Search task; FlatIndex overrides it with a blocked scan in which each
-  /// task scores a group of queries against its store one cache-sized
-  /// block at a time. Results must stay bit-identical across all
-  /// scheduling modes. Callers pass the executor, null included: a default
-  /// argument on a virtual binds by the caller's static type.
+  /// serve::Executor::Current() (inline for Executor(0)); no call spawns
+  /// threads of its own. By default each query is one Search task;
+  /// FlatIndex overrides it with a blocked scan in which each task scores a
+  /// group of queries against its store one cache-sized block at a time.
+  /// Results must stay bit-identical across all scheduling modes.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
-      const std::vector<la::Vec>& queries, size_t k,
-      serve::Executor* executor) const;
+      const std::vector<la::Vec>& queries, size_t k) const;
 
   /// Tombstones the vector with this id. Returns false (and changes
   /// nothing) when the id is out of range or already dead. The id stays

@@ -270,13 +270,11 @@ void ForTriangleRows(serve::Executor& pool, size_t rows, size_t cost_of_pair,
 
 }  // namespace
 
-DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric,
-                               serve::Executor* executor)
+DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric)
     : n_(points.size()) {
   if (n_ == 0) return;
   data_.reset(new float[n_ * n_]);
-  serve::Executor& pool =
-      executor != nullptr ? *executor : serve::Executor::Default();
+  serve::Executor& pool = serve::Executor::Current();
   // One contiguous copy of the points makes row i of the strict upper
   // triangle a single contiguous scan over the points after i (a batched
   // dot for cosine).

@@ -21,10 +21,6 @@
 #include "la/vector_ops.h"
 #include "util/status.h"
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::la {
 
 enum class Metric { kCosine, kEuclidean, kManhattan };
@@ -129,13 +125,12 @@ class DistanceMatrix {
   /// Precomputes all pairwise distances between `points` under `metric`.
   /// Off the diagonal, row i equals DistanceToMany(metric, points[i],
   /// points, NormsOf(points), &row) bit for bit, and the diagonal is 0.
-  /// The build runs on `executor` (null means serve::Executor::Default()):
-  /// upper-triangle rows in claims balanced by area, then the mirror into
-  /// the lower triangle by tile rows. Every entry is written by exactly one
-  /// claim and is a pure function of its two points, so the matrix is the
-  /// same on every executor.
-  DistanceMatrix(const std::vector<Vec>& points, Metric metric,
-                 serve::Executor* executor = nullptr);
+  /// The build runs on serve::Executor::Current(): upper-triangle rows in
+  /// claims balanced by area, then the mirror into the lower triangle by
+  /// tile rows. Every entry is written by exactly one claim and is a pure
+  /// function of its two points, so the matrix is the same on every
+  /// executor.
+  DistanceMatrix(const std::vector<Vec>& points, Metric metric);
 
   DistanceMatrix(const DistanceMatrix& other);
   DistanceMatrix& operator=(const DistanceMatrix& other);

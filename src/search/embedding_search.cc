@@ -65,10 +65,6 @@ la::Vec TableProfile(const std::vector<la::Vec>& cols, size_t dim) {
 
 }  // namespace
 
-serve::Executor& EmbeddingUnionSearch::pool() const {
-  return executor_ != nullptr ? *executor_ : serve::Executor::Default();
-}
-
 void EmbeddingUnionSearch::IndexLake(
     const std::vector<const table::Table*>& lake) {
   const size_t dim = encoder_.dim();
@@ -84,17 +80,18 @@ void EmbeddingUnionSearch::IndexLake(
   std::vector<la::Vec> profiles(config_.shortlist > 0 ? lake.size() : 0);
   // Each table's columns go straight into its own slice of the store; the
   // encoder is a pure function of the table, so the claims change no bit.
-  pool().ParallelFor(lake.size(), kEncodeGrainTables,
-                     [&](size_t begin, size_t end) {
-                       for (size_t t = begin; t < end; ++t) {
-                         const std::vector<la::Vec> cols =
-                             encoder_.EncodeTable(*lake[t]);
-                         store.SetTable(t, cols, dim);
-                         if (!profiles.empty()) {
-                           profiles[t] = TableProfile(cols, dim);
-                         }
+  serve::Executor& pool = serve::Executor::Current();
+  pool.ParallelFor(lake.size(), kEncodeGrainTables,
+                   [&](size_t begin, size_t end) {
+                     for (size_t t = begin; t < end; ++t) {
+                       const std::vector<la::Vec> cols =
+                           encoder_.EncodeTable(*lake[t]);
+                       store.SetTable(t, cols, dim);
+                       if (!profiles.empty()) {
+                         profiles[t] = TableProfile(cols, dim);
                        }
-                     });
+                     }
+                   });
   lake_columns_ = std::move(store);
 
   if (config_.shortlist > 0) {
@@ -175,7 +172,7 @@ std::vector<double> EmbeddingUnionSearch::TableBounds(
   const size_t dim = encoder_.dim();
   // Every bound is a pure function of its table, so pooled evaluation is
   // deterministic: each slot is written exactly once.
-  pool().ParallelFor(chunk_begin.size() - 1, [&](size_t chunk) {
+  const auto bound_chunk = [&](size_t chunk) {
     std::vector<float> weights;
     std::vector<float> column_max;
     std::vector<double> row_sum;
@@ -232,6 +229,10 @@ std::vector<double> EmbeddingUnionSearch::TableBounds(
       }
       run = run_end;
     }
+  };
+  serve::Executor& pool = serve::Executor::Current();
+  pool.ParallelFor(chunk_begin.size() - 1, 1, [&](size_t begin, size_t end) {
+    for (size_t chunk = begin; chunk < end; ++chunk) bound_chunk(chunk);
   });
   return bounds;
 }

@@ -143,13 +143,6 @@ class EmbeddingUnionSearch : public UnionSearch {
   Status LoadState(io::IndexReader* reader,
                    const std::vector<const table::Table*>& lake) override;
 
-  /// Installs a shared executor on IndexLake's table encode and on the
-  /// rerank's bound pass. Null (the default) means
-  /// serve::Executor::Default() for both.
-  void SetExecutor(serve::Executor* executor) override {
-    executor_ = executor;
-  }
-
   /// Removes the live table named `name`: its slot is kept (table_index
   /// stability) but it leaves the candidate set and, when a shortlist is
   /// configured, its profile is tombstoned in the index, so later searches
@@ -212,18 +205,15 @@ class EmbeddingUnionSearch : public UnionSearch {
   /// An upper bound on TableScore for every table in `tables`, in its
   /// order. A matching uses each row and each column at most once, so its
   /// weight is at most min(sum_i max_j w_ij, sum_j max_i w_ij). Runs in
-  /// chunks of consecutive candidates on the executor.
+  /// chunks of consecutive candidates on serve::Executor::Current().
   std::vector<double> TableBounds(const ColumnStore& query,
                                   const std::vector<size_t>& tables) const;
-  /// The installed executor, or serve::Executor::Default().
-  serve::Executor& pool() const;
 
   EmbeddingSearchConfig config_;
   embed::StarmieEncoder encoder_;
   ColumnStore lake_columns_;
   /// Table profiles, built only when a shortlist is configured.
   std::unique_ptr<index::VectorIndex> profile_index_;
-  serve::Executor* executor_ = nullptr;
   LakeCatalog catalog_;
   mutable std::mutex stats_mutex_;
   mutable std::vector<cascade::StageStats> last_stats_;

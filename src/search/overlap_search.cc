@@ -8,40 +8,31 @@
 
 namespace dust::search {
 
-Status ValidateOverlapConfig(const OverlapSearchConfig& config) {
-  const double weights[] = {config.weight_name, config.weight_values,
-                            config.weight_format, config.weight_embedding};
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0) {
-      return Status::InvalidArgument(
-          "overlap signal weights must be nonnegative");
-    }
-    total += w;
-  }
-  if (total <= 0.0) {
-    return Status::InvalidArgument(
-        "overlap signal weights are all zero; every unionability signal is "
-        "muted and all scores would be 0");
-  }
-  return Status::Ok();
-}
+namespace {
+
+/// Hashes per MinHash sketch (value overlap and format).
+constexpr size_t kMinHashHashes = 64;
+/// Column-score weights of the four signals.
+constexpr double kWeightName = 0.25;
+constexpr double kWeightValues = 0.35;
+constexpr double kWeightFormat = 0.15;
+constexpr double kWeightEmbedding = 0.25;
+
+}  // namespace
 
 OverlapUnionSearch::OverlapUnionSearch(OverlapSearchConfig config)
     : config_(config),
       embedder_(embed::MakeEmbedder(
           embed::ModelFamily::kFastText,
           embed::DefaultConfigFor(embed::ModelFamily::kFastText,
-                                  config.embedding_dim, config.seed))) {
-  DUST_CHECK(ValidateOverlapConfig(config_).ok());
-}
+                                  config.embedding_dim, config.seed))) {}
 
 OverlapUnionSearch::ColumnSignature OverlapUnionSearch::SignColumn(
     const table::Column& column) const {
   ColumnSignature sig{
       text::WordTokens(column.name),
-      MinHashSketch({}, config_.minhash_hashes, config_.seed),
-      MinHashSketch({}, config_.minhash_hashes, config_.seed ^ 0xF0F0ULL),
+      MinHashSketch({}, kMinHashHashes, config_.seed),
+      MinHashSketch({}, kMinHashHashes, config_.seed ^ 0xF0F0ULL),
       la::Vec()};
   std::vector<std::string> values;
   std::vector<std::string> grams;
@@ -53,9 +44,8 @@ OverlapUnionSearch::ColumnSignature OverlapUnionSearch::SignColumn(
     all_text += v.text();
     all_text += ' ';
   }
-  sig.values = MinHashSketch(values, config_.minhash_hashes, config_.seed);
-  sig.format =
-      MinHashSketch(grams, config_.minhash_hashes, config_.seed ^ 0xF0F0ULL);
+  sig.values = MinHashSketch(values, kMinHashHashes, config_.seed);
+  sig.format = MinHashSketch(grams, kMinHashHashes, config_.seed ^ 0xF0F0ULL);
   sig.embedding = embedder_->Embed(all_text);
   return sig;
 }
@@ -69,9 +59,8 @@ double OverlapUnionSearch::ColumnScore(const ColumnSignature& a,
   if (!a.embedding.empty() && !b.embedding.empty()) {
     embed_sim = std::max(0.0f, la::CosineSimilarity(a.embedding, b.embedding));
   }
-  return config_.weight_name * name_sim + config_.weight_values * value_sim +
-         config_.weight_format * format_sim +
-         config_.weight_embedding * embed_sim;
+  return kWeightName * name_sim + kWeightValues * value_sim +
+         kWeightFormat * format_sim + kWeightEmbedding * embed_sim;
 }
 
 void OverlapUnionSearch::IndexLake(

@@ -15,21 +15,9 @@
 namespace dust::search {
 
 struct OverlapSearchConfig {
-  size_t minhash_hashes = 64;
   size_t embedding_dim = 64;
   uint64_t seed = 4242;
-  /// Signal weights: name, value overlap, format, embedding.
-  double weight_name = 0.25;
-  double weight_values = 0.35;
-  double weight_format = 0.15;
-  double weight_embedding = 0.25;
 };
-
-/// Rejects meaningless signal weightings with InvalidArgument: any negative
-/// weight (a signal cannot count against unionability) or an all-zero total
-/// (every signal muted, all scores identically 0). Config loaders should
-/// pre-validate; the engine constructor aborts on an invalid config.
-Status ValidateOverlapConfig(const OverlapSearchConfig& config);
 
 class OverlapUnionSearch : public UnionSearch {
  public:

@@ -233,7 +233,7 @@ Result<std::vector<TupleHit>> TupleSearch::SearchTuplesChecked(
 }
 
 std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
-    const std::vector<TupleQuery>& queries, serve::Executor* executor) const {
+    const std::vector<TupleQuery>& queries) const {
   std::vector<Result<std::vector<TupleHit>>> results(
       queries.size(), Status::Internal("tuple query left unanswered"));
   if (queries.empty()) return results;
@@ -254,8 +254,7 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
   // Captured by value so ParallelFor members re-install the batch's trace
   // on whichever pool thread runs them.
   const obs::TraceContext trace_ctx = obs::CurrentContext();
-  serve::Executor& pool =
-      executor != nullptr ? *executor : serve::Executor::Default();
+  serve::Executor& pool = serve::Executor::Current();
   std::map<size_t, std::vector<size_t>> groups_by_fetch;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (queries[i].table == nullptr || queries[i].table->num_rows() == 0) {
@@ -286,12 +285,14 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
     };
     // Encoders are pure functions of the text (embed/embedder.h), so
     // encoding members concurrently is safe and deterministic.
-    pool.ParallelFor(members.size(), encode_member);
+    pool.ParallelFor(members.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t m = begin; m < end; ++m) encode_member(m);
+    });
     std::vector<std::vector<index::SearchHit>> hits;
     {
       obs::Span span("index_search");
       span.AddTag("rows", static_cast<uint64_t>(embeddings.size()));
-      hits = index_->SearchBatch(embeddings, fetch, executor);
+      hits = index_->SearchBatch(embeddings, fetch);
     }
     const auto fuse_member = [&](size_t m) {
       obs::ScopedTraceContext trace_scope(trace_ctx);
@@ -301,7 +302,9 @@ std::vector<Result<std::vector<TupleHit>>> TupleSearch::SearchTuplesBatch(
       results[i] = FuseTupleHits(hits, offsets[m], offsets[m + 1] - offsets[m],
                                  refs_, queries[i].k);
     };
-    pool.ParallelFor(members.size(), fuse_member);
+    pool.ParallelFor(members.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t m = begin; m < end; ++m) fuse_member(m);
+    });
   }
   return results;
 }

@@ -14,10 +14,6 @@
 #include "table/table.h"
 #include "util/status.h"
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::search {
 
 struct TupleHit {
@@ -124,12 +120,10 @@ class TupleSearch {
   /// Result i corresponds to queries[i] and is bit-identical to a
   /// sequential SearchTuplesChecked(queries[i]) — per-request statuses, so
   /// one malformed request cannot fail its batch-mates. Encoding, index
-  /// fan-out, and per-request fusion run on `executor`, or on
-  /// serve::Executor::Default() when it is null; a one-member batch encodes
-  /// and fuses on the calling thread.
+  /// fan-out, and per-request fusion run on serve::Executor::Current(); a
+  /// one-member batch encodes and fuses on the calling thread.
   std::vector<Result<std::vector<TupleHit>>> SearchTuplesBatch(
-      const std::vector<TupleQuery>& queries,
-      serve::Executor* executor = nullptr) const;
+      const std::vector<TupleQuery>& queries) const;
 
   size_t num_indexed() const { return refs_.size(); }
   const table::TupleRef& ref(size_t id) const { return refs_[id]; }

@@ -13,10 +13,6 @@ class IndexWriter;
 class IndexReader;
 }  // namespace dust::io
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::search {
 
 struct TableHit {
@@ -57,13 +53,6 @@ class UnionSearch {
     (void)lake;
     return Status::Unimplemented(name() + " does not support snapshots");
   }
-
-  /// Routes the engine's internal fan-out (the lake encode and the rerank's
-  /// bound pass) through a shared thread pool, so serving processes
-  /// create zero threads per query; null means serve::Executor::Default().
-  /// Engines without such a pass ignore it. Install during setup, before
-  /// concurrent traffic.
-  virtual void SetExecutor(serve::Executor* executor) { (void)executor; }
 };
 
 }  // namespace dust::search

@@ -8,6 +8,14 @@
 
 namespace dust::serve {
 
+namespace {
+
+/// The calling thread's installed pool; null means Executor::Default().
+/// A worker sets it to its own executor once, at start.
+thread_local Executor* tls_current = nullptr;
+
+}  // namespace
+
 /// Shared state of one ParallelFor call. Kept alive by shared_ptr because
 /// helper tasks may still sit in the queue after the loop finished (they
 /// wake up, see the counter exhausted, and return without touching `body`).
@@ -37,6 +45,16 @@ Executor& Executor::Default() {
   return *pool;
 }
 
+Executor& Executor::Current() {
+  return tls_current != nullptr ? *tls_current : Default();
+}
+
+ScopedExecutor::ScopedExecutor(Executor& executor) : saved_(tls_current) {
+  tls_current = &executor;
+}
+
+ScopedExecutor::~ScopedExecutor() { tls_current = saved_; }
+
 size_t Executor::AvailableCpus() {
 #if defined(__linux__)
   cpu_set_t mask;
@@ -59,6 +77,8 @@ Executor::~Executor() {
 }
 
 void Executor::WorkerLoop() {
+  // Every task a worker runs is a range of one of this executor's loops.
+  tls_current = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -109,6 +129,7 @@ void Executor::Drain(const std::shared_ptr<ForLoop>& loop) {
 void Executor::ParallelFor(size_t n, size_t grain,
                            const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
+  const ScopedExecutor scope(*this);
   grain = std::max<size_t>(grain, 1);
   if (threads_.empty() || n <= grain) {
     body(0, n);
@@ -132,12 +153,6 @@ void Executor::ParallelFor(size_t n, size_t grain,
   Drain(loop);
   std::unique_lock<std::mutex> lock(loop->m);
   loop->all_done.wait(lock, [&] { return loop->done.load() == loop->n; });
-}
-
-void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  ParallelFor(n, 1, [&body](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) body(i);
-  });
 }
 
 }  // namespace dust::serve

@@ -1,13 +1,13 @@
 // Shared fixed-size thread-pool executor — the library's one scheduling
 // path. An Executor is created once (per QueryServer, bench, or CLI
 // invocation) and reused, so steady-state serving does zero thread
-// creation. Index fan-out that is handed no executor (a SearchBatch
-// outside a server) runs on the process-wide Executor::Default() pool
-// rather than spawning threads of its own.
+// creation. Library loops take no pool: each runs on Executor::Current(),
+// which a program picks for a scope with ScopedExecutor (a server's own
+// pool, or Executor(0) for a serial run) and which is otherwise the
+// process-wide Executor::Default().
 //
-// The header is dependency-free (standard library only) so the low-level
-// index layer can take an optional `serve::Executor*` without a layering
-// inversion.
+// The header is dependency-free (standard library only), so every layer,
+// down to the index scan, can include it without a layering inversion.
 #ifndef DUST_SERVE_EXECUTOR_H_
 #define DUST_SERVE_EXECUTOR_H_
 
@@ -40,12 +40,17 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// The process-wide pool for parallel work that was handed no executor:
+  /// The process-wide pool for parallel work outside any ScopedExecutor:
   /// AvailableCpus() workers as the first caller sees them, created on
   /// first use and never destroyed (leaked, like
   /// obs::SpanCollector::Global(), so a call during static destruction
   /// never meets a joined pool).
   static Executor& Default();
+
+  /// The pool the calling thread's loops run on: the one installed by its
+  /// innermost live ScopedExecutor, else Default(). A body run by a pool's
+  /// ParallelFor, on the caller or on a worker, sees that pool.
+  static Executor& Current();
 
   /// The CPUs the calling thread may run on: CPU_COUNT of its
   /// sched_getaffinity mask, so a process started under `taskset -c 0,1`
@@ -65,13 +70,10 @@ class Executor {
   /// participants finish close together. A loop with n <= grain runs as
   /// body(0, n) on the caller without waking a helper: pass as `grain` the
   /// number of indices whose work outweighs a pooled round trip. `body`
-  /// must be safe to invoke concurrently for disjoint ranges.
+  /// must be safe to invoke concurrently for disjoint ranges. Every range
+  /// runs with this executor as Current().
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t, size_t)>& body);
-
-  /// Runs body(0..n-1), each index exactly once: the range form with a
-  /// grain of one index.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// Total helper tasks executed by pool threads over the executor's
   /// lifetime. Observability only — a serving metrics registry publishes it
@@ -102,6 +104,21 @@ class Executor {
   std::atomic<uint64_t> tasks_run_{0};
   std::atomic<size_t> busy_{0};
   std::vector<std::thread> threads_;
+};
+
+/// Installs `executor` as the calling thread's Executor::Current() for the
+/// scope's lifetime and restores the previous one on destruction. The
+/// executor must outlive the scope.
+class ScopedExecutor {
+ public:
+  explicit ScopedExecutor(Executor& executor);
+  ~ScopedExecutor();
+
+  ScopedExecutor(const ScopedExecutor&) = delete;
+  ScopedExecutor& operator=(const ScopedExecutor&) = delete;
+
+ private:
+  Executor* saved_;
 };
 
 }  // namespace dust::serve

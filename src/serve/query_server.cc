@@ -155,6 +155,9 @@ std::future<QueryServer::TupleResult> QueryServer::Submit(
 }
 
 void QueryServer::DispatchLoop() {
+  // Every batch's encode, index fan-out and fusion run on the server's own
+  // pool.
+  const ScopedExecutor scope(executor_);
   std::vector<Request> batch;
   for (;;) {
     batch.clear();
@@ -199,7 +202,7 @@ void QueryServer::Dispatch(std::vector<Request>* batch) {
         trace_owner != nullptr ? trace_owner->trace : obs::TraceContext{});
     obs::Span search_span("search");
     search_span.AddTag("batch", static_cast<uint64_t>(batch->size()));
-    results = search_->SearchTuplesBatch(queries, &executor_);
+    results = search_->SearchTuplesBatch(queries);
   }
   const auto now = std::chrono::steady_clock::now();
   batches_.Increment();

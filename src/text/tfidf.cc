@@ -9,8 +9,7 @@
 
 namespace dust::text {
 
-TfidfModel::TfidfModel(const std::vector<std::vector<std::string>>& documents,
-                       serve::Executor* executor)
+TfidfModel::TfidfModel(const std::vector<std::vector<std::string>>& documents)
     : num_documents_(documents.size()) {
   size_t tokens = 0;
   for (const auto& doc : documents) tokens += doc.size();
@@ -19,11 +18,10 @@ TfidfModel::TfidfModel(const std::vector<std::vector<std::string>>& documents,
   // claim, on the caller.
   const size_t grain = std::max<size_t>(
       1, kGrainTokens * documents.size() / std::max<size_t>(tokens, 1));
-  serve::Executor& pool =
-      executor != nullptr ? *executor : serve::Executor::Default();
   // distinct[i] points at the first occurrence of each distinct token of
   // document i.
   std::vector<std::vector<const std::string*>> distinct(documents.size());
+  serve::Executor& pool = serve::Executor::Current();
   pool.ParallelFor(documents.size(), grain, [&](size_t begin, size_t end) {
     std::unordered_set<std::string_view> seen;
     for (size_t i = begin; i < end; ++i) {

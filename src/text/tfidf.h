@@ -10,10 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-namespace dust::serve {
-class Executor;
-}  // namespace dust::serve
-
 namespace dust::text {
 
 /// Corpus-level document-frequency statistics. A "document" is whatever unit
@@ -29,12 +25,11 @@ class TfidfModel {
   static constexpr size_t kGrainTokens = 4096;
 
   /// Builds document frequencies from tokenized documents. Each document's
-  /// distinct tokens are found on `executor` (null means
-  /// serve::Executor::Default()) in claims of the documents of about
-  /// kGrainTokens tokens; only the merge of the counts is serial. The
-  /// counts are integers, so the model is the same on every executor.
-  explicit TfidfModel(const std::vector<std::vector<std::string>>& documents,
-                      serve::Executor* executor = nullptr);
+  /// distinct tokens are found on serve::Executor::Current() in claims of
+  /// the documents of about kGrainTokens tokens; only the merge of the
+  /// counts is serial. The counts are integers, so the model is the same on
+  /// every executor.
+  explicit TfidfModel(const std::vector<std::vector<std::string>>& documents);
 
   size_t num_documents() const { return num_documents_; }
 

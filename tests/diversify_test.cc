@@ -279,20 +279,6 @@ TEST(GmcTest, LambdaTradesRelevanceForDiversity) {
   EXPECT_TRUE(set.count(0) && set.count(1) && set.count(2));
 }
 
-TEST(GmcTest, CacheAndNoCacheAgree) {
-  std::vector<Vec> query = RandomPoints(3, 6, 4);
-  std::vector<Vec> lake = RandomPoints(30, 6, 5);
-  DiversifyInput input;
-  input.query = &query;
-  input.lake = &lake;
-  GmcConfig with_cache;
-  with_cache.cache_distances = true;
-  GmcConfig without_cache;
-  without_cache.cache_distances = false;
-  EXPECT_EQ(GmcDiversifier(with_cache).SelectDiverse(input, 8),
-            GmcDiversifier(without_cache).SelectDiverse(input, 8));
-}
-
 TEST(GneTest, PureDiversityBeatsRandomOnAverage) {
   std::vector<Vec> query = RandomPoints(2, 6, 6);
   std::vector<Vec> lake = RandomPoints(40, 6, 7);

@@ -335,11 +335,14 @@ TEST(ColumnEmbedderTest, EmbedTablesIsIdenticalOnEveryExecutor) {
        {ColumnSerialization::kColumnLevel, ColumnSerialization::kCellLevel}) {
     for (size_t limit : {512, 16}) {
       const ColumnEmbedder embedder(encoder, serialization, limit);
-      const uint64_t want =
-          HashTables(embedder.EmbedTables(tables, &inline_executor));
-      EXPECT_EQ(HashTables(embedder.EmbedTables(tables, &four)), want)
+      const auto hash_on = [&](serve::Executor& executor) {
+        const serve::ScopedExecutor scope(executor);
+        return HashTables(embedder.EmbedTables(tables));
+      };
+      const uint64_t want = hash_on(inline_executor);
+      EXPECT_EQ(hash_on(four), want)
           << embedder.name() << " limit " << limit << " on Executor(4)";
-      EXPECT_EQ(HashTables(embedder.EmbedTables(tables)), want)
+      EXPECT_EQ(hash_on(serve::Executor::Default()), want)
           << embedder.name() << " limit " << limit << " on Default()";
     }
   }

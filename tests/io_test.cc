@@ -66,8 +66,8 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 void ExpectSearchParity(const VectorIndex& original, const VectorIndex& loaded,
                         size_t num_queries, size_t k, uint64_t seed) {
   auto queries = RandomUnitVectors(num_queries, original.dim(), seed);
-  auto expected = original.SearchBatch(queries, k, nullptr);
-  auto actual = loaded.SearchBatch(queries, k, nullptr);
+  auto expected = original.SearchBatch(queries, k);
+  auto actual = loaded.SearchBatch(queries, k);
   ASSERT_EQ(expected.size(), actual.size());
   for (size_t q = 0; q < expected.size(); ++q) {
     ASSERT_EQ(expected[q].size(), actual[q].size()) << "query " << q;
@@ -282,8 +282,8 @@ TEST(IndexIoTest, CompactedIndexRoundTripsWithoutTombstones) {
   // the id remap (flat is exact, so distances are bit-identical).
   ExpectSearchParity(*compacted.value(), *loaded.value(), 16, 10, 9700);
   auto queries = RandomUnitVectors(16, 8, 9800);
-  auto original_hits = flat.SearchBatch(queries, 10, nullptr);
-  auto compact_hits = loaded.value()->SearchBatch(queries, 10, nullptr);
+  auto original_hits = flat.SearchBatch(queries, 10);
+  auto compact_hits = loaded.value()->SearchBatch(queries, 10);
   ASSERT_EQ(original_hits.size(), compact_hits.size());
   for (size_t q = 0; q < original_hits.size(); ++q) {
     ASSERT_EQ(original_hits[q].size(), compact_hits[q].size());

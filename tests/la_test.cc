@@ -567,12 +567,15 @@ TEST(DistanceMatrixTest, EntriesBitIdenticalToDistanceToManyRows) {
                                    MetricName(metric) + " dim " +
                                    std::to_string(dim) + " n " +
                                    std::to_string(n);
-          PoisonHeap(n);
-          const DistanceMatrix serial(points, metric, &inline_executor);
-          PoisonHeap(n);
-          const DistanceMatrix pooled(points, metric, &four);
-          PoisonHeap(n);
-          const DistanceMatrix on_default(points, metric);
+          const auto build_on = [&](serve::Executor& executor) {
+            const serve::ScopedExecutor scope(executor);
+            PoisonHeap(n);
+            return DistanceMatrix(points, metric);
+          };
+          const DistanceMatrix serial = build_on(inline_executor);
+          const DistanceMatrix pooled = build_on(four);
+          const DistanceMatrix on_default =
+              build_on(serve::Executor::Default());
           ExpectSameBits(serial, pooled, what + " Executor(4)");
           ExpectSameBits(serial, on_default, what + " Default()");
           std::vector<float> row;

@@ -492,8 +492,8 @@ TEST_F(PipelineFixture, D3lEngineSnapshotUnimplemented) {
 
 TEST_F(PipelineFixture, RunIsIdenticalOnEveryExecutor) {
   // Run embeds columns, encodes tuples and builds its distance matrices on
-  // the installed executor (the default pool when none is), and search
-  // fans out on it too. The output table and provenance must not depend on
+  // Executor::Current(), and IndexLake and search fan out on it too. The
+  // output table and provenance must not depend on
   // which pool ran the work: inline, four workers, or the default pool.
   // Both the pretrained encoder and a DustModel are shared by every Run, as
   // in serving. The fixture's lake keeps 120 tuples, a matrix that one
@@ -527,9 +527,9 @@ TEST_F(PipelineFixture, RunIsIdenticalOnEveryExecutor) {
     for (const auto& encoder : encoders) {
       const std::string what =
           encoder->name() + " prune_s " + std::to_string(c.prune_s);
-      auto run_all = [&](serve::Executor* executor) {
+      auto run_all = [&](serve::Executor& executor) {
+        const serve::ScopedExecutor scope(executor);
         DustPipeline pipeline(config, encoder);
-        if (executor != nullptr) pipeline.SetExecutor(executor);
         pipeline.IndexLake(*c.lake);
         std::vector<PipelineResult> results;
         for (const auto& query : c.benchmark->queries) {
@@ -547,11 +547,10 @@ TEST_F(PipelineFixture, RunIsIdenticalOnEveryExecutor) {
       };
       serve::Executor inline_pool(0);
       serve::Executor four(4);
-      const std::vector<PipelineResult> expected = run_all(&inline_pool);
+      const std::vector<PipelineResult> expected = run_all(inline_pool);
       ASSERT_EQ(expected.size(), c.benchmark->queries.size()) << what;
-      serve::Executor* const none = nullptr;
-      for (serve::Executor* executor : {&four, none}) {
-        const std::vector<PipelineResult> actual = run_all(executor);
+      for (serve::Executor* executor : {&four, &serve::Executor::Default()}) {
+        const std::vector<PipelineResult> actual = run_all(*executor);
         ASSERT_EQ(actual.size(), expected.size()) << what;
         for (size_t q = 0; q < expected.size(); ++q) {
           const Table& want = expected[q].output;

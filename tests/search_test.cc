@@ -83,29 +83,6 @@ TEST(MinHashTest, ZeroHashSketchesScoreZero) {
   EXPECT_DOUBLE_EQ(a.EstimateJaccard(b), 0.0);
 }
 
-TEST(OverlapConfigTest, DefaultsValidate) {
-  EXPECT_TRUE(ValidateOverlapConfig(OverlapSearchConfig{}).ok());
-}
-
-TEST(OverlapConfigTest, NegativeWeightRejected) {
-  OverlapSearchConfig config;
-  config.weight_format = -0.1;
-  Status status = ValidateOverlapConfig(config);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(OverlapConfigTest, AllZeroWeightsRejected) {
-  OverlapSearchConfig config;
-  config.weight_name = 0.0;
-  config.weight_values = 0.0;
-  config.weight_format = 0.0;
-  config.weight_embedding = 0.0;
-  Status status = ValidateOverlapConfig(config);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-}
-
 TEST(ExactJaccardTest, HandCheckedValues) {
   EXPECT_DOUBLE_EQ(ExactJaccard({"a", "b"}, {"b", "c"}), 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(ExactJaccard({}, {}), 0.0);
@@ -257,9 +234,9 @@ TEST_F(SearchFixture, TupleHitListsHoldOnlyTheirKHits) {
     queries.push_back({&benchmark_->queries[i].data, kKs[i % 3]});
   }
   serve::Executor executor(2);
-  for (serve::Executor* pool :
-       {static_cast<serve::Executor*>(nullptr), &executor}) {
-    auto results = search.SearchTuplesBatch(queries, pool);
+  for (serve::Executor* pool : {&serve::Executor::Default(), &executor}) {
+    const serve::ScopedExecutor scope(*pool);
+    auto results = search.SearchTuplesBatch(queries);
     ASSERT_EQ(results.size(), queries.size());
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
@@ -826,17 +803,18 @@ TEST(EmbeddingSearchWideLakeTest, RerankEqualsExhaustiveMatching) {
     }
   };
   score_exhaustively();
-  expect_exhaustive("inline");
-  search.SetExecutor(&executor);
-  expect_exhaustive("pooled");
-  const size_t top =
-      search.SearchTables(benchmark.queries[0].data, 1).front().table_index;
-  ASSERT_TRUE(search.RemoveTable(lake[top]->name()).ok());
-  removed.push_back(top);
-  score_exhaustively();
-  expect_exhaustive("pooled, top hit removed");
-  search.SetExecutor(nullptr);
-  expect_exhaustive("inline, top hit removed");
+  expect_exhaustive("default pool");
+  {
+    const serve::ScopedExecutor scope(executor);
+    expect_exhaustive("pooled");
+    const size_t top =
+        search.SearchTables(benchmark.queries[0].data, 1).front().table_index;
+    ASSERT_TRUE(search.RemoveTable(lake[top]->name()).ok());
+    removed.push_back(top);
+    score_exhaustively();
+    expect_exhaustive("pooled, top hit removed");
+  }
+  expect_exhaustive("default pool, top hit removed");
 }
 
 // The 1,010-table lake of RerankEqualsExhaustiveMatching, built once.
@@ -872,13 +850,19 @@ std::string SavedState(const EmbeddingUnionSearch& search,
 }
 
 // Every wide-lake query's top 1, 10 and 50 agree in ids and score bits.
-void ExpectSameWideLakeHits(const EmbeddingUnionSearch& got,
-                            const EmbeddingUnionSearch& want,
-                            const std::string& label) {
+// `got` searches on `got_on`, `want` on the calling thread's executor.
+void ExpectSameWideLakeHits(
+    const EmbeddingUnionSearch& got, const EmbeddingUnionSearch& want,
+    const std::string& label,
+    serve::Executor& got_on = serve::Executor::Current()) {
   for (size_t q = 0; q < WideLake().queries.size(); ++q) {
     const Table& query = WideLake().queries[q].data;
     for (size_t n : {size_t{1}, size_t{10}, size_t{50}}) {
-      const std::vector<TableHit> a = got.SearchTables(query, n);
+      std::vector<TableHit> a;
+      {
+        const serve::ScopedExecutor scope(got_on);
+        a = got.SearchTables(query, n);
+      }
       const std::vector<TableHit> b = want.SearchTables(query, n);
       ASSERT_EQ(a.size(), b.size()) << label << " query " << q << " n " << n;
       for (size_t r = 0; r < a.size(); ++r) {
@@ -892,25 +876,34 @@ void ExpectSameWideLakeHits(const EmbeddingUnionSearch& got,
 }
 
 // Executor(0) runs the lake encode and the bound pass on the calling
-// thread; a null executor means the default pool. Both give the same state
-// and hits, bit for bit, with and without a shortlist (whose candidates are
-// not adjacent in the column store).
+// thread. Executor(4) and the default pool give the same state and hits,
+// bit for bit, with and without a shortlist (whose candidates are not
+// adjacent in the column store).
 TEST(EmbeddingSearchWideLakeTest, InlineExecutorMatchesDefaultPool) {
   const std::vector<const Table*> lake = WideLakeTables();
   serve::Executor inline_executor(0);
+  serve::Executor four(4);
+  const std::pair<serve::Executor*, const char*> pools[] = {
+      {&four, "Executor(4)"}, {&serve::Executor::Default(), "Default()"}};
   for (size_t shortlist : {size_t{0}, size_t{50}}) {
     EmbeddingSearchConfig config;
     config.shortlist = shortlist;
-    EmbeddingUnionSearch pooled(config);
-    pooled.IndexLake(lake);
     EmbeddingUnionSearch serial(config);
-    serial.SetExecutor(&inline_executor);
-    serial.IndexLake(lake);
-    const std::string label = "shortlist " + std::to_string(shortlist);
-    EXPECT_EQ(SavedState(serial, "wide_inline.bin"),
-              SavedState(pooled, "wide_pooled.bin"))
-        << label;
-    ExpectSameWideLakeHits(serial, pooled, label);
+    {
+      const serve::ScopedExecutor scope(inline_executor);
+      serial.IndexLake(lake);
+    }
+    for (const auto& [pool, name] : pools) {
+      const serve::ScopedExecutor scope(*pool);
+      EmbeddingUnionSearch pooled(config);
+      pooled.IndexLake(lake);
+      const std::string label =
+          "shortlist " + std::to_string(shortlist) + " on " + name;
+      EXPECT_EQ(SavedState(serial, "wide_inline.bin"),
+                SavedState(pooled, "wide_pooled.bin"))
+          << label;
+      ExpectSameWideLakeHits(serial, pooled, label, inline_executor);
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 // Tests for src/serve and the executor-routed search paths: Executor
 // ParallelFor semantics (the range form's claims and grain, nesting, the
-// Default() pool and its affinity-mask sizing),
+// Default() pool and its affinity-mask sizing), ScopedExecutor and
+// Executor::Current() (nesting, loop bodies see their pool, a served batch
+// runs on the server's pool),
 // BoundedQueue backpressure (blocks, never drops) and close-drains
 // semantics, QueryServer parity with sequential SearchTuplesChecked under
 // concurrent clients, per-request rejection of malformed queries, shutdown
@@ -47,24 +49,17 @@ using table::Value;
 
 // --- Executor ---------------------------------------------------------------
 
-TEST(ExecutorTest, ParallelForRunsEveryIndexExactlyOnce) {
-  Executor executor(4);
-  const size_t n = 1000;
-  std::vector<std::atomic<int>> visits(n);
-  for (auto& v : visits) v.store(0);
-  executor.ParallelFor(n, [&](size_t i) { visits[i].fetch_add(1); });
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
 TEST(ExecutorTest, NestedParallelForDoesNotDeadlock) {
   // Inner loops run from inside pool tasks while every worker may already
   // be busy; the caller-participates design must still complete them.
   Executor executor(2);
   std::atomic<size_t> total{0};
-  executor.ParallelFor(8, [&](size_t) {
-    executor.ParallelFor(64, [&](size_t) { total.fetch_add(1); });
+  executor.ParallelFor(8, 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      executor.ParallelFor(64, 1, [&](size_t b, size_t e) {
+        total.fetch_add(e - b);
+      });
+    }
   });
   EXPECT_EQ(total.load(), 8u * 64u);
 }
@@ -73,8 +68,9 @@ TEST(ExecutorTest, ZeroThreadsRunsInline) {
   Executor executor(0);
   EXPECT_EQ(executor.num_threads(), 0u);
   std::vector<int> order;
-  executor.ParallelFor(4, [&](size_t i) {
-    order.push_back(static_cast<int>(i));  // inline => sequential, in order
+  executor.ParallelFor(4, 1, [&](size_t begin, size_t end) {
+    // inline => sequential, in order
+    for (size_t i = begin; i < end; ++i) order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
@@ -87,8 +83,11 @@ TEST(ExecutorTest, DefaultIsOneLivePoolThatNestsParallelFor) {
   // index SearchBatch issued from a pooled loop does; the
   // caller-participates design completes it.
   std::atomic<size_t> total{0};
-  pool.ParallelFor(4, [&](size_t) {
-    pool.ParallelFor(32, [&](size_t) { total.fetch_add(1); });
+  pool.ParallelFor(4, 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      pool.ParallelFor(32, 1,
+                       [&](size_t b, size_t e) { total.fetch_add(e - b); });
+    }
   });
   EXPECT_EQ(total.load(), 4u * 32u);
 }
@@ -97,14 +96,16 @@ TEST(ExecutorTest, DestructorCompletesQueuedTasks) {
   // ParallelFor may return while its helper tasks still sit in the queue
   // (the caller ran every index itself). The destructor drains them; they
   // find their loop finished and never touch its body.
-  std::atomic<int> counter{0};
+  std::atomic<size_t> counter{0};
   {
     Executor executor(1);
     for (int i = 0; i < 50; ++i) {
-      executor.ParallelFor(2, [&](size_t) { counter.fetch_add(1); });
+      executor.ParallelFor(2, 1, [&](size_t begin, size_t end) {
+        counter.fetch_add(end - begin);
+      });
     }
   }  // destructor must drain, not abandon
-  EXPECT_EQ(counter.load(), 100);
+  EXPECT_EQ(counter.load(), 100u);
 }
 
 // --- Executor: the range form ----------------------------------------------
@@ -213,6 +214,73 @@ TEST(ExecutorTest, AvailableCpusFollowsTheAffinityMask) {
   EXPECT_EQ(Executor::AvailableCpus(), allowed);
 }
 #endif
+
+// --- ScopedExecutor and Executor::Current() ---------------------------------
+
+TEST(ScopedExecutorTest, CurrentIsDefaultWhenNoScopeIsOpen) {
+  EXPECT_EQ(&Executor::Current(), &Executor::Default());
+  // A scope is the opening thread's own: a thread started inside it sees
+  // the default pool.
+  Executor pool(1);
+  const ScopedExecutor scope(pool);
+  Executor* on_other_thread = nullptr;
+  std::thread([&] { on_other_thread = &Executor::Current(); }).join();
+  EXPECT_EQ(on_other_thread, &Executor::Default());
+  EXPECT_EQ(&Executor::Current(), &pool);
+}
+
+TEST(ScopedExecutorTest, NestedScopesRestoreTheOuterPool) {
+  Executor outer(1);
+  Executor inner(0);
+  {
+    const ScopedExecutor outer_scope(outer);
+    EXPECT_EQ(&Executor::Current(), &outer);
+    {
+      const ScopedExecutor inner_scope(inner);
+      EXPECT_EQ(&Executor::Current(), &inner);
+    }
+    EXPECT_EQ(&Executor::Current(), &outer);
+  }
+  EXPECT_EQ(&Executor::Current(), &Executor::Default());
+}
+
+TEST(ScopedExecutorTest, EveryIndexOfALoopSeesItsPool) {
+  Executor pool(4);
+  Executor other(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  // The caller's own scope: none, the loop's pool, or another pool.
+  const std::pair<Executor*, const char*> outers[] = {
+      {nullptr, "no scope"}, {&pool, "the loop's pool"}, {&other, "another"}};
+  for (const auto& [outer, what] : outers) {
+    std::unique_ptr<ScopedExecutor> scope;
+    if (outer != nullptr) scope = std::make_unique<ScopedExecutor>(*outer);
+    Executor* const before = &Executor::Current();
+    std::vector<Executor*> seen(4000, nullptr);
+    std::atomic<bool> caller_ran{false};
+    std::atomic<bool> helper_ran{false};
+    pool.ParallelFor(seen.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) seen[i] = &Executor::Current();
+      const bool on_caller = std::this_thread::get_id() == caller;
+      (on_caller ? caller_ran : helper_ran).store(true);
+      // Hold each side's first range until the other side has run one, so
+      // both the caller and a helper are checked.
+      const std::atomic<bool>& other_side =
+          on_caller ? helper_ran : caller_ran;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!other_side.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+    for (size_t i = 0; i < seen.size(); ++i) {
+      ASSERT_EQ(seen[i], &pool) << what << ": index " << i;
+    }
+    EXPECT_TRUE(caller_ran.load()) << what;
+    EXPECT_TRUE(helper_ran.load()) << what;
+    EXPECT_EQ(&Executor::Current(), before) << what;
+  }
+}
 
 // --- BoundedQueue -----------------------------------------------------------
 
@@ -619,7 +687,8 @@ TEST_F(ServeFixture, BatchMixedValidityAnswersPerRequest) {
   std::vector<TupleSearch::TupleQuery> batch = {
       {&(*queries_)[0], 5}, {&empty, 5}, {&(*queries_)[1], 5}};
   Executor executor(2);
-  auto results = search_->SearchTuplesBatch(batch, &executor);
+  const ScopedExecutor scope(executor);
+  auto results = search_->SearchTuplesBatch(batch);
   ASSERT_EQ(results.size(), 3u);
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
@@ -1092,37 +1161,86 @@ TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
   auto queries = RandomUnitVectors(16, kDim, 42);
   auto index = index::MakeVectorIndex("flat", kDim, la::Metric::kEuclidean);
   index->AddAll(vectors);
-  const HitLists on_default = index->SearchBatch(queries, 5, nullptr);
+  const HitLists on_default = index->SearchBatch(queries, 5);
   Executor pooled(4);
-  ExpectSameHitLists(on_default, index->SearchBatch(queries, 5, &pooled),
-                     "Executor(4)");
   Executor inline_executor(0);
-  ExpectSameHitLists(on_default,
-                     index->SearchBatch(queries, 5, &inline_executor),
-                     "Executor(0)");
+  for (Executor* executor : {&pooled, &inline_executor}) {
+    const ScopedExecutor scope(*executor);
+    ExpectSameHitLists(on_default, index->SearchBatch(queries, 5),
+                       executor == &pooled ? "Executor(4)" : "Executor(0)");
+  }
 }
 
 TEST_F(ServeFixture, EmbeddingSearchExecutorParity) {
-  // The pipeline-side wiring: the rerank's bound pass routed through
-  // the executor must not change table retrieval.
+  // The pipeline-side wiring: the lake encode and the rerank's bound pass
+  // on any executor must not change table retrieval.
   search::EmbeddingSearchConfig config;
   config.encoder.dim = 24;
   config.shortlist = 6;
   config.index_type = "flat";
-  search::EmbeddingUnionSearch engine(config);
   std::vector<const Table*> lake;
   for (const Table& t : *lake_storage_) lake.push_back(&t);
-  engine.IndexLake(lake);
-  auto baseline = engine.SearchTables((*queries_)[0], 5);
-  Executor executor(2);
-  engine.SetExecutor(&executor);
-  auto routed = engine.SearchTables((*queries_)[0], 5);
-  ASSERT_EQ(baseline.size(), routed.size());
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(baseline[i].table_index, routed[i].table_index);
-    EXPECT_EQ(baseline[i].score, routed[i].score);
+  const auto search_on = [&](Executor& executor) {
+    const ScopedExecutor scope(executor);
+    search::EmbeddingUnionSearch engine(config);
+    engine.IndexLake(lake);
+    return engine.SearchTables((*queries_)[0], 5);
+  };
+  const auto baseline = search_on(Executor::Default());
+  Executor four(4);
+  Executor inline_executor(0);
+  for (Executor* executor : {&four, &inline_executor}) {
+    const auto routed = search_on(*executor);
+    ASSERT_EQ(baseline.size(), routed.size()) << executor->num_threads();
+    for (size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_EQ(baseline[i].table_index, routed[i].table_index);
+      EXPECT_EQ(baseline[i].score, routed[i].score);
+    }
   }
-  engine.SetExecutor(nullptr);
+}
+
+/// A tuple encoder that counts the encodes it runs while the default pool
+/// is Executor::Current().
+class DefaultPoolCountingEncoder : public embed::TupleEncoder {
+ public:
+  explicit DefaultPoolCountingEncoder(
+      std::shared_ptr<embed::TupleEncoder> inner)
+      : inner_(std::move(inner)) {}
+
+  la::Vec EncodeSerialized(const std::string& serialized) const override {
+    encodes.fetch_add(1);
+    if (&Executor::Current() == &Executor::Default()) on_default.fetch_add(1);
+    return inner_->EncodeSerialized(serialized);
+  }
+  size_t dim() const override { return inner_->dim(); }
+  std::string name() const override { return inner_->name(); }
+
+  mutable std::atomic<size_t> encodes{0};
+  mutable std::atomic<size_t> on_default{0};
+
+ private:
+  std::shared_ptr<embed::TupleEncoder> inner_;
+};
+
+TEST_F(ServeFixture, ServedBatchRunsOnTheServersPool) {
+  auto encoder =
+      std::make_shared<DefaultPoolCountingEncoder>(MakeTestEncoder());
+  TupleSearch search(encoder);
+  std::vector<const Table*> lake;
+  for (const Table& t : *lake_storage_) lake.push_back(&t);
+  search.IndexLake(lake);  // encodes on this thread, outside any scope
+  encoder->encodes.store(0);
+  encoder->on_default.store(0);
+  QueryServerOptions options;
+  options.threads = 2;
+  QueryServer server(&search, options);
+  const Table& query = (*queries_)[0];
+  auto result = server.Submit(query, 5).get();
+  ASSERT_TRUE(result.ok());
+  // The dispatcher's scope puts the whole batch on the server's pool; a
+  // one-member batch encodes every row on the dispatcher thread.
+  EXPECT_EQ(encoder->encodes.load(), query.num_rows());
+  EXPECT_EQ(encoder->on_default.load(), 0u);
 }
 
 }  // namespace

@@ -251,9 +251,13 @@ TEST(TfidfTest, IdfIsIdenticalOnEveryExecutor) {
 
   serve::Executor inline_executor(0);
   serve::Executor four(4);
-  const TfidfModel on_inline(docs, &inline_executor);
-  const TfidfModel on_four(docs, &four);
-  const TfidfModel on_default(docs);
+  const auto fit_on = [&](serve::Executor& executor) {
+    const serve::ScopedExecutor scope(executor);
+    return TfidfModel(docs);
+  };
+  const TfidfModel on_inline = fit_on(inline_executor);
+  const TfidfModel on_four = fit_on(four);
+  const TfidfModel on_default = fit_on(serve::Executor::Default());
   for (const std::string& token : vocabulary) {
     const float idf = std::log((1.0f + static_cast<float>(docs.size())) /
                                (1.0f + static_cast<float>(df[token]))) +
